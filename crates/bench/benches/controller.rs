@@ -205,33 +205,24 @@ fn bench_figures(c: &mut Criterion) {
     });
 }
 
-/// Fleet-runtime cost: one chip-budgeted multi-core epoch sweep, single-
-/// and multi-worker, plus the arbiter alone.
+/// Fleet-runtime cost: one chip-budgeted multi-core epoch sweep, on the
+/// default and the dynamic governor path, plus the arbiter alone.
 fn bench_fleet(c: &mut Criterion) {
     let design = setup::design_mimo(InputSet::FreqCache, 9).expect("design");
-    for workers in [1usize, 2] {
-        // Default path: `fast_governor` picks static storage for this shape.
-        c.bench_function(&format!("fleet/16_cores_50_epochs_w{workers}"), |b| {
-            b.iter(|| {
-                let cfg = mimo_fleet::FleetConfig::new(16)
-                    .workers(workers)
-                    .epochs(50)
-                    .seed(11);
-                let runner =
-                    mimo_fleet::FleetRunner::with_shared_controller(cfg, &design.controller)
-                        .unwrap();
-                black_box(runner.run().unwrap().digest())
-            })
-        });
-    }
+    // Default path: `fast_governor` picks static storage for this shape.
+    c.bench_function("fleet/16_cores_50_epochs", |b| {
+        b.iter(|| {
+            let cfg = mimo_fleet::FleetConfig::new(16).epochs(50).seed(11);
+            let runner =
+                mimo_fleet::FleetRunner::with_shared_controller(cfg, &design.controller).unwrap();
+            black_box(runner.run().unwrap().digest())
+        })
+    });
     // The dynamic path pinned, for measuring the static-storage gap (the
     // science is bit-identical, only the step cost differs).
-    c.bench_function("fleet/16_cores_50_epochs_w1_dynamic", |b| {
+    c.bench_function("fleet/16_cores_50_epochs_dynamic", |b| {
         b.iter(|| {
-            let cfg = mimo_fleet::FleetConfig::new(16)
-                .workers(1)
-                .epochs(50)
-                .seed(11);
+            let cfg = mimo_fleet::FleetConfig::new(16).epochs(50).seed(11);
             let runner =
                 mimo_fleet::FleetRunner::with_shared_controller_dynamic(cfg, &design.controller)
                     .unwrap();

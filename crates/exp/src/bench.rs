@@ -100,10 +100,7 @@ pub fn run() -> Result<ControllerBench, String> {
     // --- 16-core, 50-epoch fleet sweep -----------------------------------
     let fleet = |static_path: bool| -> Result<f64, String> {
         let ns = median_ns_per_iter(9, 1, || {
-            let cfg = mimo_fleet::FleetConfig::new(16)
-                .workers(1)
-                .epochs(50)
-                .seed(11);
+            let cfg = mimo_fleet::FleetConfig::new(16).epochs(50).seed(11);
             let runner = if static_path {
                 mimo_fleet::FleetRunner::with_shared_controller(cfg, &design.controller)
             } else {
@@ -132,9 +129,9 @@ pub fn run() -> Result<ControllerBench, String> {
 /// it), so only the wall-clock ratio can legitimately move here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetBench {
-    /// Hardware threads on the measuring host; speedups from pool
-    /// parallelism are bounded by this (a 1-CPU host runs every band
-    /// serially, so any gain is pure bank-kernel efficiency).
+    /// Hardware threads on the measuring host. Both measurements step
+    /// each chip on one thread, so any gain is pure bank-kernel
+    /// efficiency.
     pub host_cpus: usize,
     /// 16-core, 50-epoch fleet sweep, per-cell governors, ms per run.
     pub fleet_per_cell_ms: f64,
@@ -175,7 +172,6 @@ pub fn run_fleet() -> Result<FleetBench, String> {
     let fleet = |banked: bool| -> f64 {
         median_ns_per_iter(25, 1, || {
             let cfg = mimo_fleet::FleetConfig::new(16)
-                .workers(1)
                 .epochs(50)
                 .seed(11)
                 .banked(banked);

@@ -922,60 +922,36 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
 // Fleet scaling — many-core runtime under a chip power budget
 // ---------------------------------------------------------------------------
 
-/// One fleet-scaling data point: a fleet size × worker count combination.
-#[derive(Debug, Clone)]
-pub struct FleetScalePoint {
-    /// Fleet statistics for the run.
-    pub stats: mimo_fleet::FleetStats,
-    /// Digest of the deterministic fields (identical across worker counts
-    /// for the same fleet size and seed).
-    pub digest: u64,
-}
-
-/// Sweeps fleet sizes N ∈ {1, 4, 16, 64} at one and several worker
-/// threads, all cores running clones of a single synthesized two-input
-/// MIMO controller under a proportional chip-power arbiter.
-///
-/// Every (N, seed) pair must produce bit-identical deterministic stats at
-/// every worker count; the returned points preserve the sweep order
-/// (workers-inner) so callers can verify pairwise digests.
+/// Sweeps fleet sizes N ∈ {1, 4, 16, 64}, all cores running clones of a
+/// single synthesized two-input MIMO controller under a proportional
+/// chip-power arbiter. Returns one run's statistics per N, in sweep order.
 ///
 /// # Errors
 ///
 /// Propagates controller-design failures and fleet configuration/run
-/// failures, naming the failing `(n_cores, workers)` cell.
-pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
+/// failures, naming the failing fleet size.
+pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<mimo_fleet::FleetStats>> {
     let design = cfg.cache.design_mimo(InputSet::FreqCache, cfg.seed)?;
     let epochs = cfg.tracking_epochs.min(1000);
-    let multi = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
-    let worker_counts = [1usize, multi];
 
-    // The fleet runner drives its own worker pool, so this sweep stays
-    // serial at the harness level rather than oversubscribing the host.
+    // Each fleet is one chip stepped on one thread; the sweep stays serial
+    // at the harness level.
     let mut points = Vec::new();
     for &n in &[1usize, 4, 16, 64] {
-        for &w in &worker_counts {
-            // Never ask for more workers than cores: validate() rejects
-            // explicit over-subscription instead of clamping now.
-            let label = format!("fleet-scale/n{n}/w{w}");
-            let fleet_cfg = mimo_fleet::FleetConfig::new(n)
-                .workers(w.min(n))
-                .epochs(epochs)
-                .seed(cfg.seed);
-            let stats =
-                mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
-                    .and_then(mimo_fleet::FleetRunner::run)
-                    .map_err(|e| cell_err(&label, e))?;
-            let digest = stats.digest();
-            points.push(FleetScalePoint { stats, digest });
-        }
+        let label = format!("fleet-scale/n{n}");
+        let fleet_cfg = mimo_fleet::FleetConfig::new(n)
+            .epochs(epochs)
+            .seed(cfg.seed);
+        let stats = mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
+            .and_then(mimo_fleet::FleetRunner::run)
+            .map_err(|e| cell_err(&label, e))?;
+        points.push(stats);
     }
 
     if cfg.emit {
         let rows: Vec<Vec<String>> = points
             .iter()
-            .map(|p| {
-                let s = &p.stats;
+            .map(|s| {
                 vec![
                     s.n_cores.to_string(),
                     s.workers.to_string(),
@@ -986,7 +962,7 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
                     report::fmt(s.avg_chip_power_w, 3),
                     report::fmt(s.peak_chip_power_w, 3),
                     report::fmt(s.cap_violation_pct, 2),
-                    format!("{:016x}", p.digest),
+                    format!("{:016x}", s.digest()),
                 ]
             })
             .collect();
@@ -1012,29 +988,20 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<FleetScalePoint>> {
         if let Ok(p) = path {
             println!("wrote {}", p.display());
         }
-        let mut cmp = Vec::new();
-        for pair in points.chunks(worker_counts.len()) {
-            let a = &pair[0].stats;
-            let all_match = pair.iter().all(|p| p.digest == pair[0].digest);
-            cmp.push(Comparison::new(
-                &format!("N={} deterministic across workers", a.n_cores),
-                "bit-identical",
-                if all_match {
-                    "bit-identical"
-                } else {
-                    "MISMATCH"
-                },
-            ));
-            let best = pair
-                .iter()
-                .map(|p| p.stats.epochs_per_sec)
-                .fold(0.0f64, f64::max);
-            cmp.push(Comparison::new(
-                &format!("N={} throughput (best)", a.n_cores),
-                "scales with workers on multicore hosts",
-                &format!("{} epochs/s", report::fmt(best, 0)),
-            ));
-        }
+        let cmp: Vec<Comparison> = points
+            .iter()
+            .map(|s| {
+                Comparison::new(
+                    &format!("N={} avg chip power", s.n_cores),
+                    &format!("cap {} W", report::fmt(s.chip_cap_w, 1)),
+                    &format!(
+                        "{} W ({} epochs/s)",
+                        report::fmt(s.avg_chip_power_w, 3),
+                        report::fmt(s.epochs_per_sec, 0)
+                    ),
+                )
+            })
+            .collect();
         println!("{}", report::comparison_table("Fleet scaling", &cmp));
     }
     Ok(points)
@@ -1272,7 +1239,6 @@ pub fn fault_sweep_traced(
     for &rate in &rates {
         for &policy in &policies {
             let mut fleet_cfg = mimo_fleet::FleetConfig::new(n)
-                .workers(0)
                 .epochs(epochs)
                 .policy(policy)
                 .seed(cfg.seed)

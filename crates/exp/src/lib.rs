@@ -22,7 +22,7 @@
 //! | `fig11`       | `specs/fig11.toml` | Figure 11: tracking-error scatter |
 //! | `fig12`       | `specs/fig12.toml` | Figure 12: time-varying (QoE/battery) tracking |
 //! | `tab-opt`     | `specs/tab_opt.toml` | §VIII-F text: E and E×D² reductions |
-//! | `fleet-scale` | `specs/fleet_scale.toml` | fleet sizes × worker counts under one budget |
+//! | `fleet-scale` | `specs/fleet_scale.toml` | fleet sizes under one chip budget |
 //! | `cluster-scale` | `specs/cluster_scale.toml` | chips × cores under one datacenter budget |
 //! | `fault-sweep` | `specs/fault_sweep.toml` | fault rate × policy on a 16-core fleet |
 //! | `phase-step`  | `specs/phase_step.toml` | spec-only: stepped reference schedule |

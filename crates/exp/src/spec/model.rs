@@ -177,8 +177,6 @@ pub enum GovernorKind {
 pub struct FleetSpec {
     /// Cores on the chip.
     pub cores: usize,
-    /// Worker threads (default 1; results are identical at any value).
-    pub workers: usize,
     /// Epochs to run (`--epochs` overrides).
     pub epochs: usize,
     /// Base RNG seed (default 2016).
@@ -590,7 +588,6 @@ impl FromValue for FleetSpec {
         t.deny_unknown(
             &[
                 "cores",
-                "workers",
                 "epochs",
                 "seed",
                 "power_cap",
@@ -607,7 +604,6 @@ impl FromValue for FleetSpec {
         )?;
         Ok(FleetSpec {
             cores: t.field("cores", path, v.line)?,
-            workers: t.field_or("workers", path, 1)?,
             epochs: t.field("epochs", path, v.line)?,
             seed: t.field_or("seed", path, 2016)?,
             power_cap: t.field_opt("power_cap", path)?,
@@ -864,7 +860,7 @@ impl RunSpec {
             );
         }
         match &self.scenario {
-            Scenario::Paper(_) => {}
+            Scenario::Paper(_) | Scenario::Fleet(_) => {}
             Scenario::Loop(l) => {
                 if l.epochs == 0 {
                     return bad("loop.epochs", "must be at least 1".into());
@@ -896,11 +892,6 @@ impl RunSpec {
                             "ips and power targets must be finite and positive".into(),
                         );
                     }
-                }
-            }
-            Scenario::Fleet(f) => {
-                if f.workers == 0 {
-                    return bad("fleet.workers", "must be at least 1".into());
                 }
             }
             Scenario::Cluster(c) => {

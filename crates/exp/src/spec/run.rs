@@ -6,8 +6,8 @@
 //! `fig06` alias are the same run producing the same bytes. Loop, fleet,
 //! and cluster scenarios lower onto the epoch-loop drivers and the
 //! fleet/cluster runtimes, then write a deterministic `<name>.csv`
-//! summary (no worker/shard columns, so the file is byte-identical at any
-//! parallelism — that is what `asserts.invariant` diffs).
+//! summary (no shard or wall-clock columns, so the file is byte-identical
+//! at any parallelism — that is what `asserts.invariant` diffs).
 
 use mimo_core::engine::rel_tracking_error;
 use mimo_core::governor::{Governor, MimoGovernor};
@@ -136,15 +136,7 @@ fn run_tab_opt(cfg: &ExpConfig) -> Result<(), String> {
 }
 
 fn run_fleet_scale(cfg: &ExpConfig) -> Result<(), String> {
-    let points = experiments::fleet_scale(cfg).map_err(|e| e.to_string())?;
-    for pair in points.chunks(2) {
-        if !pair.iter().all(|p| p.digest == pair[0].digest) {
-            return Err(format!(
-                "worker count changed results at N={}",
-                pair[0].stats.n_cores
-            ));
-        }
-    }
+    experiments::fleet_scale(cfg).map_err(|e| e.to_string())?;
     println!("done; {}", cfg.results.join("fleet_scale.csv").display());
     Ok(())
 }
@@ -322,8 +314,8 @@ fn run_fleet(
 
     let csv = format!("{name}.csv");
     if cfg.emit {
-        // No workers or wall-clock columns: the file must be byte-identical
-        // at any worker count (asserts.invariant diffs it directly).
+        // No wall-clock columns: the file must be byte-identical across
+        // re-runs (asserts.invariant diffs it directly).
         let row = vec![
             stats.n_cores.to_string(),
             stats.epochs.to_string(),
@@ -586,8 +578,9 @@ fn check_invariance(
         match (&mut spec2.scenario, param) {
             (Scenario::Paper(_), "jobs") => cfg2.jobs = n,
             (Scenario::Paper(_), _) => ov2.shards = Some(n),
-            (Scenario::Loop(_), _) => {} // single core; re-run checks run determinism
-            (Scenario::Fleet(f), _) => f.workers = n.min(f.cores),
+            // One thread steps a loop or a fleet chip; the re-run checks
+            // run-to-run determinism.
+            (Scenario::Loop(_) | Scenario::Fleet(_), _) => {}
             (Scenario::Cluster(c), _) if param == "shards" => c.shards = n,
             (Scenario::Cluster(_), _) => {}
         }

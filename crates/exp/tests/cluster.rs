@@ -19,7 +19,7 @@ fn one_chip_cluster_matches_the_fleet_runner_with_a_real_controller() {
         .expect("cluster")
         .run()
         .expect("validated cluster config");
-    let fcfg = FleetConfig::new(4).workers(4).epochs(300).seed(2016);
+    let fcfg = FleetConfig::new(4).epochs(300).seed(2016);
     let fleet = FleetRunner::with_shared_controller(fcfg, &design.controller)
         .expect("fleet")
         .run()

@@ -161,8 +161,7 @@ impl BudgetArbiter {
     /// returns each core's next `[IPS, power]` targets.
     ///
     /// Deterministic: inputs are indexed by core and every reduction runs
-    /// in core order, so the result is identical no matter how many worker
-    /// threads produced the observations.
+    /// in core order, so the result depends only on the observations.
     pub fn arbitrate(&mut self, observed: &[CoreObs]) -> Vec<Vector> {
         self.arbitrate_with_quarantine(observed, &[])
     }

@@ -383,7 +383,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
 /// (the same set [`mimo_core::governor::fast_governor`] monomorphizes).
 /// Any other shape gets no bank — those cores stay on the per-cell
 /// dynamic path.
-// One `BankKind` exists per band, so the size spread between variants is
+// One `BankKind` exists per chip, so the size spread between variants is
 // irrelevant; boxing the large ones would put an indirection on the hot
 // per-epoch dispatch path for nothing.
 #[allow(clippy::large_enum_variant)]

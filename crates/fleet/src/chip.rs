@@ -2,13 +2,14 @@
 //!
 //! A [`Chip`] owns N `CoreCell`s, a [`BudgetArbiter`], and (optionally)
 //! a [`SharedLlc`] contention model. [`Chip::step_epoch`] advances the
-//! whole chip one epoch *serially*, in exactly the beat the worker-pool
-//! [`FleetRunner`](crate::FleetRunner) executes — step every core in core
-//! order, arbitrate over the core-indexed observation table, retarget —
-//! so a chip stepped by the cluster runtime reproduces a single-chip
-//! fleet's results bit for bit. Chips are the unit of sharding: the
-//! cluster runtime steps whole chips on worker threads with no cross-chip
-//! barrier, which is why the chip beat needs no locks at all.
+//! whole chip one epoch *serially* — step every core in core order,
+//! arbitrate over the core-indexed observation table, refresh the LLC
+//! penalties, retarget — and is the only place that beat is written: the
+//! single-chip [`FleetRunner`](crate::FleetRunner) steps one chip, and the
+//! cluster runtime steps many, so a one-chip cluster reproduces a fleet
+//! run bit for bit. Chips are the unit of sharding: the cluster runtime
+//! steps whole chips on worker threads with no cross-chip barrier, which
+//! is why the chip beat needs no locks at all.
 
 use mimo_core::engine::{fleet_warmup, EpochLoop, StepOutcome, TrackingErrorAccumulator};
 use mimo_core::governor::Governor;
@@ -32,28 +33,27 @@ pub(crate) const TRANSIENT_FAULT_EPOCHS: u64 = 3;
 
 /// One core: a shared epoch engine around the plant/governor pair, plus
 /// accumulated error statistics.
-pub(crate) struct CoreCell {
-    pub(crate) idx: usize,
-    pub(crate) spec: CoreSpec,
+struct CoreCell {
+    idx: usize,
+    spec: CoreSpec,
     /// The observer slot is `Option<TelemetrySink>`: `None` (untraced
     /// fleets) reports statically disabled, so the hot loop skips record
     /// capture entirely and stays bit-and-allocation identical to the
     /// pre-telemetry runtime.
-    pub(crate) lp:
-        EpochLoop<Box<dyn Governor + Send>, FaultInjector<Processor>, Option<TelemetrySink>>,
+    lp: EpochLoop<Box<dyn Governor + Send>, FaultInjector<Processor>, Option<TelemetrySink>>,
     /// Reference active during the current epoch (set by arbitration at
     /// the end of the previous one).
-    pub(crate) target: Vector,
-    pub(crate) errs: TrackingErrorAccumulator,
+    target: Vector,
+    errs: TrackingErrorAccumulator,
     /// Whether the heuristic fallback governor has replaced the original
     /// (done once, on the first quarantine).
-    pub(crate) fallback_installed: bool,
+    fallback_installed: bool,
 }
 
 impl CoreCell {
     /// Runs one epoch and returns the measurement for the arbiter plus
     /// whether this epoch crossed into quarantine.
-    pub(crate) fn step(&mut self) -> (CoreObs, bool) {
+    fn step(&mut self) -> (CoreObs, bool) {
         let outcome = self.lp.step();
         self.after_step(outcome)
     }
@@ -62,7 +62,7 @@ impl CoreCell {
     /// [`GovernorBank`](crate::bank::GovernorBank) slot instead of the
     /// cell's own (stale while enrolled) governor. Same observation and
     /// quarantine reporting as [`CoreCell::step`].
-    pub(crate) fn step_banked(
+    fn step_banked(
         &mut self,
         decision: std::result::Result<&[f64], mimo_core::engine::EpochCause>,
     ) -> (CoreObs, bool) {
@@ -89,7 +89,7 @@ impl CoreCell {
     /// failure latch so the fallback gets a chance. If the fallback itself
     /// quarantines — a plant fault no governor can mask — the core simply
     /// stays latched and the arbiter keeps it pinned at the floor budget.
-    pub(crate) fn handle_quarantine(&mut self) {
+    fn handle_quarantine(&mut self) {
         if self.fallback_installed {
             return;
         }
@@ -103,7 +103,7 @@ impl CoreCell {
     }
 
     /// Installs the arbiter's new reference for the next epoch.
-    pub(crate) fn retarget(&mut self, target: &Vector) {
+    fn retarget(&mut self, target: &Vector) {
         self.target.copy_from(target);
         self.lp.set_targets(target);
     }
@@ -111,18 +111,18 @@ impl CoreCell {
     /// The L2 way allocation physically in effect this epoch
     /// (post-quantization, post-actuator-faults) — what the shared-LLC
     /// model charges against the chip's way budget.
-    pub(crate) fn applied_l2_ways(&self) -> f64 {
+    fn applied_l2_ways(&self) -> f64 {
         self.lp.plant().inner().config().l2_ways as f64
     }
 
     /// Installs the shared-LLC miss-pressure multiplier for the next epoch.
-    pub(crate) fn set_llc_penalty(&mut self, penalty: f64) {
+    fn set_llc_penalty(&mut self, penalty: f64) {
         self.lp.plant_mut().inner_mut().set_llc_penalty(penalty);
     }
 
     /// Drains the core after the run: statistics always, telemetry when a
     /// sink was attached.
-    pub(crate) fn into_results(mut self) -> (CoreStats, Option<CoreTelemetry>) {
+    fn into_results(mut self) -> (CoreStats, Option<CoreTelemetry>) {
         let avg_ips_err_pct = self.errs.avg_pct(0);
         let avg_power_err_pct = self.errs.avg_pct(1);
         let fault_epochs = self.lp.fault_epochs();
@@ -155,10 +155,8 @@ impl CoreCell {
     }
 }
 
-/// Builds every core cell of one fleet/chip configuration. Shared by the
-/// worker-pool [`FleetRunner`](crate::FleetRunner) and the cluster's
-/// [`Chip`] so both runtimes construct bit-identical plants and governors.
-pub(crate) fn build_cells<F>(cfg: &FleetConfig, factory: &mut F) -> Result<Vec<CoreCell>>
+/// Builds every core cell of one chip configuration.
+fn build_cells<F>(cfg: &FleetConfig, factory: &mut F) -> Result<Vec<CoreCell>>
 where
     F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
 {
@@ -186,7 +184,7 @@ where
         // configured the wrapper is transparent (no RNG draws), so
         // fault-free fleets remain bit-identical to the bare runtime.
         // The transient seed derives from the core's own seed, keeping
-        // the fault sequence independent of the worker count.
+        // the fault sequence independent of chip placement and sharding.
         let mut plan = if cfg.fault_rate > 0.0 {
             FaultPlan::transient(
                 cfg.fault_rate,
@@ -203,7 +201,7 @@ where
         }
         // A `None` sink is a statically-disabled observer; traced
         // fleets give every core its own sink so no telemetry state is
-        // shared across worker threads.
+        // shared between cores (or, in a cluster, across shard threads).
         let sink = if cfg.telemetry.enabled {
             Some(TelemetrySink::new(&cfg.telemetry))
         } else {
@@ -255,12 +253,16 @@ pub struct Chip {
 }
 
 impl Chip {
-    /// Builds chip `index` from a per-chip fleet configuration.
+    /// Builds chip `index` from a per-chip fleet configuration, creating
+    /// each core's governor through `factory` (called with the core index
+    /// and resolved spec).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FleetRunner::new`](crate::FleetRunner::new),
-    /// plus [`FleetError::Sim`] for an unusable LLC-contention config.
+    /// Returns [`FleetError::InvalidConfig`] for a bad configuration or a
+    /// governor whose input count does not match the plant, and
+    /// [`FleetError::Sim`] if a plant or the LLC-contention model fails to
+    /// build.
     pub fn build<F>(index: usize, cfg: FleetConfig, factory: &mut F) -> Result<Self>
     where
         F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
@@ -373,9 +375,9 @@ impl Chip {
 
     /// Advances the whole chip one epoch: step every core in core order,
     /// arbitrate over the core-indexed table, refresh the shared-LLC
-    /// penalties, retarget. The floating-point operation sequence is
-    /// exactly the worker-pool fleet's beat, so a one-chip cluster is
-    /// bit-identical to a [`FleetRunner`](crate::FleetRunner) run.
+    /// penalties, retarget. Both runtimes step chips only through this
+    /// beat, so a one-chip cluster is bit-identical to a
+    /// [`FleetRunner`](crate::FleetRunner) run.
     pub fn step_epoch(&mut self) {
         // Banked pre-pass: decide for every enrolled core in one
         // structure-of-arrays batch. Cores are mutually independent, so
@@ -477,14 +479,15 @@ impl Chip {
         self.cfg.chip_power_cap_w = cap_w;
     }
 
-    /// Charges stepping wall-clock to this chip (rendezvous waits are the
-    /// shard's, not the chip's).
+    /// Charges stepping wall-clock to this chip (in a cluster, rendezvous
+    /// waits are the shard's, not the chip's).
     pub(crate) fn add_wall(&mut self, seconds: f64) {
         self.wall_s += seconds;
     }
 
     /// Drains the chip into per-chip fleet statistics plus any per-core
-    /// telemetry, assembling them exactly as the worker-pool runner does.
+    /// telemetry — the results of a [`FleetRunner`](crate::FleetRunner)
+    /// run and of each cluster chip alike.
     pub fn into_results(self) -> (FleetStats, Vec<CoreTelemetry>) {
         let mut per_core: Vec<CoreStats> = Vec::with_capacity(self.cells.len());
         let mut telemetry: Vec<CoreTelemetry> = Vec::new();
@@ -497,7 +500,6 @@ impl Chip {
         }
         let stats = FleetStats::assemble(
             &self.cfg,
-            1,
             self.epochs_run,
             &self.arbiter,
             per_core,
@@ -511,7 +513,6 @@ impl Chip {
 mod tests {
     use super::*;
     use crate::arbiter::ArbitrationPolicy;
-    use crate::runner::FleetRunner;
     use mimo_core::governor::FixedGovernor;
     use mimo_sim::llc::LlcConfig;
 
@@ -524,21 +525,6 @@ mod tests {
             .epochs(120)
             .policy(ArbitrationPolicy::Proportional)
             .seed(7)
-    }
-
-    #[test]
-    fn serial_chip_matches_fleet_runner_bit_for_bit() {
-        let mut chip = Chip::build(0, cfg(), &mut |_, _| fixed()).unwrap();
-        for _ in 0..120 {
-            chip.step_epoch();
-        }
-        let (chip_stats, _) = chip.into_results();
-        let fleet_stats = FleetRunner::new(cfg().workers(3), |_, _| fixed())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(chip_stats, fleet_stats);
-        assert_eq!(chip_stats.digest(), fleet_stats.digest());
     }
 
     #[test]

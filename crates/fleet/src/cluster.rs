@@ -354,10 +354,9 @@ impl ClusterConfig {
 /// and telemetry. The fleet's power cap becomes the cluster cap; with one
 /// chip the cluster arbiter grants `min(cap, nominal)` clamped to the
 /// floor at each exchange, so caps at or below the nominal 1.2 W/core
-/// budget behave exactly as they did one level down. The fleet's
-/// `workers` knob has no counterpart (a one-chip cluster is one shard);
-/// shard the chip's cores via the fleet runner when intra-chip
-/// parallelism matters.
+/// budget behave exactly as they did one level down. Both runtimes step
+/// the same [`Chip`] beat on one thread, so the lifted cluster reproduces
+/// the fleet run bit for bit; parallelism comes from sharding many chips.
 impl From<FleetConfig> for ClusterConfig {
     fn from(fleet: FleetConfig) -> Self {
         let mut cfg = ClusterConfig::new(1, fleet.n_cores)
@@ -560,13 +559,10 @@ mod tests {
             .unwrap()
             .run_traced()
             .unwrap();
-        let fstats = FleetRunner::new(
-            FleetConfig::new(4).workers(2).epochs(150).seed(7),
-            |_, _| fixed(),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let fstats = FleetRunner::new(FleetConfig::new(4).epochs(150).seed(7), |_, _| fixed())
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(cstats.n_chips, 1);
         assert_eq!(cstats.per_chip[0], fstats);
         assert_eq!(cstats.per_chip[0].digest(), fstats.digest());
@@ -625,18 +621,17 @@ mod tests {
         assert_eq!(cluster.core_faults, vec![(0, 2, spec)]);
         cluster.validate().unwrap();
         // The lifted chip reproduces the fleet's own config, knob for
-        // knob, apart from the worker count (sharding lives one level
-        // up) and the power cap (which lifts to the cluster arbiter;
-        // the chip keeps its nominal budget and the arbiter grants
-        // `min(cap, nominal)` at each exchange).
+        // knob, apart from the power cap (which lifts to the cluster
+        // arbiter; the chip keeps its nominal budget and the arbiter
+        // grants `min(cap, nominal)` at each exchange).
         let chip0 = cluster.chip_config(0);
         let nominal_cap = chip0.chip_power_cap_w;
-        assert_eq!(chip0, fleet.clone().workers(1).power_cap(nominal_cap));
+        assert_eq!(chip0, fleet.clone().power_cap(nominal_cap));
     }
 
     #[test]
     fn lifted_cluster_reproduces_the_fleet_run_bit_for_bit() {
-        let fleet = FleetConfig::new(4).workers(2).epochs(150).seed(7);
+        let fleet = FleetConfig::new(4).epochs(150).seed(7);
         let fstats = FleetRunner::new(fleet.clone(), |_, _| fixed())
             .unwrap()
             .run()

@@ -27,9 +27,6 @@ pub struct CoreSpec {
 pub struct FleetConfig {
     /// Number of cores (plants) in the fleet.
     pub n_cores: usize,
-    /// Worker threads stepping the cores. `0` means one per available
-    /// hardware thread, capped at `n_cores`.
-    pub workers: usize,
     /// Epochs to run (50 µs each).
     pub epochs: usize,
     /// Input set every per-core controller actuates.
@@ -41,8 +38,8 @@ pub struct FleetConfig {
     /// Nominal per-core `[IPS (BIPS), power (W)]` targets before
     /// arbitration scales them to the budget.
     pub base_targets: [f64; 2],
-    /// Base seed; per-core seeds derive from it deterministically so
-    /// results never depend on the worker count.
+    /// Base seed; per-core seeds derive from it and the core index only,
+    /// so results never depend on scheduling.
     pub seed: u64,
     /// Explicit per-core assignments. When shorter than `n_cores` (or
     /// empty), remaining cores draw responsive production apps round-robin.
@@ -91,7 +88,6 @@ impl FleetConfig {
     pub fn new(n_cores: usize) -> Self {
         FleetConfig {
             n_cores,
-            workers: 1,
             epochs: 1000,
             input_set: InputSet::FreqCache,
             chip_power_cap_w: 1.2 * n_cores as f64,
@@ -115,9 +111,10 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the worker count (builder style).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    /// A no-op, kept for `benchmark/`, which still calls it: a chip steps
+    /// on one thread. Parallelism lives one level up, in the cluster's
+    /// [`shards`](crate::ClusterConfig::shards).
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -266,17 +263,6 @@ impl FleetConfig {
                 ),
             });
         }
-        // An explicit worker count beyond the core count is a config
-        // mistake, not something to silently clamp (`workers == 0` still
-        // means "auto", which is clamped to the core count).
-        if self.workers > self.n_cores {
-            return Err(FleetError::InvalidConfig {
-                what: format!(
-                    "workers = {} exceeds n_cores = {}; use workers(0) for auto",
-                    self.workers, self.n_cores
-                ),
-            });
-        }
         let catalog = catalog_names();
         if let Some(app) = self.apps.iter().find(|a| !catalog.contains(&a.as_str())) {
             return Err(FleetError::InvalidConfig {
@@ -287,17 +273,6 @@ impl FleetConfig {
             llc.validate(self.n_cores)?;
         }
         Ok(())
-    }
-
-    /// The effective worker count: explicit, or one per hardware thread,
-    /// never more than there are cores.
-    pub fn effective_workers(&self) -> usize {
-        let requested = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.workers
-        };
-        requested.clamp(1, self.n_cores.max(1))
     }
 
     /// Resolves the full per-core spec list: explicit entries first, then
@@ -315,8 +290,8 @@ impl FleetConfig {
             .map(|i| {
                 self.cores.get(i).cloned().unwrap_or_else(|| CoreSpec {
                     app: default_apps[i % default_apps.len()].to_string(),
-                    // Same derivation regardless of worker count or
-                    // scheduling: core identity fixes the random stream.
+                    // Same derivation regardless of scheduling: core
+                    // identity fixes the random stream.
                     seed: self
                         .seed
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -391,21 +366,6 @@ mod tests {
         assert_eq!(specs[0].app, "mcf");
         assert_eq!(specs[0].seed, 7);
         assert_eq!(specs.len(), 3);
-    }
-
-    #[test]
-    fn effective_workers_clamps_auto_but_validate_rejects_explicit_excess() {
-        // Auto (`workers == 0`) clamps to the core count …
-        assert!(FleetConfig::new(64).workers(0).effective_workers() >= 1);
-        assert!(FleetConfig::new(2).workers(0).effective_workers() <= 2);
-        assert_eq!(FleetConfig::new(4).workers(2).effective_workers(), 2);
-        // … but an explicit over-subscription is a loud error now.
-        let err = FleetConfig::new(4).workers(16).validate().unwrap_err();
-        assert!(
-            err.to_string().contains("workers = 16 exceeds n_cores = 4"),
-            "{err}"
-        );
-        assert!(FleetConfig::new(4).workers(4).validate().is_ok());
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! The paper designs one MIMO LQG controller per core. This crate scales
 //! that to a fleet: N independent plants, each tracking `[IPS, power]`
 //! references with its own governor, stepped in lock-step 50 µs epochs
-//! across a worker-thread pool, with a chip-level [`BudgetArbiter`] that
+//! by one [`Chip`], with a chip-level [`BudgetArbiter`] that
 //! redistributes each core's references every epoch so the summed power
 //! respects a chip cap — the decentralized coordination sketched in the
-//! paper's §VII discussion of multicore deployment.
+//! paper's §VII discussion of multicore deployment. [`Chip::step_epoch`]
+//! is the only place that beat is written: [`FleetRunner`] steps one chip
+//! on the calling thread, and [`ClusterRunner`] steps many.
 //!
 //! Determinism is a design invariant: per-core seeds derive only from the
 //! base seed and the core index, and arbitration reduces core-indexed
-//! observations in core order, so a run's [`FleetStats`] are bit-identical
-//! no matter how many worker threads step the fleet.
+//! observations in core order, so a run's [`FleetStats`] are a pure
+//! function of its configuration.
 //!
 //! # Example
 //!
@@ -21,7 +23,6 @@
 //! use mimo_linalg::Vector;
 //!
 //! let cfg = FleetConfig::new(4)
-//!     .workers(2)
 //!     .epochs(100)
 //!     .policy(ArbitrationPolicy::Proportional);
 //! let fleet = FleetRunner::new(cfg, |_, _| {
@@ -43,8 +44,8 @@
 //!
 //! Above the chip sits the two-level hierarchy of [`ClusterRunner`]: a
 //! [`Cluster`](ClusterConfig) of [`Chip`]s, each chip keeping its own
-//! lock-step beat while whole chips are sharded across worker threads with
-//! **no global per-epoch barrier**. A [`ClusterArbiter`] re-divides the
+//! lock-step beat while whole chips are sharded across the shared
+//! [`WorkerPool`] with **no global per-epoch barrier**. A [`ClusterArbiter`] re-divides the
 //! datacenter power cap across chips only every
 //! [`exchange_period`](ClusterConfig::exchange_period) chip epochs, from
 //! each chip's last published [`ChipSummary`] — so chips drift

@@ -1,9 +1,8 @@
 //! The shared persistent worker pool.
 //!
-//! The fleet runner, the cluster shard loop, and the experiment harness
-//! all used to spawn a fresh `std::thread::scope` per run — thread
-//! creation and teardown on every `mimo-exp` cell and every cluster
-//! window. This module replaces those with one process-wide pool
+//! The cluster shard loop and the experiment harness both used to spawn
+//! a fresh `std::thread::scope` per run — thread creation and teardown on
+//! every `mimo-exp` cell and every cluster window. This module replaces those with one process-wide pool
 //! ([`global`]) created on first use and reused for every batch
 //! thereafter.
 //!
@@ -24,7 +23,7 @@
 //! serially inline on that thread (tracked by a thread-local flag).
 //! Nested submissions therefore never wait on pool capacity, so no cycle
 //! of waits can form: the spec runner re-running inside a `--jobs` cell,
-//! or a banked fleet stepping inside a sharded cluster, is always safe.
+//! or a sharded cluster run inside one, is always safe.
 //!
 //! # Determinism
 //!

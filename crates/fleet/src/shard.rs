@@ -1,9 +1,8 @@
 //! Chip sharding: whole chips on pool workers, rendezvous only at
 //! exchange windows.
 //!
-//! Unlike the single-chip [`FleetRunner`](crate::FleetRunner), which
-//! synchronizes its workers twice per epoch, the cluster shards
-//! synchronize only every
+//! Chips are the unit of parallelism: each chip steps its own beat
+//! serially ([`Chip::step_epoch`]), and the shards synchronize only every
 //! [`exchange_period`](crate::ClusterConfig::exchange_period) chip epochs.
 //! Each window is one batch on the shared persistent
 //! [`WorkerPool`](crate::pool): every shard owns a contiguous run of chips

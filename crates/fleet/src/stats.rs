@@ -62,14 +62,15 @@ pub struct CoreStats {
 ///
 /// Everything except the two wall-clock fields (`wall_s`,
 /// `epochs_per_sec`) is a pure function of the configuration and seeds,
-/// and therefore bit-identical across worker counts; `PartialEq` compares
-/// only the deterministic fields so runs can be checked for reproducibility
-/// directly.
+/// and therefore bit-identical across runs and shard counts; `PartialEq`
+/// compares only the deterministic fields so runs can be checked for
+/// reproducibility directly.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetStats {
     /// Cores in the fleet.
     pub n_cores: usize,
-    /// Worker threads used.
+    /// Threads that stepped the chip: always 1 (a chip steps serially;
+    /// clusters parallelise across chips).
     pub workers: usize,
     /// Epochs run.
     pub epochs: usize,
@@ -110,8 +111,8 @@ pub struct FleetStats {
 
 impl PartialEq for FleetStats {
     fn eq(&self, other: &Self) -> bool {
-        // Everything but wall_s / epochs_per_sec — and workers, which is
-        // *allowed* to differ between runs that must agree.
+        // Everything but wall_s / epochs_per_sec — and workers, which
+        // records threads, not science.
         self.n_cores == other.n_cores
             && self.epochs == other.epochs
             && self.policy == other.policy
@@ -158,12 +159,12 @@ impl FleetStats {
     /// Assembles whole-fleet statistics from the drained per-core stats and
     /// the arbiter's chip-level accumulators.
     ///
-    /// This is the *single* assembly path — the worker-pool runner and the
-    /// cluster's per-chip drain both call it, so a chip's `FleetStats` is
-    /// bitwise the same arithmetic as a single-chip fleet's.
+    /// This is the *single* assembly path:
+    /// [`Chip::into_results`](crate::Chip::into_results) drains every chip
+    /// through it, whether the chip is a single-chip fleet or one of a
+    /// cluster's.
     pub(crate) fn assemble(
         cfg: &FleetConfig,
-        workers: usize,
         epochs: usize,
         arbiter: &BudgetArbiter,
         per_core: Vec<CoreStats>,
@@ -172,7 +173,7 @@ impl FleetStats {
         let nf = per_core.len().max(1) as f64;
         FleetStats {
             n_cores: cfg.n_cores,
-            workers,
+            workers: 1,
             epochs,
             policy: cfg.policy.label().to_string(),
             chip_cap_w: cfg.chip_power_cap_w,

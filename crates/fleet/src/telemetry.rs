@@ -2,10 +2,11 @@
 //!
 //! Every core in a traced fleet run carries its own
 //! [`TelemetrySink`](mimo_core::telemetry::TelemetrySink), so the hot loop
-//! never shares telemetry state across threads. When the run ends the
-//! runner drains each core's sink into a [`CoreTelemetry`] and merges the
-//! per-core [`Metrics`] — in core order, so the result is bit-identical no
-//! matter how many workers stepped the fleet.
+//! never shares telemetry state between cores (or, in a cluster, across
+//! shard threads). When the run ends each chip drains its cores' sinks
+//! into [`CoreTelemetry`] and merges the per-core [`Metrics`] — in core
+//! order, so the result is bit-identical no matter how many shards
+//! stepped the chips.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -47,8 +48,7 @@ pub struct CoreTelemetry {
 /// disabled) when the config leaves telemetry off.
 #[derive(Debug, Clone, Default)]
 pub struct FleetTelemetry {
-    /// All per-core metrics merged in core order (worker-count
-    /// independent).
+    /// All per-core metrics merged in core order.
     pub metrics: Metrics,
     /// Per-core breakdowns, indexed by core.
     pub per_core: Vec<CoreTelemetry>,

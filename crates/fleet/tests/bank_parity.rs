@@ -128,7 +128,7 @@ fn assert_bank_matches_governors<
     let base = Vector::from_fn(NY, |c| 0.6 - 0.2 * c as f64);
     let alt = Vector::from_fn(NY, |c| -0.3 + 0.15 * c as f64);
 
-    // `slots[pos]` mirrors the fleet runner's band-local bookkeeping.
+    // `slots[pos]` mirrors `Chip`'s core-indexed slot bookkeeping.
     let mut slots: Vec<Option<usize>> = Vec::with_capacity(sc.n_slots);
     let mut solos: Vec<Box<dyn Governor + Send>> = Vec::with_capacity(sc.n_slots);
     for pos in 0..sc.n_slots {
@@ -186,8 +186,8 @@ fn assert_bank_matches_governors<
         if let Some((pos, at)) = sc.evict {
             if at == epoch {
                 if let Some(slot) = slots[pos].take() {
-                    // The moved core id is the band-local position it was
-                    // enrolled under — exactly the runner's remap.
+                    // The moved core id is the position it was enrolled
+                    // under — exactly the chip's remap.
                     if let Some(moved) = bank.evict(slot) {
                         slots[moved] = Some(slot);
                     }

@@ -1,13 +1,14 @@
 //! Fleet: replicate one synthesized controller across a 16-core chip with a
-//! shared power budget, and show that results do not depend on the worker
-//! count (the README's "Many-core fleets" section, runnable).
+//! shared power budget, then run the same fleet as a one-chip cluster and
+//! show both produce the same digest (the README's "Many-core fleets"
+//! section, runnable).
 //!
 //! ```text
 //! cargo run --release --example fleet
 //! ```
 
 use mimo_arch::core::design::DesignFlow;
-use mimo_arch::fleet::{ArbitrationPolicy, FleetConfig, FleetRunner};
+use mimo_arch::fleet::{ArbitrationPolicy, ClusterConfig, ClusterRunner, FleetConfig, FleetRunner};
 use mimo_arch::sim::{InputSet, ProcessorBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,28 +20,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let controller = DesignFlow::two_input().run(&mut plant)?.into_controller();
 
     // 2. Replicate it across 16 cores under a 19.2 W chip cap.
-    let cfg = || {
-        FleetConfig::new(16)
-            .epochs(1000)
-            .chip_power_cap(19.2)
-            .policy(ArbitrationPolicy::Proportional)
-    };
-    let stats = FleetRunner::with_shared_controller(cfg().workers(4), &controller)?.run()?;
+    let cfg = FleetConfig::new(16)
+        .epochs(1000)
+        .chip_power_cap(19.2)
+        .policy(ArbitrationPolicy::Proportional);
+    let stats = FleetRunner::with_shared_controller(cfg.clone(), &controller)?.run()?;
     println!(
-        "16 cores, 4 workers: chip power {:.2} W avg / {:.2} W peak, \
-         {:.1}% IPS err, {:.0} epochs/s",
+        "16 cores: chip power {:.2} W avg / {:.2} W peak, {:.1}% IPS err, {:.0} epochs/s",
         stats.avg_chip_power_w,
         stats.peak_chip_power_w,
         stats.agg_ips_err_pct,
         stats.epochs_per_sec
     );
 
-    // 3. Same fleet, one worker: bit-identical science.
-    let serial = FleetRunner::with_shared_controller(cfg().workers(1), &controller)?.run()?;
-    assert_eq!(serial, stats, "results must not depend on the worker count");
+    // 3. Lift the same config to a one-chip cluster: both runtimes step
+    //    the chip through the same beat, so the science is bit-identical.
+    let cluster =
+        ClusterRunner::with_shared_controller(ClusterConfig::from(cfg), &controller)?.run()?;
+    let chip = &cluster.per_chip[0];
+    assert_eq!(
+        *chip, stats,
+        "the one-chip cluster must reproduce the fleet"
+    );
     println!(
-        "1 worker replay: digest {:016x} == {:016x}, deterministic",
-        serial.digest(),
+        "one-chip cluster: digest {:016x} == {:016x}, deterministic",
+        chip.digest(),
         stats.digest()
     );
     Ok(())

@@ -3,20 +3,19 @@
 //! `FleetConfig::banked` / `ClusterConfig::banked` only change the
 //! execution strategy — structure-of-arrays `GovernorBank` batches vs one
 //! boxed governor per core — never the science. These tests prove it on
-//! controllers produced by the real design flow, across worker and shard
-//! counts, and through the full quarantine choreography: a transient NaN
-//! window one core recovers from (fallback rescue), and a permanent
-//! actuator fault that re-latches the fallback — both of which evict the
-//! core from its band's bank mid-run.
+//! controllers produced by the real design flow, across shard counts, and
+//! through the full quarantine choreography: a transient NaN window one
+//! core recovers from (fallback rescue), and a permanent actuator fault
+//! that re-latches the fallback — both of which evict the core from its
+//! chip's bank mid-run.
 
 use mimo_arch::exp::setup;
 use mimo_arch::fleet::{ArbitrationPolicy, ClusterConfig, ClusterRunner, FleetConfig, FleetRunner};
 use mimo_arch::sim::fault::{FaultKind, FaultSpec};
 use mimo_arch::sim::InputSet;
 
-fn faulted_fleet(workers: usize, banked: bool) -> FleetConfig {
+fn faulted_fleet(banked: bool) -> FleetConfig {
     FleetConfig::new(8)
-        .workers(workers)
         .epochs(160)
         .policy(ArbitrationPolicy::Proportional)
         .seed(11)
@@ -51,7 +50,7 @@ fn banked_fleet_matches_per_cell_through_quarantine_and_eviction() {
     let ctrl = &setup::design_mimo(InputSet::FreqCache, 2)
         .expect("design")
         .controller;
-    let per_cell = FleetRunner::with_shared_controller(faulted_fleet(1, false), ctrl)
+    let per_cell = FleetRunner::with_shared_controller(faulted_fleet(false), ctrl)
         .unwrap()
         .run()
         .unwrap();
@@ -60,14 +59,12 @@ fn banked_fleet_matches_per_cell_through_quarantine_and_eviction() {
         per_cell.quarantined_cores > 0,
         "fault plan stopped quarantining; the parity below would be vacuous"
     );
-    for workers in [1, 2, 4] {
-        let banked = FleetRunner::with_shared_controller(faulted_fleet(workers, true), ctrl)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(per_cell, banked, "workers={workers}");
-        assert_eq!(per_cell.digest(), banked.digest(), "workers={workers}");
-    }
+    let banked = FleetRunner::with_shared_controller(faulted_fleet(true), ctrl)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(per_cell, banked);
+    assert_eq!(per_cell.digest(), banked.digest());
 }
 
 #[test]
@@ -75,10 +72,9 @@ fn banked_three_knob_fleet_matches_per_cell() {
     let ctrl = &setup::design_mimo(InputSet::FreqCacheRob, 3)
         .expect("design")
         .controller;
-    let cfg = |banked: bool, workers: usize| {
+    let cfg = |banked: bool| {
         FleetConfig::new(6)
             .input_set(InputSet::FreqCacheRob)
-            .workers(workers)
             .epochs(120)
             .policy(ArbitrationPolicy::Proportional)
             .seed(23)
@@ -92,18 +88,16 @@ fn banked_three_knob_fleet_matches_per_cell() {
                 },
             )
     };
-    let per_cell = FleetRunner::with_shared_controller(cfg(false, 2), ctrl)
+    let per_cell = FleetRunner::with_shared_controller(cfg(false), ctrl)
         .unwrap()
         .run()
         .unwrap();
-    for workers in [1, 4] {
-        let banked = FleetRunner::with_shared_controller(cfg(true, workers), ctrl)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(per_cell, banked, "workers={workers}");
-        assert_eq!(per_cell.digest(), banked.digest(), "workers={workers}");
-    }
+    let banked = FleetRunner::with_shared_controller(cfg(true), ctrl)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(per_cell, banked);
+    assert_eq!(per_cell.digest(), banked.digest());
 }
 
 #[test]

@@ -115,7 +115,6 @@ fn golden_self_directed_fixed() {
 #[test]
 fn golden_fleet_digest() {
     let cfg = FleetConfig::new(4)
-        .workers(2)
         .epochs(150)
         .policy(ArbitrationPolicy::Proportional)
         .seed(7);

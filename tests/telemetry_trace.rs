@@ -1,37 +1,41 @@
 //! The telemetry acceptance scenario: a ring-buffer observer on a 16-core
 //! faulted fleet must produce a JSONL trace from which the quarantine
-//! epoch and cause of every latched core can be recovered — and the trace
-//! must be byte-identical no matter how many worker threads step the
-//! fleet.
+//! epoch and cause of every latched core can be recovered. The trace is
+//! also topology- and shard-independent: a fleet's JSONL is byte-identical
+//! to its one-chip cluster lift's, and a cluster's JSONL is byte-identical
+//! at any shard count.
 
 use mimo_arch::exp::setup;
-use mimo_arch::fleet::{ArbitrationPolicy, FleetConfig, FleetRunner, FleetStats, FleetTelemetry};
+use mimo_arch::fleet::{
+    ArbitrationPolicy, ClusterConfig, ClusterRunner, ClusterTelemetry, FleetConfig, FleetRunner,
+    FleetStats, FleetTelemetry,
+};
 use mimo_arch::sim::fault::{FaultKind, FaultSpec};
 use mimo_arch::sim::InputSet;
 use mimo_arch::telemetry::{CauseCode, TelemetryConfig};
 
 const BAD_CORES: [usize; 4] = [1, 5, 9, 13];
 
+fn nan_ips_from(start_epoch: u64) -> FaultSpec {
+    FaultSpec {
+        kind: FaultKind::NanMeasurement { channel: 0 },
+        start_epoch,
+        duration: u64::MAX,
+    }
+}
+
 /// Runs the 16-core fleet with four permanently-NaN IPS sensors and a
 /// 64-record ring on every core.
-fn traced_faulted_fleet(workers: usize) -> (FleetStats, FleetTelemetry) {
+fn traced_faulted_fleet() -> (FleetStats, FleetTelemetry) {
     let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
     let mut cfg = FleetConfig::new(16)
-        .workers(workers)
         .epochs(300)
         .policy(ArbitrationPolicy::Proportional)
         .chip_power_cap(19.2)
         .seed(2016)
         .observer(TelemetryConfig::trace(64));
     for &core in &BAD_CORES {
-        cfg = cfg.core_fault(
-            core,
-            FaultSpec {
-                kind: FaultKind::NanMeasurement { channel: 0 },
-                start_epoch: 40,
-                duration: u64::MAX,
-            },
-        );
+        cfg = cfg.core_fault(core, nan_ips_from(40));
     }
     FleetRunner::with_shared_controller(cfg, &design.controller)
         .expect("fleet")
@@ -51,7 +55,7 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn jsonl_trace_recovers_quarantine_epoch_and_cause_per_latched_core() {
-    let (stats, telemetry) = traced_faulted_fleet(4);
+    let (stats, telemetry) = traced_faulted_fleet();
     assert_eq!(stats.quarantined_cores, BAD_CORES.len(), "{stats:?}");
     assert!(telemetry.is_enabled());
 
@@ -110,16 +114,70 @@ fn jsonl_trace_recovers_quarantine_epoch_and_cause_per_latched_core() {
     }
 }
 
-#[test]
-fn jsonl_trace_is_identical_across_worker_counts() {
-    let (stats_seq, tele_seq) = traced_faulted_fleet(1);
-    let (stats_par, tele_par) = traced_faulted_fleet(4);
-    assert_eq!(stats_seq.digest(), stats_par.digest());
+fn fleet_jsonl(telemetry: &FleetTelemetry) -> Vec<u8> {
+    let mut out = Vec::new();
+    telemetry.write_jsonl(&mut out).expect("serialize");
+    out
+}
 
-    let mut seq = Vec::new();
-    let mut par = Vec::new();
-    tele_seq.write_jsonl(&mut seq).expect("serialize");
-    tele_par.write_jsonl(&mut par).expect("serialize");
-    assert!(!seq.is_empty());
-    assert_eq!(seq, par, "trace depends on the worker count");
+fn cluster_jsonl(telemetry: &ClusterTelemetry) -> Vec<u8> {
+    let mut out = Vec::new();
+    telemetry.write_jsonl(&mut out).expect("serialize");
+    out
+}
+
+#[test]
+fn fleet_jsonl_trace_matches_its_one_chip_cluster_lift() {
+    // A traced, faulted 4-core fleet: one permanent NaN sensor (quarantine
+    // and fallback) plus random transients on every core.
+    let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
+    let fleet = FleetConfig::new(4)
+        .epochs(200)
+        .policy(ArbitrationPolicy::Proportional)
+        .seed(2016)
+        .fault_rate(0.02)
+        .core_fault(2, nan_ips_from(30))
+        .observer(TelemetryConfig::trace(32));
+    let (fstats, ftele) = FleetRunner::with_shared_controller(fleet.clone(), &design.controller)
+        .expect("fleet")
+        .run_traced()
+        .expect("run");
+    let (cstats, ctele) =
+        ClusterRunner::with_shared_controller(ClusterConfig::from(fleet), &design.controller)
+            .expect("cluster")
+            .run_traced()
+            .expect("run");
+    assert!(fstats.quarantined_cores > 0, "{fstats:?}");
+    assert_eq!(cstats.per_chip[0], fstats);
+    let fleet_bytes = fleet_jsonl(&ftele);
+    assert!(!fleet_bytes.is_empty());
+    assert_eq!(
+        fleet_jsonl(&ctele.per_chip[0]),
+        fleet_bytes,
+        "the one-chip lift traced differently"
+    );
+}
+
+#[test]
+fn cluster_jsonl_trace_is_identical_across_shard_counts() {
+    let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
+    let traced = |shards: usize| {
+        let cfg = ClusterConfig::new(3, 4)
+            .epochs(120)
+            .exchange_period(20)
+            .shards(shards)
+            .seed(2016)
+            .fault_rate(0.02)
+            .core_fault(1, 3, nan_ips_from(25))
+            .observer(TelemetryConfig::trace(16));
+        ClusterRunner::with_shared_controller(cfg, &design.controller)
+            .expect("cluster")
+            .run_traced()
+            .expect("run")
+            .1
+    };
+    let one = cluster_jsonl(&traced(1));
+    let three = cluster_jsonl(&traced(3));
+    assert!(!one.is_empty());
+    assert_eq!(one, three, "the cluster trace depends on the shard count");
 }
