@@ -117,15 +117,41 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// One plant epoch through the allocation-free `apply_into`, on both of
+/// the plant's paths: a held actuation reuses the configuration's cached
+/// terms, a new grid configuration every epoch rebuilds them and pays the
+/// transition.
 fn bench_sim_epoch(c: &mut Criterion) {
     let mut cpu = ProcessorBuilder::new()
         .app("astar")
         .seed(3)
         .build()
         .unwrap();
-    let u = Vector::from_slice(&[1.3, 6.0, 48.0]);
-    c.bench_function("sim/processor_epoch", |b| {
-        b.iter(|| cpu.apply(black_box(&u)))
+    let mut out = Vector::zeros(2);
+    let held = Vector::from_slice(&[1.3, 6.0, 48.0]);
+    c.bench_function("sim/processor_epoch_held", |b| {
+        b.iter(|| {
+            cpu.apply_into(black_box(&held), &mut out).unwrap();
+            black_box(out[0])
+        })
+    });
+    // Consecutive entries differ in every input, so each epoch moves.
+    let moving: Vec<Vector> = (0..8)
+        .map(|i| {
+            Vector::from_slice(&[
+                0.5 + 0.2 * i as f64,
+                [2.0, 8.0, 4.0, 6.0][i % 4],
+                16.0 * (1 + (3 * i) % 8) as f64,
+            ])
+        })
+        .collect();
+    let mut next = 0;
+    c.bench_function("sim/processor_epoch_moving", |b| {
+        b.iter(|| {
+            next = (next + 1) % moving.len();
+            cpu.apply_into(black_box(&moving[next]), &mut out).unwrap();
+            black_box(out[0])
+        })
     });
 }
 

@@ -182,12 +182,31 @@ impl BudgetArbiter {
         observed: &[CoreObs],
         quarantined: &[bool],
     ) -> Vec<Vector> {
+        let mut targets = vec![Vector::zeros(2); self.n_cores()];
+        self.arbitrate_into(observed, quarantined, &mut targets);
+        targets
+    }
+
+    /// [`BudgetArbiter::arbitrate_with_quarantine`] writing each core's
+    /// `[IPS, power]` targets into `out` instead of allocating them — the
+    /// chip beat's path, allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observed` or `out` (or a non-empty `quarantined`) does
+    /// not have one entry per core, or if an `out` entry does not have two.
+    pub fn arbitrate_into(
+        &mut self,
+        observed: &[CoreObs],
+        quarantined: &[bool],
+        out: &mut [Vector],
+    ) {
         assert_eq!(observed.len(), self.n_cores(), "observation count");
+        assert_eq!(out.len(), self.n_cores(), "target count");
         assert!(
             quarantined.is_empty() || quarantined.len() == self.n_cores(),
             "quarantine mask length"
         );
-        let n = self.n_cores() as f64;
         let [base_ips, base_power] = self.base_targets;
         let floor = MIN_TARGET_FRACTION * base_power;
         let is_q = |i: usize| quarantined.get(i).copied().unwrap_or(false);
@@ -197,15 +216,11 @@ impl BudgetArbiter {
         // in the observation table is a stale last-good reading. Chip power
         // accounting substitutes the pinned floor target for those cores;
         // with nothing quarantined this is the plain sum, bit for bit.
-        let total: f64 = if n_quarantined == 0 {
-            observed.iter().map(|o| o.power).sum()
-        } else {
-            observed
-                .iter()
-                .enumerate()
-                .map(|(i, o)| if is_q(i) { floor } else { o.power })
-                .sum()
-        };
+        let total: f64 = observed
+            .iter()
+            .enumerate()
+            .map(|(i, o)| if is_q(i) { floor } else { o.power })
+            .sum();
         self.epochs += 1;
         self.power_sum += total;
         self.last_power = total;
@@ -216,45 +231,12 @@ impl BudgetArbiter {
             self.violations += 1;
         }
 
-        let mut throttled = 0u64;
-        if n_quarantined == 0 {
-            let weight_sum: f64 = self.priorities.iter().sum();
-            let targets: Vec<Vector> = observed
-                .iter()
-                .enumerate()
-                .map(|(i, obs)| {
-                    let budget = match self.policy {
-                        ArbitrationPolicy::Uniform => self.cap_w / n,
-                        ArbitrationPolicy::Proportional => {
-                            if total > 0.0 {
-                                self.cap_w * obs.power / total
-                            } else {
-                                self.cap_w / n
-                            }
-                        }
-                        ArbitrationPolicy::PriorityWeighted => {
-                            self.cap_w * self.priorities[i] / weight_sum
-                        }
-                    };
-                    // A core never asks for more than its nominal target; under
-                    // pressure it is throttled toward (but not below) the floor.
-                    let p_target = budget.clamp(floor, base_power);
-                    if p_target < base_power {
-                        throttled += 1;
-                    }
-                    // Performance references scale with the granted power share
-                    // so the local loop chases a consistent (IPS, P) pair.
-                    let ips_target = base_ips * (p_target / base_power);
-                    Vector::from_slice(&[ips_target, p_target])
-                })
-                .collect();
-            self.throttle_events += throttled;
-            return targets;
-        }
-
-        // Degraded mode: quarantined cores are pinned at the floor (their
-        // fallback governors should coast, not chase an aggressive target)
-        // and the budget they free up is shared among the healthy cores.
+        // Quarantined cores are pinned at the floor (their fallback
+        // governors should coast, not chase an aggressive target) and the
+        // budget they free up is shared among the healthy cores. With none
+        // quarantined every share reduces to the plain split bit for bit:
+        // `cap - 0.0 * floor` is `cap`, and the healthy sums are the full
+        // sums in the same order.
         let healthy_n = self.n_cores() - n_quarantined;
         let healthy_cap = (self.cap_w - n_quarantined as f64 * floor).max(0.0);
         let healthy_total: f64 = observed
@@ -270,37 +252,39 @@ impl BudgetArbiter {
             .filter(|&(i, _)| !is_q(i))
             .map(|(_, &w)| w)
             .sum();
-        let targets: Vec<Vector> = observed
-            .iter()
-            .enumerate()
-            .map(|(i, obs)| {
-                let p_target = if is_q(i) || healthy_n == 0 {
-                    floor
-                } else {
-                    let budget = match self.policy {
-                        ArbitrationPolicy::Uniform => healthy_cap / healthy_n as f64,
-                        ArbitrationPolicy::Proportional => {
-                            if healthy_total > 0.0 {
-                                healthy_cap * obs.power / healthy_total
-                            } else {
-                                healthy_cap / healthy_n as f64
-                            }
+        let mut throttled = 0u64;
+        for (i, (obs, target)) in observed.iter().zip(out.iter_mut()).enumerate() {
+            let p_target = if is_q(i) || healthy_n == 0 {
+                floor
+            } else {
+                let budget = match self.policy {
+                    ArbitrationPolicy::Uniform => healthy_cap / healthy_n as f64,
+                    ArbitrationPolicy::Proportional => {
+                        if healthy_total > 0.0 {
+                            healthy_cap * obs.power / healthy_total
+                        } else {
+                            healthy_cap / healthy_n as f64
                         }
-                        ArbitrationPolicy::PriorityWeighted => {
-                            healthy_cap * self.priorities[i] / healthy_weight_sum
-                        }
-                    };
-                    budget.clamp(floor, base_power)
+                    }
+                    ArbitrationPolicy::PriorityWeighted => {
+                        healthy_cap * self.priorities[i] / healthy_weight_sum
+                    }
                 };
-                if p_target < base_power {
-                    throttled += 1;
-                }
-                let ips_target = base_ips * (p_target / base_power);
-                Vector::from_slice(&[ips_target, p_target])
-            })
-            .collect();
+                // A core never asks for more than its nominal target; under
+                // pressure it is throttled toward (but not below) the floor.
+                budget.clamp(floor, base_power)
+            };
+            if p_target < base_power {
+                throttled += 1;
+            }
+            // Performance references scale with the granted power share so
+            // the local loop chases a consistent (IPS, P) pair.
+            let ips_target = base_ips * (p_target / base_power);
+            target
+                .as_mut_slice()
+                .copy_from_slice(&[ips_target, p_target]);
+        }
         self.throttle_events += throttled;
-        targets
     }
 }
 
@@ -632,6 +616,32 @@ mod tests {
             for (x, y) in ta.iter().zip(&tb) {
                 assert_eq!(x[0].to_bits(), y[0].to_bits(), "{policy:?}");
                 assert_eq!(x[1].to_bits(), y[1].to_bits(), "{policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrate_into_reuses_the_buffer_bit_for_bit() {
+        let powers = [1.7, 0.3, 0.9, 1.1];
+        for policy in [
+            ArbitrationPolicy::Uniform,
+            ArbitrationPolicy::Proportional,
+            ArbitrationPolicy::PriorityWeighted,
+        ] {
+            for mask in [&[][..], &[false, true, false, false][..]] {
+                let pri = vec![2.0, 1.0, 1.0, 0.5];
+                let mut a = BudgetArbiter::new(3.3, policy, [3.0, 1.9], pri.clone());
+                let mut b = BudgetArbiter::new(3.3, policy, [3.0, 1.9], pri);
+                let mut out = vec![Vector::filled(2, f64::NAN); 4];
+                for _ in 0..2 {
+                    let fresh = a.arbitrate_with_quarantine(&obs(&powers), mask);
+                    b.arbitrate_into(&obs(&powers), mask, &mut out);
+                    for (x, y) in fresh.iter().zip(&out) {
+                        assert_eq!(x[0].to_bits(), y[0].to_bits(), "{policy:?}");
+                        assert_eq!(x[1].to_bits(), y[1].to_bits(), "{policy:?}");
+                    }
+                }
+                assert_eq!(a.throttle_events(), b.throttle_events());
             }
         }
     }

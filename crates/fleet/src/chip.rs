@@ -239,6 +239,8 @@ pub struct Chip {
     llc: Option<SharedLlc>,
     obs: Vec<CoreObs>,
     quarantined: Vec<bool>,
+    /// The arbiter's `[IPS, power]` grants, rewritten in place each epoch.
+    targets: Vec<Vector>,
     ways: Vec<f64>,
     epochs_run: usize,
     /// Cluster-window accumulators, drained by [`Chip::publish`]. These
@@ -348,6 +350,7 @@ impl Chip {
                 n
             ],
             quarantined: vec![false; n],
+            targets: vec![Vector::zeros(2); n],
             ways: vec![0.0; n],
             epochs_run: 0,
             win_power_sum: 0.0,
@@ -416,9 +419,8 @@ impl Chip {
                 self.ways[cell.idx] = cell.applied_l2_ways();
             }
         }
-        let targets = self
-            .arbiter
-            .arbitrate_with_quarantine(&self.obs, &self.quarantined);
+        self.arbiter
+            .arbitrate_into(&self.obs, &self.quarantined, &mut self.targets);
         if let Some(llc) = &mut self.llc {
             llc.update(&self.ways);
         }
@@ -426,7 +428,7 @@ impl Chip {
         self.win_power_sum += self.arbiter.last_chip_power_w();
         self.win_ips_sum += self.obs.iter().map(|o| o.ips).sum::<f64>();
         self.win_epochs += 1;
-        for (cell, target) in self.cells.iter_mut().zip(&targets) {
+        for (cell, target) in self.cells.iter_mut().zip(&self.targets) {
             match (self.bank.as_mut(), self.bank_slots[cell.idx]) {
                 (Some(bank), Some(slot)) => {
                     // The bank owns the controller runtime while the core

@@ -109,7 +109,12 @@ impl CacheState {
     /// Effective L2 MPKI for `phase` right now, including the cold-miss
     /// transient.
     pub fn effective_l2_mpki(&self, phase: &Phase) -> f64 {
-        let steady = l2_mpki_steady(phase, self.ways);
+        self.with_cold_misses(l2_mpki_steady(phase, self.ways))
+    }
+
+    /// Scales a steady-state L2 miss rate by the current cold-miss
+    /// transient.
+    pub(crate) fn with_cold_misses(&self, steady: f64) -> f64 {
         steady * (1.0 + COLD_MISS_FACTOR * (1.0 - self.warmth))
     }
 }

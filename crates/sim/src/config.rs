@@ -80,6 +80,10 @@ impl ActuatorGrid {
         if v.is_nan() {
             return 0;
         }
+        // Out-of-range values snap to the nearer end. Clamping first keeps
+        // huge inputs exact: their distances to every grid point would
+        // otherwise round to one value and the scan would keep index 0.
+        let v = v.clamp(self.min(), self.max());
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (i, &g) in self.values.iter().enumerate() {
@@ -288,6 +292,42 @@ impl PlantConfig {
         l1_ways_for_l2(self.l2_ways)
     }
 
+    /// Every on-grid configuration, in [`PlantConfig::grid_index`] order
+    /// (frequency-major, then cache, then ROB).
+    pub(crate) fn grid_points() -> impl Iterator<Item = PlantConfig> {
+        let (fg, cg, rg) = (frequency_grid(), cache_grid(), rob_grid());
+        fg.values().iter().flat_map(move |&freq_ghz| {
+            cg.values().iter().flat_map(move |&l2| {
+                rg.values().iter().map(move |&rob| PlantConfig {
+                    freq_ghz,
+                    l2_ways: l2 as usize,
+                    rob_entries: rob as usize,
+                })
+            })
+        })
+    }
+
+    /// Position of this configuration in [`PlantConfig::grid_points`], or
+    /// `None` when a field is not bit for bit one of its grid's values.
+    pub(crate) fn grid_index(&self) -> Option<usize> {
+        let exact = |grid: &ActuatorGrid, v: f64| {
+            grid.values()
+                .iter()
+                .position(|g| g.to_bits() == v.to_bits())
+        };
+        let f = exact(frequency_grid(), self.freq_ghz)?;
+        let c = exact(cache_grid(), self.l2_ways as f64)?;
+        let r = exact(rob_grid(), self.rob_entries as f64)?;
+        Some((f * cache_grid().len() + c) * rob_grid().len() + r)
+    }
+
+    /// Whether two configurations are identical bit for bit.
+    pub(crate) fn same_bits(&self, other: &PlantConfig) -> bool {
+        self.freq_ghz.to_bits() == other.freq_ghz.to_bits()
+            && self.l2_ways == other.l2_ways
+            && self.rob_entries == other.rob_entries
+    }
+
     /// Validates that every field sits on its actuator grid.
     ///
     /// # Errors
@@ -332,6 +372,39 @@ mod tests {
         assert!((g.quantize(1.36) - 1.4).abs() < 1e-12);
         assert!((g.quantize(-3.0) - 0.5).abs() < 1e-12);
         assert!((g.quantize(99.0) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quantize_snaps_huge_inputs_to_the_grid_ends() {
+        for g in [frequency_grid(), cache_grid(), rob_grid()] {
+            for v in [1e16, 1e17, 1e300, f64::MAX] {
+                assert_eq!(g.quantize(v), g.max(), "{} at {v:e}", g.name());
+            }
+            assert_eq!(g.quantize(-1e300), g.min(), "{}", g.name());
+        }
+    }
+
+    #[test]
+    fn grid_index_numbers_every_grid_point_once() {
+        let points: Vec<PlantConfig> = PlantConfig::grid_points().collect();
+        assert_eq!(points.len(), 16 * 4 * 8);
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!(p.grid_index(), Some(i), "{p:?}");
+        }
+        // One ulp off a grid frequency is off the grid.
+        let nudged = PlantConfig {
+            freq_ghz: f64::from_bits(1.3f64.to_bits() + 1),
+            ..PlantConfig::baseline()
+        };
+        assert_eq!(nudged.grid_index(), None);
+        assert_eq!(
+            PlantConfig {
+                rob_entries: 50,
+                ..PlantConfig::baseline()
+            }
+            .grid_index(),
+            None
+        );
     }
 
     #[test]

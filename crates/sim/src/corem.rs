@@ -19,7 +19,7 @@
 //! * the *ROB size* gates both the exploitable ILP and the memory-level
 //!   parallelism, so it interacts with both the cache and the frequency.
 
-use crate::cache::{l1_mpki_steady, CacheState, L2_LATENCY_CYCLES, MEM_LATENCY_NS};
+use crate::cache::{l1_mpki_steady, l2_mpki_steady, CacheState, L2_LATENCY_CYCLES, MEM_LATENCY_NS};
 use crate::config::PlantConfig;
 use crate::workload::Phase;
 
@@ -79,36 +79,66 @@ impl CpiBreakdown {
     }
 }
 
+/// The CPI-model terms fixed by a phase, a configuration and the active L2
+/// way count: everything but the per-epoch miss jitter and cache warmth.
+///
+/// The plant keeps one and rebuilds it only when its configuration or its
+/// smoothed phase moves, which spares the three `powf` and one `sqrt`
+/// behind these terms on every other epoch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CpiTerms {
+    base: f64,
+    l1_mpki_steady: f64,
+    l2_mpki_steady: f64,
+    mem_latency_cycles: f64,
+    mlp: f64,
+    branch: f64,
+}
+
+impl CpiTerms {
+    pub(crate) fn new(phase: &Phase, config: &PlantConfig, l2_ways: usize) -> Self {
+        let ilp = effective_ilp(phase, config.rob_entries);
+        CpiTerms {
+            base: 1.0 / ilp.min(ISSUE_WIDTH),
+            l1_mpki_steady: l1_mpki_steady(phase, config.l1_ways()),
+            l2_mpki_steady: l2_mpki_steady(phase, l2_ways),
+            mem_latency_cycles: MEM_LATENCY_NS * config.freq_ghz,
+            mlp: effective_mlp(phase, config.rob_entries),
+            branch: phase.branch_mpki / 1000.0 * BRANCH_PENALTY_CYCLES,
+        }
+    }
+
+    /// The breakdown with `cache`'s warm-up transient and `mpki_jitter`
+    /// applied to the miss traffic.
+    pub(crate) fn breakdown(&self, cache: &CacheState, mpki_jitter: f64) -> CpiBreakdown {
+        let l1_mpki = self.l1_mpki_steady * mpki_jitter;
+        let l1 = l1_mpki / 1000.0 * L2_LATENCY_CYCLES * L1_MISS_EXPOSURE;
+
+        let l2_mpki = cache.with_cold_misses(self.l2_mpki_steady) * mpki_jitter;
+        let l2 = l2_mpki / 1000.0 * self.mem_latency_cycles / self.mlp;
+
+        CpiBreakdown {
+            base: self.base,
+            l1,
+            l2,
+            branch: self.branch,
+        }
+    }
+}
+
 /// Computes the CPI breakdown for a phase under a configuration.
 ///
-/// `cache` supplies the transient-aware L2 miss rate; `mpki_jitter` is a
-/// multiplicative non-determinism factor (interrupts, input-dependent
-/// behavior) applied to the miss traffic, nominally `1.0`.
+/// `cache` supplies the active L2 ways and the transient-aware L2 miss
+/// rate; `mpki_jitter` is a multiplicative non-determinism factor
+/// (interrupts, input-dependent behavior) applied to the miss traffic,
+/// nominally `1.0`.
 pub fn cpi(
     phase: &Phase,
     config: &PlantConfig,
     cache: &CacheState,
     mpki_jitter: f64,
 ) -> CpiBreakdown {
-    let ilp = effective_ilp(phase, config.rob_entries);
-    let base = 1.0 / ilp.min(ISSUE_WIDTH);
-
-    let l1_mpki = l1_mpki_steady(phase, config.l1_ways()) * mpki_jitter;
-    let l1 = l1_mpki / 1000.0 * L2_LATENCY_CYCLES * L1_MISS_EXPOSURE;
-
-    let l2_mpki = cache.effective_l2_mpki(phase) * mpki_jitter;
-    let mem_latency_cycles = MEM_LATENCY_NS * config.freq_ghz;
-    let mlp = effective_mlp(phase, config.rob_entries);
-    let l2 = l2_mpki / 1000.0 * mem_latency_cycles / mlp;
-
-    let branch = phase.branch_mpki / 1000.0 * BRANCH_PENALTY_CYCLES;
-
-    CpiBreakdown {
-        base,
-        l1,
-        l2,
-        branch,
-    }
+    CpiTerms::new(phase, config, cache.ways()).breakdown(cache, mpki_jitter)
 }
 
 /// Performance in billions of instructions per second for a phase under a

@@ -70,33 +70,77 @@ mod leak {
     pub const V_NOM: f64 = 1.05;
 }
 
+/// The power-model terms that depend on the configuration alone: supply
+/// voltage, leakage, and the gated components' switched capacitance.
+///
+/// The plant reads them from [`ConfigPower::table`] while its
+/// configuration sits on the actuator grid, so each epoch pays only for
+/// the activity- and IPC-dependent part.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ConfigPower {
+    freq_ghz: f64,
+    voltage: f64,
+    /// Leakage power in watts.
+    pub(crate) leakage_w: f64,
+    c_l1: f64,
+    c_l2: f64,
+    c_rob: f64,
+}
+
+impl ConfigPower {
+    pub(crate) fn new(config: &PlantConfig) -> Self {
+        let voltage = voltage_for(config.freq_ghz);
+        let v = voltage / leak::V_NOM;
+        let p = leak::CORE
+            + leak::L1 * config.l1_ways() as f64 / 4.0
+            + leak::L2 * config.l2_ways as f64 / 8.0
+            + leak::ROB * config.rob_entries as f64 / 128.0;
+        ConfigPower {
+            freq_ghz: config.freq_ghz,
+            voltage,
+            leakage_w: p * v,
+            c_l1: ceff::L1 * config.l1_ways() as f64 / 4.0,
+            c_l2: ceff::L2 * config.l2_ways as f64 / 8.0,
+            c_rob: ceff::ROB * config.rob_entries as f64 / 128.0,
+        }
+    }
+
+    /// The terms of every on-grid configuration, shared by all plants and
+    /// indexed by [`PlantConfig::grid_index`].
+    pub(crate) fn table() -> &'static [ConfigPower] {
+        static TABLE: std::sync::OnceLock<Vec<ConfigPower>> = std::sync::OnceLock::new();
+        TABLE.get_or_init(|| PlantConfig::grid_points().map(|c| Self::new(&c)).collect())
+    }
+
+    /// Dynamic power in watts at the given IPC and switching activity.
+    pub(crate) fn dynamic_power(&self, ipc: f64, activity: f64) -> f64 {
+        let (v, f) = (self.voltage, self.freq_ghz);
+        let util = (ipc / crate::corem::ISSUE_WIDTH).clamp(0.0, 1.0);
+        let c_core = ceff::CORE_BASE + ceff::CORE_ACTIVITY * util;
+        activity * (c_core + self.c_l1 + self.c_l2 + self.c_rob) * v * v * f
+    }
+
+    /// Total power in watts.
+    pub(crate) fn total_power(&self, ipc: f64, activity: f64) -> f64 {
+        self.dynamic_power(ipc, activity) + self.leakage_w
+    }
+}
+
 /// Dynamic power in watts for a configuration running at the given IPC and
 /// switching activity.
 pub fn dynamic_power(config: &PlantConfig, ipc: f64, activity: f64) -> f64 {
-    let v = voltage_for(config.freq_ghz);
-    let f = config.freq_ghz;
-    let util = (ipc / crate::corem::ISSUE_WIDTH).clamp(0.0, 1.0);
-    let c_core = ceff::CORE_BASE + ceff::CORE_ACTIVITY * util;
-    let c_l1 = ceff::L1 * config.l1_ways() as f64 / 4.0;
-    let c_l2 = ceff::L2 * config.l2_ways as f64 / 8.0;
-    let c_rob = ceff::ROB * config.rob_entries as f64 / 128.0;
-    activity * (c_core + c_l1 + c_l2 + c_rob) * v * v * f
+    ConfigPower::new(config).dynamic_power(ipc, activity)
 }
 
 /// Leakage power in watts for a configuration (gated components leak
 /// nothing; leakage scales linearly with voltage).
 pub fn leakage_power(config: &PlantConfig) -> f64 {
-    let v = voltage_for(config.freq_ghz) / leak::V_NOM;
-    let p = leak::CORE
-        + leak::L1 * config.l1_ways() as f64 / 4.0
-        + leak::L2 * config.l2_ways as f64 / 8.0
-        + leak::ROB * config.rob_entries as f64 / 128.0;
-    p * v
+    ConfigPower::new(config).leakage_w
 }
 
 /// Total power in watts.
 pub fn total_power(config: &PlantConfig, ipc: f64, activity: f64) -> f64 {
-    dynamic_power(config, ipc, activity) + leakage_power(config)
+    ConfigPower::new(config).total_power(ipc, activity)
 }
 
 /// Transition costs of changing configuration between epochs.

@@ -14,9 +14,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::cache::CacheState;
 use crate::config::{InputSet, PlantConfig};
-use crate::corem;
-use crate::power::{self, TransitionCost};
-use crate::workload::{lookup, AppProfile, Phase};
+use crate::corem::CpiTerms;
+use crate::power::{self, ConfigPower, TransitionCost};
+use crate::workload::{lookup_shared, AppProfile, Phase};
 use crate::{Result, SimError, EPOCH_US};
 
 /// Interface controllers use to drive a plant one epoch at a time.
@@ -265,7 +265,7 @@ impl ProcessorBuilder {
     /// Returns [`SimError::UnknownApp`] for an unknown application name and
     /// [`SimError::InvalidConfig`] for an off-grid initial configuration.
     pub fn build(self) -> Result<Processor> {
-        let profile = lookup(&self.app).ok_or_else(|| SimError::UnknownApp {
+        let profile = lookup_shared(&self.app).ok_or_else(|| SimError::UnknownApp {
             name: self.app.clone(),
         })?;
         self.initial.validate()?;
@@ -283,7 +283,7 @@ impl Default for ProcessorBuilder {
 #[derive(Debug, Clone)]
 pub struct Processor {
     builder: ProcessorBuilder,
-    profile: AppProfile,
+    profile: &'static AppProfile,
     input_set: InputSet,
     config: PlantConfig,
     cache: CacheState,
@@ -303,21 +303,32 @@ pub struct Processor {
     /// contention — multiplies the miss-traffic jitter bit-transparently,
     /// so plants without a contention model are unaffected.
     llc_penalty: f64,
+    /// CPI terms of `eff` under `config`, rebuilt whenever either moves.
+    cpi_terms: CpiTerms,
+    /// `config`'s entry in the shared power table; `None` exactly when
+    /// `config` is off the grid, where each epoch computes the terms
+    /// afresh.
+    config_power: Option<&'static ConfigPower>,
+    /// Whether `eff` has reached the f64 fixed point of its smoothing
+    /// toward the current phase, so further smoothing changes nothing
+    /// until the next phase boundary.
+    eff_settled: bool,
 }
 
 /// Fraction of the gap to the target phase closed per epoch.
 const PHASE_SMOOTHING: f64 = 0.12;
 
 impl Processor {
-    fn from_parts(builder: ProcessorBuilder, profile: AppProfile) -> Self {
+    fn from_parts(builder: ProcessorBuilder, profile: &'static AppProfile) -> Self {
         let mut rng = StdRng::seed_from_u64(builder.seed);
         let phase_idx = 0;
         let first = profile.phases()[0];
         let phase_left = jittered_duration(first.duration_epochs, &mut rng);
+        let config = builder.initial;
         Processor {
             input_set: builder.input_set,
-            config: builder.initial,
-            cache: CacheState::new(builder.initial.l2_ways),
+            config,
+            cache: CacheState::new(config.l2_ways),
             rng,
             phase_idx,
             phase_left,
@@ -326,6 +337,9 @@ impl Processor {
             totals: RunTotals::default(),
             last: None,
             llc_penalty: 1.0,
+            cpi_terms: CpiTerms::new(&first, &config, config.l2_ways),
+            config_power: power_entry(&config),
+            eff_settled: false,
             builder,
             profile,
         }
@@ -380,13 +394,27 @@ impl Processor {
 
     /// Runs one epoch with an explicit configuration (used by profiling and
     /// identification flows that bypass actuation vectors).
+    ///
+    /// Only the terms whose inputs changed since the last epoch are
+    /// recomputed. Every floating-point operation that runs is the one the
+    /// full model runs, in the same order, so reusing a term never moves a
+    /// bit.
     pub fn step_config(&mut self, target: PlantConfig) -> Observation {
         // --- Actuation and transition costs -----------------------------
-        let cost: TransitionCost = power::transition_cost(&self.config, &target);
-        if target.l2_ways != self.cache.ways() {
-            self.cache.resize(target.l2_ways);
-        }
-        self.config = target;
+        // An unmoved configuration costs nothing, and its stall and energy
+        // terms below would only add exact zeros.
+        let moved = !target.same_bits(&self.config);
+        let cost = if moved {
+            let cost = power::transition_cost(&self.config, &target);
+            if target.l2_ways != self.cache.ways() {
+                self.cache.resize(target.l2_ways);
+            }
+            self.config = target;
+            self.config_power = power_entry(&target);
+            cost
+        } else {
+            TransitionCost::default()
+        };
 
         // --- Advance the program --------------------------------------
         self.phase_changed = false;
@@ -395,11 +423,21 @@ impl Processor {
             let next = *self.profile.phase(self.phase_idx);
             self.phase_left = jittered_duration(next.duration_epochs, &mut self.rng);
             self.phase_changed = true;
+            self.eff_settled = false;
         } else {
             self.phase_left -= 1;
         }
-        let target_phase = *self.profile.phase(self.phase_idx);
-        self.eff = lerp_phase(&self.eff, &target_phase, PHASE_SMOOTHING);
+        let mut eff_moved = false;
+        if !self.eff_settled {
+            let target_phase = *self.profile.phase(self.phase_idx);
+            let next = lerp_phase(&self.eff, &target_phase, PHASE_SMOOTHING);
+            eff_moved = !same_phase_bits(&next, &self.eff);
+            self.eff_settled = !eff_moved;
+            self.eff = next;
+        }
+        if moved || eff_moved {
+            self.cpi_terms = CpiTerms::new(&self.eff, &self.config, self.cache.ways());
+        }
         self.cache.tick();
 
         // --- Performance -----------------------------------------------
@@ -413,7 +451,7 @@ impl Processor {
         // Shared-LLC contention raises effective miss traffic; at the
         // default 1.0 this multiply is bit-transparent (x * 1.0 == x).
         jitter *= self.llc_penalty;
-        let breakdown = corem::cpi(&self.eff, &self.config, &self.cache, jitter);
+        let breakdown = self.cpi_terms.breakdown(&self.cache, jitter);
         let ipc = breakdown.ipc();
         let exec_us = (EPOCH_US - cost.stall_us).max(0.0);
         // instructions [billions] = IPC · f[Gcycles/s] · t[s].
@@ -421,12 +459,22 @@ impl Processor {
         let true_ips = instr_g / (EPOCH_US * 1e-6); // BIPS averaged over the epoch
 
         // --- Power -------------------------------------------------------
-        let run_power = power::total_power(&self.config, ipc, self.eff.activity);
-        // During transition stalls the core clock-gates most dynamic power.
-        let stall_power = power::leakage_power(&self.config)
-            + 0.3 * power::dynamic_power(&self.config, 0.0, self.eff.activity);
-        let mut true_power = (run_power * exec_us + stall_power * cost.stall_us) / EPOCH_US;
-        true_power += cost.energy_uj * 1e-6 / (EPOCH_US * 1e-6);
+        let config_power = match self.config_power {
+            Some(entry) => *entry,
+            None => ConfigPower::new(&self.config),
+        };
+        let run_power = config_power.total_power(ipc, self.eff.activity);
+        let mut true_power = run_power * exec_us;
+        if moved {
+            // During transition stalls the core clock-gates most dynamic
+            // power.
+            let stall_power =
+                config_power.leakage_w + 0.3 * config_power.dynamic_power(0.0, self.eff.activity);
+            true_power = (true_power + stall_power * cost.stall_us) / EPOCH_US
+                + cost.energy_uj * 1e-6 / (EPOCH_US * 1e-6);
+        } else {
+            true_power /= EPOCH_US;
+        }
 
         // --- Accounting ---------------------------------------------------
         self.totals.energy_j += true_power * EPOCH_US * 1e-6;
@@ -448,6 +496,41 @@ impl Processor {
         self.last = Some(obs);
         obs
     }
+
+    /// Whether `u` is bit for bit the actuation of the current on-grid
+    /// configuration, which quantizing would give back unchanged.
+    fn actuates_current_config(&self, u: &[f64]) -> bool {
+        let c = &self.config;
+        self.config_power.is_some()
+            && u.len() == self.input_set.len()
+            && u[0].to_bits() == c.freq_ghz.to_bits()
+            && u[1].to_bits() == (c.l2_ways as f64).to_bits()
+            && u.get(2)
+                .is_none_or(|r| r.to_bits() == (c.rob_entries as f64).to_bits())
+    }
+}
+
+/// The shared power-table entry of an on-grid configuration.
+fn power_entry(config: &PlantConfig) -> Option<&'static ConfigPower> {
+    config.grid_index().map(|i| &ConfigPower::table()[i])
+}
+
+/// Whether two phases are identical bit for bit.
+fn same_phase_bits(a: &Phase, b: &Phase) -> bool {
+    let bits = |p: &Phase| {
+        [
+            p.ilp,
+            p.l2_mpki,
+            p.l1_mpki,
+            p.cache_sens,
+            p.rob_sens,
+            p.branch_mpki,
+            p.mem_parallelism,
+            p.activity,
+        ]
+        .map(f64::to_bits)
+    };
+    bits(a) == bits(b) && a.duration_epochs == b.duration_epochs
 }
 
 impl Plant for Processor {
@@ -494,7 +577,11 @@ impl Plant for Processor {
         if let Some(channel) = u.iter().position(|v| !v.is_finite()) {
             return Err(SimError::NonFiniteActuation { channel });
         }
-        let cfg = PlantConfig::from_actuation(u.as_slice(), self.input_set, &self.config)?;
+        let cfg = if self.actuates_current_config(u.as_slice()) {
+            self.config
+        } else {
+            PlantConfig::from_actuation(u.as_slice(), self.input_set, &self.config)?
+        };
         let obs = self.step_config(cfg);
         out[0] = obs.ips_bips;
         out[1] = obs.power_w;
@@ -506,7 +593,7 @@ impl Plant for Processor {
     }
 
     fn reset(&mut self) {
-        *self = Processor::from_parts(self.builder.clone(), self.profile.clone());
+        *self = Processor::from_parts(self.builder.clone(), self.profile);
     }
 }
 

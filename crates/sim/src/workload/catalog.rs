@@ -267,7 +267,17 @@ pub fn catalog_names() -> Vec<&'static str> {
 
 /// Looks an application up by name.
 pub fn lookup(name: &str) -> Option<AppProfile> {
-    catalog().into_iter().find(|a| a.name() == name)
+    lookup_shared(name).cloned()
+}
+
+/// Looks an application up in one catalog built once and shared by every
+/// plant, so plants hold no copy of their phase list.
+pub(crate) fn lookup_shared(name: &str) -> Option<&'static AppProfile> {
+    static CATALOG: std::sync::OnceLock<Vec<AppProfile>> = std::sync::OnceLock::new();
+    CATALOG
+        .get_or_init(catalog)
+        .iter()
+        .find(|a| a.name() == name)
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 
 mod catalog;
 
+pub(crate) use catalog::lookup_shared;
 pub use catalog::{catalog, catalog_names, lookup};
 
 /// One execution phase of an application.
