@@ -93,6 +93,23 @@ fn bench_lqg_step(c: &mut Criterion) {
     c.bench_function("control/set_reference_unchanged", |b| {
         b.iter(|| ctrl.set_reference(black_box(&targets)))
     });
+    // Retargeting under a contended chip's arbiter, where the grant moves
+    // every epoch: alternating two references makes every call re-solve
+    // the steady state.
+    let moving = [targets.clone(), Vector::from_slice(&[2.7, 1.8])];
+    let mut flip = 0;
+    c.bench_function("control/set_reference_moving", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            ctrl.set_reference(black_box(&moving[flip]))
+        })
+    });
+    c.bench_function("control/set_reference_moving_static", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            fixed.set_reference(black_box(&moving[flip]))
+        })
+    });
 }
 
 /// The shared epoch engine against the same governor/plant pair the

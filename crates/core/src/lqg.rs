@@ -235,10 +235,14 @@ impl LqgDesign {
 /// Fallbacks mirror the uncached chain exactly: a failed DC gain or an
 /// unfactorizable Gram matrix leaves `u_ss` at zero, and an unfactorizable
 /// `I − A` leaves `x_ss` at zero.
+///
+/// [`SteadyStateSolver::resolve`] allocates nothing: each right-hand side
+/// (`Gᵀ Q y` and `B u_ss`) is written straight into the output slice in
+/// the factorization's pivot order and substituted in place
+/// ([`LuDecomposition::substitute_in_place`]), with the same zero-skipping
+/// accumulation as the `Matrix` product it replaces.
 #[derive(Debug, Clone)]
 pub struct SteadyStateSolver {
-    nu: usize,
-    nx: usize,
     /// `Gᵀ Q`; `None` when the DC gain itself failed.
     gtq: Option<Matrix>,
     /// LU of `Gᵀ Q G + λ I`; `None` when the DC gain or the factorization
@@ -268,8 +272,6 @@ impl SteadyStateSolver {
         }
         let i_minus_a = Matrix::identity(n) - design.model.a();
         SteadyStateSolver {
-            nu: i,
-            nx: n,
             gtq: gtq_out,
             lhs_lu,
             ia_lu: LuDecomposition::new(&i_minus_a).ok(),
@@ -279,27 +281,55 @@ impl SteadyStateSolver {
 
     /// Resolves the steady-state operating point for a normalized
     /// reference, writing the clamped `u_ss` and implied `x_ss`.
-    /// Bit-identical to the uncached ridge solve (see the type docs).
+    /// Bit-identical to the uncached ridge solve (see the type docs) and
+    /// allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u_ss_out` does not have one entry per input or
+    /// `x_ss_out` one per state, or if `y_ref_norm` does not have one entry
+    /// per output while the DC gain exists.
     pub fn resolve(&self, y_ref_norm: &[f64], u_ss_out: &mut [f64], x_ss_out: &mut [f64]) {
-        let y_ref = Vector::from_slice(y_ref_norm);
-        let u_ss = match (&self.gtq, &self.lhs_lu) {
+        assert_eq!(u_ss_out.len(), self.b.cols(), "u_ss length mismatch");
+        assert_eq!(x_ss_out.len(), self.b.rows(), "x_ss length mismatch");
+        match (&self.gtq, &self.lhs_lu) {
             (Some(gtq), Some(lu)) => {
-                let rhs = gtq * &y_ref.to_col_matrix();
-                lu.solve(&rhs).ok().map(Vector::from)
+                assert_eq!(y_ref_norm.len(), gtq.cols(), "reference length mismatch");
+                permuted_mat_vec(gtq, lu.perm(), y_ref_norm, u_ss_out);
+                lu.substitute_in_place(u_ss_out);
             }
-            _ => None,
+            _ => u_ss_out.fill(0.0),
         }
-        .unwrap_or_else(|| Vector::zeros(self.nu));
-        let u_ss = u_ss.map(|v| v.clamp(-U_CLAMP, U_CLAMP));
-        u_ss_out.copy_from_slice(u_ss.as_slice());
-        let x_ss = match &self.ia_lu {
-            Some(lu) => lu
-                .solve(&(&self.b * &u_ss.to_col_matrix()))
-                .map(Vector::from)
-                .unwrap_or_else(|_| Vector::zeros(self.nx)),
-            None => Vector::zeros(self.nx),
-        };
-        x_ss_out.copy_from_slice(x_ss.as_slice());
+        for u in u_ss_out.iter_mut() {
+            *u = u.clamp(-U_CLAMP, U_CLAMP);
+        }
+        match &self.ia_lu {
+            Some(lu) => {
+                permuted_mat_vec(&self.b, lu.perm(), u_ss_out, x_ss_out);
+                lu.substitute_in_place(x_ss_out);
+            }
+            None => x_ss_out.fill(0.0),
+        }
+    }
+}
+
+/// `out[i] = m.row(perm[i]) · v`: a matrix-vector product written in a
+/// factorization's pivot order, ready for
+/// [`LuDecomposition::substitute_in_place`]. Each entry accumulates from
+/// `0.0` in column order and skips zero coefficients, exactly as
+/// `&Matrix * &Matrix` does for a one-column right operand, so the bits
+/// match the product followed by `solve`'s row permutation.
+fn permuted_mat_vec(m: &Matrix, perm: &[usize], v: &[f64], out: &mut [f64]) {
+    let cols = m.cols();
+    let data = m.as_slice();
+    for (o, &p) in out.iter_mut().zip(perm) {
+        let mut acc = 0.0;
+        for (&a, &x) in data[p * cols..(p + 1) * cols].iter().zip(v) {
+            if a != 0.0 {
+                acc += a * x;
+            }
+        }
+        *o = acc;
     }
 }
 
@@ -526,31 +556,14 @@ impl<S: LqgStorage> LqgController<S> {
     /// windup — matching the paper's non-responsive-application behavior,
     /// where the controller gets as close as it can.
     pub fn set_reference(&mut self, y0_physical: &Vector) {
-        assert_eq!(
-            y0_physical.len(),
-            self.num_outputs(),
-            "reference dimension mismatch"
+        retarget_reference(
+            &self.design.output_scaler,
+            y0_physical.as_slice(),
+            self.rt.y_ref_norm.as_mut_slice(),
+            &self.ss_solver,
+            self.rt.u_ss.as_mut_slice(),
+            self.rt.x_ss.as_mut_slice(),
         );
-        // Allocation-free normalize with change detection: retargeting
-        // every epoch (the fleet arbiter's cadence) must not pay the
-        // steady-state resolve when the reference did not actually move.
-        // `recompute_steady_state` depends only on the normalized
-        // reference and the design, so skipping it on bit-equal targets
-        // leaves the controller state bit-identical.
-        let offsets = self.design.output_scaler.offsets();
-        let spans = self.design.output_scaler.spans();
-        let mut changed = false;
-        let y_ref = self.rt.y_ref_norm.as_mut_slice();
-        for c in 0..y0_physical.len() {
-            let v = (y0_physical[c] - offsets[c]) / spans[c];
-            if v.to_bits() != y_ref[c].to_bits() {
-                y_ref[c] = v;
-                changed = true;
-            }
-        }
-        if changed {
-            self.recompute_steady_state();
-        }
     }
 
     fn recompute_steady_state(&mut self) {
@@ -754,10 +767,50 @@ pub struct LqgState {
 
 // --- Slice-level pieces of the LQG epoch -------------------------------
 //
-// `step_into` is built from these free functions so the fleet's banked
-// (structure-of-arrays) stepping path can run the *same* scalar code per
-// core: one implementation, one floating-point operation order, bit parity
-// by construction.
+// `step_into` and `set_reference` are built from these free functions so
+// the fleet's banked (structure-of-arrays) stepping path can run the *same*
+// scalar code per core: one implementation, one floating-point operation
+// order, bit parity by construction.
+
+/// Retargets one controller's state: normalizes the physical reference
+/// into `y_ref_norm` and re-solves `u_ss`/`x_ss` only when some channel's
+/// bits changed.
+///
+/// Retargeting every epoch (the fleet arbiter's cadence) must not pay the
+/// steady-state resolve when the reference did not actually move. The
+/// resolve depends only on the normalized reference and the design, so
+/// skipping it on bit-equal targets leaves the state bit-identical.
+///
+/// # Panics
+///
+/// Panics if `y0_physical` and `y_ref_norm` differ in length.
+pub fn retarget_reference(
+    output_scaler: &ChannelScaler,
+    y0_physical: &[f64],
+    y_ref_norm: &mut [f64],
+    solver: &SteadyStateSolver,
+    u_ss: &mut [f64],
+    x_ss: &mut [f64],
+) {
+    assert_eq!(
+        y0_physical.len(),
+        y_ref_norm.len(),
+        "reference dimension mismatch"
+    );
+    let offsets = output_scaler.offsets();
+    let spans = output_scaler.spans();
+    let mut changed = false;
+    for c in 0..y0_physical.len() {
+        let v = (y0_physical[c] - offsets[c]) / spans[c];
+        if v.to_bits() != y_ref_norm[c].to_bits() {
+            y_ref_norm[c] = v;
+            changed = true;
+        }
+    }
+    if changed {
+        solver.resolve(y_ref_norm, u_ss, x_ss);
+    }
+}
 
 /// Leaky error integration with the anti-windup clamp:
 /// `q ← clamp(q·leak + (y − y_ref), ±Q_CLAMP)` per channel.

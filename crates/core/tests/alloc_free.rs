@@ -3,7 +3,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up the test drives the allocation-free paths — the scratch-based
-//! LQG/Kalman updates, the unchanged-reference `set_reference` fast path,
+//! LQG/Kalman updates, `set_reference` with an unchanged reference (the
+//! bit-compare path) and with a moving one (the steady-state re-solve),
 //! and a full `EpochLoop` epoch over the real `Processor` plant — and
 //! asserts the counter does not move.
 //!
@@ -14,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mimo_core::decoupled::DecoupledGovernor;
 use mimo_core::engine::EpochLoop;
 use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
 use mimo_core::kalman::KalmanScratch;
@@ -101,6 +103,28 @@ fn design() -> LqgDesign {
     }
 }
 
+/// A 1-input / 1-output / 2-state loop of a `DecoupledGovernor`, its
+/// output normalized over `[0, out_hi]`.
+fn siso_design(out_hi: f64) -> LqgDesign {
+    LqgDesign {
+        model: StateSpace::new(
+            Matrix::diag(&[0.7, 0.6]),
+            Matrix::from_rows(&[&[0.5], &[0.2]]),
+            Matrix::from_rows(&[&[1.0, 0.5]]),
+            Matrix::zeros(1, 1),
+        )
+        .unwrap(),
+        process_noise: Matrix::identity(2).scale(1e-4),
+        measurement_noise: Matrix::identity(1).scale(1e-4),
+        output_weights: vec![10.0],
+        input_weights: vec![0.01],
+        integral_weight: 0.05,
+        input_scaler: ChannelScaler::from_ranges(&[(0.5, 2.0)]),
+        output_scaler: ChannelScaler::from_ranges(&[(0.0, out_hi)]),
+        input_grids: vec![(0..=15).map(|i| 0.5 + 0.1 * f64::from(i)).collect()],
+    }
+}
+
 #[test]
 fn steady_state_epoch_allocates_nothing() {
     // --- Kalman update_into ---------------------------------------------
@@ -140,6 +164,17 @@ fn steady_state_epoch_allocates_nothing() {
         }
     });
 
+    // --- set_reference with a moving target -----------------------------
+    // A contended chip's arbiter hands out new grants every epoch, so
+    // every call re-solves the steady state; that path must be as clean.
+    let moved = Vector::from_slice(&[2.6, 1.9]);
+    assert_alloc_free("moving-target set_reference", || {
+        for _ in 0..500 {
+            ctrl.set_reference(&moved);
+            ctrl.set_reference(&targets);
+        }
+    });
+
     // --- Static-storage step_into ----------------------------------------
     // The stack-allocated controller must be exactly as clean — and
     // bit-identical to the dynamic path while we're watching.
@@ -147,6 +182,23 @@ fn steady_state_epoch_allocates_nothing() {
         .into_static::<2, 2, 2, 6>()
         .expect("design shape is 2-in/2-out/2-state");
     fixed.set_reference(&targets);
+    assert_alloc_free("static moving-target set_reference", || {
+        for _ in 0..500 {
+            fixed.set_reference(&moved);
+            fixed.set_reference(&targets);
+        }
+    });
+    // Two SISO loops, each re-solved on every call.
+    let mut decoupled = DecoupledGovernor::new(
+        siso_design(4.0).build().unwrap(),
+        siso_design(3.0).build().unwrap(),
+    );
+    assert_alloc_free("moving-target DecoupledGovernor::set_targets", || {
+        for _ in 0..500 {
+            decoupled.set_targets(&moved);
+            decoupled.set_targets(&targets);
+        }
+    });
     let mut u_fixed = Vector::zeros(2);
     for _ in 0..50 {
         fixed.step_into(&y_meas, &mut u_fixed); // warm

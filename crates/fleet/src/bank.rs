@@ -44,7 +44,7 @@
 use mimo_core::engine::EpochCause;
 use mimo_core::lqg::{
     apply_du_clamped, assemble_augmented_state, integrate_tracking_error, negate,
-    quantize_with_slew, LqgController, SteadyStateSolver,
+    quantize_with_slew, retarget_reference, LqgController, SteadyStateSolver,
 };
 use mimo_core::storage::StaticStore;
 use mimo_core::ControlError;
@@ -198,25 +198,14 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
     /// bit-level change detection, re-resolving the steady-state operating
     /// point only when the normalized reference actually moved.
     pub fn set_target(&mut self, slot: usize, y0_physical: &Vector) {
-        assert_eq!(y0_physical.len(), NY, "reference dimension mismatch");
-        let offsets = self.output_scaler.offsets();
-        let spans = self.output_scaler.spans();
-        let y_ref = self.y_ref[slot].as_mut_slice();
-        let mut changed = false;
-        for ch in 0..NY {
-            let v = (y0_physical[ch] - offsets[ch]) / spans[ch];
-            if v.to_bits() != y_ref[ch].to_bits() {
-                y_ref[ch] = v;
-                changed = true;
-            }
-        }
-        if changed {
-            self.solver.resolve(
-                self.y_ref[slot].as_slice(),
-                self.u_ss[slot].as_mut_slice(),
-                self.x_ss[slot].as_mut_slice(),
-            );
-        }
+        retarget_reference(
+            &self.output_scaler,
+            y0_physical.as_slice(),
+            self.y_ref[slot].as_mut_slice(),
+            &self.solver,
+            self.u_ss[slot].as_mut_slice(),
+            self.x_ss[slot].as_mut_slice(),
+        );
     }
 
     /// Loads a slot's physical measurement for the next

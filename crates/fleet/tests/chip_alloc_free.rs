@@ -1,9 +1,11 @@
 //! Proof that a whole chip beat performs zero heap allocations.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator. A 16-core
-//! chip under the uniform policy is warmed up until every core holds its
-//! steady grant, and then a window of `Chip::step_epoch` calls — governor
-//! decide, plant apply, arbitration, retarget — must not move the counter,
+//! A counting `#[global_allocator]` wraps the system allocator. Two 16-core
+//! chips are warmed up — one under the uniform policy, where every core
+//! holds its steady grant, and one under a throttling proportional cap
+//! with LLC contention, where every core's grant moves every epoch — and
+//! then a window of `Chip::step_epoch` calls — governor decide, plant
+//! apply, arbitration, LLC update, retarget — must not move the counter,
 //! on the banked path the shared-controller runtime steps and on the
 //! per-cell path alike.
 //!
@@ -20,6 +22,7 @@ use mimo_core::StateSpace;
 use mimo_fleet::{ArbitrationPolicy, Chip, FleetConfig};
 use mimo_linalg::Matrix;
 use mimo_sim::config::{cache_grid, frequency_grid};
+use mimo_sim::llc::LlcConfig;
 use mimo_sysid::scale::ChannelScaler;
 
 struct CountingAllocator;
@@ -103,25 +106,40 @@ fn controller() -> LqgController {
 #[test]
 fn chip_epoch_beat_is_allocation_free() {
     let ctrl = controller();
-    let cfg = FleetConfig::new(16)
+    let uniform = FleetConfig::new(16)
         .policy(ArbitrationPolicy::Uniform)
         .epochs(400)
         .seed(5);
-    let banked = Chip::build_banked(0, cfg.clone(), &ctrl).unwrap();
-    let per_cell = Chip::build(0, cfg, &mut |_, _| fast_governor(ctrl.clone())).unwrap();
-    for (label, mut chip) in [("banked chip", banked), ("per-cell chip", per_cell)] {
-        // Warm-up: the first arbitration moves every reference off the
-        // base targets (a steady-state re-solve); from then on the uniform
-        // grant repeats bit for bit.
-        for _ in 0..20 {
-            chip.step_epoch();
-        }
-        assert_alloc_free(label, || {
-            for _ in 0..100 {
+    // Under a throttling cap the proportional arbiter hands every core a
+    // new grant each epoch, so retarget re-solves the steady state on
+    // every core; the shared LLC moves the plants' miss penalties too.
+    let contended = FleetConfig::new(16)
+        .policy(ArbitrationPolicy::Proportional)
+        .power_cap(12.8)
+        .llc_contention(LlcConfig::for_cores(16).total_ways(64))
+        .epochs(400)
+        .seed(5);
+    for (name, cfg) in [("uniform", uniform), ("contended", contended)] {
+        let banked = Chip::build_banked(0, cfg.clone(), &ctrl).unwrap();
+        let per_cell = Chip::build(0, cfg, &mut |_, _| fast_governor(ctrl.clone())).unwrap();
+        for (path, mut chip) in [("banked", banked), ("per-cell", per_cell)] {
+            let label = format!("{name} {path} chip");
+            // Warm-up: the first arbitration moves every reference off the
+            // base targets; from then on the uniform grant repeats bit for
+            // bit, and the contended grants keep moving.
+            for _ in 0..20 {
                 chip.step_epoch();
             }
-        });
-        let (stats, _) = chip.into_results();
-        assert_eq!(stats.quarantined_cores, 0, "{label}");
+            assert_alloc_free(&label, || {
+                for _ in 0..100 {
+                    chip.step_epoch();
+                }
+            });
+            let (stats, _) = chip.into_results();
+            assert_eq!(stats.quarantined_cores, 0, "{label}");
+            if name == "contended" {
+                assert!(stats.throttle_events > 0, "{label}: the cap never bit");
+            }
+        }
     }
 }

@@ -169,14 +169,67 @@ impl LuDecomposition {
         Ok(x)
     }
 
+    /// Row permutation of the factorization: `perm()[i]` is the row of the
+    /// original matrix (and of a right-hand side) that sits in row `i`.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// Solves `A * x = b` in place for one right-hand side that is already
+    /// in pivot order (`x[i] = b[perm()[i]]` on entry, the solution on
+    /// exit).
+    ///
+    /// Runs exactly the forward and backward loops of
+    /// [`LuDecomposition::solve`] for a single column, zero-multiplier
+    /// skips included, so the result is bit-identical to `solve`'s and no
+    /// memory is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn substitute_in_place(&self, x: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(x.len(), n, "substitute_in_place: length mismatch");
+        // Forward substitution (L has implicit unit diagonal).
+        for k in 0..n {
+            let v = x[k];
+            for (i, xi) in x.iter_mut().enumerate().skip(k + 1) {
+                let l = self.lu[(i, k)];
+                if l != 0.0 {
+                    *xi -= l * v;
+                }
+            }
+        }
+        // Backward substitution.
+        for k in (0..n).rev() {
+            x[k] /= self.lu[(k, k)];
+            let v = x[k];
+            for (i, xi) in x[..k].iter_mut().enumerate() {
+                let u = self.lu[(i, k)];
+                if u != 0.0 {
+                    *xi -= u * v;
+                }
+            }
+        }
+    }
+
     /// Solves `A * x = b` for a vector right-hand side.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_vec(&self, b: &Vector) -> Result<Vector> {
-        let x = self.solve(&b.to_col_matrix())?;
-        Ok(Vector::from(x))
+        let n = self.dim();
+        if b.len() != n {
+            return Err(LinalgError::ShapeMismatch {
+                op: "lu_solve",
+                lhs: (n, n),
+                rhs: (b.len(), 1),
+            });
+        }
+        let mut x: Vector = self.perm.iter().map(|&p| b[p]).collect();
+        self.substitute_in_place(x.as_mut_slice());
+        Ok(x)
     }
 
     /// Computes the inverse of the original matrix.
@@ -321,6 +374,46 @@ mod tests {
         let x = a.solve(&b).unwrap();
         assert!((x[(0, 0)] - 3.0).abs() < 1e-14);
         assert!((x[(1, 0)] - 2.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn substitute_in_place_matches_solve_bit_for_bit() {
+        // A zero leading entry forces a row swap, and the zeros below the
+        // pivots give zero multipliers in L and zero entries in U, so both
+        // skip branches run. An infinite entry makes a skip observable:
+        // without it, `0 · ∞` would turn its neighbours into NaN.
+        let a = Matrix::from_rows(&[
+            &[0.0, 2.0, 0.0, 1.0],
+            &[3.0, 0.0, 0.0, 0.5],
+            &[0.0, 0.0, 4.0, 0.0],
+            &[1.5, 1.0, 0.0, 7.0],
+        ]);
+        let lu = LuDecomposition::new(&a).unwrap();
+        assert_ne!(lu.perm(), [0, 1, 2, 3], "the design must pivot");
+        for b in [
+            [1.0, -2.0, 3.5, 0.25],
+            [0.0, 0.0, 1e-310, -0.0],
+            [1e300, -1e300, 0.1, 0.2],
+            [1.0, f64::INFINITY, 2.0, 3.0],
+        ] {
+            let want = lu.solve(&Matrix::col(&b)).unwrap();
+            let mut x: Vec<f64> = lu.perm().iter().map(|&p| b[p]).collect();
+            lu.substitute_in_place(&mut x);
+            let via_vec = lu.solve_vec(&Vector::from_slice(&b)).unwrap();
+            for i in 0..4 {
+                assert_eq!(x[i].to_bits(), want[(i, 0)].to_bits(), "row {i} of {b:?}");
+                assert_eq!(via_vec[i].to_bits(), want[(i, 0)].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn solve_vec_shape_mismatch() {
+        let lu = LuDecomposition::new(&Matrix::identity(2)).unwrap();
+        assert!(matches!(
+            lu.solve_vec(&Vector::zeros(3)),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
