@@ -17,8 +17,11 @@ use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
 use mimo_core::optimizer::{Metric, Optimizer, MAX_TRIES};
 use mimo_exp::setup;
 use mimo_linalg::{eigen, Matrix, Vector};
+use mimo_sim::noise::NormalSampler;
 use mimo_sim::{InputSet, Plant, ProcessorBuilder};
 use mimo_sysid::arx::{ArxModel, ArxOrders};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bench_linalg(c: &mut Criterion) {
     let a = Matrix::from_fn(8, 8, |i, j| {
@@ -169,6 +172,12 @@ fn bench_sim_epoch(c: &mut Criterion) {
             cpu.apply_into(black_box(&moving[next]), &mut out).unwrap();
             black_box(out[0])
         })
+    });
+    // One plant noise draw, averaged over both halves of a Box–Muller pair.
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut normal = NormalSampler::new();
+    c.bench_function("sim/standard_normal", |b| {
+        b.iter(|| black_box(normal.sample(&mut rng)))
     });
 }
 

@@ -45,6 +45,7 @@ pub mod config;
 pub mod corem;
 pub mod fault;
 pub mod llc;
+pub mod noise;
 pub mod power;
 pub mod processor;
 pub mod workload;

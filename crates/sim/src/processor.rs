@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use crate::cache::CacheState;
 use crate::config::{InputSet, PlantConfig};
 use crate::corem::CpiTerms;
+use crate::noise::NormalSampler;
 use crate::power::{self, ConfigPower, TransitionCost};
 use crate::workload::{lookup_shared, AppProfile, Phase};
 use crate::{Result, SimError, EPOCH_US};
@@ -288,6 +289,8 @@ pub struct Processor {
     config: PlantConfig,
     cache: CacheState,
     rng: StdRng,
+    /// Normal draws from `rng`, holding the spare of the last transform.
+    normal: NormalSampler,
     /// Index into the (cyclic) phase sequence.
     phase_idx: usize,
     /// Epochs remaining in the current (jittered) phase.
@@ -330,6 +333,7 @@ impl Processor {
             config,
             cache: CacheState::new(config.l2_ways),
             rng,
+            normal: NormalSampler::new(),
             phase_idx,
             phase_left,
             eff: first,
@@ -443,7 +447,7 @@ impl Processor {
         // --- Performance -----------------------------------------------
         // Miss-traffic jitter: log-normal-ish program noise plus rare
         // interrupt spikes.
-        let z: f64 = standard_normal(&mut self.rng);
+        let z = self.normal.sample(&mut self.rng);
         let mut jitter = (self.builder.process_noise * z).exp();
         if self.rng.gen::<f64>() < 0.01 {
             jitter *= 1.5; // interrupt / page-fault burst
@@ -483,9 +487,10 @@ impl Processor {
         self.totals.epochs += 1;
 
         // --- Sensors -------------------------------------------------------
-        let ips_meas = true_ips * (1.0 + self.builder.ips_noise * standard_normal(&mut self.rng));
+        let ips_meas =
+            true_ips * (1.0 + self.builder.ips_noise * self.normal.sample(&mut self.rng));
         let power_meas =
-            true_power * (1.0 + self.builder.power_noise * standard_normal(&mut self.rng));
+            true_power * (1.0 + self.builder.power_noise * self.normal.sample(&mut self.rng));
 
         let obs = Observation {
             ips_bips: ips_meas.max(0.0),
@@ -595,13 +600,6 @@ impl Plant for Processor {
     fn reset(&mut self) {
         *self = Processor::from_parts(self.builder.clone(), self.profile);
     }
-}
-
-/// Box–Muller standard normal draw.
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Jitters a nominal phase duration by ±15%.

@@ -13,6 +13,7 @@
 use mimo_linalg::Vector;
 use mimo_sim::cache::{CacheState, L2_LATENCY_CYCLES, MEM_LATENCY_NS};
 use mimo_sim::corem::{BRANCH_PENALTY_CYCLES, ISSUE_WIDTH};
+use mimo_sim::noise::NormalSampler;
 use mimo_sim::power::{transition_cost, DVFS_TABLE};
 use mimo_sim::processor::RunTotals;
 use mimo_sim::workload::{catalog, lookup, AppProfile, Phase};
@@ -29,6 +30,7 @@ struct Oracle {
     config: PlantConfig,
     cache: CacheState,
     rng: StdRng,
+    normal: NormalSampler,
     phase_idx: usize,
     phase_left: usize,
     eff: Phase,
@@ -54,6 +56,7 @@ impl Oracle {
             config,
             cache: CacheState::new(config.l2_ways),
             rng,
+            normal: NormalSampler::new(),
             phase_idx: 0,
             phase_left,
             eff: first,
@@ -92,7 +95,7 @@ impl Oracle {
         self.eff = lerp_phase(&self.eff, &target_phase, 0.12);
         self.cache.tick();
 
-        let z: f64 = standard_normal(&mut self.rng);
+        let z = self.normal.sample(&mut self.rng);
         let mut jitter = (PROCESS_NOISE * z).exp();
         if self.rng.gen::<f64>() < 0.01 {
             jitter *= 1.5;
@@ -115,8 +118,8 @@ impl Oracle {
         self.totals.time_s += EPOCH_US * 1e-6;
         self.totals.epochs += 1;
 
-        let ips_meas = true_ips * (1.0 + IPS_NOISE * standard_normal(&mut self.rng));
-        let power_meas = true_power * (1.0 + POWER_NOISE * standard_normal(&mut self.rng));
+        let ips_meas = true_ips * (1.0 + IPS_NOISE * self.normal.sample(&mut self.rng));
+        let power_meas = true_power * (1.0 + POWER_NOISE * self.normal.sample(&mut self.rng));
         Observation {
             ips_bips: ips_meas.max(0.0),
             power_w: power_meas.max(0.0),
@@ -181,12 +184,6 @@ fn leakage_power(config: &PlantConfig) -> f64 {
         + 0.10 * config.l2_ways as f64 / 8.0
         + 0.12 * config.rob_entries as f64 / 128.0;
     p * v
-}
-
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 fn jittered_duration(nominal: usize, rng: &mut StdRng) -> usize {
