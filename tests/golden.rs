@@ -1,9 +1,12 @@
 //! Bit-exactness pins for the epoch-engine refactor.
 //!
-//! These values were captured from the pre-engine runners (PR 1) and must
-//! never drift: the `EpochLoop` engine, the in-place linalg kernels, and
-//! the scratch-workspace LQG step are all required to reproduce the exact
-//! f64 bit patterns of the original per-runner loops for the same seeds.
+//! These values must never drift: the `EpochLoop` engine, the in-place
+//! linalg kernels, and the scratch-workspace LQG step are all required to
+//! reproduce the exact f64 bit patterns of the original per-runner loops
+//! for the same seeds. They were re-pinned exactly once, deliberately,
+//! when the plant's normal sampler (`mimo_sim::noise::NormalSampler`)
+//! began handing out both outputs of each Box–Muller transform, which
+//! changes every noisy plant's random stream.
 
 use std::sync::OnceLock;
 
@@ -42,8 +45,8 @@ fn golden_tracking_fixed() {
     let mut plant = setup::plant("namd", InputSet::FreqCache, 41);
     let targets = Vector::from_slice(&[2.5, 2.0]);
     let s = run_tracking(&mut gov, &mut plant, &targets, 600, false);
-    assert_eq!(bits(&s.avg_err_pct), 0xe1c21b607c8bacf0);
-    assert_eq!(bits(s.final_outputs.as_slice()), 0xaa7f0b05608dddd0);
+    assert_eq!(bits(&s.avg_err_pct), 0x5dd6225e861d008f);
+    assert_eq!(bits(s.final_outputs.as_slice()), 0xcbadd2326866848f);
     assert_eq!(s.steady_epoch, vec![Some(0), Some(0)]);
 }
 
@@ -53,11 +56,11 @@ fn golden_tracking_mimo() {
     let mut plant = setup::plant("astar", InputSet::FreqCache, 7);
     let targets = Vector::from_slice(&[3.0, 1.9]);
     let s = run_tracking(&mut gov, &mut plant, &targets, 1500, true);
-    assert_eq!(bits(&s.avg_err_pct), 0xdbdb7811defd8872);
-    assert_eq!(bits(s.final_outputs.as_slice()), 0xa8c96a625a46b411);
+    assert_eq!(bits(&s.avg_err_pct), 0x7f65bb24337ff8fb);
+    assert_eq!(bits(s.final_outputs.as_slice()), 0xb05a3f3fb9a80a4e);
     let trace = s.trace.expect("trace kept");
     let flat: Vec<f64> = trace.iter().flat_map(|v| v.iter().copied()).collect();
-    assert_eq!(bits(&flat), 0x3dc97648fabb448f);
+    assert_eq!(bits(&flat), 0x647856844b5ce191);
 }
 
 #[test]
@@ -80,14 +83,14 @@ fn golden_schedule_mimo() {
     ];
     let t = run_schedule(&mut gov, &mut plant, &schedule, 450);
     let flat: Vec<f64> = t.outputs.iter().flat_map(|v| v.iter().copied()).collect();
-    assert_eq!(bits(&flat), 0x356ec10591042ad2);
+    assert_eq!(bits(&flat), 0xa70f68e76da3675f);
     let refs: Vec<f64> = t
         .references
         .iter()
         .flat_map(|v| v.iter().copied())
         .collect();
     assert_eq!(bits(&refs), 0x2e8b484c5f4b5c1d);
-    assert_eq!(t.ips_tracking_error_pct().to_bits(), 0x402bfc60260052cb);
+    assert_eq!(t.ips_tracking_error_pct().to_bits(), 0x403638a0e1f13564);
 }
 
 #[test]
@@ -97,7 +100,7 @@ fn golden_optimization_mimo() {
     let s = run_optimization(&mut gov, &mut plant, Metric::EnergyDelay, 0.05);
     assert_eq!(
         bits(&[s.ed_product, s.energy_j, s.time_s, s.instructions_g]),
-        0xaf7fe5b59bf687fd
+        0x4078bcc7ba4c8e2e
     );
 }
 
@@ -108,7 +111,7 @@ fn golden_self_directed_fixed() {
     let s = run_self_directed(&mut gov, &mut plant, Metric::Energy, 0.02);
     assert_eq!(
         bits(&[s.ed_product, s.energy_j, s.time_s, s.instructions_g]),
-        0x911244ad30158b87
+        0xd570defd97a9260e
     );
 }
 
@@ -122,13 +125,13 @@ fn golden_fleet_digest() {
         .unwrap()
         .run()
         .unwrap();
-    assert_eq!(stats.digest(), 0x19add60c38adeb17);
+    assert_eq!(stats.digest(), 0x08b921dbb1156f3f);
     let per_core: Vec<f64> = stats
         .per_core
         .iter()
         .flat_map(|c| [c.avg_ips_err_pct, c.avg_power_err_pct, c.energy_j])
         .collect();
-    assert_eq!(bits(&per_core), 0x12d0dc98e60d37d6);
+    assert_eq!(bits(&per_core), 0x3f4b70742b4f24c1);
 }
 
 #[test]
@@ -149,11 +152,11 @@ fn golden_one_chip_cluster_reproduces_the_fleet_digest() {
         .run()
         .unwrap();
     assert_eq!(stats.n_chips, 1);
-    assert_eq!(stats.per_chip[0].digest(), 0x19add60c38adeb17);
+    assert_eq!(stats.per_chip[0].digest(), 0x08b921dbb1156f3f);
     let per_core: Vec<f64> = stats.per_chip[0]
         .per_core
         .iter()
         .flat_map(|c| [c.avg_ips_err_pct, c.avg_power_err_pct, c.energy_j])
         .collect();
-    assert_eq!(bits(&per_core), 0x12d0dc98e60d37d6);
+    assert_eq!(bits(&per_core), 0x3f4b70742b4f24c1);
 }
