@@ -8,7 +8,9 @@
 //! fresh actuations, off-grid values, both input sets, LLC-penalty
 //! changes, direct `step_config` calls, rejected actuations and resets —
 //! on short-phase `gcc` half the time, so phase boundaries occur — must
-//! leave every `Observation` and `RunTotals` identical bit for bit.
+//! leave every `Observation` and `RunTotals` identical bit for bit. The
+//! oracle draws its noise from the plant's own `NormalSampler`: this test
+//! checks the caching, and `normal_sampler.rs` checks the sampler.
 
 use mimo_linalg::Vector;
 use mimo_sim::cache::{CacheState, L2_LATENCY_CYCLES, MEM_LATENCY_NS};
