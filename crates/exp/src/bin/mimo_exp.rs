@@ -10,7 +10,7 @@
 //! mimo-exp run <spec.toml> [FLAGS]     execute a scenario spec
 //! mimo-exp validate <path>...          check specs without running them
 //! mimo-exp schema                      print the spec key reference
-//! mimo-exp [SUBCOMMAND] [FLAGS]        alias / suite / bench
+//! mimo-exp [SUBCOMMAND] [FLAGS]        alias / suite
 //! ```
 //!
 //! With no subcommand the full suite runs. Grid cells fan out across
@@ -54,13 +54,8 @@ SUBCOMMANDS:
     cluster-fault  spec-only scenario: mid-run chip fault on a cluster
     cluster-bank  spec-only scenario: banked cluster with a mid-run bank
                  eviction, pinned to the per-cell digest
-    bench        time the LQG step and a 16-core fleet sweep on the
-                 dynamic and static storage paths, plus banked vs
-                 per-cell fleet/cluster stepping (64×64 cluster); writes
-                 BENCH_controller.json and BENCH_fleet.json to the
-                 results directory
 
-    Every non-bench subcommand is an alias for `run` on the embedded copy
+    Every subcommand but `all` is an alias for `run` on the embedded copy
     of the matching specs/<name>.toml file.
 
 FLAGS:
@@ -94,7 +89,7 @@ struct Cli {
 }
 
 /// Subcommands that resolve to an embedded spec, i.e. everything except
-/// `run`/`validate`/`schema`/`all`/`bench`.
+/// `run`/`validate`/`schema`/`all`.
 fn is_alias(cmd: &str) -> bool {
     spec::embedded::by_alias(cmd).is_some()
 }
@@ -159,7 +154,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             extra => return Err(format!("unexpected argument {extra:?}")),
         }
     }
-    let known = ["all", "run", "validate", "schema", "bench"];
+    let known = ["all", "run", "validate", "schema"];
     if !known.contains(&cli.command.as_str()) && !is_alias(&cli.command) {
         return Err(format!("unknown subcommand {:?}", cli.command));
     }
@@ -242,10 +237,6 @@ fn main() -> ExitCode {
     let start = Instant::now();
     let failures = match cli.command.as_str() {
         "all" => run_all(&cfg, cli.epochs),
-        "bench" => {
-            let r = cfg.timing.subcommand("bench", || run_bench(&cfg));
-            collect_failure("bench", r)
-        }
         "run" => {
             let path = PathBuf::from(&cli.paths[0]);
             match spec::load(&path) {
@@ -412,48 +403,4 @@ fn run_all(cfg: &ExpConfig, epochs: Option<usize>) -> Vec<(String, String)> {
     }
     println!("done; CSVs in {}", cfg.results.path().display());
     failures
-}
-
-fn run_bench(cfg: &ExpConfig) -> Result<(), String> {
-    let b = mimo_exp::bench::run()?;
-    println!(
-        "lqg step: {:.0} ns dynamic, {:.0} ns static ({:.2}x)",
-        b.lqg_step_dynamic_ns,
-        b.lqg_step_static_ns,
-        b.step_speedup()
-    );
-    println!(
-        "fleet 16c/50e: {:.2} ms dynamic, {:.2} ms static ({:.2}x)",
-        b.fleet_epoch_dynamic_ms,
-        b.fleet_epoch_static_ms,
-        b.fleet_speedup()
-    );
-    let doc = mimo_exp::bench::render_json(&b);
-    let path = cfg
-        .results
-        .write_text("BENCH_controller.json", &doc)
-        .map_err(|e| format!("write BENCH_controller.json: {e}"))?;
-    println!("wrote {}", path.display());
-
-    let f = mimo_exp::bench::run_fleet()?;
-    println!(
-        "fleet 16c/50e: {:.2} ms per-cell, {:.2} ms banked ({:.2}x), {} host cpus",
-        f.fleet_per_cell_ms,
-        f.fleet_banked_ms,
-        f.fleet_speedup(),
-        f.host_cpus
-    );
-    println!(
-        "cluster 64x64 (4096 governors): {:.0} us/epoch per-cell, {:.0} us/epoch banked ({:.2}x)",
-        f.cluster_per_cell_epoch_us,
-        f.cluster_banked_epoch_us,
-        f.cluster_speedup()
-    );
-    let doc = mimo_exp::bench::render_fleet_json(&f);
-    let path = cfg
-        .results
-        .write_text("BENCH_fleet.json", &doc)
-        .map_err(|e| format!("write BENCH_fleet.json: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
 }

@@ -3,7 +3,7 @@
 //! can print a report with CSV output.
 //!
 //! The per-figure grids — (workload, governor, configuration) cells — run
-//! on the index-ordered [`par_map`] pool: each cell
+//! on the index-ordered [`par_map`] scoped threads: each cell
 //! owns its own seeded plant, seeds are derived from the cell index with
 //! the same formulas the serial code used, and reduction/emission always
 //! walks cells in index order, so every CSV is bit-identical at any
@@ -91,9 +91,9 @@ impl ExpConfig {
         self.apps.clone().unwrap_or_else(production_names)
     }
 
-    /// Fans `items` across the configured worker pool, timing each cell
-    /// under its label; results (and timing records) come back in cell
-    /// order.
+    /// Fans `items` across up to `jobs` scoped threads ([`par_map`]),
+    /// timing each cell under its label; results (and timing records) come
+    /// back in cell order.
     fn grid<T, R, F>(&self, labels: &[String], items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,

@@ -2,10 +2,9 @@
 //!
 //! The paper's evaluation is an embarrassingly parallel grid — workload ×
 //! governor × configuration cells, each owning its own seeded plant — so
-//! the harness fans cells across the shared persistent worker pool
-//! ([`mimo_fleet::pool::global`]; no external thread-pool dependency, no
-//! per-run thread spawns) and collects results **in cell-index order**.
-//! Determinism falls out of two rules:
+//! the harness fans cells across a handful of scoped threads
+//! (`std::thread::scope`, no external thread-pool dependency) and collects
+//! results **in cell-index order**. Determinism falls out of two rules:
 //!
 //! 1. every cell computes from its own index-derived seed, never from
 //!    shared mutable state, and
@@ -13,6 +12,7 @@
 //!
 //! Together they make CSVs and digests bit-identical at any job count.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable consulted when no `--jobs` flag is given.
@@ -53,28 +53,27 @@ pub fn resolve_jobs(flag: Option<usize>) -> Result<usize, String> {
     }
 }
 
-/// Applies `f` to every item on up to `jobs` shared-pool workers and
-/// returns the results **in item order**, regardless of which worker
-/// finished which cell first.
+/// Applies `f` to every item on up to `jobs` threads and returns the
+/// results **in item order**, regardless of which thread finished which
+/// cell first.
 ///
-/// `jobs <= 1` (or a grid of at most one cell) short-circuits to a plain
-/// serial map on the calling thread — same code path the workers run, no
-/// pool handoff. The pool hands out cell *indices* one at a time, so
-/// stragglers don't stall idle workers the way static chunking would —
-/// and because nested pool submissions execute inline, a cell that itself
-/// runs a fleet (or another `par_map`) cannot deadlock.
+/// The calling thread works alongside `min(jobs, cells, hardware
+/// threads) − 1` scoped threads; a bound of one thread is a plain serial
+/// map with no spawn at all. Every thread claims the next cell index from
+/// one shared counter, so stragglers don't stall idle threads the way
+/// static chunking would. Each call owns its threads, so a cell that
+/// itself calls `par_map` (or runs a sharded cluster) cannot deadlock.
 ///
 /// # Panics
 ///
-/// A panic inside `f` propagates to the caller once the batch drains.
+/// A panic inside `f` reaches the caller once every thread has joined.
 pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = jobs.max(1).min(n);
+    let workers = jobs.min(items.len()).min(default_jobs());
     if workers <= 1 {
         return items
             .into_iter()
@@ -82,28 +81,38 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    // Input cells are taken by value through per-slot mutexes; results
-    // land in index-addressed slots, so collection order is the item
-    // order no matter the completion order.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    mimo_fleet::pool::global().run_bounded(n, workers, &|i| {
-        let item = slots[i]
-            .lock()
-            .expect("cell slot poisoned")
-            .take()
-            .expect("each cell index is claimed exactly once");
-        let r = f(i, item);
-        *results[i].lock().expect("result slot poisoned") = Some(r);
+    // Cells are taken by value through per-cell mutexes; each thread
+    // returns `(index, result)` pairs, sorted back into cell order below.
+    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(cell) = cells.get(i) else {
+                return done;
+            };
+            let item = cell
+                .lock()
+                .expect("cell slot poisoned")
+                .take()
+                .expect("each cell index is claimed exactly once");
+            done.push((i, f(i, item)));
+        }
+    };
+    let mut results = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut results = work();
+        for h in helpers {
+            match h.join() {
+                Ok(r) => results.extend(r),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        results
     });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell index was visited")
-        })
-        .collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -145,15 +154,47 @@ mod tests {
     #[test]
     fn nested_par_map_cannot_deadlock() {
         // A cell that itself fans out — a spec grid whose cells run
-        // fleets, or a harness calling the harness. The shared pool runs
-        // nested submissions inline, so this must complete rather than
-        // wedge on the pool's single batch slot.
+        // fleets, or a harness calling the harness. Each call owns its
+        // scoped threads, so this must complete rather than wedge.
         let outer = par_map(4, (0..6).collect::<Vec<usize>>(), |_, x| {
             let inner = par_map(4, (0..5).collect::<Vec<usize>>(), |_, y| x * 10 + y);
             inner.iter().sum::<usize>()
         });
         let expected: Vec<usize> = (0..6).map(|x| (0..5).map(|y| x * 10 + y).sum()).collect();
         assert_eq!(outer, expected);
+    }
+
+    #[test]
+    fn concurrency_is_capped_at_jobs_and_hardware_threads() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for jobs in [1, 2, 3, 8] {
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            par_map(jobs, vec![(); 32], |_, ()| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                live.fetch_sub(1, Ordering::SeqCst);
+            });
+            let cap = jobs.min(default_jobs());
+            assert!(peak.load(Ordering::SeqCst) <= cap, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn cell_panic_reaches_the_caller_and_later_maps_still_work() {
+        // Index 5 lands on the caller or on a spawned thread depending on
+        // timing; either way the panic must surface here.
+        for jobs in [1, 4] {
+            let result = std::panic::catch_unwind(|| {
+                par_map(jobs, (0..8).collect::<Vec<usize>>(), |_, x| {
+                    assert_ne!(x, 5, "boom");
+                    x
+                })
+            });
+            assert!(result.is_err(), "jobs={jobs}");
+        }
+        assert_eq!(par_map(4, vec![1, 2, 3], |_, x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub struct ClusterConfig {
     pub n_chips: usize,
     /// Cores on every chip.
     pub cores_per_chip: usize,
-    /// Shard worker threads stepping whole chips. `0` means one per
-    /// available hardware thread, capped at `n_chips`.
+    /// Shard count: how many threads step whole chips, the calling thread
+    /// included. `0` means one per available hardware thread; any count is
+    /// capped at `n_chips`, and at run time at the hardware threads, with
+    /// surplus shards folded into fewer, larger chip chunks.
     pub shards: usize,
     /// Chip epochs each chip runs (50 µs each).
     pub epochs: usize,

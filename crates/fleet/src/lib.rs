@@ -44,8 +44,8 @@
 //!
 //! Above the chip sits the two-level hierarchy of [`ClusterRunner`]: a
 //! [`Cluster`](ClusterConfig) of [`Chip`]s, each chip keeping its own
-//! lock-step beat while whole chips are sharded across the shared
-//! [`WorkerPool`] with **no global per-epoch barrier**. A [`ClusterArbiter`] re-divides the
+//! lock-step beat while whole chips are sharded across scoped threads
+//! with **no global per-epoch barrier**. A [`ClusterArbiter`] re-divides the
 //! datacenter power cap across chips only every
 //! [`exchange_period`](ClusterConfig::exchange_period) chip epochs, from
 //! each chip's last published [`ChipSummary`] — so chips drift
@@ -53,6 +53,7 @@
 //! at any shard count, and a cluster of one chip reproduces a single-chip
 //! fleet's golden digests exactly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arbiter;
@@ -61,7 +62,6 @@ pub mod chip;
 pub mod cluster;
 pub mod config;
 pub mod error;
-pub mod pool;
 pub mod runner;
 mod shard;
 pub mod stats;
@@ -73,7 +73,6 @@ pub use chip::Chip;
 pub use cluster::{ClusterConfig, ClusterRunner};
 pub use config::{default_fleet_apps, CoreSpec, FleetConfig};
 pub use error::{FleetError, Result};
-pub use pool::WorkerPool;
 pub use runner::FleetRunner;
 pub use stats::{ChipSummary, ClusterStats, CoreStats, FleetStats};
 pub use telemetry::{ClusterTelemetry, CoreTelemetry, FleetTelemetry};

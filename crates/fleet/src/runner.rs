@@ -15,11 +15,11 @@
 //! run bit for bit.
 //!
 //! Parallelism lives one level up: the cluster runtime shards whole chips
-//! across the shared worker pool.
+//! across scoped threads.
 
 use std::time::Instant;
 
-use mimo_core::governor::{Governor, MimoGovernor};
+use mimo_core::governor::Governor;
 use mimo_core::lqg::LqgController;
 
 use crate::chip::Chip;
@@ -70,17 +70,6 @@ impl FleetRunner {
         let epochs = cfg.epochs;
         let chip = Chip::build_banked(0, cfg, ctrl)?;
         Ok(FleetRunner { chip, epochs })
-    }
-
-    /// Like [`FleetRunner::with_shared_controller`], but pins every core to
-    /// the dynamic heap-backed storage. Exists for benchmarking the
-    /// static-vs-dynamic gap; science results are bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetRunner::new`].
-    pub fn with_shared_controller_dynamic(cfg: FleetConfig, ctrl: &LqgController) -> Result<Self> {
-        FleetRunner::new(cfg, |_, _| Box::new(MimoGovernor::new(ctrl.clone())))
     }
 
     /// Number of cores in the fleet.
