@@ -12,7 +12,6 @@
 //!
 //! Together they make CSVs and digests bit-identical at any job count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable consulted when no `--jobs` flag is given.
@@ -59,9 +58,9 @@ pub fn resolve_jobs(flag: Option<usize>) -> Result<usize, String> {
 ///
 /// The calling thread works alongside `min(jobs, cells, hardware
 /// threads) − 1` scoped threads; a bound of one thread is a plain serial
-/// map with no spawn at all. Every thread claims the next cell index from
-/// one shared counter, so stragglers don't stall idle threads the way
-/// static chunking would. Each call owns its threads, so a cell that
+/// map with no spawn at all. Every thread claims the next cell from one
+/// shared iterator, so stragglers don't stall idle threads the way static
+/// chunking would. Each call owns its threads, so a cell that
 /// itself calls `par_map` (or runs a sharded cluster) cannot deadlock.
 ///
 /// # Panics
@@ -81,22 +80,17 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    // Cells are taken by value through per-cell mutexes; each thread
-    // returns `(index, result)` pairs, sorted back into cell order below.
-    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
+    // One shared iterator hands out `(index, item)` cells in index
+    // order; each thread returns `(index, result)` pairs, sorted back
+    // into cell order below.
+    let cells = Mutex::new(items.into_iter().enumerate());
     let work = || {
         let mut done = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(cell) = cells.get(i) else {
+            let next = cells.lock().expect("cell iterator poisoned").next();
+            let Some((i, item)) = next else {
                 return done;
             };
-            let item = cell
-                .lock()
-                .expect("cell slot poisoned")
-                .take()
-                .expect("each cell index is claimed exactly once");
             done.push((i, f(i, item)));
         }
     };
