@@ -44,7 +44,7 @@ impl Governor for PanicsAt {
 #[test]
 fn a_panicking_shard_ends_the_run_instead_of_hanging() {
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let handle = std::thread::spawn(move || {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Four chips at two shards: chips 2 and 3 form the second
             // chunk, which steps off the calling thread on any host with
@@ -71,4 +71,7 @@ fn a_panicking_shard_ends_the_run_instead_of_hanging() {
         .recv_timeout(Duration::from_secs(60))
         .expect("the cluster run hung after a shard panicked");
     assert!(panicked, "the shard's panic must reach the caller");
+    handle
+        .join()
+        .expect("the run's panic was caught on its thread");
 }
