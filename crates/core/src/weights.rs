@@ -10,8 +10,6 @@
 
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// A named set of input/output weights for a controller design.
 ///
 /// Weight sets double as **design-cache keys** (the experiment harness
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// they implement [`Eq`] and [`Hash`]. Weights are finite by construction
 /// — the design flow rejects non-finite weights before any cache lookup —
 /// which makes the derived `PartialEq` a valid equivalence relation here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightSet {
     /// Human-readable label (Table V uses Equal/Inputs/Power/Size).
     pub label: String,

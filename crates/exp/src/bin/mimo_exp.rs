@@ -297,7 +297,7 @@ fn run_alias(cfg: &ExpConfig, alias: &str, ov: &RunOverrides) -> Result<(), Stri
     spec::run_spec(cfg, &s, ov)
 }
 
-/// `mimo-exp validate <path>...`: parses, validates, and lowers every
+/// `mimo-exp validate <path>...`: loads (parses and validates) every
 /// named spec (recursing one level into directories for `*.toml`) without
 /// running anything. Prints one line per spec; any failure exits non-zero.
 fn run_validate(paths: &[String]) -> ExitCode {
@@ -328,12 +328,7 @@ fn run_validate(paths: &[String]) -> ExitCode {
     }
     let mut ok = true;
     for file in &files {
-        let outcome = spec::load(file).and_then(|s| {
-            spec::check(&s)
-                .map(|()| s)
-                .map_err(|e| spec::format_error(file, &e))
-        });
-        match outcome {
+        match spec::load(file) {
             Ok(s) => println!("{}: ok ({} {})", file.display(), s.scenario.kind(), s.name),
             Err(msg) => {
                 ok = false;

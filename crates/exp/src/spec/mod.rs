@@ -9,33 +9,33 @@
 //! [`embedded`] copies of `specs/*.toml`, so every experiment the harness
 //! can run is reproducible from a checked-in file.
 //!
-//! Pipeline: [`toml`] parses the text into the vendored serde stub's
-//! line-spanned value tree → the model layer's [`RunSpec`] extracts
-//! itself via `FromValue` (every error carries key path + line) → the
-//! lowering layer maps the scenario onto
-//! `FleetConfig`/`ClusterConfig`/epoch-loop builders → [`run_spec`]
-//! executes and checks assertions.
+//! Pipeline: [`toml`] parses the text into a line-spanned [`value`] tree
+//! → [`RunSpec`] extracts itself via `FromValue` (every error carries key
+//! path + line), reading `[fleet]`/`[cluster]` straight onto the
+//! runtime's `FleetConfig`/`ClusterConfig` and validating them there →
+//! [`run_spec`] executes and checks assertions. Parsing is validation: a
+//! spec [`load`] accepts is one the runtime accepts.
 
 pub mod embedded;
-mod lower;
 mod model;
 mod run;
 mod schema;
 pub mod toml;
+pub mod value;
 
 use std::path::Path;
 
-use serde::de::{DeError, DeResult};
+use value::{DeError, DeResult};
 
 pub use model::{
-    Asserts, ClusterSpec, CoreFault, DigestAssert, FleetSpec, GovernorKind, InvariantAssert,
-    LlcSpec, LoopSpec, OutputChannel, PaperExperiment, PhaseSpec, QuarantinedAssert, RunSpec,
-    Scenario, TrackingErrorAssert, SCHEMA_VERSION,
+    Asserts, DigestAssert, GovernorKind, InvariantAssert, LoopSpec, OutputChannel, PaperExperiment,
+    PhaseSpec, QuarantinedAssert, RunSpec, Scenario, TrackingErrorAssert, SCHEMA_VERSION,
 };
 pub use run::{run_spec, RunOverrides};
 pub use schema::SCHEMA_TEXT;
 
-/// Parses a spec from TOML text (syntax, shape, and semantic checks).
+/// Parses a spec from TOML text: syntax, shape, semantic checks, and the
+/// runtime configs' own validation.
 ///
 /// # Errors
 ///
@@ -65,22 +65,6 @@ pub fn format_error(path: &Path, e: &DeError) -> String {
         (0, false) => format!("{file}: {}: {}", e.path, e.msg),
         (_, true) => format!("{file}:{}: {}", e.line, e.msg),
         (_, false) => format!("{file}:{}: {}: {}", e.line, e.path, e.msg),
-    }
-}
-
-/// Static checks beyond parsing: lowers the scenario onto the runtime
-/// configs (running their own `validate`) without executing anything.
-/// This is what `mimo-exp validate` adds over `parse_str`.
-///
-/// # Errors
-///
-/// [`DeError`] naming the rejected key.
-pub fn check(spec: &RunSpec) -> DeResult<()> {
-    match &spec.scenario {
-        Scenario::Paper(_) => Ok(()),
-        Scenario::Loop(l) => l.check_app(),
-        Scenario::Fleet(f) => f.lower(None).map(drop),
-        Scenario::Cluster(c) => c.lower(None, None).map(drop),
     }
 }
 

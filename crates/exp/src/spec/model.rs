@@ -1,17 +1,22 @@
 //! The typed scenario model: [`RunSpec`] and everything under it.
 //!
-//! A spec file deserializes into this tree via [`FromValue`] (the vendored
-//! serde stub's working counterpart of `Deserialize`); every extraction
-//! error carries the dotted key path and source line, which `mimo-exp run`
-//! prefixes with the file name. Semantic checks that need more than one
-//! key (phase ordering, assertion/kind compatibility, bounds) live in
-//! [`RunSpec::validate`] so parse errors and validation errors read the
-//! same way.
+//! A spec file extracts itself into this tree via [`FromValue`]; every
+//! extraction error carries the dotted key path and source line, which
+//! `mimo-exp run` prefixes with the file name. `[fleet]` and `[cluster]`
+//! read straight onto the runtime's own [`FleetConfig`] and
+//! [`ClusterConfig`], whose `validate` runs at parse time and reports at
+//! the section's line, and `[loop]` builds its plant to check the
+//! app name, so a spec that parses is a spec the runtime accepts. Semantic
+//! checks that need more than one key (phase ordering, assertion/kind
+//! compatibility, bounds) live in [`RunSpec::validate`] so parse errors
+//! and validation errors read the same way.
 
-use mimo_fleet::ArbitrationPolicy;
+use mimo_fleet::{ArbitrationPolicy, ClusterConfig, FleetConfig};
 use mimo_sim::fault::{FaultKind, FaultSpec};
+use mimo_sim::llc::LlcConfig;
 use mimo_sim::InputSet;
-use serde::de::{join, DeError, DeResult, FromValue, Spanned, Table, Value};
+
+use super::value::{join, DeError, DeResult, FromValue, Spanned, Table, Value};
 
 /// Current spec schema version; bump on incompatible format changes.
 pub const SCHEMA_VERSION: i64 = 1;
@@ -37,9 +42,9 @@ pub enum Scenario {
     /// piecewise-constant reference schedule.
     Loop(LoopSpec),
     /// `kind = "fleet"`: one chip, N cores under a shared power arbiter.
-    Fleet(FleetSpec),
+    Fleet(FleetConfig),
     /// `kind = "cluster"`: chips × cores under a cluster-level arbiter.
-    Cluster(ClusterSpec),
+    Cluster(ClusterConfig),
 }
 
 impl Scenario {
@@ -172,92 +177,6 @@ pub enum GovernorKind {
     Decoupled,
 }
 
-/// `kind = "fleet"`: one chip under a shared power arbiter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSpec {
-    /// Cores on the chip.
-    pub cores: usize,
-    /// Epochs to run (`--epochs` overrides).
-    pub epochs: usize,
-    /// Base RNG seed (default 2016).
-    pub seed: u64,
-    /// Chip power cap, watts (default: the nominal 1.2 W/core budget).
-    pub power_cap: Option<f64>,
-    /// Arbitration policy (default: the runtime's default).
-    pub policy: Option<ArbitrationPolicy>,
-    /// Actuator set (default `freq_cache`).
-    pub input_set: InputSet,
-    /// Workload mix, assigned round-robin (default: the built-in mix).
-    pub apps: Vec<String>,
-    /// Per-core `[ips, power]` targets (default: the runtime's default).
-    pub targets: Option<[f64; 2]>,
-    /// Random transient-fault rate per core-epoch (default 0).
-    pub fault_rate: f64,
-    /// Scheduled fault plan.
-    pub faults: Vec<CoreFault>,
-    /// Shared-LLC contention model (default: off).
-    pub llc: Option<LlcSpec>,
-    /// Structure-of-arrays governor banks (default true; results are
-    /// identical either way — `banked = false` forces the per-cell path).
-    pub banked: bool,
-}
-
-/// `kind = "cluster"`: chips × cores under a cluster arbiter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSpec {
-    /// Chips in the cluster.
-    pub chips: usize,
-    /// Cores per chip.
-    pub cores_per_chip: usize,
-    /// Shard threads stepping chips (default 1; results are identical at
-    /// any value, `--shards` overrides).
-    pub shards: usize,
-    /// Epochs to run (`--epochs` overrides).
-    pub epochs: usize,
-    /// Base RNG seed (default 2016).
-    pub seed: u64,
-    /// Cluster power cap, watts (default: the nominal budget).
-    pub power_cap: Option<f64>,
-    /// Per-chip arbitration policy (default: the runtime's default).
-    pub policy: Option<ArbitrationPolicy>,
-    /// Actuator set (default `freq_cache`).
-    pub input_set: InputSet,
-    /// Workload mix, assigned round-robin per chip (default: built-in).
-    pub apps: Vec<String>,
-    /// Per-core `[ips, power]` targets (default: the runtime's default).
-    pub targets: Option<[f64; 2]>,
-    /// Random transient-fault rate per core-epoch (default 0).
-    pub fault_rate: f64,
-    /// Scheduled fault plan (`chip` key required).
-    pub faults: Vec<CoreFault>,
-    /// Per-chip shared-LLC contention model (default: off).
-    pub llc: Option<LlcSpec>,
-    /// Structure-of-arrays governor banks on every chip (default true;
-    /// results are identical either way).
-    pub banked: bool,
-}
-
-/// One scheduled fault: which core (and chip, for clusters), what kind,
-/// and when.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoreFault {
-    /// Chip index (cluster kind only; fleet faults leave it 0).
-    pub chip: usize,
-    /// Core index within the chip.
-    pub core: usize,
-    /// The injected fault window.
-    pub spec: FaultSpec,
-}
-
-/// Shared-LLC contention knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LlcSpec {
-    /// Total cache ways shared by the chip's cores.
-    pub total_ways: usize,
-    /// Miss-penalty sensitivity (default: the model's default).
-    pub sensitivity: Option<f64>,
-}
-
 // ---------------------------------------------------------------------------
 // Assertions
 // ---------------------------------------------------------------------------
@@ -368,9 +287,9 @@ fn parse_keyword<T: Copy>(v: &Spanned, path: &str, what: &str, opts: &[(&str, T)
         })
 }
 
-fn input_set(t: &Table, path: &str) -> DeResult<InputSet> {
+fn input_set(t: &Table, path: &str) -> DeResult<Option<InputSet>> {
     match t.get("input_set") {
-        None => Ok(InputSet::FreqCache),
+        None => Ok(None),
         Some(v) => parse_keyword(
             v,
             &join(path, "input_set"),
@@ -379,7 +298,8 @@ fn input_set(t: &Table, path: &str) -> DeResult<InputSet> {
                 ("freq_cache", InputSet::FreqCache),
                 ("freq_cache_rob", InputSet::FreqCacheRob),
             ],
-        ),
+        )
+        .map(Some),
     }
 }
 
@@ -428,20 +348,22 @@ impl FromValue for PhaseSpec {
     }
 }
 
-impl FromValue for LlcSpec {
-    fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
-        let t = table(v, path)?;
-        t.deny_unknown(&["total_ways", "sensitivity"], path)?;
-        Ok(LlcSpec {
-            total_ways: t.field("total_ways", path, v.line)?,
-            sensitivity: t.field_opt("sensitivity", path)?,
-        })
+/// Parses a `[….llc]` table into the contention model of a chip with
+/// `cores` cores.
+fn llc(v: &Spanned, path: &str, cores: usize) -> DeResult<LlcConfig> {
+    let t = table(v, path)?;
+    t.deny_unknown(&["total_ways", "sensitivity"], path)?;
+    let mut llc = LlcConfig::for_cores(cores).total_ways(t.field("total_ways", path, v.line)?);
+    if let Some(s) = t.field_opt("sensitivity", path)? {
+        llc = llc.sensitivity(s);
     }
+    Ok(llc)
 }
 
-/// Parses one `[[…faults]]` entry; `in_cluster` decides whether the
-/// `chip` key is required or forbidden.
-fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<CoreFault> {
+/// Parses one `[[…faults]]` entry into `(chip, core, window)`;
+/// `in_cluster` decides whether the `chip` key is required or forbidden
+/// (fleet faults read chip 0).
+fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<(usize, usize, FaultSpec)> {
     let t = table(v, path)?;
     t.deny_unknown(
         &[
@@ -521,18 +443,22 @@ fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<CoreFault> 
             ))
         }
     };
-    Ok(CoreFault {
+    Ok((
         chip,
-        core: t.field("core", path, v.line)?,
-        spec: FaultSpec {
+        t.field("core", path, v.line)?,
+        FaultSpec {
             kind,
             start_epoch: t.field("start", path, v.line)?,
             duration: t.field_or("duration", path, u64::MAX)?,
         },
-    })
+    ))
 }
 
-fn core_faults(t: &Table, path: &str, in_cluster: bool) -> DeResult<Vec<CoreFault>> {
+fn core_faults(
+    t: &Table,
+    path: &str,
+    in_cluster: bool,
+) -> DeResult<Vec<(usize, usize, FaultSpec)>> {
     match t.get("faults") {
         None => Ok(Vec::new()),
         Some(v) => match &v.value {
@@ -571,93 +497,119 @@ impl FromValue for LoopSpec {
                 ],
             )?,
         };
-        Ok(LoopSpec {
+        let spec = LoopSpec {
             app: t.field("app", path, v.line)?,
-            input_set: input_set(t, path)?,
+            input_set: input_set(t, path)?.unwrap_or(InputSet::FreqCache),
             governor,
             seed: t.field_or("seed", path, 2016)?,
             epochs: t.field("epochs", path, v.line)?,
             phases: t.field("phases", path, v.line)?,
-        })
+        };
+        // The loop kind bypasses `FleetConfig`, which would otherwise
+        // check the app name against the catalog.
+        crate::setup::try_plant(&spec.app, spec.input_set, spec.seed).map_err(|e| {
+            let line = t.get("app").map_or(v.line, |node| node.line);
+            DeError::at(join(path, "app"), line, e.to_string())
+        })?;
+        Ok(spec)
     }
 }
 
-impl FromValue for FleetSpec {
-    fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
-        let t = table(v, path)?;
-        t.deny_unknown(
-            &[
-                "cores",
-                "epochs",
-                "seed",
-                "power_cap",
-                "policy",
-                "input_set",
-                "apps",
-                "targets",
-                "fault_rate",
-                "faults",
-                "llc",
-                "banked",
-            ],
-            path,
-        )?;
-        Ok(FleetSpec {
-            cores: t.field("cores", path, v.line)?,
-            epochs: t.field("epochs", path, v.line)?,
-            seed: t.field_or("seed", path, 2016)?,
-            power_cap: t.field_opt("power_cap", path)?,
-            policy: policy(t, path)?,
-            input_set: input_set(t, path)?,
-            apps: t.field_or("apps", path, Vec::new())?,
-            targets: targets(t, path)?,
-            fault_rate: t.field_or("fault_rate", path, 0.0)?,
-            faults: core_faults(t, path, false)?,
-            llc: t.field_opt("llc", path)?,
-            banked: t.field_or("banked", path, true)?,
-        })
-    }
+/// Reads the keys `[fleet]` and `[cluster]` share onto either runtime
+/// config (both builders name these knobs alike). `epochs` is required,
+/// `seed` defaults to 2016 and `banked` to true; any other absent key
+/// leaves the runtime default. `$cores` sizes the LLC model: the cores on
+/// one chip.
+macro_rules! shared_keys {
+    ($cfg:ident, $t:expr, $path:expr, $line:expr, $cores:expr) => {
+        $cfg = $cfg
+            .epochs($t.field("epochs", $path, $line)?)
+            .seed($t.field_or("seed", $path, 2016)?)
+            .banked($t.field_or("banked", $path, true)?);
+        if let Some(watts) = $t.field_opt("power_cap", $path)? {
+            $cfg = $cfg.power_cap(watts);
+        }
+        if let Some(set) = input_set($t, $path)? {
+            $cfg = $cfg.input_set(set);
+        }
+        if let Some(apps) = $t.field_opt::<Vec<String>>("apps", $path)? {
+            $cfg = $cfg.apps(apps);
+        }
+        if let Some(pair) = targets($t, $path)? {
+            $cfg = $cfg.base_targets(pair);
+        }
+        if let Some(rate) = $t.field_opt("fault_rate", $path)? {
+            $cfg = $cfg.fault_rate(rate);
+        }
+        if let Some(node) = $t.get("llc") {
+            $cfg = $cfg.llc_contention(llc(node, &join($path, "llc"), $cores)?);
+        }
+    };
 }
 
-impl FromValue for ClusterSpec {
-    fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
-        let t = table(v, path)?;
-        t.deny_unknown(
-            &[
-                "chips",
-                "cores_per_chip",
-                "shards",
-                "epochs",
-                "seed",
-                "power_cap",
-                "policy",
-                "input_set",
-                "apps",
-                "targets",
-                "fault_rate",
-                "faults",
-                "llc",
-                "banked",
-            ],
-            path,
-        )?;
-        Ok(ClusterSpec {
-            chips: t.field("chips", path, v.line)?,
-            cores_per_chip: t.field("cores_per_chip", path, v.line)?,
-            shards: t.field_or("shards", path, 1)?,
-            epochs: t.field("epochs", path, v.line)?,
-            seed: t.field_or("seed", path, 2016)?,
-            power_cap: t.field_opt("power_cap", path)?,
-            policy: policy(t, path)?,
-            input_set: input_set(t, path)?,
-            apps: t.field_or("apps", path, Vec::new())?,
-            targets: targets(t, path)?,
-            fault_rate: t.field_or("fault_rate", path, 0.0)?,
-            faults: core_faults(t, path, true)?,
-            llc: t.field_opt("llc", path)?,
-            banked: t.field_or("banked", path, true)?,
-        })
+/// The keys `[fleet]` and `[cluster]` share, after their topology keys.
+const SHARED_KEYS: [&str; 11] = [
+    "epochs",
+    "seed",
+    "power_cap",
+    "policy",
+    "input_set",
+    "apps",
+    "targets",
+    "fault_rate",
+    "faults",
+    "llc",
+    "banked",
+];
+
+/// Reads `[fleet]` onto [`FleetConfig::new`] and runs the config's own
+/// `validate`, reporting a rejection at the section's line.
+fn fleet(v: &Spanned) -> DeResult<FleetConfig> {
+    let path = "fleet";
+    let t = table(v, path)?;
+    t.deny_unknown(&[&["cores"][..], &SHARED_KEYS].concat(), path)?;
+    let cores = t.field("cores", path, v.line)?;
+    let mut cfg = FleetConfig::new(cores);
+    shared_keys!(cfg, t, path, v.line, cores);
+    if let Some(p) = policy(t, path)? {
+        cfg = cfg.policy(p);
     }
+    for (_, core, window) in core_faults(t, path, false)? {
+        cfg = cfg.core_fault(core, window);
+    }
+    cfg.validate()
+        .map_err(|e| DeError::at(path, v.line, e.to_string()))?;
+    Ok(cfg)
+}
+
+/// Reads `[cluster]` onto [`ClusterConfig::new`]; `policy` sets each
+/// chip's arbiter and `shards` defaults to 1 (0, the runtime's "auto", is
+/// rejected). Validation as for [`fleet`].
+fn cluster(v: &Spanned) -> DeResult<ClusterConfig> {
+    let path = "cluster";
+    let t = table(v, path)?;
+    t.deny_unknown(
+        &[&["chips", "cores_per_chip", "shards"][..], &SHARED_KEYS].concat(),
+        path,
+    )?;
+    let chips = t.field("chips", path, v.line)?;
+    let cores_per_chip = t.field("cores_per_chip", path, v.line)?;
+    let shards = t.field_or("shards", path, 1)?;
+    if shards == 0 {
+        let line = t.get("shards").map_or(v.line, |node| node.line);
+        return Err(DeError::at("cluster.shards", line, "must be at least 1"));
+    }
+    let mut cfg = ClusterConfig::new(chips, cores_per_chip).shards(shards);
+    shared_keys!(cfg, t, path, v.line, cores_per_chip);
+    if let Some(p) = policy(t, path)? {
+        cfg = cfg.chip_policy(p);
+    }
+    for (chip, core, window) in core_faults(t, path, true)? {
+        cfg = cfg.core_fault(chip, core, window);
+    }
+    cfg.validate()
+        .map_err(|e| DeError::at(path, v.line, e.to_string()))?;
+    Ok(cfg)
 }
 
 impl FromValue for DigestAssert {
@@ -794,10 +746,8 @@ impl RunSpec {
                 Scenario::Paper(PaperExperiment::parse(exp, "paper.experiment")?)
             }
             "loop" => Scenario::Loop(LoopSpec::from_value(section("loop")?, "loop")?),
-            "fleet" => Scenario::Fleet(FleetSpec::from_value(section("fleet")?, "fleet")?),
-            "cluster" => {
-                Scenario::Cluster(ClusterSpec::from_value(section("cluster")?, "cluster")?)
-            }
+            "fleet" => Scenario::Fleet(fleet(section("fleet")?)?),
+            "cluster" => Scenario::Cluster(cluster(section("cluster")?)?),
             other => {
                 return Err(DeError::at(
                     "kind",
@@ -837,8 +787,8 @@ impl RunSpec {
     }
 
     /// Cross-key semantic checks: shapes, phase ordering, and
-    /// assertion/kind compatibility. Lowering (and the runtime configs'
-    /// own `validate`) covers app names and topology bounds.
+    /// assertion/kind compatibility. App names and topology bounds are
+    /// checked while the scenario section parses.
     ///
     /// # Errors
     ///
@@ -859,44 +809,36 @@ impl RunSpec {
                 ),
             );
         }
-        match &self.scenario {
-            Scenario::Paper(_) | Scenario::Fleet(_) => {}
-            Scenario::Loop(l) => {
-                if l.epochs == 0 {
-                    return bad("loop.epochs", "must be at least 1".into());
-                }
-                if l.phases.is_empty() {
-                    return bad("loop.phases", "needs at least one [[loop.phases]]".into());
-                }
-                if l.phases[0].epoch != 0 {
+        if let Scenario::Loop(l) = &self.scenario {
+            if l.epochs == 0 {
+                return bad("loop.epochs", "must be at least 1".into());
+            }
+            if l.phases.is_empty() {
+                return bad("loop.phases", "needs at least one [[loop.phases]]".into());
+            }
+            if l.phases[0].epoch != 0 {
+                return bad(
+                    "loop.phases[0].epoch",
+                    "the first phase must start at epoch 0".into(),
+                );
+            }
+            for (i, pair) in l.phases.windows(2).enumerate() {
+                if pair[1].epoch <= pair[0].epoch {
                     return bad(
-                        "loop.phases[0].epoch",
-                        "the first phase must start at epoch 0".into(),
+                        &format!("loop.phases[{}].epoch", i + 1),
+                        format!(
+                            "phase epochs must be strictly increasing (got {} after {})",
+                            pair[1].epoch, pair[0].epoch
+                        ),
                     );
                 }
-                for (i, pair) in l.phases.windows(2).enumerate() {
-                    if pair[1].epoch <= pair[0].epoch {
-                        return bad(
-                            &format!("loop.phases[{}].epoch", i + 1),
-                            format!(
-                                "phase epochs must be strictly increasing (got {} after {})",
-                                pair[1].epoch, pair[0].epoch
-                            ),
-                        );
-                    }
-                }
-                for (i, p) in l.phases.iter().enumerate() {
-                    if !(p.ips.is_finite() && p.ips > 0.0 && p.power.is_finite() && p.power > 0.0) {
-                        return bad(
-                            &format!("loop.phases[{i}]"),
-                            "ips and power targets must be finite and positive".into(),
-                        );
-                    }
-                }
             }
-            Scenario::Cluster(c) => {
-                if c.shards == 0 {
-                    return bad("cluster.shards", "must be at least 1".into());
+            for (i, p) in l.phases.iter().enumerate() {
+                if !(p.ips.is_finite() && p.ips > 0.0 && p.power.is_finite() && p.power > 0.0) {
+                    return bad(
+                        &format!("loop.phases[{i}]"),
+                        "ips and power targets must be finite and positive".into(),
+                    );
                 }
             }
         }
@@ -1021,9 +963,10 @@ mod tests {
         .unwrap();
         match &spec.scenario {
             Scenario::Cluster(c) => {
-                assert_eq!(c.faults.len(), 1);
-                assert_eq!(c.faults[0].chip, 1);
-                assert_eq!(c.faults[0].spec.duration, u64::MAX);
+                assert_eq!(c.core_faults.len(), 1);
+                let (chip, core, window) = c.core_faults[0];
+                assert_eq!((chip, core), (1, 2));
+                assert_eq!(window.duration, u64::MAX);
             }
             s => panic!("{s:?}"),
         }
@@ -1035,6 +978,89 @@ mod tests {
                 epochs: None
             })
         );
+    }
+
+    /// A `kind = "fleet"` spec whose `[fleet]` header sits on line 4.
+    fn fleet_spec(body: &str) -> DeResult<FleetConfig> {
+        let src = format!("schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\n{body}");
+        match parse(&src)?.scenario {
+            Scenario::Fleet(cfg) => Ok(cfg),
+            s => panic!("{s:?}"),
+        }
+    }
+
+    /// A `kind = "cluster"` spec whose `[cluster]` header sits on line 4.
+    fn cluster_spec(body: &str) -> DeResult<ClusterConfig> {
+        let src = format!("schema = 1\nname = \"x\"\nkind = \"cluster\"\n[cluster]\n{body}");
+        match parse(&src)?.scenario {
+            Scenario::Cluster(cfg) => Ok(cfg),
+            s => panic!("{s:?}"),
+        }
+    }
+
+    #[test]
+    fn fleet_reads_onto_the_builder() {
+        let cfg = fleet_spec(
+            "cores = 4\nepochs = 100\nseed = 7\npower_cap = 4.0\npolicy = \"uniform\"\n\
+             apps = [\"astar\"]\ntargets = [2.5, 1.5]\n[fleet.llc]\ntotal_ways = 16\n",
+        )
+        .unwrap();
+        assert_eq!(cfg.n_cores, 4);
+        assert_eq!((cfg.epochs, cfg.seed), (100, 7));
+        assert_eq!(cfg.chip_power_cap_w, 4.0);
+        assert_eq!(cfg.policy, ArbitrationPolicy::Uniform);
+        assert_eq!(cfg.apps, vec!["astar"]);
+        assert_eq!(cfg.base_targets, [2.5, 1.5]);
+        assert_eq!(cfg.llc.unwrap().total_ways, 16);
+    }
+
+    #[test]
+    fn fleet_defaults_stay_the_runtime_defaults() {
+        let cfg = fleet_spec("cores = 4\nepochs = 100\n").unwrap();
+        // Only the spec's own default seed departs from the runtime's.
+        assert_eq!(cfg, FleetConfig::new(4).epochs(100).seed(2016));
+        let cfg = cluster_spec("chips = 2\ncores_per_chip = 3\nepochs = 100\n").unwrap();
+        assert_eq!(cfg, ClusterConfig::new(2, 3).epochs(100).seed(2016));
+    }
+
+    #[test]
+    fn unknown_app_fails_at_the_section_line() {
+        let err = fleet_spec("cores = 4\nepochs = 10\napps = [\"no-such-app\"]\n").unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("fleet", 4));
+        assert!(err.msg.contains("no-such-app"), "{err}");
+    }
+
+    #[test]
+    fn cluster_fault_chip_bound_is_checked() {
+        let err = cluster_spec(
+            "chips = 2\ncores_per_chip = 2\nepochs = 50\n\
+             [[cluster.faults]]\nchip = 5\ncore = 0\nkind = \"power_spike\"\n\
+             factor = 3.0\nstart = 0\nduration = 1\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.path, "cluster");
+        assert!(err.msg.contains("chip 5"), "{err}");
+    }
+
+    #[test]
+    fn cluster_rejection_names_the_section_line() {
+        let err =
+            cluster_spec("chips = 2\ncores_per_chip = 2\nshards = 3\nepochs = 10\n").unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("cluster", 4));
+        assert!(err.msg.contains("exceeds n_chips"), "{err}");
+        let err =
+            cluster_spec("chips = 2\ncores_per_chip = 2\nshards = 0\nepochs = 10\n").unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("cluster.shards", 7));
+    }
+
+    #[test]
+    fn unknown_loop_app_is_rejected() {
+        let err = parse(
+            "schema = 1\nname = \"x\"\nkind = \"loop\"\n[loop]\napp = \"not-an-app\"\n\
+             epochs = 10\n[[loop.phases]]\nepoch = 0\nips = 3.0\npower = 1.9\n",
+        )
+        .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("loop.app", 5));
     }
 
     #[test]

@@ -3,24 +3,28 @@
 //! Paper scenarios dispatch to the exact `experiments::*` functions the
 //! subcommands always ran — including each subcommand's post-run checks
 //! and paper-comparison summaries — so a spec-driven `fig06` and the
-//! `fig06` alias are the same run producing the same bytes. Loop, fleet,
-//! and cluster scenarios lower onto the epoch-loop drivers and the
-//! fleet/cluster runtimes, then write a deterministic `<name>.csv`
-//! summary (no shard or wall-clock columns, so the file is byte-identical
-//! at any parallelism — that is what `asserts.invariant` diffs).
+//! `fig06` alias are the same run producing the same bytes. Loop scenarios
+//! drive the epoch-loop runner; fleet and cluster scenarios hand their
+//! parsed `FleetConfig`/`ClusterConfig`, with `--epochs`/`--shards`
+//! written on, to the fleet/cluster runtimes, which validate it again.
+//! Each writes a deterministic `<name>.csv` summary (no shard or
+//! wall-clock columns, so the file is byte-identical at any parallelism —
+//! that is what `asserts.invariant` diffs).
 
-use mimo_core::engine::rel_tracking_error;
+use mimo_core::engine::{rel_tracking_error, ReferenceStep};
 use mimo_core::governor::{Governor, MimoGovernor};
 use mimo_core::optimizer::Metric;
 use mimo_core::telemetry::TelemetryConfig;
+use mimo_fleet::{ClusterConfig, FleetConfig};
+use mimo_linalg::Vector;
 use mimo_sim::InputSet;
 
 use crate::experiments::{self, ExpConfig};
 use crate::report::{self, ResultsDir};
 use crate::runner::run_schedule;
-use crate::{setup, spec};
+use crate::setup;
 
-use super::model::{GovernorKind, OutputChannel, PaperExperiment, RunSpec, Scenario};
+use super::model::{GovernorKind, LoopSpec, OutputChannel, PaperExperiment, RunSpec, Scenario};
 
 /// Ring capacity per core when `--trace` is on: enough to keep every
 /// epoch of a CI-sized sweep and the recent tail of a full one.
@@ -192,10 +196,21 @@ fn run_fault_sweep(cfg: &ExpConfig, trace: Option<&str>) -> Result<(), String> {
 // Loop kind
 // ---------------------------------------------------------------------------
 
+/// The reference schedule a loop spec's phases describe.
+fn schedule(l: &LoopSpec) -> Vec<ReferenceStep> {
+    l.phases
+        .iter()
+        .map(|p| ReferenceStep {
+            epoch: p.epoch,
+            targets: Vector::from_slice(&[p.ips, p.power]),
+        })
+        .collect()
+}
+
 fn run_loop(
     cfg: &ExpConfig,
     name: &str,
-    l: &spec::LoopSpec,
+    l: &LoopSpec,
     ov: &RunOverrides,
 ) -> Result<Outcome, String> {
     let epochs = ov.epochs.unwrap_or(l.epochs);
@@ -214,8 +229,7 @@ fn run_loop(
         ),
     };
     let mut plant = setup::try_plant(&l.app, l.input_set, l.seed).map_err(|e| e.to_string())?;
-    let schedule = l.schedule();
-    let trace = run_schedule(gov.as_mut(), &mut plant, &schedule, epochs);
+    let trace = run_schedule(gov.as_mut(), &mut plant, &schedule(l), epochs);
 
     // Whole-run mean tracking error per channel.
     let mut total = [0.0f64; 2];
@@ -298,13 +312,16 @@ fn run_loop(
 fn run_fleet(
     cfg: &ExpConfig,
     name: &str,
-    f: &spec::FleetSpec,
+    fleet: &FleetConfig,
     ov: &RunOverrides,
 ) -> Result<Outcome, String> {
-    let fleet_cfg = f.lower(ov.epochs).map_err(|e| e.to_string())?;
+    let mut fleet_cfg = fleet.clone();
+    if let Some(epochs) = ov.epochs {
+        fleet_cfg.epochs = epochs;
+    }
     let design = cfg
         .cache
-        .design_mimo(f.input_set, f.seed)
+        .design_mimo(fleet_cfg.input_set, fleet_cfg.seed)
         .map_err(|e| e.to_string())?;
     let epochs = fleet_cfg.epochs;
     let stats = mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
@@ -363,13 +380,19 @@ fn run_fleet(
 fn run_cluster(
     cfg: &ExpConfig,
     name: &str,
-    c: &spec::ClusterSpec,
+    cluster: &ClusterConfig,
     ov: &RunOverrides,
 ) -> Result<Outcome, String> {
-    let cluster_cfg = c.lower(ov.epochs, ov.shards).map_err(|e| e.to_string())?;
+    let mut cluster_cfg = cluster.clone();
+    if let Some(epochs) = ov.epochs {
+        cluster_cfg.epochs = epochs;
+    }
+    if let Some(shards) = ov.shards {
+        cluster_cfg.shards = shards;
+    }
     let design = cfg
         .cache
-        .design_mimo(c.input_set, c.seed)
+        .design_mimo(cluster_cfg.input_set, cluster_cfg.seed)
         .map_err(|e| e.to_string())?;
     let epochs = cluster_cfg.epochs;
     let stats = mimo_fleet::ClusterRunner::with_shared_controller(cluster_cfg, &design.controller)
@@ -574,17 +597,14 @@ fn check_invariance(
         let mut cfg2 = cfg.clone();
         cfg2.results = ResultsDir::new(&scratch);
         let mut ov2 = ov.clone();
-        let mut spec2 = spec.clone();
-        match (&mut spec2.scenario, param) {
+        match (&spec.scenario, param) {
             (Scenario::Paper(_), "jobs") => cfg2.jobs = n,
-            (Scenario::Paper(_), _) => ov2.shards = Some(n),
+            (Scenario::Paper(_) | Scenario::Cluster(_), _) => ov2.shards = Some(n),
             // One thread steps a loop or a fleet chip; the re-run checks
             // run-to-run determinism.
             (Scenario::Loop(_) | Scenario::Fleet(_), _) => {}
-            (Scenario::Cluster(c), _) if param == "shards" => c.shards = n,
-            (Scenario::Cluster(_), _) => {}
         }
-        if let Err(e) = execute(&cfg2, &spec2, &ov2) {
+        if let Err(e) = execute(&cfg2, spec, &ov2) {
             result = Err(format!(
                 "asserts.invariant: re-run at {param}={n} failed: {e}"
             ));
@@ -618,4 +638,27 @@ fn check_invariance(
     // Scratch runs are throwaway; never leave them in the results dir.
     let _ = std::fs::remove_dir_all(&scratch_root);
     result.map(|()| comparisons)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::parse_str;
+
+    #[test]
+    fn loop_schedule_follows_the_phases() {
+        let spec = parse_str(
+            "schema = 1\nname = \"x\"\nkind = \"loop\"\n[loop]\napp = \"astar\"\nepochs = 10\n\
+             [[loop.phases]]\nepoch = 0\nips = 3.0\npower = 1.9\n\
+             [[loop.phases]]\nepoch = 5\nips = 2.0\npower = 1.2\n",
+        )
+        .unwrap();
+        let Scenario::Loop(l) = &spec.scenario else {
+            panic!("{:?}", spec.scenario)
+        };
+        let sched = schedule(l);
+        assert_eq!(sched.len(), 2);
+        assert_eq!(sched[1].epoch, 5);
+        assert_eq!(sched[1].targets[1], 1.2);
+    }
 }

@@ -1,5 +1,5 @@
-//! A line-tracked TOML reader producing the [`serde`] stub's
-//! [`serde::de::Value`] tree.
+//! A line-tracked TOML reader producing the spec layer's
+//! [`Value`] tree.
 //!
 //! The container vendors no `toml` crate, so `mimo-exp run` parses specs
 //! with this reader instead. It covers the subset the spec schema uses —
@@ -13,7 +13,7 @@
 //! than silently misparsing): dotted keys in assignments, quoted keys,
 //! literal/multiline strings, and datetimes.
 
-use serde::de::{join, DeError, DeResult, Spanned, Table, Value};
+use super::value::{join, DeError, DeResult, Spanned, Table, Value};
 
 /// Parses a TOML document into a line-spanned table.
 ///

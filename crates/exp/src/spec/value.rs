@@ -1,18 +1,12 @@
-//! Minimal deserialization support for the offline serde stand-in.
+//! The spec layer's value tree and typed extraction.
 //!
-//! Upstream serde deserializes through a `Deserializer` visitor pipeline;
-//! this stub takes the simpler self-describing route: a format front end
-//! (e.g. the TOML reader in `mimo-exp`) parses its input into a generic
-//! [`Value`] tree whose nodes carry source line numbers, and typed configs
-//! implement [`FromValue`] to extract themselves from that tree. Every
-//! failure produces a [`DeError`] carrying the *key path* and *source
-//! line* of the offending node, which is what lets `mimo-exp run` report
-//! `spec.toml:12: run.cores: expected integer, got string "x"` instead of
-//! a bare debug print.
-//!
-//! The split mirrors upstream serde closely enough that swapping the real
-//! crate back in means replacing `FromValue` impls with
-//! `#[derive(Deserialize)]` and the `Value` tree with `toml::Value`.
+//! [`toml`](super::toml) parses a spec into a generic [`Value`] tree whose
+//! nodes carry source line numbers, and the model types extract
+//! themselves from that tree through [`FromValue`]. Every failure produces
+//! a [`DeError`] carrying the *key path* and *source line* of the
+//! offending node, which is what lets `mimo-exp run` report
+//! `spec.toml:12: cluster.chips: expected integer, got string "x"` instead
+//! of a bare debug print.
 
 use std::fmt;
 
@@ -33,8 +27,8 @@ impl Spanned {
     }
 }
 
-/// A self-describing deserialized value — the subset every configuration
-/// format the workspace reads (TOML, JSON) can produce.
+/// A self-describing parsed value: the subset of TOML the spec schema
+/// uses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A boolean.
@@ -127,11 +121,6 @@ impl Table {
     /// Iterates `(key, value)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Spanned)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// The keys in insertion order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
     }
 
     /// Extracts a required field. The error names the missing or
@@ -263,8 +252,7 @@ impl std::error::Error for DeError {}
 /// Shorthand for deserialization results.
 pub type DeResult<T> = Result<T, DeError>;
 
-/// Types extractable from a [`Value`] tree — the stub's working
-/// counterpart of upstream serde's `Deserialize`.
+/// Types extractable from a [`Value`] tree.
 pub trait FromValue: Sized {
     /// Extracts `Self` from `v`; `path` names the node for errors.
     ///
@@ -307,7 +295,7 @@ macro_rules! int_from_value {
     )*};
 }
 
-int_from_value!(usize, u64, u32, u16, u8);
+int_from_value!(usize, u64);
 
 impl FromValue for f64 {
     fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
@@ -338,15 +326,6 @@ impl<T: FromValue> FromValue for Vec<T> {
                 .map(|(i, item)| T::from_value(item, &format!("{path}[{i}]")))
                 .collect(),
             _ => Err(DeError::mismatch(path, v, "array")),
-        }
-    }
-}
-
-impl FromValue for Table {
-    fn from_value(v: &Spanned, path: &str) -> DeResult<Self> {
-        match &v.value {
-            Value::Table(t) => Ok(t.clone()),
-            _ => Err(DeError::mismatch(path, v, "table")),
         }
     }
 }

@@ -75,7 +75,7 @@ fn fully_quarantined_chip_frees_its_budget_for_the_others() {
         let mut cfg = ClusterConfig::new(3, 4)
             .epochs(240)
             .exchange_period(40)
-            .cluster_power_cap(0.8 * 3.0 * 4.8)
+            .power_cap(0.8 * 3.0 * 4.8)
             .shards(shards)
             .seed(2016);
         for core in 0..4 {

@@ -11,7 +11,7 @@ fn run(policy: ArbitrationPolicy, cap_w: f64) -> mimo_fleet::FleetStats {
     let cfg = FleetConfig::new(4)
         .epochs(400)
         .policy(policy)
-        .chip_power_cap(cap_w)
+        .power_cap(cap_w)
         .seed(2016);
     FleetRunner::with_shared_controller(cfg, &design.controller)
         .expect("fleet")
@@ -28,7 +28,7 @@ fn faulted_fleet_replays_bit_for_bit() {
         let cfg = FleetConfig::new(6)
             .epochs(300)
             .policy(ArbitrationPolicy::Proportional)
-            .chip_power_cap(7.2)
+            .power_cap(7.2)
             .seed(2016)
             .fault_rate(0.05);
         FleetRunner::with_shared_controller(cfg, &design.controller)
@@ -59,7 +59,7 @@ fn nan_sensor_cores_are_quarantined_and_budget_is_respected() {
     let mut cfg = FleetConfig::new(16)
         .epochs(300)
         .policy(ArbitrationPolicy::Proportional)
-        .chip_power_cap(19.2)
+        .power_cap(19.2)
         .seed(2016);
     for &core in &bad_cores {
         cfg = cfg.core_fault(

@@ -1,5 +1,5 @@
 //! Integration tests for the declarative spec layer: every checked-in
-//! spec round-trips through parse → validate → lower, the embedded alias
+//! spec loads (parse + validate), the embedded alias
 //! copies are byte-identical to the `specs/` files, and spec-driven runs
 //! reproduce the experiment functions' CSVs byte-identically at any
 //! worker count.
@@ -31,7 +31,7 @@ fn quick_cfg(jobs: usize, out: &Path) -> ExpConfig {
 }
 
 #[test]
-fn every_checked_in_spec_loads_validates_and_lowers() {
+fn every_checked_in_spec_loads_and_validates() {
     let dir = repo_root().join("specs");
     let mut count = 0usize;
     let mut entries: Vec<PathBuf> = fs::read_dir(&dir)
@@ -42,8 +42,7 @@ fn every_checked_in_spec_loads_validates_and_lowers() {
         .collect();
     entries.sort();
     for path in entries {
-        let s = spec::load(&path).unwrap_or_else(|e| panic!("{e}"));
-        spec::check(&s).unwrap_or_else(|e| panic!("{}", spec::format_error(&path, &e)));
+        spec::load(&path).unwrap_or_else(|e| panic!("{e}"));
         count += 1;
     }
     assert_eq!(
@@ -131,4 +130,23 @@ fn spec_only_scenarios_run_with_an_epoch_override() {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// `--shards` is written onto the parsed config after parsing, so the
+/// runtime validates the overridden shape again and rejects it.
+#[test]
+fn shards_override_is_validated_by_the_runtime() {
+    let s = spec::parse_str(
+        "schema = 1\nname = \"x\"\nkind = \"cluster\"\n\
+         [cluster]\nchips = 2\ncores_per_chip = 2\nepochs = 10\n",
+    )
+    .unwrap();
+    let dir = scratch("shards-override");
+    let ov = RunOverrides {
+        shards: Some(99),
+        ..RunOverrides::default()
+    };
+    let err = spec::run_spec(&quick_cfg(1, &dir), &s, &ov).unwrap_err();
+    assert!(err.contains("exceeds n_chips"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
 }

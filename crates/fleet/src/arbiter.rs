@@ -11,7 +11,6 @@
 //! decentralized.
 
 use mimo_linalg::Vector;
-use serde::Serialize;
 
 use crate::stats::ChipSummary;
 
@@ -39,7 +38,7 @@ impl ArbitrationPolicy {
 }
 
 /// One core's observation consumed by the arbiter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreObs {
     /// Measured performance, BIPS.
     pub ips: f64,

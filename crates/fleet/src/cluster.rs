@@ -159,12 +159,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Alias of [`ClusterConfig::power_cap`] under the topology-specific
-    /// name (builder style).
-    pub fn cluster_power_cap(self, watts: f64) -> Self {
-        self.power_cap(watts)
-    }
-
     /// Sets the cluster-level arbitration policy (builder style).
     pub fn policy(mut self, policy: ArbitrationPolicy) -> Self {
         self.policy = policy;
@@ -653,7 +647,7 @@ mod tests {
         let cfg = ClusterConfig::new(2, 2)
             .epochs(50)
             .exchange_period(10)
-            .cluster_power_cap(0.5 * 1.2 * 4.0)
+            .power_cap(0.5 * 1.2 * 4.0)
             .seed(3);
         let stats = ClusterRunner::new(cfg, |_, _, _| fixed())
             .unwrap()

@@ -139,12 +139,6 @@ impl FleetConfig {
         self
     }
 
-    /// Alias of [`FleetConfig::power_cap`] under the topology-specific
-    /// name (builder style).
-    pub fn chip_power_cap(self, watts: f64) -> Self {
-        self.power_cap(watts)
-    }
-
     /// Sets the input set every per-core controller actuates (builder
     /// style).
     pub fn input_set(mut self, input_set: InputSet) -> Self {
@@ -333,7 +327,7 @@ mod tests {
 
     #[test]
     fn negative_cap_rejected() {
-        let cfg = FleetConfig::new(4).chip_power_cap(-1.0);
+        let cfg = FleetConfig::new(4).power_cap(-1.0);
         assert!(cfg.validate().is_err());
     }
 
@@ -433,10 +427,8 @@ mod tests {
     }
 
     #[test]
-    fn power_cap_and_chip_power_cap_are_the_same_knob() {
+    fn power_cap_sets_the_chip_cap() {
         let a = FleetConfig::new(4).power_cap(3.3);
-        let b = FleetConfig::new(4).chip_power_cap(3.3);
-        assert_eq!(a, b);
         assert_eq!(a.chip_power_cap_w, 3.3);
     }
 

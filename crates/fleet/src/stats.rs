@@ -1,7 +1,6 @@
 //! Per-core, fleet-aggregate, and cluster-aggregate run statistics.
 
 use mimo_core::digest::Fnv1a;
-use serde::Serialize;
 
 use crate::arbiter::BudgetArbiter;
 use crate::config::FleetConfig;
@@ -12,7 +11,7 @@ use crate::config::FleetConfig;
 /// `Copy` on purpose: a shard hands the cluster arbiter a snapshot, never
 /// a reference into live chip state, so the exchange cannot observe a chip
 /// mid-epoch and determinism cannot leak through aliasing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSummary {
     /// Chip index within the cluster.
     pub chip: usize,
@@ -30,7 +29,7 @@ pub struct ChipSummary {
 }
 
 /// One core's accumulated statistics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreStats {
     /// Core index within the fleet.
     pub core: usize,
@@ -65,7 +64,7 @@ pub struct CoreStats {
 /// and therefore bit-identical across runs and shard counts; `PartialEq`
 /// compares only the deterministic fields so runs can be checked for
 /// reproducibility directly.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetStats {
     /// Cores in the fleet.
     pub n_cores: usize,
@@ -209,7 +208,7 @@ impl FleetStats {
 /// wall-clock fields is a pure function of the configuration and seeds —
 /// bit-identical at any shard count — and `PartialEq` compares only those
 /// deterministic fields.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterStats {
     /// Chips in the cluster.
     pub n_chips: usize,
@@ -418,14 +417,6 @@ mod tests {
         b.per_core[0].quarantine_epoch = Some(40);
         assert_eq!(a.digest(), b.digest());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn serializes_to_json_object() {
-        let json = sample().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"per_core\":[{"), "{json}");
-        assert!(json.contains("\"app\":\"astar\""), "{json}");
     }
 
     fn cluster_sample() -> ClusterStats {

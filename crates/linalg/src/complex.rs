@@ -243,33 +243,6 @@ pub fn frequency_response(
     Ok(g)
 }
 
-/// Approximates the H∞ norm of `G(z)` — the peak of the largest singular
-/// value over the unit circle — by sampling `n_grid` frequencies in `[0, π]`.
-///
-/// This is the grid-based surrogate for MATLAB's `hinfnorm` used by the
-/// robust-stability analysis; accuracy improves with `n_grid`.
-///
-/// # Errors
-///
-/// Propagates errors from [`frequency_response`]; a pole directly on a grid
-/// frequency surfaces as [`LinalgError::Singular`].
-pub fn hinf_norm_grid(
-    a: &Matrix,
-    b: &Matrix,
-    c: &Matrix,
-    d: &Matrix,
-    n_grid: usize,
-) -> Result<f64> {
-    let n = n_grid.max(2);
-    let mut peak = 0.0_f64;
-    for k in 0..n {
-        let omega = std::f64::consts::PI * k as f64 / (n - 1) as f64;
-        let g = frequency_response(a, b, c, d, omega)?;
-        peak = peak.max(g.max_singular_value()?);
-    }
-    Ok(peak)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,17 +302,6 @@ mod tests {
         let g = frequency_response(&a, &b, &c, &d, std::f64::consts::PI).unwrap();
         let modulus = g.modulus()[(0, 0)];
         assert!((modulus - 1.0 / 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hinf_of_scalar_lag_peaks_at_dc() {
-        // For G(z)=1/(z-0.5), the peak gain on the unit circle is at w=0: 2.
-        let a = Matrix::from_rows(&[&[0.5]]);
-        let b = Matrix::from_rows(&[&[1.0]]);
-        let c = Matrix::from_rows(&[&[1.0]]);
-        let d = Matrix::zeros(1, 1);
-        let norm = hinf_norm_grid(&a, &b, &c, &d, 101).unwrap();
-        assert!((norm - 2.0).abs() < 1e-9, "norm = {norm}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! real system, and compare the results. Based on the difference, we
 //! roughly estimate the uncertainty of the model." The maximum per-output
 //! relative error measured here is what the paper multiplies by 3 to set
-//! the uncertainty guardbands (§VI-A2), and the sweep over model dimension
-//! is Figure 7.
+//! the uncertainty guardbands (§VI-A2). Figure 7 reports it per model
+//! dimension, sweeping the order through `DesignFlow::with_arx_na` in
+//! `mimo-core`.
 
 use mimo_linalg::Vector;
 
@@ -176,50 +177,6 @@ fn ss_input_lags(ss: &Realization, orders: ArxOrders) -> usize {
     (ss.state_dim() - orders.na * o) / i.max(1)
 }
 
-/// One point of a Figure-7-style model-order sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderSweepPoint {
-    /// State dimension of the realization.
-    pub dimension: usize,
-    /// Orders used for the fit.
-    pub orders: ArxOrders,
-    /// Validation report on the held-out data.
-    pub report: ValidationReport,
-}
-
-/// Sweeps the output order `na` over `na_values`, fitting on the training
-/// waveforms and validating on the held-out waveforms, reproducing the
-/// dimension-vs-error tradeoff of Figure 7.
-///
-/// # Errors
-///
-/// Propagates the first fit/validation failure.
-pub fn order_sweep(
-    train_u: &[Vector],
-    train_y: &[Vector],
-    valid_u: &[Vector],
-    valid_y: &[Vector],
-    na_values: &[usize],
-    direct_feedthrough: bool,
-    window: usize,
-) -> Result<Vec<OrderSweepPoint>> {
-    let mut points = Vec::with_capacity(na_values.len());
-    for &na in na_values {
-        let orders = ArxOrders {
-            na,
-            nb: 1,
-            direct_feedthrough,
-        };
-        let (_, ss, report) = fit_and_validate(train_u, train_y, valid_u, valid_y, orders, window)?;
-        points.push(OrderSweepPoint {
-            dimension: ss.state_dim(),
-            orders,
-            report,
-        });
-    }
-    Ok(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,22 +246,6 @@ mod tests {
             "validation error {:?}",
             report.max_rel_error_pct
         );
-    }
-
-    #[test]
-    fn order_sweep_error_improves_then_plateaus() {
-        let (tu, ty) = gen_system(1500, 1);
-        let (vu, vy) = gen_system(600, 11);
-        let points = order_sweep(&tu, &ty, &vu, &vy, &[1, 2, 3, 4], false, 5).unwrap();
-        assert_eq!(points.len(), 4);
-        // Dimensions grow with na (SISO, nb=1 strictly proper → dim = na + 1... )
-        for w in points.windows(2) {
-            assert!(w[1].dimension > w[0].dimension);
-        }
-        // True system has na=2; order-1 fit must be worse than order-2.
-        let e1 = points[0].report.worst_error_pct();
-        let e2 = points[1].report.worst_error_pct();
-        assert!(e2 <= e1 + 1e-9, "e1={e1} e2={e2}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Replicate it across 16 cores under a 19.2 W chip cap.
     let cfg = FleetConfig::new(16)
         .epochs(1000)
-        .chip_power_cap(19.2)
+        .power_cap(19.2)
         .policy(ArbitrationPolicy::Proportional);
     let stats = FleetRunner::with_shared_controller(cfg.clone(), &controller)?.run()?;
     println!(

@@ -31,7 +31,7 @@ fn traced_faulted_fleet() -> (FleetStats, FleetTelemetry) {
     let mut cfg = FleetConfig::new(16)
         .epochs(300)
         .policy(ArbitrationPolicy::Proportional)
-        .chip_power_cap(19.2)
+        .power_cap(19.2)
         .seed(2016)
         .observer(TelemetryConfig::trace(64));
     for &core in &BAD_CORES {
