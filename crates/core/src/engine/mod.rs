@@ -402,11 +402,6 @@ impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
         &self.obs
     }
 
-    /// Mutably borrows the observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
     /// The actuator grids captured from the plant at construction (e.g.
     /// for building a fallback governor after a quarantine).
     pub fn input_grids(&self) -> &[Vec<f64>] {

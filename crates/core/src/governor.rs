@@ -9,7 +9,7 @@ use mimo_linalg::Vector;
 
 use crate::error::ControlError;
 use crate::lqg::LqgController;
-use crate::storage::{DynStore, LqgStorage};
+use crate::storage::{DynStore, LqgStorage, StaticStore};
 
 /// Rejects measurements containing NaN or infinite entries. Stateful
 /// governors call this before consuming `y`, because folding a non-finite
@@ -192,46 +192,79 @@ impl<S: LqgStorage> MimoGovernor<S> {
     }
 }
 
-/// Wraps a dynamic controller in the fastest governor available for its
-/// shape: when the dimensions match one of the reference architectures the
-/// controller is re-homed into stack storage
-/// ([`StaticStore`](crate::storage::StaticStore)) and the
-/// returned governor steps monomorphized fixed-size kernels; any other
-/// shape (e.g. Figure 7's state-order sweep) keeps the dynamic path.
+/// A controller re-homed, once, into the fastest storage for its shape.
+///
+/// When the dimensions match one of the reference architectures the
+/// controller is converted into stack storage
+/// ([`StaticStore`]) and its governors step monomorphized fixed-size
+/// kernels; any other shape (e.g. Figure 7's state-order sweep) keeps the
+/// dynamic path. The conversion builds one shared design; every governor
+/// [`FastController::governor`] hands out is a clone that shares it.
 ///
 /// The static path is bit-identical to the dynamic one, so callers can
 /// adopt this unconditionally — golden digests do not move.
-pub fn fast_governor(ctrl: LqgController) -> Box<dyn Governor + Send> {
-    let shape = (
-        ctrl.num_inputs(),
-        ctrl.num_outputs(),
-        ctrl.model().state_dim(),
-    );
-    // NZ = NX + NU + NY, spelled out because stable Rust cannot compute it.
-    match shape {
-        // Two-input architectures (cache+frequency, §VI): 2-in/2-out,
-        // na=1, L=1 ⇒ 4 states.
-        (2, 2, 4) => match ctrl.into_static::<2, 2, 4, 8>() {
-            Ok(c) => Box::new(MimoGovernor::new(c)),
-            Err(_) => unreachable!("shape checked above"),
-        },
-        // Three-input architecture (§VI-C): 3-in/2-out, 5 states.
-        (3, 2, 5) => match ctrl.into_static::<3, 2, 5, 10>() {
-            Ok(c) => Box::new(MimoGovernor::new(c)),
-            Err(_) => unreachable!("shape checked above"),
-        },
-        // Decoupled SISO loops: 1-in/1-out, 2 states.
-        (1, 1, 2) => match ctrl.into_static::<1, 1, 2, 4>() {
-            Ok(c) => Box::new(MimoGovernor::new(c)),
-            Err(_) => unreachable!("shape checked above"),
-        },
-        // The 2-state unit-test plant used across the test suite.
-        (2, 2, 2) => match ctrl.into_static::<2, 2, 2, 6>() {
-            Ok(c) => Box::new(MimoGovernor::new(c)),
-            Err(_) => unreachable!("shape checked above"),
-        },
-        _ => Box::new(MimoGovernor::new(ctrl)),
+#[derive(Debug, Clone)]
+pub enum FastController {
+    /// 2-in/2-out, 4 states: the two-input architectures
+    /// (cache+frequency, §VI; na=1, L=1).
+    FreqCache(LqgController<StaticStore<2, 2, 4, 8>>),
+    /// 3-in/2-out, 5 states: the three-input architecture (§VI-C).
+    ThreeKnob(LqgController<StaticStore<3, 2, 5, 10>>),
+    /// 1-in/1-out, 2 states: decoupled SISO loops.
+    Siso(LqgController<StaticStore<1, 1, 2, 4>>),
+    /// 2-in/2-out, 2 states: the unit-test plant used across the suite.
+    Test2(LqgController<StaticStore<2, 2, 2, 6>>),
+    /// Any other shape, on the dynamic heap-backed storage.
+    Dynamic(LqgController),
+}
+
+impl FastController {
+    /// Picks the storage for `ctrl`'s shape and converts once, carrying the
+    /// controller's state bit-exactly.
+    pub fn new(ctrl: &LqgController) -> Self {
+        let shape = (
+            ctrl.num_inputs(),
+            ctrl.num_outputs(),
+            ctrl.model().state_dim(),
+        );
+        // NZ = NX + NU + NY, spelled out because stable Rust cannot compute
+        // it. The shape was matched, so the conversion cannot fail.
+        let shaped = "shape checked above";
+        match shape {
+            (2, 2, 4) => Self::FreqCache(ctrl.with_storage().expect(shaped)),
+            (3, 2, 5) => Self::ThreeKnob(ctrl.with_storage().expect(shaped)),
+            (1, 1, 2) => Self::Siso(ctrl.with_storage().expect(shaped)),
+            (2, 2, 2) => Self::Test2(ctrl.with_storage().expect(shaped)),
+            _ => Self::Dynamic(ctrl.clone()),
+        }
     }
+
+    /// A governor stepping a clone of the converted controller: it shares
+    /// the design and starts from the converted state. With a static
+    /// storage its one heap allocation is the box.
+    pub fn governor(&self) -> Box<dyn Governor + Send> {
+        match self {
+            Self::FreqCache(c) => Box::new(MimoGovernor::new(c.clone())),
+            Self::ThreeKnob(c) => Box::new(MimoGovernor::new(c.clone())),
+            Self::Siso(c) => Box::new(MimoGovernor::new(c.clone())),
+            Self::Test2(c) => Box::new(MimoGovernor::new(c.clone())),
+            Self::Dynamic(c) => Box::new(MimoGovernor::new(c.clone())),
+        }
+    }
+}
+
+/// Converts `ctrl` once ([`FastController::new`]) and returns a factory
+/// of governors that all share the converted design — the way to hand
+/// one synthesized controller to many cores.
+pub fn fast_governors(ctrl: &LqgController) -> impl FnMut() -> Box<dyn Governor + Send> {
+    let fast = FastController::new(ctrl);
+    move || fast.governor()
+}
+
+/// Wraps a dynamic controller in the fastest governor available for its
+/// shape: one governor from [`fast_governors`].
+pub fn fast_governor(ctrl: LqgController) -> Box<dyn Governor + Send> {
+    fast_governors(&ctrl)()
 }
 
 impl<S: LqgStorage> Governor for MimoGovernor<S> {

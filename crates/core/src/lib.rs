@@ -59,8 +59,8 @@ mod error;
 pub use digest::{digest_f64, Fnv1a};
 pub use engine::{EpochCause, EpochError, EpochLoop, StepOutcome};
 pub use error::ControlError;
-pub use governor::{fast_governor, Governor};
-pub use lqg::LqgController;
+pub use governor::{fast_governor, fast_governors, FastController, Governor};
+pub use lqg::{CompiledLqg, LqgController};
 pub use ss::StateSpace;
 pub use storage::{DynStore, LqgStorage, StaticStore};
 pub use telemetry::{NullObserver, Observer, TelemetryConfig, TelemetrySink};

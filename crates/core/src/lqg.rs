@@ -27,6 +27,8 @@
 //! discrete actuator grid and the quantized value is fed back into the
 //! controller state (anti-windup against quantization).
 
+use std::sync::Arc;
+
 use mimo_linalg::lu::LuDecomposition;
 use mimo_linalg::{MatVecKernel, Matrix, VecKernel, Vector};
 use mimo_sysid::scale::ChannelScaler;
@@ -186,20 +188,38 @@ impl LqgDesign {
         let kalman =
             KalmanFilter::design(&self.model, &self.process_noise, &self.measurement_noise)?;
 
-        let rt = LqgRt::<S>::from_synthesis(&lqr.k, kalman.gain(), &self.model)?;
-        let ss_solver = SteadyStateSolver::new(&self);
-        let mut ctrl = LqgController {
+        let lin = ControlError::Linalg;
+        let compiled = CompiledLqg {
+            f: S::GainF::from_matrix(&lqr.k).map_err(lin)?,
+            l: S::GainL::from_matrix(kalman.gain()).map_err(lin)?,
+            a: S::MatA::from_matrix(a).map_err(lin)?,
+            b: S::MatB::from_matrix(b).map_err(lin)?,
+            c: S::MatC::from_matrix(c).map_err(lin)?,
+            d: S::MatD::from_matrix(d).map_err(lin)?,
+            ss_solver: SteadyStateSolver::new(&self),
             closed_loop_radius: lqr.closed_loop_radius,
             kalman,
-            rt,
-            scratch: LqgScratch::new(n, i, o),
-            ss_solver,
             design: self,
         };
+        let mut state = CoreState::<S>::zeroed(n, i, o)?;
         // Initialize at a neutral reference (normalized zero = operating
-        // midpoint); callers set the real target afterwards.
-        ctrl.recompute_steady_state();
-        Ok(ctrl)
+        // midpoint); callers set the real target afterwards. The solver is
+        // the output-weighted, Tikhonov-regularized inversion of the DC
+        // gain, u_ss = (Gᵀ Q G + λ I)⁻¹ Gᵀ Q y₀: identified DC gains are
+        // frequently ill-conditioned (every knob moves both outputs in a
+        // similar ratio), and an exact solve would pin the actuators at
+        // their clamps. The ridge biases u_ss toward the operating
+        // midpoint; the integrator removes the residual offset.
+        compiled.ss_solver.resolve(
+            state.y_ref_norm.as_slice(),
+            state.u_ss.as_mut_slice(),
+            state.x_ss.as_mut_slice(),
+        );
+        Ok(LqgController {
+            compiled: Arc::new(compiled),
+            state,
+            scratch: LqgScratch::new(n, i, o),
+        })
     }
 
     /// Synthesizes a controller whose runtime buffers are stack-allocated
@@ -221,9 +241,9 @@ impl LqgDesign {
 
 /// Precomputed artifacts of the steady-state resolve.
 ///
-/// Everything in `LqgController::recompute_steady_state`'s ridge
-/// inversion except the reference itself is a pure function of the design:
-/// the weighted gain product `Gᵀ Q`, the LU factorization of the
+/// Everything in the steady-state ridge inversion (see
+/// [`LqgDesign::build_with`]) except the reference itself is a pure
+/// function of the design: the weighted gain product `Gᵀ Q`, the LU factorization of the
 /// regularized Gram matrix, and the LU factorization of `I − A`. Caching
 /// them at synthesis turns the per-retarget work into one small
 /// matrix-vector product plus two triangular substitutions — the dominant
@@ -333,31 +353,22 @@ fn permuted_mat_vec(m: &Matrix, perm: &[usize], v: &[f64], out: &mut [f64]) {
     }
 }
 
-/// The synthesized MIMO LQG tracking controller.
+/// The immutable half of a synthesized controller, shared behind one
+/// [`Arc`] by every [`LqgController`] cloned from it.
 ///
-/// Call [`LqgController::set_reference`] with physical targets, then
-/// [`LqgController::step`] once per epoch with the measured outputs; the
-/// returned vector is the physical, grid-quantized actuation to apply next.
-#[derive(Debug, Clone)]
-pub struct LqgController<S: LqgStorage = DynStore> {
+/// The paper synthesizes one design offline and deploys it on every core
+/// (§IV). Per core, that design changes only its state (see
+/// [`LqgController`]); everything here is a pure function of the
+/// synthesis: the LQR gain `F`, the Kalman gain `L` and the model's
+/// `A`, `B`, `C`, `D` in the runtime storage `S`, the synthesis record
+/// (scalers, actuator grids, weights, the Kalman covariances), the
+/// cached steady-state solver and the closed-loop radius. A fleet of N
+/// cores holds one of these per design, not N.
+#[derive(Debug)]
+pub struct CompiledLqg<S: LqgStorage = DynStore> {
     design: LqgDesign,
     closed_loop_radius: f64,
     kalman: KalmanFilter,
-    /// Runtime copies of the gains, model matrices, and state, held in
-    /// `S`'s storage.
-    rt: LqgRt<S>,
-    /// Reusable temporaries so a steady-state epoch allocates nothing.
-    scratch: LqgScratch<S>,
-    /// Cached steady-state solve artifacts (pure function of the design).
-    ss_solver: SteadyStateSolver,
-}
-
-/// The runtime half of the controller: everything the per-epoch hot path
-/// touches, held in the selected storage. Gains and model matrices are
-/// bit-exact copies of the synthesis artifacts; the vectors are the
-/// controller's evolving state (normalized coordinates).
-#[derive(Debug, Clone)]
-struct LqgRt<S: LqgStorage> {
     /// LQR gain `F` over the augmented state.
     f: S::GainF,
     /// Kalman predictor gain `L`.
@@ -367,6 +378,95 @@ struct LqgRt<S: LqgStorage> {
     b: S::MatB,
     c: S::MatC,
     d: S::MatD,
+    /// Cached steady-state solve artifacts (pure function of the design).
+    ss_solver: SteadyStateSolver,
+}
+
+impl<S: LqgStorage> CompiledLqg<S> {
+    /// Re-homes the gains and model matrices into another storage. Every
+    /// element round-trips through the dynamic types bit-exactly.
+    fn convert<T: LqgStorage>(&self) -> Result<CompiledLqg<T>> {
+        let lin = ControlError::Linalg;
+        Ok(CompiledLqg {
+            design: self.design.clone(),
+            closed_loop_radius: self.closed_loop_radius,
+            kalman: self.kalman.clone(),
+            f: T::GainF::from_matrix(&self.f.to_matrix()).map_err(lin)?,
+            l: T::GainL::from_matrix(&self.l.to_matrix()).map_err(lin)?,
+            a: T::MatA::from_matrix(&self.a.to_matrix()).map_err(lin)?,
+            b: T::MatB::from_matrix(&self.b.to_matrix()).map_err(lin)?,
+            c: T::MatC::from_matrix(&self.c.to_matrix()).map_err(lin)?,
+            d: T::MatD::from_matrix(&self.d.to_matrix()).map_err(lin)?,
+            ss_solver: self.ss_solver.clone(),
+        })
+    }
+
+    /// The design the controller was synthesized from (scalers, grids,
+    /// weights, model).
+    pub fn design(&self) -> &LqgDesign {
+        &self.design
+    }
+
+    /// The LQR gain `F` over `[x̃; ũ₋₁; q]`.
+    pub fn f(&self) -> &S::GainF {
+        &self.f
+    }
+
+    /// The Kalman predictor gain `L`.
+    pub fn l(&self) -> &S::GainL {
+        &self.l
+    }
+
+    /// The model's `A`.
+    pub fn a(&self) -> &S::MatA {
+        &self.a
+    }
+
+    /// The model's `B`.
+    pub fn b(&self) -> &S::MatB {
+        &self.b
+    }
+
+    /// The model's `C`.
+    pub fn c(&self) -> &S::MatC {
+        &self.c
+    }
+
+    /// The model's `D`.
+    pub fn d(&self) -> &S::MatD {
+        &self.d
+    }
+
+    /// The cached steady-state solve artifacts every retarget goes through.
+    pub fn steady_state_solver(&self) -> &SteadyStateSolver {
+        &self.ss_solver
+    }
+}
+
+/// The synthesized MIMO LQG tracking controller.
+///
+/// Call [`LqgController::set_reference`] with physical targets, then
+/// [`LqgController::step`] once per epoch with the measured outputs; the
+/// returned vector is the physical, grid-quantized actuation to apply next.
+///
+/// A controller is the shared [`CompiledLqg`] design plus its own state
+/// (x̂, the held input, the integrator, the reference and its steady-state
+/// operating point) and scratch. [`Clone`] shares the design — an `Arc`
+/// clone — and copies only the state, so with [`StaticStore`] a clone
+/// makes no heap allocation.
+#[derive(Debug, Clone)]
+pub struct LqgController<S: LqgStorage = DynStore> {
+    compiled: Arc<CompiledLqg<S>>,
+    /// The controller's evolving state, in normalized coordinates.
+    state: CoreState<S>,
+    /// Reusable temporaries so a steady-state epoch allocates nothing.
+    scratch: LqgScratch<S>,
+}
+
+/// The per-controller half: the evolving state the hot path writes, held
+/// in the selected storage (normalized coordinates).
+#[derive(Debug, Clone)]
+struct CoreState<S: LqgStorage> {
     /// State estimate.
     xhat: S::VecX,
     /// Previous (quantized, normalized) input.
@@ -380,21 +480,11 @@ struct LqgRt<S: LqgStorage> {
     u_ss: S::VecU,
 }
 
-impl<S: LqgStorage> LqgRt<S> {
-    /// Builds the runtime bundle from freshly synthesized dynamic
-    /// artifacts, with zeroed state.
-    fn from_synthesis(f: &Matrix, l: &Matrix, model: &StateSpace) -> Result<Self> {
-        let n = model.state_dim();
-        let i = model.num_inputs();
-        let o = model.num_outputs();
+impl<S: LqgStorage> CoreState<S> {
+    /// All-zero state for `n` states, `i` inputs and `o` outputs.
+    fn zeroed(n: usize, i: usize, o: usize) -> Result<Self> {
         let lin = ControlError::Linalg;
-        Ok(LqgRt {
-            f: S::GainF::from_matrix(f).map_err(lin)?,
-            l: S::GainL::from_matrix(l).map_err(lin)?,
-            a: S::MatA::from_matrix(model.a()).map_err(lin)?,
-            b: S::MatB::from_matrix(model.b()).map_err(lin)?,
-            c: S::MatC::from_matrix(model.c()).map_err(lin)?,
-            d: S::MatD::from_matrix(model.d()).map_err(lin)?,
+        Ok(CoreState {
             xhat: S::VecX::new_dim(n).map_err(lin)?,
             u_prev: S::VecU::new_dim(i).map_err(lin)?,
             q_int: S::VecY::new_dim(o).map_err(lin)?,
@@ -404,18 +494,10 @@ impl<S: LqgStorage> LqgRt<S> {
         })
     }
 
-    /// Re-homes the bundle into another storage. Every element round-trips
-    /// through the dynamic types bit-exactly, so the converted controller
-    /// continues from the identical state.
-    fn convert<T: LqgStorage>(&self) -> Result<LqgRt<T>> {
+    /// Re-homes the state into another storage, bit-exactly.
+    fn convert<T: LqgStorage>(&self) -> Result<CoreState<T>> {
         let lin = ControlError::Linalg;
-        Ok(LqgRt {
-            f: T::GainF::from_matrix(&self.f.to_matrix()).map_err(lin)?,
-            l: T::GainL::from_matrix(&self.l.to_matrix()).map_err(lin)?,
-            a: T::MatA::from_matrix(&self.a.to_matrix()).map_err(lin)?,
-            b: T::MatB::from_matrix(&self.b.to_matrix()).map_err(lin)?,
-            c: T::MatC::from_matrix(&self.c.to_matrix()).map_err(lin)?,
-            d: T::MatD::from_matrix(&self.d.to_matrix()).map_err(lin)?,
+        Ok(CoreState {
             xhat: T::VecX::from_vector(&self.xhat.to_vector()).map_err(lin)?,
             u_prev: T::VecU::from_vector(&self.u_prev.to_vector()).map_err(lin)?,
             q_int: T::VecY::from_vector(&self.q_int.to_vector()).map_err(lin)?,
@@ -464,68 +546,72 @@ impl<S: LqgStorage> LqgScratch<S> {
 impl<S: LqgStorage> LqgController<S> {
     /// Number of actuated inputs.
     pub fn num_inputs(&self) -> usize {
-        self.design.model.num_inputs()
+        self.compiled.design.model.num_inputs()
     }
 
     /// Number of tracked outputs.
     pub fn num_outputs(&self) -> usize {
-        self.design.model.num_outputs()
+        self.compiled.design.model.num_outputs()
     }
 
     /// The identified model the controller was designed on.
     pub fn model(&self) -> &StateSpace {
-        &self.design.model
+        &self.compiled.design.model
+    }
+
+    /// The shared design every clone of this controller steps through.
+    pub fn compiled(&self) -> &Arc<CompiledLqg<S>> {
+        &self.compiled
     }
 
     /// The LQR gain `F` over `[x̃; ũ₋₁; q]`, in the runtime storage
     /// (`&Matrix` on the default dynamic path).
     pub fn feedback_gain(&self) -> &S::GainF {
-        &self.rt.f
+        &self.compiled.f
     }
 
     /// The Kalman filter used for state estimation.
     pub fn kalman(&self) -> &KalmanFilter {
-        &self.kalman
+        &self.compiled.kalman
     }
 
     /// Spectral radius of the nominal augmented closed loop (< 1 by
     /// construction).
     pub fn closed_loop_radius(&self) -> f64 {
-        self.closed_loop_radius
+        self.compiled.closed_loop_radius
     }
 
     /// The design the controller was built from.
     pub fn design(&self) -> &LqgDesign {
-        &self.design
+        &self.compiled.design
     }
 
     /// Current physical reference targets.
     pub fn reference(&self) -> Vector {
-        self.design
+        self.compiled
+            .design
             .output_scaler
-            .denormalize(&self.rt.y_ref_norm.to_vector())
+            .denormalize(&self.state.y_ref_norm.to_vector())
     }
 
     /// Re-homes the controller into another runtime storage, carrying the
     /// full runtime state (estimate, integrator, previous input,
-    /// reference) bit-exactly.
+    /// reference) bit-exactly. The converted design is one new shared
+    /// [`CompiledLqg`]; clone the result to hand it to many cores.
     ///
     /// # Errors
     ///
     /// [`ControlError::DimensionMismatch`] when `T` is a [`StaticStore`]
     /// whose const dimensions disagree with the controller's.
     pub fn with_storage<T: LqgStorage>(&self) -> Result<LqgController<T>> {
-        let n = self.design.model.state_dim();
+        let n = self.compiled.design.model.state_dim();
         let i = self.num_inputs();
         let o = self.num_outputs();
         T::check_dims(i, o, n)?;
         Ok(LqgController {
-            design: self.design.clone(),
-            closed_loop_radius: self.closed_loop_radius,
-            kalman: self.kalman.clone(),
-            rt: self.rt.convert()?,
+            compiled: Arc::new(self.compiled.convert()?),
+            state: self.state.convert()?,
             scratch: LqgScratch::new(n, i, o),
-            ss_solver: self.ss_solver.clone(),
         })
     }
 
@@ -557,31 +643,12 @@ impl<S: LqgStorage> LqgController<S> {
     /// where the controller gets as close as it can.
     pub fn set_reference(&mut self, y0_physical: &Vector) {
         retarget_reference(
-            &self.design.output_scaler,
+            &self.compiled.design.output_scaler,
             y0_physical.as_slice(),
-            self.rt.y_ref_norm.as_mut_slice(),
-            &self.ss_solver,
-            self.rt.u_ss.as_mut_slice(),
-            self.rt.x_ss.as_mut_slice(),
-        );
-    }
-
-    fn recompute_steady_state(&mut self) {
-        // Output-weighted, Tikhonov-regularized inversion of the DC gain:
-        //   u_ss = (Gᵀ Q G + λ I)⁻¹ Gᵀ Q y₀.
-        // Identified DC gains are frequently ill-conditioned (every knob
-        // moves both outputs in a similar ratio), and an exact solve then
-        // produces enormous opposite-signed feed-forward inputs that pin
-        // the actuators at their clamps. The ridge biases u_ss toward the
-        // operating midpoint; the integrator removes the residual offset.
-        // The reference-independent half (Gᵀ Q and both LU factorizations)
-        // is cached in [`SteadyStateSolver`] at synthesis, so a retarget
-        // pays only the right-hand side and the substitutions — bit-
-        // identical to the full solve, an order of magnitude cheaper.
-        self.ss_solver.resolve(
-            self.rt.y_ref_norm.as_slice(),
-            self.rt.u_ss.as_mut_slice(),
-            self.rt.x_ss.as_mut_slice(),
+            self.state.y_ref_norm.as_mut_slice(),
+            &self.compiled.ss_solver,
+            self.state.u_ss.as_mut_slice(),
+            self.state.x_ss.as_mut_slice(),
         );
     }
 
@@ -613,42 +680,43 @@ impl<S: LqgStorage> LqgController<S> {
             "measurement dimension mismatch"
         );
         assert_eq!(out.len(), self.num_inputs(), "actuation dimension mismatch");
+        let k = &*self.compiled;
         let s = &mut self.scratch;
-        let rt = &mut self.rt;
-        self.design
+        let st = &mut self.state;
+        k.design
             .output_scaler
             .normalize_slices(y_physical.as_slice(), s.y_norm.as_mut_slice());
 
         // Estimator update with the input actually applied last epoch.
         update_kalman::<S>(
-            &rt.l,
-            &rt.a,
-            &rt.b,
-            &rt.c,
-            &rt.d,
-            &mut rt.xhat,
-            &rt.u_prev,
+            &k.l,
+            &k.a,
+            &k.b,
+            &k.c,
+            &k.d,
+            &mut st.xhat,
+            &st.u_prev,
             &s.y_norm,
             &mut s.kalman,
         );
 
         // Integrate the tracking error (leaky, with anti-windup clamp).
         integrate_tracking_error(
-            rt.q_int.as_mut_slice(),
+            st.q_int.as_mut_slice(),
             s.y_norm.as_slice(),
-            rt.y_ref_norm.as_slice(),
+            st.y_ref_norm.as_slice(),
         );
 
         // Δu = −F [x̃; ũ₋₁; q].
         assemble_augmented_state(
             s.z.as_mut_slice(),
-            rt.xhat.as_slice(),
-            rt.x_ss.as_slice(),
-            rt.u_prev.as_slice(),
-            rt.u_ss.as_slice(),
-            rt.q_int.as_slice(),
+            st.xhat.as_slice(),
+            st.x_ss.as_slice(),
+            st.u_prev.as_slice(),
+            st.u_ss.as_slice(),
+            st.q_int.as_slice(),
         );
-        rt.f.mat_vec_into(&s.z, &mut s.du);
+        k.f.mat_vec_into(&s.z, &mut s.du);
         negate(s.du.as_mut_slice());
 
         // Apply, clamp, quantize, and slew-limit to one grid step per
@@ -658,55 +726,42 @@ impl<S: LqgStorage> LqgController<S> {
         // steps ... more effective control").
         apply_du_clamped(
             s.u_raw.as_mut_slice(),
-            rt.u_prev.as_slice(),
+            st.u_prev.as_slice(),
             s.du.as_slice(),
         );
-        self.design
+        k.design
             .input_scaler
             .denormalize_slices(s.u_raw.as_slice(), s.u_phys_raw.as_mut_slice());
-        self.design
+        k.design
             .input_scaler
-            .denormalize_slices(rt.u_prev.as_slice(), s.u_prev_phys.as_mut_slice());
+            .denormalize_slices(st.u_prev.as_slice(), s.u_prev_phys.as_mut_slice());
         quantize_with_slew(
-            &self.design.input_grids,
+            &k.design.input_grids,
             s.u_phys_raw.as_slice(),
             s.u_prev_phys.as_slice(),
             out.as_mut_slice(),
         );
         // Feed the *quantized* input back (anti-windup against rounding).
-        self.design
+        k.design
             .input_scaler
-            .normalize_slices(out.as_slice(), rt.u_prev.as_mut_slice());
+            .normalize_slices(out.as_slice(), st.u_prev.as_mut_slice());
     }
 
     /// Resets the runtime state (estimate, integrator, previous input)
     /// without touching the design or the reference.
     pub fn reset_state(&mut self) {
-        self.rt.xhat.as_mut_slice().fill(0.0);
-        self.rt.u_prev.as_mut_slice().fill(0.0);
-        self.rt.q_int.as_mut_slice().fill(0.0);
+        self.state.xhat.as_mut_slice().fill(0.0);
+        self.state.u_prev.as_mut_slice().fill(0.0);
+        self.state.q_int.as_mut_slice().fill(0.0);
     }
 
     /// Seeds the previous-input memory from a physical actuation (e.g. the
     /// configuration the plant is currently running).
     pub fn seed_input(&mut self, u_physical: &Vector) {
-        self.design
+        self.compiled
+            .design
             .input_scaler
-            .normalize_slices(u_physical.as_slice(), self.rt.u_prev.as_mut_slice());
-    }
-
-    /// Borrowed views of the runtime gain and model matrices, in storage
-    /// `S`. The fleet's banked stepping path reads these once per bank so
-    /// every enrolled core shares the identical bit-exact copies.
-    pub fn runtime_matrices(&self) -> LqgMatrices<'_, S> {
-        LqgMatrices {
-            f: &self.rt.f,
-            l: &self.rt.l,
-            a: &self.rt.a,
-            b: &self.rt.b,
-            c: &self.rt.c,
-            d: &self.rt.d,
-        }
+            .normalize_slices(u_physical.as_slice(), self.state.u_prev.as_mut_slice());
     }
 
     /// Snapshot of the evolving runtime state (estimate, held input,
@@ -714,37 +769,14 @@ impl<S: LqgStorage> LqgController<S> {
     /// dynamic vectors — every element a bit-exact copy.
     pub fn export_state(&self) -> LqgState {
         LqgState {
-            xhat: self.rt.xhat.to_vector(),
-            u_prev: self.rt.u_prev.to_vector(),
-            q_int: self.rt.q_int.to_vector(),
-            y_ref_norm: self.rt.y_ref_norm.to_vector(),
-            x_ss: self.rt.x_ss.to_vector(),
-            u_ss: self.rt.u_ss.to_vector(),
+            xhat: self.state.xhat.to_vector(),
+            u_prev: self.state.u_prev.to_vector(),
+            q_int: self.state.q_int.to_vector(),
+            y_ref_norm: self.state.y_ref_norm.to_vector(),
+            x_ss: self.state.x_ss.to_vector(),
+            u_ss: self.state.u_ss.to_vector(),
         }
     }
-
-    /// The cached steady-state solve artifacts this controller retargets
-    /// through.
-    pub fn steady_state_solver(&self) -> &SteadyStateSolver {
-        &self.ss_solver
-    }
-}
-
-/// Borrowed views of an [`LqgController`]'s runtime gain and model
-/// matrices (see [`LqgController::runtime_matrices`]).
-pub struct LqgMatrices<'a, S: LqgStorage> {
-    /// LQR gain `F` over `[x̃; ũ₋₁; q]`.
-    pub f: &'a S::GainF,
-    /// Kalman predictor gain `L`.
-    pub l: &'a S::GainL,
-    /// Model `A`.
-    pub a: &'a S::MatA,
-    /// Model `B`.
-    pub b: &'a S::MatB,
-    /// Model `C`.
-    pub c: &'a S::MatC,
-    /// Model `D`.
-    pub d: &'a S::MatD,
 }
 
 /// Snapshot of an [`LqgController`]'s evolving runtime state (see
@@ -881,12 +913,6 @@ pub fn quantize_with_slew(
     }
 }
 
-/// Nearest-value quantization to a sorted grid.
-#[cfg(test)]
-fn quantize_to(grid: &[f64], v: f64) -> f64 {
-    grid[quantize_index(grid, v)]
-}
-
 /// Index of the nearest grid value.
 pub fn quantize_index(grid: &[f64], v: f64) -> usize {
     debug_assert!(!grid.is_empty());
@@ -905,6 +931,7 @@ pub fn quantize_index(grid: &[f64], v: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::Governor;
 
     /// A known 2-input 2-output plant for closed-loop tests:
     /// x(t+1) = diag(0.7, 0.6)x + Bu, y = x, with cross coupling in B.
@@ -1146,9 +1173,9 @@ mod tests {
         ctrl.set_reference(&Vector::from_slice(&[1.0, 1.0]));
         let _ = ctrl.step(&Vector::from_slice(&[0.5, 0.2]));
         ctrl.reset_state();
-        assert_eq!(ctrl.rt.u_prev.norm_inf(), 0.0);
+        assert_eq!(ctrl.state.u_prev.norm_inf(), 0.0);
         ctrl.seed_input(&Vector::from_slice(&[0.5, -0.5]));
-        assert!(ctrl.rt.u_prev.norm_inf() > 0.0);
+        assert!(ctrl.state.u_prev.norm_inf() > 0.0);
     }
 
     #[test]
@@ -1224,11 +1251,115 @@ mod tests {
         assert!(ctrl.with_storage::<StaticStore<2, 2, 2, 6>>().is_ok());
     }
 
+    /// A stabilizable, detectable `n`-state plant with `i` inputs and `o`
+    /// outputs (distinct stable poles, every state driven and seen).
+    fn shaped_design(i: usize, o: usize, n: usize) -> LqgDesign {
+        let poles: Vec<f64> = (0..n).map(|k| 0.75 - 0.1 * k as f64).collect();
+        let mut b = Matrix::zeros(n, i);
+        let mut c = Matrix::zeros(o, n);
+        for r in 0..n {
+            for col in 0..i {
+                b[(r, col)] = 0.2 + 0.1 * ((r + 2 * col) % 3) as f64;
+            }
+        }
+        for r in 0..o {
+            for col in 0..n {
+                c[(r, col)] = if col % o == r { 1.0 } else { 0.2 };
+            }
+        }
+        let model = StateSpace::new(Matrix::diag(&poles), b, c, Matrix::zeros(o, i)).unwrap();
+        LqgDesign {
+            process_noise: Matrix::identity(n).scale(1e-4),
+            measurement_noise: Matrix::identity(o).scale(1e-4),
+            output_weights: vec![10.0; o],
+            input_weights: vec![0.05; i],
+            integral_weight: 0.05,
+            input_scaler: ChannelScaler::from_ranges(&vec![(-1.0, 1.0); i]),
+            output_scaler: ChannelScaler::from_ranges(&vec![(-5.0, 5.0); o]),
+            input_grids: vec![fine_grid(); i],
+            model,
+        }
+    }
+
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.iter().map(|e| e.to_bits()).collect()
+    }
+
+    fn assert_state_bits(a: &LqgState, b: &LqgState) {
+        let fields = [
+            (&a.xhat, &b.xhat),
+            (&a.u_prev, &b.u_prev),
+            (&a.q_int, &b.q_int),
+            (&a.y_ref_norm, &b.y_ref_norm),
+            (&a.x_ss, &b.x_ss),
+            (&a.u_ss, &b.u_ss),
+        ];
+        for (x, y) in fields {
+            assert_eq!(bits(x), bits(y));
+        }
+    }
+
+    #[test]
+    fn clones_share_the_design_not_the_state() {
+        let mut ctrl = test_design(test_plant(), &[10.0, 10.0], &[0.05, 0.05])
+            .into_static::<2, 2, 2, 6>()
+            .unwrap();
+        ctrl.set_reference(&Vector::from_slice(&[1.0, 0.5]));
+        let mut stepped = ctrl.clone();
+        let mut retargeted = ctrl.clone();
+        assert!(Arc::ptr_eq(ctrl.compiled(), stepped.compiled()));
+        assert!(Arc::ptr_eq(ctrl.compiled(), retargeted.compiled()));
+
+        let before = ctrl.export_state();
+        for t in 0..20 {
+            stepped.step(&Vector::from_slice(&[(t as f64 * 0.3).sin(), 0.2]));
+        }
+        retargeted.set_reference(&Vector::from_slice(&[-2.0, 3.0]));
+        assert_ne!(stepped.export_state(), before);
+        assert_ne!(retargeted.export_state(), before);
+        assert_state_bits(&ctrl.export_state(), &before);
+        // A conversion is a new design of its own.
+        assert!(!Arc::ptr_eq(
+            ctrl.compiled(),
+            ctrl.with_storage::<StaticStore<2, 2, 2, 6>>()
+                .unwrap()
+                .compiled()
+        ));
+
+        // `fast_governors` converts once and every governor it hands out
+        // steps bit for bit like its own `fast_governor` conversion, for
+        // every static shape and for the dynamic fallback (3 states).
+        for (i, o, n) in [(2, 2, 4), (3, 2, 5), (1, 1, 2), (2, 2, 2), (2, 2, 3)] {
+            let mut ctrl = shaped_design(i, o, n).build().unwrap();
+            let target = Vector::from_slice(&vec![0.5; o]);
+            ctrl.set_reference(&target);
+            let mut make = crate::governor::fast_governors(&ctrl);
+            let mut shared = [make(), make()];
+            let mut own = crate::governor::fast_governor(ctrl.clone());
+            let mut u: Vec<Vector> = (0..3).map(|_| Vector::zeros(i)).collect();
+            for t in 0..80 {
+                if t == 40 {
+                    let moved = Vector::from_slice(&vec![-0.5; o]);
+                    shared[1].set_targets(&moved);
+                    own.set_targets(&moved);
+                }
+                let y = Vector::from_fn(o, |k| (t as f64 * 0.17 + k as f64).sin());
+                shared[0].decide_into(&y, false, &mut u[0]).unwrap();
+                shared[1].decide_into(&y, false, &mut u[1]).unwrap();
+                own.decide_into(&y, false, &mut u[2]).unwrap();
+                assert_eq!(bits(&u[1]), bits(&u[2]), "{i}x{o}x{n} epoch {t}");
+                if t < 40 {
+                    assert_eq!(bits(&u[0]), bits(&u[1]), "{i}x{o}x{n} epoch {t}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn quantize_to_picks_nearest() {
         let grid = [0.0, 1.0, 2.0];
-        assert_eq!(quantize_to(&grid, 0.4), 0.0);
-        assert_eq!(quantize_to(&grid, 0.6), 1.0);
-        assert_eq!(quantize_to(&grid, 99.0), 2.0);
+        assert_eq!(grid[quantize_index(&grid, 0.4)], 0.0);
+        assert_eq!(grid[quantize_index(&grid, 0.6)], 1.0);
+        assert_eq!(grid[quantize_index(&grid, 99.0)], 2.0);
     }
 }

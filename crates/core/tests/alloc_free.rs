@@ -6,7 +6,9 @@
 //! LQG/Kalman updates, `set_reference` with an unchanged reference (the
 //! bit-compare path) and with a moving one (the steady-state re-solve),
 //! and a full `EpochLoop` epoch over the real `Processor` plant — and
-//! asserts the counter does not move.
+//! asserts the counter does not move. It also pins what sharing one
+//! design costs: cloning a static-storage controller allocates nothing,
+//! and each governor from `fast_governors` allocates once (its box).
 //!
 //! Everything is exercised from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -17,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mimo_core::decoupled::DecoupledGovernor;
 use mimo_core::engine::EpochLoop;
-use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
+use mimo_core::governor::{fast_governor, fast_governors, Governor, MimoGovernor};
 use mimo_core::kalman::KalmanScratch;
 use mimo_core::lqg::LqgDesign;
 use mimo_core::telemetry::{TelemetryConfig, TelemetrySink};
@@ -59,23 +61,29 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Asserts `window` performs zero allocations. The counter is
-/// process-global and the libtest harness occasionally allocates on its
-/// own threads mid-window, so a non-zero count is retried: a hot path
-/// that truly allocates does so on every attempt, while harness noise
-/// (rare to begin with) vanishes across three independent windows.
-fn assert_alloc_free(label: &str, mut window: impl FnMut()) {
+/// Asserts `window` performs exactly `expected` heap allocations. The
+/// counter is process-global and the libtest harness occasionally
+/// allocates on its own threads mid-window, so a miss is retried: a path
+/// that truly allocates a different number of times does so on every
+/// attempt, while harness noise (rare to begin with) vanishes across three
+/// independent windows.
+fn assert_allocations(label: &str, expected: u64, mut window: impl FnMut()) {
     let mut deltas = Vec::new();
     for _ in 0..3 {
         let before = allocations();
         window();
         let delta = allocations() - before;
-        if delta == 0 {
+        if delta == expected {
             return;
         }
         deltas.push(delta);
     }
-    panic!("{label} allocated on every attempt: {deltas:?}");
+    panic!("{label}: expected {expected} allocations on some attempt, saw {deltas:?}");
+}
+
+/// Asserts `window` performs zero allocations (see [`assert_allocations`]).
+fn assert_alloc_free(label: &str, window: impl FnMut()) {
+    assert_allocations(label, 0, window);
 }
 
 /// A small 2-state / 2-input / 2-output design whose physical ranges line
@@ -329,4 +337,17 @@ fn steady_state_epoch_allocates_nothing() {
     let (_, _, sink) = lp.into_parts();
     assert!(sink.metrics.epochs >= 2300, "{}", sink.metrics.epochs);
     assert!(sink.trace.dropped() > 0);
+
+    // --- Sharing the design costs no heap ---------------------------------
+    // A static-storage clone is an `Arc` clone plus a copy of the inline
+    // per-core state, and every governor `fast_governors` hands out is one
+    // box around such a clone: construction cost per core, not per design.
+    let ctrl = design().into_static::<2, 2, 2, 6>().unwrap();
+    assert_allocations("StaticStore controller clone", 0, || {
+        std::hint::black_box(ctrl.clone());
+    });
+    let mut make = fast_governors(&design().build().unwrap());
+    assert_allocations("governor from fast_governors", 1, || {
+        std::hint::black_box(make());
+    });
 }

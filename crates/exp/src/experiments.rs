@@ -922,8 +922,8 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
 // Fleet scaling — many-core runtime under a chip power budget
 // ---------------------------------------------------------------------------
 
-/// Sweeps fleet sizes N ∈ {1, 4, 16, 64}, all cores running clones of a
-/// single synthesized two-input MIMO controller under a proportional
+/// Sweeps fleet sizes N ∈ {1, 4, 16, 64}, all cores sharing one
+/// synthesized two-input MIMO design under a proportional
 /// chip-power arbiter. Returns one run's statistics per N, in sweep order.
 ///
 /// # Errors
@@ -1024,8 +1024,8 @@ pub struct ClusterScalePoint {
 }
 
 /// Sweeps cluster shapes (chips × cores per chip) up to 256 total cores,
-/// every core running a clone of one synthesized MIMO controller, each
-/// chip under its own arbiter and shared-LLC contention model, and the
+/// every core sharing one synthesized MIMO design and keeping only its
+/// own controller state, each chip under its own arbiter and shared-LLC contention model, and the
 /// cluster arbiter re-dividing the datacenter cap every exchange window.
 ///
 /// With `shards = None` each shape runs at shard counts {1, 2, 4, 8}

@@ -2,12 +2,11 @@
 
 use mimo_core::decoupled::{design_decoupled, DecoupledGovernor};
 use mimo_core::design::{DesignFlow, ValidatedDesign};
-use mimo_core::governor::{FixedGovernor, MimoGovernor};
+use mimo_core::governor::MimoGovernor;
 use mimo_core::heuristic::{profile_sensitivity, SensitivityRanking};
 use mimo_core::optimizer::Metric;
 use mimo_core::weights::WeightSet;
 use mimo_core::Result;
-use mimo_linalg::Vector;
 use mimo_sim::workload::{TRAINING_SET, VALIDATION_SET};
 use mimo_sim::{InputSet, PlantConfig, Processor, ProcessorBuilder};
 
@@ -180,12 +179,6 @@ pub fn baseline_config(input_set: InputSet, metric: Metric, seed: u64) -> PlantC
         }
     }
     best
-}
-
-/// The baseline as a fixed governor.
-pub fn baseline_governor(input_set: InputSet, metric: Metric, seed: u64) -> FixedGovernor {
-    let cfg = baseline_config(input_set, metric, seed);
-    FixedGovernor::new(Vector::from_slice(&cfg.to_actuation(input_set)))
 }
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 //! Every healthy core of a chip runs a *clone* of the same synthesized
 //! controller, so the per-core state is the only thing that differs — the
 //! gains, model matrices, scalers, actuator grids, and steady-state solve
-//! artifacts are shared bit-exact copies. A [`GovernorBank`] exploits
-//! that: it holds one copy of the shared read-only artifacts and lays the
+//! artifacts are the one shared [`CompiledLqg`] design. A [`GovernorBank`]
+//! exploits that: it holds the prototype's shared design and lays the
 //! per-core state out as contiguous structure-of-arrays vectors
 //! (core-major per field), then steps the whole bank phase-major with the
 //! batch kernels from [`mimo_linalg::stack`]. The shared matrices stay
 //! hot in cache across the entire bank instead of being re-fetched
-//! per-core from each cell's scattered governor allocation.
+//! per core.
 //!
 //! # Bit parity
 //!
@@ -41,16 +41,18 @@
 //! swap-remove) back to the per-cell path, where the PR 3 heuristic
 //! fallback machinery takes over.
 
+use std::sync::Arc;
+
 use mimo_core::engine::EpochCause;
+use mimo_core::governor::FastController;
 use mimo_core::lqg::{
     apply_du_clamped, assemble_augmented_state, integrate_tracking_error, negate,
-    quantize_with_slew, retarget_reference, LqgController, SteadyStateSolver,
+    quantize_with_slew, retarget_reference, CompiledLqg, LqgController,
 };
 use mimo_core::storage::StaticStore;
 use mimo_core::ControlError;
 use mimo_linalg::stack::{add_assign_batch, copy_batch, sub_into_batch};
-use mimo_linalg::{SMatrix, SVector, Vector};
-use mimo_sysid::scale::ChannelScaler;
+use mimo_linalg::{SVector, Vector};
 
 /// A bank of identical-shape LQG governors stepped as one
 /// structure-of-arrays batch.
@@ -62,17 +64,9 @@ use mimo_sysid::scale::ChannelScaler;
 /// each slot's [`decision`](GovernorBank::decision).
 #[derive(Debug, Clone)]
 pub struct GovernorBank<const NU: usize, const NY: usize, const NX: usize, const NZ: usize> {
-    // Shared read-only artifacts (bit-exact copies from the prototype).
-    f: SMatrix<NU, NZ>,
-    l: SMatrix<NX, NY>,
-    a: SMatrix<NX, NX>,
-    b: SMatrix<NX, NU>,
-    c: SMatrix<NY, NX>,
-    d: SMatrix<NY, NU>,
-    input_scaler: ChannelScaler,
-    output_scaler: ChannelScaler,
-    input_grids: Vec<Vec<f64>>,
-    solver: SteadyStateSolver,
+    /// The prototype's shared design: gains, model matrices, scalers,
+    /// actuator grids and the steady-state solver.
+    shared: Arc<CompiledLqg<StaticStore<NU, NY, NX, NZ>>>,
     // Enrollment template: the prototype's exported runtime state.
     tpl_xhat: SVector<NX>,
     tpl_u_prev: SVector<NU>,
@@ -113,24 +107,12 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
 {
     /// Builds an empty bank from the shared prototype controller.
     ///
-    /// Copies the runtime gain/model matrices, the scalers, the actuator
-    /// grids, the cached steady-state solver, and the prototype's current
-    /// runtime state (the enrollment template) — all bit-exact.
+    /// Shares the prototype's design and copies its current runtime state
+    /// (the enrollment template) bit-exactly.
     pub fn new(proto: &LqgController<StaticStore<NU, NY, NX, NZ>>) -> Self {
-        let m = proto.runtime_matrices();
-        let design = proto.design();
         let st = proto.export_state();
         GovernorBank {
-            f: *m.f,
-            l: *m.l,
-            a: *m.a,
-            b: *m.b,
-            c: *m.c,
-            d: *m.d,
-            input_scaler: design.input_scaler.clone(),
-            output_scaler: design.output_scaler.clone(),
-            input_grids: design.input_grids.clone(),
-            solver: proto.steady_state_solver().clone(),
+            shared: Arc::clone(proto.compiled()),
             tpl_xhat: SVector::from_slice(st.xhat.as_slice()),
             tpl_u_prev: SVector::from_slice(st.u_prev.as_slice()),
             tpl_q_int: SVector::from_slice(st.q_int.as_slice()),
@@ -199,10 +181,10 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
     /// point only when the normalized reference actually moved.
     pub fn set_target(&mut self, slot: usize, y0_physical: &Vector) {
         retarget_reference(
-            &self.output_scaler,
+            &self.shared.design().output_scaler,
             y0_physical.as_slice(),
             self.y_ref[slot].as_mut_slice(),
-            &self.solver,
+            self.shared.steady_state_solver(),
             self.u_ss[slot].as_mut_slice(),
             self.x_ss[slot].as_mut_slice(),
         );
@@ -234,21 +216,24 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
     /// [`LqgController::step_into`]. Screen-failed slots are restored to
     /// their pre-step state afterwards.
     pub fn step_all(&mut self) {
+        let k = &*self.shared;
+        let design = k.design();
         // Normalize the measurements (per-slot; scaler is slice-based).
         for (y_norm, y_phys) in self.y_norm.iter_mut().zip(&self.y_phys) {
-            self.output_scaler
+            design
+                .output_scaler
                 .normalize_slices(y_phys.as_slice(), y_norm.as_mut_slice());
         }
 
         // Estimator update with the input applied last epoch — the exact
         // stage order of `update_kalman`, batched.
-        self.c.mul_vec_batch_into(&self.xhat, &mut self.y_pred);
-        self.d.mul_vec_batch_into(&self.u_prev, &mut self.d_u);
+        k.c().mul_vec_batch_into(&self.xhat, &mut self.y_pred);
+        k.d().mul_vec_batch_into(&self.u_prev, &mut self.d_u);
         add_assign_batch(&mut self.y_pred, &self.d_u);
         sub_into_batch(&self.y_norm, &self.y_pred, &mut self.innov);
-        self.l.mul_vec_batch_into(&self.innov, &mut self.corr);
-        self.a.mul_vec_batch_into(&self.xhat, &mut self.a_x);
-        self.b.mul_vec_batch_into(&self.u_prev, &mut self.b_u);
+        k.l().mul_vec_batch_into(&self.innov, &mut self.corr);
+        k.a().mul_vec_batch_into(&self.xhat, &mut self.a_x);
+        k.b().mul_vec_batch_into(&self.u_prev, &mut self.b_u);
         add_assign_batch(&mut self.a_x, &self.b_u);
         add_assign_batch(&mut self.a_x, &self.corr);
         copy_batch(&mut self.xhat, &self.a_x);
@@ -271,7 +256,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
         }
 
         // Δu = −F z, batched over the bank.
-        self.f.mul_vec_batch_into(&self.z, &mut self.du);
+        k.f().mul_vec_batch_into(&self.z, &mut self.du);
 
         // Clamp, quantize, slew-limit, and feed the quantized input back.
         for slot in 0..self.cores.len() {
@@ -281,21 +266,21 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
                 self.u_prev[slot].as_slice(),
                 self.du[slot].as_slice(),
             );
-            self.input_scaler.denormalize_slices(
+            design.input_scaler.denormalize_slices(
                 self.u_raw[slot].as_slice(),
                 self.u_phys_raw[slot].as_mut_slice(),
             );
-            self.input_scaler.denormalize_slices(
+            design.input_scaler.denormalize_slices(
                 self.u_prev[slot].as_slice(),
                 self.u_prev_phys[slot].as_mut_slice(),
             );
             quantize_with_slew(
-                &self.input_grids,
+                &design.input_grids,
                 self.u_phys_raw[slot].as_slice(),
                 self.u_prev_phys[slot].as_slice(),
                 self.u_out[slot].as_mut_slice(),
             );
-            self.input_scaler.normalize_slices(
+            design.input_scaler.normalize_slices(
                 self.u_out[slot].as_slice(),
                 self.u_prev[slot].as_mut_slice(),
             );
@@ -369,9 +354,8 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
 }
 
 /// Shape-dispatched bank over the four deployed static controller shapes
-/// (the same set [`mimo_core::governor::fast_governor`] monomorphizes).
-/// Any other shape gets no bank — those cores stay on the per-cell
-/// dynamic path.
+/// (the same set [`FastController`] monomorphizes). Any other shape gets
+/// no bank — those cores stay on the per-cell dynamic path.
 // One `BankKind` exists per chip, so the size spread between variants is
 // irrelevant; boxing the large ones would put an indirection on the hot
 // per-epoch dispatch path for nothing.
@@ -400,38 +384,16 @@ macro_rules! bank_dispatch {
 }
 
 impl BankKind {
-    /// Builds a bank for the controller's shape, re-homing a clone into
-    /// static storage exactly like `fast_governor` does (bit-exact).
-    /// Returns `None` for shapes outside the deployed set.
-    pub(crate) fn try_new(ctrl: &LqgController) -> Option<BankKind> {
-        let shape = (
-            ctrl.num_inputs(),
-            ctrl.num_outputs(),
-            ctrl.model().state_dim(),
-        );
-        // NZ = NX + NU + NY, spelled out (stable Rust cannot compute it).
-        match shape {
-            (2, 2, 4) => ctrl
-                .clone()
-                .into_static::<2, 2, 4, 8>()
-                .ok()
-                .map(|c| BankKind::FreqCache(GovernorBank::new(&c))),
-            (3, 2, 5) => ctrl
-                .clone()
-                .into_static::<3, 2, 5, 10>()
-                .ok()
-                .map(|c| BankKind::ThreeKnob(GovernorBank::new(&c))),
-            (1, 1, 2) => ctrl
-                .clone()
-                .into_static::<1, 1, 2, 4>()
-                .ok()
-                .map(|c| BankKind::Siso(GovernorBank::new(&c))),
-            (2, 2, 2) => ctrl
-                .clone()
-                .into_static::<2, 2, 2, 6>()
-                .ok()
-                .map(|c| BankKind::Test2(GovernorBank::new(&c))),
-            _ => None,
+    /// Builds a bank around the already-converted controller, sharing its
+    /// design with the per-cell governors. Returns `None` for the dynamic
+    /// fallback (shapes outside the deployed set).
+    pub(crate) fn try_new(ctrl: &FastController) -> Option<BankKind> {
+        match ctrl {
+            FastController::FreqCache(c) => Some(BankKind::FreqCache(GovernorBank::new(c))),
+            FastController::ThreeKnob(c) => Some(BankKind::ThreeKnob(GovernorBank::new(c))),
+            FastController::Siso(c) => Some(BankKind::Siso(GovernorBank::new(c))),
+            FastController::Test2(c) => Some(BankKind::Test2(GovernorBank::new(c))),
+            FastController::Dynamic(_) => None,
         }
     }
 
@@ -642,7 +604,7 @@ mod tests {
     /// `BankKind::try_new` banks exactly the deployed shapes.
     #[test]
     fn bank_kind_dispatches_deployed_shapes() {
-        let ctrl = test_controller();
+        let ctrl = FastController::new(&test_controller());
         let kind = BankKind::try_new(&ctrl).expect("2-2-2 is a deployed shape");
         assert!(matches!(kind, BankKind::Test2(_)));
     }

@@ -12,7 +12,7 @@
 //! is why the chip beat needs no locks at all.
 
 use mimo_core::engine::{fleet_warmup, EpochLoop, StepOutcome, TrackingErrorAccumulator};
-use mimo_core::governor::Governor;
+use mimo_core::governor::{FastController, Governor};
 use mimo_core::heuristic::{HeuristicTracker, SensitivityRanking};
 use mimo_core::telemetry::TelemetrySink;
 use mimo_linalg::Vector;
@@ -272,9 +272,12 @@ impl Chip {
         Self::build_with_bank(index, cfg, factory, None)
     }
 
-    /// Builds chip `index` around a shared controller, enrolling every
-    /// core into a [`GovernorBank`](crate::bank::GovernorBank) when the
-    /// controller's shape is banked-capable and the config allows it.
+    /// Builds chip `index` around a shared controller, already converted
+    /// once to its runtime storage ([`FastController::new`]): every core's
+    /// governor is a [`FastController::governor`] sharing that design, and
+    /// when the shape is banked-capable and the config allows it every
+    /// core is also enrolled into a
+    /// [`GovernorBank`](crate::bank::GovernorBank) over the same design.
     /// Each cell still carries its own (per-cell-path-identical) governor
     /// so eviction back to per-cell stepping needs no resynthesis; the
     /// banked decisions are bit-identical, so results match
@@ -283,22 +286,13 @@ impl Chip {
     /// # Errors
     ///
     /// Same conditions as [`Chip::build`].
-    pub fn build_banked(
-        index: usize,
-        cfg: FleetConfig,
-        ctrl: &mimo_core::LqgController,
-    ) -> Result<Self> {
+    pub fn build_banked(index: usize, cfg: FleetConfig, ctrl: &FastController) -> Result<Self> {
         let bank = if cfg.banked {
             BankKind::try_new(ctrl)
         } else {
             None
         };
-        Self::build_with_bank(
-            index,
-            cfg,
-            &mut |_, _| mimo_core::governor::fast_governor(ctrl.clone()),
-            bank,
-        )
+        Self::build_with_bank(index, cfg, &mut |_, _| ctrl.governor(), bank)
     }
 
     fn build_with_bank<F>(

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use mimo_core::governor::Governor;
+use mimo_core::governor::{FastController, Governor};
 use mimo_core::lqg::LqgController;
 use mimo_core::telemetry::TelemetryConfig;
 use mimo_sim::fault::FaultSpec;
@@ -424,12 +424,13 @@ impl ClusterRunner {
         })
     }
 
-    /// Builds a cluster whose every core runs a clone of one synthesized
-    /// LQG controller — the deployment model of the `cluster_scale`
-    /// experiment. Storage is chosen by
-    /// [`mimo_core::governor::fast_governor`], exactly as the single-chip
+    /// Builds a cluster whose every core shares one synthesized LQG
+    /// design and keeps only its own state — the deployment model of the
+    /// `cluster_scale` experiment. The controller is converted to its
+    /// runtime storage once for the whole cluster, by
+    /// [`FastController::new`], exactly as the single-chip
     /// [`FleetRunner::with_shared_controller`](crate::FleetRunner::with_shared_controller)
-    /// does.
+    /// does once per fleet.
     ///
     /// When the controller's shape is banked-capable (and
     /// [`ClusterConfig::banked`] is on), every chip additionally enrolls
@@ -442,9 +443,10 @@ impl ClusterRunner {
     /// Same conditions as [`ClusterRunner::new`].
     pub fn with_shared_controller(cfg: ClusterConfig, ctrl: &LqgController) -> Result<Self> {
         cfg.validate()?;
+        let fast = FastController::new(ctrl);
         let mut chips = Vec::with_capacity(cfg.n_chips);
         for chip in 0..cfg.n_chips {
-            chips.push(Chip::build_banked(chip, cfg.chip_config(chip), ctrl)?);
+            chips.push(Chip::build_banked(chip, cfg.chip_config(chip), &fast)?);
         }
         Self::assemble(cfg, chips)
     }

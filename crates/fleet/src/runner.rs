@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use mimo_core::governor::Governor;
+use mimo_core::governor::{FastController, Governor};
 use mimo_core::lqg::LqgController;
 
 use crate::chip::Chip;
@@ -50,25 +50,26 @@ impl FleetRunner {
         Ok(FleetRunner { chip, epochs })
     }
 
-    /// Builds the fleet with every core running a clone of one synthesized
-    /// MIMO controller — the paper's deployment model, where a single
-    /// offline design is replicated across homogeneous cores.
+    /// Builds the fleet around one synthesized MIMO controller — the
+    /// paper's deployment model, where a single offline design is shared
+    /// by homogeneous cores that each keep only their own state.
     ///
-    /// Each per-core clone is wrapped by
-    /// [`mimo_core::governor::fast_governor`], so controllers whose shape
-    /// matches a reference architecture step on stack-allocated fixed-size
-    /// kernels. When [`FleetConfig::banked`] is on (the default) and the
-    /// shape matches, the healthy cores additionally step as one
-    /// structure-of-arrays [`GovernorBank`](crate::GovernorBank) batch
-    /// (see [`Chip::build_banked`]). Both fast paths are bit-identical to
-    /// the dynamic per-cell one — the fleet digests do not move.
+    /// The controller is converted once, by
+    /// [`FastController::new`], so a shape that matches a reference
+    /// architecture steps on stack-allocated fixed-size kernels, and every
+    /// core's governor shares that one converted design. When
+    /// [`FleetConfig::banked`] is on (the default) and the shape matches,
+    /// the healthy cores additionally step as one structure-of-arrays
+    /// [`GovernorBank`](crate::GovernorBank) batch (see
+    /// [`Chip::build_banked`]). Both fast paths are bit-identical to the
+    /// dynamic per-cell one — the fleet digests do not move.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FleetRunner::new`].
     pub fn with_shared_controller(cfg: FleetConfig, ctrl: &LqgController) -> Result<Self> {
         let epochs = cfg.epochs;
-        let chip = Chip::build_banked(0, cfg, ctrl)?;
+        let chip = Chip::build_banked(0, cfg, &FastController::new(ctrl))?;
         Ok(FleetRunner { chip, epochs })
     }
 

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mimo_core::governor::fast_governor;
+use mimo_core::governor::{fast_governor, FastController};
 use mimo_core::lqg::{LqgController, LqgDesign};
 use mimo_core::StateSpace;
 use mimo_fleet::{ArbitrationPolicy, Chip, FleetConfig};
@@ -120,7 +120,7 @@ fn chip_epoch_beat_is_allocation_free() {
         .epochs(400)
         .seed(5);
     for (name, cfg) in [("uniform", uniform), ("contended", contended)] {
-        let banked = Chip::build_banked(0, cfg.clone(), &ctrl).unwrap();
+        let banked = Chip::build_banked(0, cfg.clone(), &FastController::new(&ctrl)).unwrap();
         let per_cell = Chip::build(0, cfg, &mut |_, _| fast_governor(ctrl.clone())).unwrap();
         for (path, mut chip) in [("banked", banked), ("per-cell", per_cell)] {
             let label = format!("{name} {path} chip");

@@ -35,11 +35,6 @@ impl Complex {
     pub fn abs(&self) -> f64 {
         self.re.hypot(self.im)
     }
-
-    /// Returns `true` if the imaginary part is exactly zero.
-    pub fn is_real(&self) -> bool {
-        self.im == 0.0
-    }
 }
 
 impl std::fmt::Display for Complex {

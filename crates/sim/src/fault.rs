@@ -220,11 +220,6 @@ impl<P: Plant> FaultInjector<P> {
         &mut self.inner
     }
 
-    /// Unwraps the injector, returning the plant.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
     /// Epochs stepped so far.
     pub fn epoch(&self) -> u64 {
         self.epoch

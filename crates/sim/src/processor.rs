@@ -239,12 +239,6 @@ impl ProcessorBuilder {
         self
     }
 
-    /// Sets the initial configuration.
-    pub fn initial_config(mut self, cfg: PlantConfig) -> Self {
-        self.initial = cfg;
-        self
-    }
-
     /// Sets the relative sensor-noise standard deviations for IPS and
     /// power readings.
     pub fn sensor_noise(mut self, ips: f64, power: f64) -> Self {
@@ -347,11 +341,6 @@ impl Processor {
             builder,
             profile,
         }
-    }
-
-    /// The application this plant runs.
-    pub fn app_name(&self) -> &str {
-        self.profile.name()
     }
 
     /// The currently applied configuration.

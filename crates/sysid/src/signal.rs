@@ -55,11 +55,6 @@ impl Excitation {
         &self.samples
     }
 
-    /// Consumes the excitation, returning the sample buffer.
-    pub fn into_samples(self) -> Vec<Vector> {
-        self.samples
-    }
-
     /// Concatenates two excitations with the same channel count.
     ///
     /// # Panics
