@@ -950,17 +950,17 @@ mod tests {
     }
 
     fn test_design(model: StateSpace, qw: &[f64], rw: &[f64]) -> LqgDesign {
-        let n = model.state_dim();
+        let (n, i, o) = (model.state_dim(), model.num_inputs(), model.num_outputs());
         LqgDesign {
             process_noise: Matrix::identity(n).scale(1e-4),
-            measurement_noise: Matrix::identity(model.num_outputs()).scale(1e-4),
+            measurement_noise: Matrix::identity(o).scale(1e-4),
             output_weights: qw.to_vec(),
             input_weights: rw.to_vec(),
             integral_weight: 0.05,
-            input_scaler: ChannelScaler::from_ranges(&[(-1.0, 1.0), (-1.0, 1.0)]),
-            output_scaler: ChannelScaler::from_ranges(&[(-5.0, 5.0), (-5.0, 5.0)]),
+            input_scaler: ChannelScaler::from_ranges(&vec![(-1.0, 1.0); i]),
+            output_scaler: ChannelScaler::from_ranges(&vec![(-5.0, 5.0); o]),
             // Fine grids so quantization barely interferes in unit tests.
-            input_grids: vec![fine_grid(), fine_grid()],
+            input_grids: vec![fine_grid(); i],
             model,
         }
     }
@@ -1253,7 +1253,7 @@ mod tests {
 
     /// A stabilizable, detectable `n`-state plant with `i` inputs and `o`
     /// outputs (distinct stable poles, every state driven and seen).
-    fn shaped_design(i: usize, o: usize, n: usize) -> LqgDesign {
+    fn shaped_plant(i: usize, o: usize, n: usize) -> StateSpace {
         let poles: Vec<f64> = (0..n).map(|k| 0.75 - 0.1 * k as f64).collect();
         let mut b = Matrix::zeros(n, i);
         let mut c = Matrix::zeros(o, n);
@@ -1267,18 +1267,7 @@ mod tests {
                 c[(r, col)] = if col % o == r { 1.0 } else { 0.2 };
             }
         }
-        let model = StateSpace::new(Matrix::diag(&poles), b, c, Matrix::zeros(o, i)).unwrap();
-        LqgDesign {
-            process_noise: Matrix::identity(n).scale(1e-4),
-            measurement_noise: Matrix::identity(o).scale(1e-4),
-            output_weights: vec![10.0; o],
-            input_weights: vec![0.05; i],
-            integral_weight: 0.05,
-            input_scaler: ChannelScaler::from_ranges(&vec![(-1.0, 1.0); i]),
-            output_scaler: ChannelScaler::from_ranges(&vec![(-5.0, 5.0); o]),
-            input_grids: vec![fine_grid(); i],
-            model,
-        }
+        StateSpace::new(Matrix::diag(&poles), b, c, Matrix::zeros(o, i)).unwrap()
     }
 
     fn bits(v: &Vector) -> Vec<u64> {
@@ -1330,7 +1319,9 @@ mod tests {
         // steps bit for bit like its own `fast_governor` conversion, for
         // every static shape and for the dynamic fallback (3 states).
         for (i, o, n) in [(2, 2, 4), (3, 2, 5), (1, 1, 2), (2, 2, 2), (2, 2, 3)] {
-            let mut ctrl = shaped_design(i, o, n).build().unwrap();
+            let mut ctrl = test_design(shaped_plant(i, o, n), &vec![10.0; o], &vec![0.05; i])
+                .build()
+                .unwrap();
             let target = Vector::from_slice(&vec![0.5; o]);
             ctrl.set_reference(&target);
             let mut make = crate::governor::fast_governors(&ctrl);
