@@ -15,6 +15,7 @@ use mimo_core::dare::solve_dare;
 use mimo_core::design::DesignFlow;
 use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
 use mimo_core::optimizer::{Metric, Optimizer, MAX_TRIES};
+use mimo_core::robust::analyze;
 use mimo_exp::setup;
 use mimo_linalg::{eigen, Matrix, Vector};
 use mimo_sim::noise::NormalSampler;
@@ -57,6 +58,21 @@ fn bench_dare(c: &mut Criterion) {
     c.bench_function("control/dare_8x8", |b| {
         b.iter(|| solve_dare(black_box(&a), black_box(&b_m), &q, &r).unwrap())
     });
+}
+
+/// Robust Stability Analysis of the deployed designs at the design flow's
+/// grid: the check `DesignFlow::rsa_redesign` runs once per redesign.
+fn bench_rsa(c: &mut Criterion) {
+    let grid = DesignFlow::two_input().rsa_grid;
+    for (name, set) in [
+        ("2in", InputSet::FreqCache),
+        ("3in", InputSet::FreqCacheRob),
+    ] {
+        let d = setup::design_mimo(set, 2016).expect("design");
+        c.bench_function(&format!("control/rsa_analyze_{name}"), |b| {
+            b.iter(|| analyze(black_box(&d.model), &d.controller, &d.guardbands, grid).unwrap())
+        });
+    }
 }
 
 fn bench_lqg_step(c: &mut Criterion) {
@@ -341,6 +357,7 @@ criterion_group!(
     benches,
     bench_linalg,
     bench_dare,
+    bench_rsa,
     bench_lqg_step,
     bench_engine,
     bench_sim_epoch,

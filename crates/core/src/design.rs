@@ -63,19 +63,16 @@ impl IdentificationData {
     }
 }
 
-/// Drives `plant` with an excitation and records the response.
+/// Drives `plant` with an excitation and records the response. The
+/// excitation's samples become the recording's inputs, so each epoch
+/// allocates only its measured output.
 pub fn record_excitation<P: Plant + ?Sized>(
     plant: &mut P,
-    excitation: &Excitation,
+    excitation: Excitation,
 ) -> IdentificationData {
-    let mut data = IdentificationData::default();
-    for t in 0..excitation.len() {
-        let u = excitation.sample(t).clone();
-        let y = plant.apply(&u);
-        data.u.push(u);
-        data.y.push(y);
-    }
-    data
+    let u = excitation.into_samples();
+    let y = u.iter().map(|u| plant.apply(u)).collect();
+    IdentificationData { u, y }
 }
 
 /// Configuration of the design flow. Defaults mirror Table III.
@@ -211,7 +208,7 @@ impl DesignFlow {
             }
             plant.reset();
             let excitation = self.excitation_for(plant, self.seed.wrapping_add(k as u64));
-            data.extend(record_excitation(plant, &excitation));
+            data.extend(record_excitation(plant, excitation));
             record_bounds.push(data.len());
         }
         let grids = grids.ok_or(ControlError::DimensionMismatch {
@@ -226,18 +223,21 @@ impl DesignFlow {
         let input_scaler = ChannelScaler::from_ranges(&ranges);
         let output_scaler = ChannelScaler::from_data(&data.y);
 
-        let u_norm = input_scaler.normalize_all(&data.u);
-        let y_norm = output_scaler.normalize_all(&data.y);
+        let training_samples = data.len();
+        let IdentificationData {
+            u: mut u_fit,
+            y: mut y_fit,
+        } = data;
+        input_scaler.normalize_all(&mut u_fit);
+        output_scaler.normalize_all(&mut y_fit);
 
         // Detrend each application's record separately: slow cross-app and
         // cross-phase output drift is not input-driven and would corrupt
         // the regression (see `remove_moving_mean`).
-        let mut u_fit: Vec<Vector> = Vec::with_capacity(u_norm.len());
-        let mut y_fit: Vec<Vector> = Vec::with_capacity(y_norm.len());
         for w in record_bounds.windows(2) {
             let (a, b) = (w[0], w[1]);
-            u_fit.extend(remove_moving_mean(&u_norm[a..b], DETREND_WINDOW));
-            y_fit.extend(remove_moving_mean(&y_norm[a..b], DETREND_WINDOW));
+            remove_moving_mean(&mut u_fit[a..b], DETREND_WINDOW);
+            remove_moving_mean(&mut y_fit[a..b], DETREND_WINDOW);
         }
 
         let orders = ArxOrders {
@@ -272,7 +272,7 @@ impl DesignFlow {
             controller,
             model,
             orders,
-            training_samples: data.len(),
+            training_samples,
             n_inputs,
             n_outputs,
         })
@@ -333,18 +333,18 @@ impl DesignFlow {
         for (k, plant) in validation.into_iter().enumerate() {
             plant.reset();
             let excitation = self.excitation_for(plant, self.seed.wrapping_add(1000 + k as u64));
-            let data = record_excitation(plant, &excitation);
-            let u_norm = design.input_scaler.normalize_all(&data.u);
+            let IdentificationData { u: mut u_norm, y } = record_excitation(plant, excitation);
+            design.input_scaler.normalize_all(&mut u_norm);
             // Free-run the model on the validation inputs.
             let x0 = Vector::zeros(result.model.state_dim());
-            let y_pred_norm = result.model.simulate(&x0, &u_norm);
+            let mut y_pred = result.model.simulate(&x0, &u_norm);
             // Compare in *physical* units — normalized coordinates are
             // centered on the training data and would wildly inflate the
             // relative error of a differently-behaved validation app.
-            let y_pred = design.output_scaler.denormalize_all(&y_pred_norm);
+            design.output_scaler.denormalize_all(&mut y_pred);
             // Skip the initial transient (the model starts at rest).
             let skip = 50.min(y_pred.len() / 4);
-            let report = compare(&data.y[skip..], &y_pred[skip..], 20)?;
+            let report = compare(&y[skip..], &y_pred[skip..], 20)?;
             for (o, &e) in report.mean_rel_error_pct.iter().enumerate() {
                 max_err_frac[o] = max_err_frac[o].max(e / 100.0);
             }

@@ -46,6 +46,13 @@ pub enum ControlError {
         /// Index of the offending output channel.
         channel: usize,
     },
+    /// Robust Stability Analysis met a NaN or infinite frequency response
+    /// or largest singular value. The small-gain test cannot be judged on
+    /// it, so the analysis fails instead of passing.
+    NonFiniteResponse {
+        /// Frequency (rad/sample) of the offending response.
+        omega: f64,
+    },
     /// An underlying identification failure.
     Sysid(SysidError),
     /// An underlying linear-algebra failure.
@@ -70,6 +77,9 @@ impl fmt::Display for ControlError {
             ControlError::ValidationFailed { what } => write!(f, "validation failed: {what}"),
             ControlError::NonFiniteMeasurement { channel } => {
                 write!(f, "measurement channel {channel} is NaN or infinite")
+            }
+            ControlError::NonFiniteResponse { omega } => {
+                write!(f, "frequency response at w = {omega:.4} is NaN or infinite")
             }
             ControlError::Sysid(e) => write!(f, "identification failure: {e}"),
             ControlError::Linalg(e) => write!(f, "linear algebra failure: {e}"),

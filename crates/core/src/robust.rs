@@ -14,9 +14,15 @@
 //! `T` is assembled in state-space from the plant model and the full
 //! controller (estimator + Δu feedback + integrator), and the H∞ norm is
 //! evaluated on a dense unit-circle frequency grid — a documented
-//! approximation of MATLAB's Robust Control Toolbox analysis.
+//! approximation of MATLAB's Robust Control Toolbox analysis. The grid is
+//! one [`FrequencySweep`]: the closed-loop `A` is reduced to Hessenberg form
+//! once per analysis, each frequency costs an O(n²) solve, and `W·T` is
+//! `T` with its rows scaled by the guardbands rather than a second solve. A
+//! NaN or infinite response fails the analysis
+//! ([`ControlError::NonFiniteResponse`]) rather than passing it.
 
-use mimo_linalg::{complex, eigen, Matrix};
+use mimo_linalg::complex::FrequencySweep;
+use mimo_linalg::{eigen, CMatrix, Matrix};
 
 use crate::lqg::LqgController;
 use crate::ss::StateSpace;
@@ -123,13 +129,15 @@ pub fn assemble_closed_loop(plant: &StateSpace, ctrl: &LqgController) -> Result<
 ///
 /// `guardbands` are the per-output relative uncertainty bounds (e.g.
 /// `[0.5, 0.3]` for 50% IPS / 30% power); `n_grid` is the number of
-/// frequency samples in `[0, π]` (the paper's Table III analysis is
-/// reproduced well with 256).
+/// frequency samples in `[0, π]`, at least 16 (the design flow uses
+/// [`crate::design::DesignFlow::rsa_grid`] = 128).
 ///
 /// # Errors
 ///
-/// Propagates assembly and numerical failures; an unstable *nominal* loop
-/// reports `robust = false` rather than erroring.
+/// Propagates assembly and numerical failures, and returns
+/// [`ControlError::NonFiniteResponse`] if a response or its largest
+/// singular value is NaN or infinite; an unstable *nominal* loop reports
+/// `robust = false` rather than erroring.
 pub fn analyze(
     plant: &StateSpace,
     ctrl: &LqgController,
@@ -153,19 +161,17 @@ pub fn analyze(
         });
     }
     // Unweighted T for the uniform margin, weighted W·T for the test.
+    let mut sweep = FrequencySweep::new(cl.a(), cl.b(), cl.c(), cl.d())?;
+    let mut weighted = CMatrix::zeros(o, o);
     let mut peak_t = 0.0_f64;
     let mut peak_wt = 0.0_f64;
-    let w_diag = Matrix::diag(guardbands);
-    let c_weighted = &w_diag * cl.c();
     let n = n_grid.max(16);
     for k in 0..n {
         let omega = std::f64::consts::PI * k as f64 / (n - 1) as f64;
-        let g = complex::frequency_response(cl.a(), cl.b(), cl.c(), cl.d(), omega)
-            .map_err(ControlError::Linalg)?;
-        peak_t = peak_t.max(g.max_singular_value().map_err(ControlError::Linalg)?);
-        let gw = complex::frequency_response(cl.a(), cl.b(), &c_weighted, cl.d(), omega)
-            .map_err(ControlError::Linalg)?;
-        peak_wt = peak_wt.max(gw.max_singular_value().map_err(ControlError::Linalg)?);
+        let g = sweep.response(omega)?;
+        g.scale_rows_into(guardbands, &mut weighted);
+        peak_t = peak_t.max(finite_norm(g, omega)?);
+        peak_wt = peak_wt.max(finite_norm(&weighted, omega)?);
     }
     Ok(RobustReport {
         nominal_radius,
@@ -177,6 +183,18 @@ pub fn analyze(
         },
         robust: peak_wt < 1.0,
     })
+}
+
+/// `σ_max(g)`, or [`ControlError::NonFiniteResponse`] if `g` or its norm
+/// is NaN or infinite (`f64::max` would silently drop a NaN).
+fn finite_norm(g: &CMatrix, omega: f64) -> Result<f64> {
+    if g.all_finite() {
+        let sigma = g.max_singular_value()?;
+        if sigma.is_finite() {
+            return Ok(sigma);
+        }
+    }
+    Err(ControlError::NonFiniteResponse { omega })
 }
 
 #[cfg(test)]
@@ -254,6 +272,30 @@ mod tests {
         assert!((large.peak_weighted_gain / small.peak_weighted_gain - 5.0).abs() < 0.2);
         // Uniform margin is guardband-independent.
         assert!((large.uniform_margin - small.uniform_margin).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_response_fails_closed() {
+        let ctrl = build_ctrl(&[0.1, 0.1]);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let err = analyze(&plant_2x2(), &ctrl, &[bad, 0.3], 32).unwrap_err();
+            assert!(
+                matches!(err, ControlError::NonFiniteResponse { omega } if omega == 0.0),
+                "{err:?}"
+            );
+        }
+        // A finite response whose norm overflows fails the same way.
+        let err = analyze(&plant_2x2(), &ctrl, &[1e300, 0.3], 32).unwrap_err();
+        assert!(
+            matches!(err, ControlError::NonFiniteResponse { .. }),
+            "{err:?}"
+        );
+        // One NaN entry in a response fails it, whatever its sign.
+        let g = CMatrix::new(Matrix::from_rows(&[&[1.0, -f64::NAN]]), Matrix::zeros(1, 2)).unwrap();
+        assert!(matches!(
+            finite_norm(&g, 0.5),
+            Err(ControlError::NonFiniteResponse { omega }) if omega == 0.5
+        ));
     }
 
     #[test]

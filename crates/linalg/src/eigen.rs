@@ -105,6 +105,17 @@ fn balance(a: &Matrix) -> Matrix {
 fn hessenberg(a: &Matrix) -> Matrix {
     let n = a.rows();
     let mut h = a.clone();
+    reduce_to_hessenberg(&mut h, &mut Matrix::zeros(n, 0), &mut Matrix::zeros(0, n));
+    h
+}
+
+/// Reduces `h` in place to upper Hessenberg form `QᵀHQ` by Householder
+/// reflectors, carrying `b ← Qᵀb` and `c ← cQ` along, so that
+/// `c (zI − H)⁻¹ b` keeps its value for every `z` (Laub's method for
+/// frequency responses). `b` needs `h.rows()` rows and `c` `h.rows()`
+/// columns; either may have no columns or rows.
+pub(crate) fn reduce_to_hessenberg(h: &mut Matrix, b: &mut Matrix, c: &mut Matrix) {
+    let n = h.rows();
     for k in 0..n.saturating_sub(2) {
         // Householder vector annihilating h[k+2.., k].
         let mut norm2 = 0.0;
@@ -126,26 +137,30 @@ fn hessenberg(a: &Matrix) -> Matrix {
             v[i] = h[(i, k)] / v0;
         }
         let tau = -v0 / alpha;
-        // H <- (I - tau v vᵀ) H
-        for j in 0..n {
-            let mut s = 0.0;
-            for i in (k + 1)..n {
-                s += v[i] * h[(i, j)];
-            }
-            s *= tau;
-            for i in (k + 1)..n {
-                h[(i, j)] -= s * v[i];
+        // H <- (I - tau v vᵀ) H, B <- (I - tau v vᵀ) B
+        for m in [&mut *h, &mut *b] {
+            for j in 0..m.cols() {
+                let mut s = 0.0;
+                for i in (k + 1)..n {
+                    s += v[i] * m[(i, j)];
+                }
+                s *= tau;
+                for i in (k + 1)..n {
+                    m[(i, j)] -= s * v[i];
+                }
             }
         }
-        // H <- H (I - tau v vᵀ)
-        for i in 0..n {
-            let mut s = 0.0;
-            for j in (k + 1)..n {
-                s += h[(i, j)] * v[j];
-            }
-            s *= tau;
-            for j in (k + 1)..n {
-                h[(i, j)] -= s * v[j];
+        // H <- H (I - tau v vᵀ), C <- C (I - tau v vᵀ)
+        for m in [&mut *h, &mut *c] {
+            for i in 0..m.rows() {
+                let mut s = 0.0;
+                for j in (k + 1)..n {
+                    s += m[(i, j)] * v[j];
+                }
+                s *= tau;
+                for j in (k + 1)..n {
+                    m[(i, j)] -= s * v[j];
+                }
             }
         }
         // Enforce exact zeros below the subdiagonal in column k.
@@ -153,7 +168,6 @@ fn hessenberg(a: &Matrix) -> Matrix {
             h[(i, k)] = 0.0;
         }
     }
-    h
 }
 
 /// Computes all eigenvalues of a square matrix.

@@ -20,7 +20,8 @@
 //! * [`svd`] — one-sided Jacobi SVD: singular values, rank, pseudo-inverse.
 //! * [`complex`] — complex matrices (as re/im pairs) and the discrete-time
 //!   frequency response `G(e^{jw}) = C (zI - A)^{-1} B + D` used by the
-//!   robust-stability analysis.
+//!   robust-stability analysis: [`complex::FrequencySweep`] reduces `A` to
+//!   Hessenberg form once and solves each frequency in O(n²).
 //!
 //! # Example
 //!

@@ -7,8 +7,9 @@
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Threshold below which a pivot is considered numerically zero, relative to
-/// the largest entry of the original matrix.
-const PIVOT_RTOL: f64 = 1e-13;
+/// the largest entry of the original matrix. The frequency sweep in
+/// [`crate::complex`] applies the same rule to its complex pivots.
+pub(crate) const PIVOT_RTOL: f64 = 1e-13;
 
 /// A partial-pivoting LU factorization `P * A = L * U`.
 ///

@@ -181,8 +181,9 @@ impl ArxModel {
             n_inputs,
             residuals: Vec::new(),
         };
+        let (mut pred, mut term) = (Vector::zeros(n_outputs), Vector::zeros(n_outputs));
         for t in p..t_total {
-            let pred = model.predict_one_step(u, y, t)?;
+            model.predict_into(u, y, t, &mut pred, &mut term)?;
             residuals.push(&y[t] - &pred);
         }
         Ok(ArxModel { residuals, ..model })
@@ -226,19 +227,37 @@ impl ArxModel {
     /// Returns [`SysidError::NotEnoughData`] if `t` precedes the required
     /// history window.
     pub fn predict_one_step(&self, u: &[Vector], y: &[Vector], t: usize) -> Result<Vector> {
+        let mut pred = Vector::zeros(self.n_outputs);
+        let mut term = Vector::zeros(self.n_outputs);
+        self.predict_into(u, y, t, &mut pred, &mut term)?;
+        Ok(pred)
+    }
+
+    /// [`ArxModel::predict_one_step`] into `pred`, with `term` as scratch
+    /// (both of length `O`): the same products, summed in the same order.
+    fn predict_into(
+        &self,
+        u: &[Vector],
+        y: &[Vector],
+        t: usize,
+        pred: &mut Vector,
+        term: &mut Vector,
+    ) -> Result<()> {
         let p = self.orders.history();
         if t < p || t >= u.len() {
             return Err(SysidError::NotEnoughData { have: t, need: p });
         }
-        let mut pred = Vector::zeros(self.n_outputs);
+        pred.fill(0.0);
         for (i, a) in self.a_coeffs.iter().enumerate() {
-            pred += &a.mul_vec(&y[t - 1 - i])?;
+            a.mul_vec_into(&y[t - 1 - i], term)?;
+            *pred += &*term;
         }
         let j0 = self.orders.first_input_lag();
         for (j, b) in self.b_coeffs.iter().enumerate() {
-            pred += &b.mul_vec(&u[t - j0 - j])?;
+            b.mul_vec_into(&u[t - j0 - j], term)?;
+            *pred += &*term;
         }
-        Ok(pred)
+        Ok(())
     }
 
     /// Free-run simulation: predicts the whole output sequence from the
@@ -379,6 +398,47 @@ mod tests {
             .map(|(a, b)| (a - b).norm_inf())
             .fold(0.0, f64::max);
         assert!(err < 1e-6, "free-run error {err}");
+    }
+
+    #[test]
+    fn residuals_match_the_allocating_prediction_bitwise() {
+        // A literal copy of the allocating one-step prediction the fit's
+        // residual loop used: one product per lag, summed in lag order.
+        fn allocating(m: &ArxModel, u: &[Vector], y: &[Vector], t: usize) -> Vector {
+            let mut pred = Vector::zeros(m.num_outputs());
+            for (i, a) in m.a_coeffs().iter().enumerate() {
+                pred += &a.mul_vec(&y[t - 1 - i]).unwrap();
+            }
+            let j0 = m.orders().first_input_lag();
+            for (j, b) in m.b_coeffs().iter().enumerate() {
+                pred += &b.mul_vec(&u[t - j0 - j]).unwrap();
+            }
+            pred
+        }
+        let u: Vec<Vector> = (0..300)
+            .map(|t| {
+                Vector::from_slice(&[((t * 31) % 7) as f64 / 3.0 - 1.0, (t as f64 * 0.3).sin()])
+            })
+            .collect();
+        let y: Vec<Vector> = (0..300)
+            .map(|t| Vector::from_slice(&[(t as f64 * 0.11).cos(), ((t * 13) % 9) as f64 * 0.2]))
+            .collect();
+        let orders = ArxOrders {
+            na: 2,
+            nb: 2,
+            direct_feedthrough: false,
+        };
+        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let p = orders.history();
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (k, r) in m.residuals().iter().enumerate() {
+            let want = allocating(&m, &u, &y, p + k);
+            assert_eq!(bits(r), bits(&(&y[p + k] - &want)));
+            assert_eq!(
+                bits(&m.predict_one_step(&u, &y, p + k).unwrap()),
+                bits(&want)
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,12 @@ use mimo_linalg::Vector;
 /// drift while preserving the input-driven content.
 ///
 /// The window is clamped at the record edges. `window` is rounded up to an
-/// odd length.
-pub fn remove_moving_mean(seq: &[Vector], window: usize) -> Vec<Vector> {
+/// odd length. The record is detrended in place: the moving means come from
+/// per-channel prefix sums of the original samples, taken before any sample
+/// is changed.
+pub fn remove_moving_mean(seq: &mut [Vector], window: usize) {
     if seq.is_empty() {
-        return Vec::new();
+        return;
     }
     let dim = seq[0].len();
     let w = window.max(1) | 1; // odd
@@ -37,16 +39,14 @@ pub fn remove_moving_mean(seq: &[Vector], window: usize) -> Vec<Vector> {
             prefix[c][t + 1] = prefix[c][t] + v[c];
         }
     }
-    (0..n)
-        .map(|t| {
-            let lo = t.saturating_sub(half);
-            let hi = (t + half + 1).min(n);
-            Vector::from_fn(dim, |c| {
-                let mean = (prefix[c][hi] - prefix[c][lo]) / (hi - lo) as f64;
-                seq[t][c] - mean
-            })
-        })
-        .collect()
+    for (t, v) in seq.iter_mut().enumerate() {
+        let lo = t.saturating_sub(half);
+        let hi = (t + half + 1).min(n);
+        for c in 0..dim {
+            let mean = (prefix[c][hi] - prefix[c][lo]) / (hi - lo) as f64;
+            v[c] -= mean;
+        }
+    }
 }
 
 /// Per-channel affine map `normalized = (raw - offset) / span`.
@@ -222,14 +222,34 @@ impl ChannelScaler {
         }
     }
 
-    /// Normalizes a whole sequence.
-    pub fn normalize_all(&self, raw: &[Vector]) -> Vec<Vector> {
-        raw.iter().map(|v| self.normalize(v)).collect()
+    /// Normalizes a whole sequence in place, bit-identical to
+    /// [`ChannelScaler::normalize`] per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample's length differs from the channel count.
+    pub fn normalize_all(&self, seq: &mut [Vector]) {
+        for v in seq {
+            assert_eq!(v.len(), self.channels(), "channel count mismatch");
+            for (c, x) in v.as_mut_slice().iter_mut().enumerate() {
+                *x = (*x - self.offset[c]) / self.span[c];
+            }
+        }
     }
 
-    /// Denormalizes a whole sequence.
-    pub fn denormalize_all(&self, norm: &[Vector]) -> Vec<Vector> {
-        norm.iter().map(|v| self.denormalize(v)).collect()
+    /// Denormalizes a whole sequence in place, bit-identical to
+    /// [`ChannelScaler::denormalize`] per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample's length differs from the channel count.
+    pub fn denormalize_all(&self, seq: &mut [Vector]) {
+        for v in seq {
+            assert_eq!(v.len(), self.channels(), "channel count mismatch");
+            for (c, x) in v.as_mut_slice().iter_mut().enumerate() {
+                *x = *x * self.span[c] + self.offset[c];
+            }
+        }
     }
 }
 
@@ -270,12 +290,12 @@ mod tests {
     #[test]
     fn normalize_all_applies_elementwise() {
         let s = ChannelScaler::from_ranges(&[(0.0, 2.0)]);
-        let seq = vec![Vector::from_slice(&[0.0]), Vector::from_slice(&[2.0])];
-        let normed = s.normalize_all(&seq);
-        assert_eq!(normed[0][0], -1.0);
-        assert_eq!(normed[1][0], 1.0);
-        let back = s.denormalize_all(&normed);
-        assert_eq!(back[1][0], 2.0);
+        let mut seq = vec![Vector::from_slice(&[0.0]), Vector::from_slice(&[2.0])];
+        s.normalize_all(&mut seq);
+        assert_eq!(seq[0][0], -1.0);
+        assert_eq!(seq[1][0], 1.0);
+        s.denormalize_all(&mut seq);
+        assert_eq!(seq[1][0], 2.0);
     }
 
     #[test]
@@ -314,22 +334,22 @@ mod detrend_tests {
 
     #[test]
     fn removes_constant_offset() {
-        let seq: Vec<Vector> = (0..100).map(|_| Vector::from_slice(&[5.0])).collect();
-        let out = remove_moving_mean(&seq, 11);
-        assert!(out.iter().all(|v| v[0].abs() < 1e-12));
+        let mut seq: Vec<Vector> = (0..100).map(|_| Vector::from_slice(&[5.0])).collect();
+        remove_moving_mean(&mut seq, 11);
+        assert!(seq.iter().all(|v| v[0].abs() < 1e-12));
     }
 
     #[test]
     fn preserves_fast_content_removes_slow_step() {
         // Slow step at t=200 plus fast ±1 square wave of period 10.
-        let seq: Vec<Vector> = (0..400)
+        let mut out: Vec<Vector> = (0..400)
             .map(|t| {
                 let slow = if t < 200 { 0.0 } else { 10.0 };
                 let fast = if (t / 5) % 2 == 0 { 1.0 } else { -1.0 };
                 Vector::from_slice(&[slow + fast])
             })
             .collect();
-        let out = remove_moving_mean(&seq, 101);
+        remove_moving_mean(&mut out, 101);
         // Away from the step, the fast wave survives nearly intact.
         assert!((out[100][0].abs() - 1.0).abs() < 0.1, "{}", out[100][0]);
         assert!((out[300][0].abs() - 1.0).abs() < 0.1);
@@ -339,13 +359,64 @@ mod detrend_tests {
 
     #[test]
     fn empty_input_ok() {
-        assert!(remove_moving_mean(&[], 11).is_empty());
+        remove_moving_mean(&mut [], 11);
     }
 
     #[test]
     fn window_one_zeroes_everything() {
-        let seq = vec![Vector::from_slice(&[3.0]); 5];
-        let out = remove_moving_mean(&seq, 1);
-        assert!(out.iter().all(|v| v[0].abs() < 1e-12));
+        let mut seq = vec![Vector::from_slice(&[3.0]); 5];
+        remove_moving_mean(&mut seq, 1);
+        assert!(seq.iter().all(|v| v[0].abs() < 1e-12));
+    }
+
+    #[test]
+    fn in_place_matches_the_allocating_form_bitwise() {
+        // A literal copy of the allocating detrend + normalize chain the
+        // in-place forms replaced.
+        fn allocating(seq: &[Vector], window: usize) -> Vec<Vector> {
+            let dim = seq[0].len();
+            let w = window.max(1) | 1;
+            let half = w / 2;
+            let n = seq.len();
+            let mut prefix = vec![vec![0.0_f64; n + 1]; dim];
+            for (t, v) in seq.iter().enumerate() {
+                for c in 0..dim {
+                    prefix[c][t + 1] = prefix[c][t] + v[c];
+                }
+            }
+            (0..n)
+                .map(|t| {
+                    let lo = t.saturating_sub(half);
+                    let hi = (t + half + 1).min(n);
+                    Vector::from_fn(dim, |c| {
+                        let mean = (prefix[c][hi] - prefix[c][lo]) / (hi - lo) as f64;
+                        seq[t][c] - mean
+                    })
+                })
+                .collect()
+        }
+        let raw: Vec<Vector> = (0..500)
+            .map(|t| {
+                let x = t as f64;
+                Vector::from_slice(&[(x * 0.37).sin() * 1.7 + 2.4, 40.0 + (x * 0.011).cos() * 9.0])
+            })
+            .collect();
+        let s = ChannelScaler::from_data(&raw);
+        let normed: Vec<Vector> = raw.iter().map(|v| s.normalize(v)).collect();
+        let want = allocating(&normed, 201);
+        let mut got = raw.clone();
+        s.normalize_all(&mut got);
+        remove_moving_mean(&mut got, 201);
+        for (g, w) in got.iter().zip(&want) {
+            for c in 0..2 {
+                assert_eq!(g[c].to_bits(), w[c].to_bits());
+            }
+        }
+        let mut back = normed.clone();
+        s.denormalize_all(&mut back);
+        for (b, n) in back.iter().zip(&normed) {
+            let d = s.denormalize(n);
+            assert_eq!(b.as_slice(), d.as_slice());
+        }
     }
 }

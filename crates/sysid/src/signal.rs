@@ -50,6 +50,11 @@ impl Excitation {
         &self.samples[t]
     }
 
+    /// Takes the samples, e.g. to keep them as a recording's inputs.
+    pub fn into_samples(self) -> Vec<Vector> {
+        self.samples
+    }
+
     /// Borrows all samples.
     pub fn samples(&self) -> &[Vector] {
         &self.samples
