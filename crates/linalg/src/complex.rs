@@ -583,6 +583,19 @@ mod tests {
     }
 
     #[test]
+    fn sweep_pivots_past_a_tiny_diagonal() {
+        // At z = 1, zI − A has a 1e-10 pivot above a unit subdiagonal:
+        // eliminating without the row swap would multiply by 1e10 and
+        // lose the 0.8 below it.
+        let a = Matrix::from_rows(&[&[1.0 - 1e-10, 1.0, 0.5], &[1.0, 0.2, 0.3], &[0.0, 0.4, 0.1]]);
+        let i3 = Matrix::identity(3);
+        let g = frequency_response(&a, &i3, &i3, &Matrix::zeros(3, 3), 0.0).unwrap();
+        let want = (&i3 - &a).inverse().unwrap();
+        assert!((g.re() - &want).max_abs() <= 1e-12 * want.max_abs());
+        assert!(g.im().max_abs() <= 1e-12 * want.max_abs());
+    }
+
+    #[test]
     fn scale_rows_into_weights_each_output() {
         let g = CMatrix::new(
             Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]),
