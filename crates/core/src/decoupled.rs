@@ -136,13 +136,6 @@ impl Governor for DecoupledGovernor {
         self.power_loop.set_reference(&self.y_scratch);
     }
 
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
-        let mut out = Vector::zeros(2);
-        self.decide_into(y, phase_changed, &mut out)
-            .expect("DecoupledGovernor::decide received a non-finite measurement");
-        out
-    }
-
     fn decide_into(&mut self, y: &Vector, _phase_changed: bool, out: &mut Vector) -> Result<()> {
         crate::governor::screen_measurement(y)?;
         // Each loop sees only its own output; no coordination.

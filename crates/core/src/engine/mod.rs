@@ -753,19 +753,29 @@ mod tests {
     #[test]
     fn observer_sees_every_epoch_fault_and_one_quarantine() {
         use crate::telemetry::{TelemetryConfig, TelemetrySink};
-        let gov = FixedGovernor::new(Vector::from_slice(&[1.0, 4.0]));
-        let plant = NanWindow {
+        let gov = || FixedGovernor::new(Vector::from_slice(&[1.0, 4.0]));
+        let plant = || NanWindow {
             epochs: 0,
             from: 2,
             to: 2 + DEFAULT_QUARANTINE_THRESHOLD as usize + 2,
         };
-        let mut lp = EpochLoop::new(gov, plant)
+        let mut plain = EpochLoop::new(gov(), plant());
+        let mut lp = EpochLoop::new(gov(), plant())
             .with_observer(TelemetrySink::new(&TelemetryConfig::trace(64)));
+        plain.set_core(5);
         lp.set_core(5);
+        plain.record_history(10);
+        lp.record_history(10);
         for _ in 0..10 {
-            lp.step();
+            // Observation must not perturb the run.
+            assert_eq!(lp.step(), plain.step());
         }
         lp.finish();
+        let targets = Vector::from_slice(&[1.0, 4.0]);
+        assert_eq!(
+            lp.summarize(&targets, true),
+            plain.summarize(&targets, true)
+        );
         let sink = lp.observer();
         assert_eq!(sink.metrics.epochs, 10);
         assert_eq!(sink.metrics.healthy_epochs, 4);

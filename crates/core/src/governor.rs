@@ -33,17 +33,12 @@ pub trait Governor {
     /// Updates the output reference targets (physical units).
     fn set_targets(&mut self, y0: &Vector);
 
-    /// Consumes this epoch's measured outputs and returns the physical
-    /// actuation to apply for the next epoch. `phase_changed` reports a
-    /// program phase boundary (some governors re-plan on it).
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector;
-
-    /// In-place, fallible variant of [`Governor::decide`]: writes the
-    /// actuation into `out` (which must have [`Governor::num_inputs`]
-    /// elements). The default forwards to `decide`; allocation-free
-    /// governors override it so the epoch hot loop performs no heap
-    /// allocations. On finite inputs implementations must be bit-identical
-    /// to `decide`.
+    /// Consumes this epoch's measured outputs and writes the physical
+    /// actuation to apply for the next epoch into `out` (which must have
+    /// [`Governor::num_inputs`] elements). `phase_changed` reports a
+    /// program phase boundary (some governors re-plan on it). This is the
+    /// one step a governor implements; the epoch hot loop calls it, so an
+    /// implementation should not allocate.
     ///
     /// # Errors
     ///
@@ -56,9 +51,21 @@ pub trait Governor {
         y: &Vector,
         phase_changed: bool,
         out: &mut Vector,
-    ) -> crate::Result<()> {
-        out.copy_from(&self.decide(y, phase_changed));
-        Ok(())
+    ) -> crate::Result<()>;
+
+    /// [`Governor::decide_into`] into a fresh vector, for callers outside
+    /// the hot loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the governor's name and the error when `decide_into`
+    /// fails, e.g. on a non-finite measurement.
+    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
+        let mut out = Vector::zeros(self.num_inputs());
+        if let Err(e) = self.decide_into(y, phase_changed, &mut out) {
+            panic!("{}: {e}", self.name());
+        }
+        out
     }
 
     /// Clears runtime state (not the design).
@@ -151,10 +158,6 @@ impl Governor for FixedGovernor {
     }
 
     fn set_targets(&mut self, _y0: &Vector) {}
-
-    fn decide(&mut self, _y: &Vector, _phase_changed: bool) -> Vector {
-        self.actuation.clone()
-    }
 
     fn decide_into(
         &mut self,
@@ -280,10 +283,6 @@ impl<S: LqgStorage> Governor for MimoGovernor<S> {
         self.ctrl.set_reference(y0);
     }
 
-    fn decide(&mut self, y: &Vector, _phase_changed: bool) -> Vector {
-        self.ctrl.step(y)
-    }
-
     fn decide_into(
         &mut self,
         y: &Vector,
@@ -315,6 +314,59 @@ mod tests {
         assert_eq!(g.name(), "Baseline");
         g.reset();
         assert_eq!(g.decide(&Vector::zeros(2), false), u1);
+    }
+
+    /// Implements only the required methods, so `decide` is the trait's.
+    struct Ramp {
+        k: f64,
+    }
+
+    impl Governor for Ramp {
+        fn name(&self) -> &str {
+            "Ramp"
+        }
+
+        fn num_inputs(&self) -> usize {
+            2
+        }
+
+        fn set_targets(&mut self, _y0: &Vector) {}
+
+        fn decide_into(
+            &mut self,
+            y: &Vector,
+            _phase_changed: bool,
+            out: &mut Vector,
+        ) -> crate::Result<()> {
+            screen_measurement(y)?;
+            self.k += 0.1;
+            out[0] = y[0] * self.k;
+            out[1] = y[1] / self.k;
+            Ok(())
+        }
+
+        fn reset(&mut self) {
+            self.k = 0.0;
+        }
+    }
+
+    #[test]
+    fn provided_decide_is_bit_equal_to_decide_into() {
+        let (mut a, mut b) = (Ramp { k: 0.0 }, Ramp { k: 0.0 });
+        let mut out = Vector::zeros(2);
+        for t in 0..20 {
+            let y = Vector::from_slice(&[0.3 * t as f64, 1.0 / (t + 1) as f64]);
+            let u = a.decide(&y, false);
+            b.decide_into(&y, false, &mut out).unwrap();
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&u), bits(&out), "epoch {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Ramp: measurement channel 1 is NaN or infinite")]
+    fn provided_decide_panics_with_the_name_and_the_error() {
+        Ramp { k: 0.0 }.decide(&Vector::from_slice(&[1.0, f64::NAN]), false);
     }
 
     #[test]

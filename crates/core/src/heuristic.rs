@@ -203,6 +203,7 @@ impl HeuristicTracker {
         &self.orders[class][usize::from(for_perf)]
     }
 
+    #[cfg(test)]
     fn actuation(&self) -> Vector {
         Vector::from_fn(self.grids.len(), |i| self.grids[i][self.idx[i]])
     }
@@ -223,8 +224,8 @@ impl HeuristicTracker {
         moved
     }
 
-    /// The per-epoch rule evaluation shared by `decide` and `decide_into`:
-    /// consumes one measurement and possibly moves the grid indices.
+    /// The per-epoch rule evaluation behind `decide_into`: consumes one
+    /// measurement and possibly moves the grid indices.
     fn update(&mut self, y: &Vector, phase_changed: bool) {
         if phase_changed {
             // Re-classify against the statically tuned cutoff.
@@ -327,11 +328,6 @@ impl Governor for HeuristicTracker {
         }
     }
 
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
-        self.update(y, phase_changed);
-        self.actuation()
-    }
-
     fn decide_into(
         &mut self,
         y: &Vector,
@@ -410,6 +406,7 @@ impl HeuristicOptimizer {
         }
     }
 
+    #[cfg(test)]
     fn actuation(&self) -> Vector {
         Vector::from_fn(self.grids.len(), |i| self.grids[i][self.idx[i]])
     }
@@ -446,7 +443,7 @@ impl HeuristicOptimizer {
         }
     }
 
-    /// The per-epoch search step shared by `decide` and `decide_into`.
+    /// The per-epoch search step behind `decide_into`.
     fn update(&mut self, y: &Vector, phase_changed: bool) {
         if phase_changed {
             self.reset();
@@ -487,11 +484,6 @@ impl Governor for HeuristicOptimizer {
     fn set_targets(&mut self, _y0: &Vector) {
         // The optimizer mode ignores external targets; it maximizes its
         // metric directly.
-    }
-
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
-        self.update(y, phase_changed);
-        self.actuation()
     }
 
     fn decide_into(

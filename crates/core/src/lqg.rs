@@ -1347,6 +1347,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MIMO: measurement channel 0 is NaN or infinite")]
+    fn mimo_decide_panics_on_a_non_finite_measurement() {
+        let plant = test_plant();
+        let ctrl = test_design(plant, &[1.0, 1.0], &[0.1, 0.1])
+            .build()
+            .unwrap();
+        crate::governor::MimoGovernor::new(ctrl)
+            .decide(&Vector::from_slice(&[f64::NAN, 1.0]), false);
+    }
+
+    #[test]
     fn quantize_to_picks_nearest() {
         let grid = [0.0, 1.0, 2.0];
         assert_eq!(grid[quantize_index(&grid, 0.4)], 0.0);

@@ -966,9 +966,9 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<mimo_fleet::FleetSt
                 ]
             })
             .collect();
-        // No wall-clock columns in the CSV: results files must be
-        // bit-identical across runs and job counts (CI diffs them), so
-        // throughput goes to stdout and BENCH_harness.json instead.
+        // No wall clock in the CSV or the console table: results must be
+        // bit-identical across runs and job counts (CI diffs them). Timing
+        // belongs to the benchmark.
         let path = cfg.results.write_csv(
             "fleet_scale.csv",
             &[
@@ -994,11 +994,7 @@ pub fn fleet_scale(cfg: &ExpConfig) -> mimo_core::Result<Vec<mimo_fleet::FleetSt
                 Comparison::new(
                     &format!("N={} avg chip power", s.n_cores),
                     &format!("cap {} W", report::fmt(s.chip_cap_w, 1)),
-                    &format!(
-                        "{} W ({} epochs/s)",
-                        report::fmt(s.avg_chip_power_w, 3),
-                        report::fmt(s.epochs_per_sec, 0)
-                    ),
+                    &format!("{} W", report::fmt(s.avg_chip_power_w, 3)),
                 )
             })
             .collect();

@@ -39,32 +39,6 @@ pub fn run_tracking(
     lp.summarize(targets, keep_trace)
 }
 
-/// Like [`run_tracking`], but threads `obs` through the epoch loop so every
-/// epoch lands in the observer (e.g. a
-/// [`TelemetrySink`](mimo_core::telemetry::TelemetrySink)) alongside the
-/// returned [`TrackingStats`]; the observer is handed back, run summary
-/// delivered, for inspection or export.
-pub fn run_tracking_observed<O: mimo_core::telemetry::Observer>(
-    gov: &mut dyn Governor,
-    plant: &mut Processor,
-    targets: &Vector,
-    epochs: usize,
-    keep_trace: bool,
-    obs: O,
-) -> (TrackingStats, O) {
-    let mut lp = EpochLoop::new(gov, plant).with_observer(obs);
-    lp.set_targets(targets);
-    lp.prime();
-    lp.record_history(epochs);
-    for _ in 0..epochs {
-        lp.step();
-    }
-    lp.finish();
-    let stats = lp.summarize(targets, keep_trace);
-    let (_, _, obs) = lp.into_parts();
-    (stats, obs)
-}
-
 /// Time-varying-run result: the full output trace plus the reference
 /// applied at each epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,31 +226,6 @@ mod tests {
         // Sub-half-epoch durations vanish rather than inflating to 1.
         assert_eq!(epochs_for_ms(0.02), 0);
         assert_eq!(epochs_for_ms(0.0), 0);
-    }
-
-    #[test]
-    fn observed_tracking_matches_plain_and_fills_sink() {
-        use mimo_core::telemetry::{TelemetryConfig, TelemetrySink};
-
-        let targets = Vector::from_slice(&[2.5, 2.0]);
-        let mut gov = FixedGovernor::new(Vector::from_slice(&[1.3, 6.0]));
-        let mut plant = setup::plant("namd", InputSet::FreqCache, 1);
-        let plain = run_tracking(&mut gov, &mut plant, &targets, 120, false);
-
-        let mut gov2 = FixedGovernor::new(Vector::from_slice(&[1.3, 6.0]));
-        let mut plant2 = setup::plant("namd", InputSet::FreqCache, 1);
-        let sink = TelemetrySink::new(&TelemetryConfig::trace(64));
-        let (observed, sink) =
-            run_tracking_observed(&mut gov2, &mut plant2, &targets, 120, false, sink);
-
-        // Observation must not perturb the run.
-        assert_eq!(plain, observed);
-        assert_eq!(sink.metrics.epochs, 120);
-        assert_eq!(sink.trace.len(), 64);
-        assert_eq!(sink.trace.dropped(), 120 - 64);
-        let summary = sink.summary.expect("finish() delivered a run summary");
-        assert_eq!(summary.epochs, 120);
-        assert_eq!(summary.fault_epochs, 0);
     }
 
     #[test]

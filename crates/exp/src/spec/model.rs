@@ -1031,6 +1031,17 @@ mod tests {
     }
 
     #[test]
+    fn llc_sensitivity_that_overflows_the_penalty_fails_at_the_section_line() {
+        let err = crate::spec::parse_str(
+            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
+             [fleet.llc]\ntotal_ways = 4\nsensitivity = 1e308\n",
+        )
+        .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("fleet", 4));
+        assert!(err.msg.contains("largest penalty inf"), "{err}");
+    }
+
+    #[test]
     fn cluster_fault_chip_bound_is_checked() {
         let err = cluster_spec(
             "chips = 2\ncores_per_chip = 2\nepochs = 50\n\

@@ -79,7 +79,7 @@ fn fully_quarantined_chip_frees_its_budget_for_the_others() {
             .shards(shards)
             .seed(2016);
         for core in 0..4 {
-            cfg = cfg.chip_core_fault(1, core, nan);
+            cfg = cfg.core_fault(1, core, nan);
         }
         cfg
     };
@@ -129,15 +129,15 @@ fn cluster_config_boundaries_are_loud() {
         duration: 1,
     };
     assert!(ClusterConfig::new(2, 4)
-        .chip_core_fault(2, 0, spec)
+        .core_fault(2, 0, spec)
         .validate()
         .is_err());
     assert!(ClusterConfig::new(2, 4)
-        .chip_core_fault(1, 4, spec)
+        .core_fault(1, 4, spec)
         .validate()
         .is_err());
     assert!(ClusterConfig::new(2, 4)
-        .chip_core_fault(1, 3, spec)
+        .core_fault(1, 3, spec)
         .validate()
         .is_ok());
     // A one-chip cluster is legal and shards(0) auto-resolves.

@@ -225,12 +225,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Alias of [`ClusterConfig::core_fault`] under its original name
-    /// (builder style).
-    pub fn chip_core_fault(self, chip: usize, core: usize, spec: FaultSpec) -> Self {
-        self.core_fault(chip, core, spec)
-    }
-
     /// Attaches per-core telemetry to every chip (builder style).
     pub fn observer(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;

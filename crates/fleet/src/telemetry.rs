@@ -13,7 +13,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use mimo_core::telemetry::{record_to_json, EpochRecord, Metrics, QuarantineEvent, RunSummary};
+use mimo_core::telemetry::{self, EpochRecord, Metrics, QuarantineEvent, RunSummary};
 use mimo_sim::fault::FAULT_KIND_COUNT;
 
 /// Per-kind labels for the injected-fault counters, indexed like
@@ -85,12 +85,7 @@ impl FleetTelemetry {
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let mut line = String::new();
         for core in &self.per_core {
-            for rec in &core.trace {
-                line.clear();
-                record_to_json(rec, &mut line);
-                line.push('\n');
-                w.write_all(line.as_bytes())?;
-            }
+            telemetry::write_jsonl(w, &core.trace)?;
             if let Some(q) = &core.quarantine {
                 line.clear();
                 let _ = write!(

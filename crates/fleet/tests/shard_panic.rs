@@ -30,10 +30,15 @@ impl Governor for PanicsAt {
         self.inner.set_targets(y0);
     }
 
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
+    fn decide_into(
+        &mut self,
+        y: &Vector,
+        phase_changed: bool,
+        out: &mut Vector,
+    ) -> mimo_core::Result<()> {
         self.decisions += 1;
         assert!(self.decisions < self.panic_at, "governor panic on purpose");
-        self.inner.decide(y, phase_changed)
+        self.inner.decide_into(y, phase_changed, out)
     }
 
     fn reset(&mut self) {

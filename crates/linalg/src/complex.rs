@@ -25,11 +25,15 @@ use crate::{LinalgError, Matrix, Result};
 /// ```
 /// use mimo_linalg::{CMatrix, Matrix};
 ///
-/// let i = CMatrix::identity(2);
-/// let j = CMatrix::new(Matrix::zeros(2, 2), Matrix::identity(2)).unwrap();
-/// // j * j = -I
-/// let jj = j.mul(&j);
-/// assert!((jj.re() - &Matrix::identity(2).scale(-1.0)).max_abs() < 1e-15);
+/// // Entry (r, c) is re[(r, c)] + j·im[(r, c)]: here the row [3 + 4j, 1j].
+/// let g = CMatrix::new(Matrix::from_rows(&[&[3.0, 0.0]]), Matrix::from_rows(&[&[4.0, 1.0]]))
+///     .unwrap();
+/// let m = g.modulus();
+/// for c in 0..2 {
+///     assert_eq!(m[(0, c)], g.re()[(0, c)].hypot(g.im()[(0, c)]));
+/// }
+/// // One row's largest singular value is its Euclidean length, √(25 + 1).
+/// assert!((g.max_singular_value().unwrap() - 26f64.sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
@@ -54,25 +58,11 @@ impl CMatrix {
         Ok(CMatrix { re, im })
     }
 
-    /// Creates a complex matrix with zero imaginary part.
-    pub fn from_real(re: &Matrix) -> Self {
-        let im = Matrix::zeros(re.rows(), re.cols());
-        CMatrix { re: re.clone(), im }
-    }
-
     /// The complex zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         CMatrix {
             re: Matrix::zeros(rows, cols),
             im: Matrix::zeros(rows, cols),
-        }
-    }
-
-    /// The complex identity matrix.
-    pub fn identity(n: usize) -> Self {
-        CMatrix {
-            re: Matrix::identity(n),
-            im: Matrix::zeros(n, n),
         }
     }
 
@@ -89,50 +79,6 @@ impl CMatrix {
     /// Borrows the imaginary part.
     pub fn im(&self) -> &Matrix {
         &self.im
-    }
-
-    /// Complex matrix sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch (as matrix addition does).
-    pub fn add(&self, rhs: &CMatrix) -> CMatrix {
-        CMatrix {
-            re: &self.re + &rhs.re,
-            im: &self.im + &rhs.im,
-        }
-    }
-
-    /// Complex matrix difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, rhs: &CMatrix) -> CMatrix {
-        CMatrix {
-            re: &self.re - &rhs.re,
-            im: &self.im - &rhs.im,
-        }
-    }
-
-    /// Complex matrix product `(Re₁Re₂ − Im₁Im₂) + j(Re₁Im₂ + Im₁Re₂)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions differ.
-    pub fn mul(&self, rhs: &CMatrix) -> CMatrix {
-        CMatrix {
-            re: &(&self.re * &rhs.re) - &(&self.im * &rhs.im),
-            im: &(&self.re * &rhs.im) + &(&self.im * &rhs.re),
-        }
-    }
-
-    /// Multiplies by the complex scalar `a + jb`.
-    pub fn scale(&self, a: f64, b: f64) -> CMatrix {
-        CMatrix {
-            re: &self.re.scale(a) - &self.im.scale(b),
-            im: &self.re.scale(b) + &self.im.scale(a),
-        }
     }
 
     /// Largest singular value of the complex matrix.
@@ -240,11 +186,6 @@ impl CMatrix {
         Matrix::from_fn(self.re.rows(), self.re.cols(), |i, j| {
             self.re[(i, j)].hypot(self.im[(i, j)])
         })
-    }
-
-    /// Frobenius norm of the complex matrix.
-    pub fn norm_fro(&self) -> f64 {
-        (self.re.norm_fro().powi(2) + self.im.norm_fro().powi(2)).sqrt()
     }
 
     /// Whether every real and imaginary part is finite.
@@ -543,16 +484,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn complex_multiply_matches_scalar_arithmetic() {
-        // (1+2j)(3+4j) = 3+4j+6j+8j² = -5 + 10j
-        let a = CMatrix::new(Matrix::from_rows(&[&[1.0]]), Matrix::from_rows(&[&[2.0]])).unwrap();
-        let b = CMatrix::new(Matrix::from_rows(&[&[3.0]]), Matrix::from_rows(&[&[4.0]])).unwrap();
-        let p = a.mul(&b);
-        assert!((p.re()[(0, 0)] + 5.0).abs() < 1e-15);
-        assert!((p.im()[(0, 0)] - 10.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn sweep_reuse_is_bit_identical_to_a_fresh_sweep() {
         // The workspace carries nothing from one frequency to the next.
         let a = Matrix::from_fn(5, 5, |i, j| 0.1 * ((3 * i + 5 * j) % 7) as f64 - 0.3);
@@ -603,9 +534,14 @@ mod tests {
         )
         .unwrap();
         let mut out = CMatrix::zeros(2, 2);
-        g.scale_rows_into(&[0.5, 0.3], &mut out);
-        let w = CMatrix::from_real(&Matrix::diag(&[0.5, 0.3]));
-        assert!(out.sub(&w.mul(&g)).norm_fro() < 1e-15);
+        let w = [0.5, 0.3];
+        g.scale_rows_into(&w, &mut out);
+        for (r, &wr) in w.iter().enumerate() {
+            for c in 0..2 {
+                assert_eq!(out.re()[(r, c)], wr * g.re()[(r, c)]);
+                assert_eq!(out.im()[(r, c)], wr * g.im()[(r, c)]);
+            }
+        }
         assert!(out.all_finite());
         g.scale_rows_into(&[f64::NAN, 1.0], &mut out);
         assert!(!out.all_finite());
@@ -704,14 +640,6 @@ mod tests {
             frequency_response(&a, &b, &c, &d, 0.0),
             Err(LinalgError::Singular)
         ));
-    }
-
-    #[test]
-    fn scale_by_complex_scalar() {
-        let m = CMatrix::identity(2);
-        let s = m.scale(0.0, 1.0); // multiply by j
-        assert_eq!(s.re().max_abs(), 0.0);
-        assert!((s.im() - &Matrix::identity(2)).max_abs() < 1e-15);
     }
 
     #[test]

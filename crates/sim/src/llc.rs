@@ -67,8 +67,9 @@ impl LlcConfig {
     /// # Errors
     ///
     /// Returns [`SimError::BadLlcConfig`] when the budget cannot grant
-    /// every core at least one way, or the sensitivity is negative or
-    /// non-finite.
+    /// every core at least one way, the sensitivity is negative or
+    /// non-finite, or the largest penalty [`SharedLlc::update`] can reach
+    /// is not finite.
     pub fn validate(&self, n_cores: usize) -> Result<(), SimError> {
         if self.total_ways < n_cores {
             return Err(SimError::BadLlcConfig {
@@ -82,6 +83,22 @@ impl LlcConfig {
             return Err(SimError::BadLlcConfig {
                 what: format!("sensitivity = {} must be finite and >= 0", self.sensitivity),
             });
+        }
+        // A core applies at most L2_FULL_WAYS ways, which bounds the
+        // overflow; the neighbor share in `update` is at most 1.
+        let budget = self.total_ways as f64;
+        let max_demand = L2_FULL_WAYS as f64 * n_cores as f64;
+        if max_demand > budget {
+            let worst = 1.0 + self.sensitivity * ((max_demand - budget) / budget);
+            if !worst.is_finite() {
+                return Err(SimError::BadLlcConfig {
+                    what: format!(
+                        "sensitivity = {:e} makes the largest penalty {worst} for \
+                         {n_cores} cores on {} ways; it must stay finite",
+                        self.sensitivity, self.total_ways
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -239,5 +256,31 @@ mod tests {
             .validate(4)
             .is_err());
         assert!(LlcConfig::for_cores(4).validate(4).is_ok());
+    }
+
+    #[test]
+    fn sensitivity_whose_largest_penalty_overflows_is_rejected() {
+        // 4 cores at 8 ways each on a 4-way budget overflow by 7×.
+        let cfg = LlcConfig::for_cores(4).total_ways(4).sensitivity(1e308);
+        let err = cfg.validate(4).unwrap_err().to_string();
+        assert!(err.contains("largest penalty inf"), "{err}");
+        // The worst case it guards: every core at the top of the way grid.
+        let mut llc = SharedLlc {
+            cfg,
+            penalties: vec![1.0; 4],
+        };
+        llc.update(&[L2_FULL_WAYS as f64; 4]);
+        assert!(!llc.penalty(0).is_finite());
+        // A budget the cores cannot overflow accepts any finite value.
+        let roomy = LlcConfig::for_cores(4).total_ways(4 * L2_FULL_WAYS);
+        assert!(roomy.sensitivity(1e308).validate(4).is_ok());
+        // The largest finite worst case passes, and `update` stays finite.
+        let edge = LlcConfig::for_cores(4)
+            .total_ways(4)
+            .sensitivity(f64::MAX / 8.0);
+        assert!(edge.validate(4).is_ok());
+        let mut llc = SharedLlc::new(edge, 4).unwrap();
+        llc.update(&[L2_FULL_WAYS as f64; 4]);
+        assert!(llc.penalty(0).is_finite());
     }
 }

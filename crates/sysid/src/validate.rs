@@ -1,4 +1,4 @@
-//! Model validation and order selection.
+//! Model validation: a model's free-run error against measured outputs.
 //!
 //! §IV-B4: "we validate the model by running additional, highly compute-
 //! and highly memory-intensive applications on both the model and on the
@@ -11,8 +11,6 @@
 
 use mimo_linalg::Vector;
 
-use crate::arx::{ArxModel, ArxOrders};
-use crate::realize::{to_state_space, Realization};
 use crate::{Result, SysidError};
 
 /// Per-output validation metrics from comparing a model's free-run
@@ -132,51 +130,6 @@ pub fn compare(
     })
 }
 
-/// Fits an ARX model on training data, realizes it, free-runs it on
-/// validation data, and reports the errors.
-///
-/// # Errors
-///
-/// Propagates fit and comparison errors.
-pub fn fit_and_validate(
-    train_u: &[Vector],
-    train_y: &[Vector],
-    valid_u: &[Vector],
-    valid_y: &[Vector],
-    orders: ArxOrders,
-    window: usize,
-) -> Result<(ArxModel, Realization, ValidationReport)> {
-    let model = ArxModel::fit(train_u, train_y, orders)?;
-    let ss = to_state_space(&model);
-    let p = orders.history();
-    if valid_u.len() <= p || valid_y.len() <= p {
-        return Err(SysidError::NotEnoughData {
-            have: valid_u.len().min(valid_y.len()),
-            need: p + 1,
-        });
-    }
-    let last_lag = orders.history();
-    let x0 = ss.state_from_history(
-        &valid_y[..p],
-        &valid_u[..p.max(1)],
-        orders.na,
-        last_lag
-            .saturating_sub(0)
-            .min(valid_u.len())
-            .min(ss_input_lags(&ss, orders)),
-    );
-    let predicted = ss.simulate(&x0, &valid_u[p..]);
-    let report = compare(&valid_y[p..], &predicted, window)?;
-    Ok((model, ss, report))
-}
-
-/// Number of past-input slots in the realization's state.
-fn ss_input_lags(ss: &Realization, orders: ArxOrders) -> usize {
-    let o = ss.num_outputs();
-    let i = ss.num_inputs();
-    (ss.state_dim() - orders.na * o) / i.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,24 +181,6 @@ mod tests {
         let raw = compare(&y, &noisy, 1).unwrap();
         let smooth = compare(&y, &noisy, 10).unwrap();
         assert!(smooth.worst_error_pct() < raw.worst_error_pct());
-    }
-
-    #[test]
-    fn fit_and_validate_on_good_model() {
-        let (tu, ty) = gen_system(800, 1);
-        let (vu, vy) = gen_system(400, 7);
-        let orders = ArxOrders {
-            na: 2,
-            nb: 2,
-            direct_feedthrough: false,
-        };
-        let (_m, ss, report) = fit_and_validate(&tu, &ty, &vu, &vy, orders, 5).unwrap();
-        assert_eq!(ss.state_dim(), 4);
-        assert!(
-            report.worst_error_pct() < 20.0,
-            "validation error {:?}",
-            report.max_rel_error_pct
-        );
     }
 
     #[test]
