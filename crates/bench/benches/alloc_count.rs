@@ -1,5 +1,5 @@
-//! Per-epoch heap-allocation comparison: the allocating controller step
-//! vs the scratch-workspace path the epoch engine drives.
+//! Per-epoch heap-allocation counts of the controller step and the epoch
+//! engine, untraced, faulting, and traced.
 //!
 //! Not a timing benchmark — a counting `#[global_allocator]` reports
 //! exactly how many allocations each hot-path variant performs per epoch,
@@ -63,9 +63,6 @@ fn main() {
     let y = Vector::from_slice(&[2.3, 1.7]);
     let mut out = Vector::zeros(2);
     ctrl.step_into(&y, &mut out); // warm
-    let step_allocs = count(EPOCHS, || {
-        let _ = ctrl.step(&y);
-    });
     let step_into_allocs = count(EPOCHS, || ctrl.step_into(&y, &mut out));
 
     // The stack-allocated controller the fleet steps after `fast_governor`.
@@ -107,30 +104,29 @@ fn main() {
     });
     let faulted = lp.fault_epochs();
 
-    // The traced variant: a full ring-buffer telemetry sink observes every
+    // The traced variant: a full ring-buffer telemetry sink takes every
     // epoch. After the warm-up fills the ring, steady-state epochs only
-    // overwrite slots and bump fixed-size counters — still zero allocs.
+    // overwrite slots — still zero allocs.
     let gov = MimoGovernor::new(design.controller.clone());
     let plant = setup::plant("astar", InputSet::FreqCache, 6);
-    let sink = TelemetrySink::new(&TelemetryConfig::trace(128));
-    let mut lp = EpochLoop::new(gov, plant).with_observer(sink);
+    let mut lp = EpochLoop::new(gov, plant);
+    lp.set_sink(TelemetrySink::new(&TelemetryConfig::trace(128)));
     lp.set_targets(&Vector::from_slice(&[2.8, 1.9]));
     lp.prime();
     for _ in 0..300 {
         lp.step(); // warm: also fills the trace ring to capacity
     }
-    let observed_allocs = count(EPOCHS, || {
+    let traced_allocs = count(EPOCHS, || {
         lp.step();
     });
-    let traced = lp.observer().trace.len();
+    let traced = lp.sink().map_or(0, |sink| sink.trace.len());
 
     println!("allocations per epoch over {EPOCHS} epochs:");
-    println!("  lqg step (allocating API)   {step_allocs:.3}");
     println!("  lqg step_into (scratch)     {step_into_allocs:.3}");
     println!("  lqg step_into (static)      {static_step_allocs:.3}");
     println!("  engine epoch (gov + plant)  {engine_allocs:.3}");
     println!("  faulting engine epoch       {faulting_allocs:.3}  ({faulted} epochs faulted)");
-    println!("  observed engine epoch       {observed_allocs:.3}  (ring holds {traced} records)");
+    println!("  traced engine epoch         {traced_allocs:.3}  (ring holds {traced} records)");
     assert_eq!(
         step_into_allocs, 0.0,
         "scratch step must be allocation-free"
@@ -149,8 +145,8 @@ fn main() {
     );
     assert!(faulted > 100, "fault process should have fired: {faulted}");
     assert_eq!(
-        observed_allocs, 0.0,
-        "observed (telemetry-sink) engine epoch must be allocation-free"
+        traced_allocs, 0.0,
+        "traced (telemetry-sink) engine epoch must be allocation-free"
     );
     assert_eq!(traced, 128, "trace ring must have filled to capacity");
 }

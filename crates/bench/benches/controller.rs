@@ -3,7 +3,7 @@
 //!
 //! The paper's overhead claim (§VI-C): the controller "performs four
 //! floating-point vector-matrix multiplies" per 50 µs epoch and "stores
-//! less than 100 floating-point numbers" — `lqg_step` measures our
+//! less than 100 floating-point numbers" — `lqg_step_into` measures our
 //! equivalent; the other benches cover the design-time costs (DARE,
 //! identification) and the simulator substrate, plus one scaled-down
 //! kernel per figure experiment.
@@ -81,9 +81,8 @@ fn bench_lqg_step(c: &mut Criterion) {
     let mut ctrl = design.controller;
     ctrl.set_reference(&Vector::from_slice(&[2.8, 1.9]));
     let y = Vector::from_slice(&[2.3, 1.7]);
-    c.bench_function("control/lqg_step", |b| b.iter(|| ctrl.step(black_box(&y))));
-    // The allocation-free path the epoch engine actually drives: same
-    // arithmetic, every temporary in the scratch workspace.
+    // The allocation-free path the epoch engine drives: every temporary
+    // lives in the scratch workspace.
     let mut out = Vector::zeros(2);
     c.bench_function("control/lqg_step_into", |b| {
         b.iter(|| {

@@ -19,7 +19,7 @@ use mimo_linalg::Vector;
 use mimo_sim::Plant;
 
 use crate::governor::Governor;
-use crate::telemetry::{CauseCode, EpochRecord, Health, NullObserver, Observer, RunSummary};
+use crate::telemetry::{EpochRecord, Health, RunSummary, TelemetrySink};
 
 mod outcome;
 mod schedule;
@@ -49,16 +49,15 @@ pub const DEFAULT_QUARANTINE_THRESHOLD: u32 = 4;
 /// Governor` / `&mut Processor`, the fleet gives each core an owned
 /// `Box<dyn Governor + Send>` + `Processor`.
 ///
-/// The third parameter is the telemetry [`Observer`], defaulting to
-/// [`NullObserver`] — a statically-disabled observer whose hooks
-/// monomorphize away, keeping the unobserved hot loop bit-identical to
-/// the pre-telemetry engine. Attach a real observer with
-/// [`EpochLoop::with_observer`].
+/// Telemetry is an optional [`TelemetrySink`], absent by default: the
+/// loop then skips record capture entirely. Install one with
+/// [`EpochLoop::set_sink`]; it only reads the loop's buffers, so a traced
+/// run steps bit-identically to an untraced one.
 #[derive(Debug)]
-pub struct EpochLoop<G: Governor, P: Plant, O: Observer = NullObserver> {
+pub struct EpochLoop<G: Governor, P: Plant> {
     gov: G,
     plant: P,
-    obs: O,
+    sink: Option<TelemetrySink>,
     /// Last measured outputs, fed to the governor next epoch.
     y: Vector,
     /// Actuation buffer, rewritten every epoch.
@@ -111,7 +110,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
             u_good: u.clone(),
             gov,
             plant,
-            obs: NullObserver,
+            sink: None,
             y,
             u,
             grids,
@@ -127,40 +126,12 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
             quarantine_epoch: None,
         }
     }
-}
 
-impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
-    /// Replaces the loop's observer (consuming the loop, since the
-    /// observer is a type parameter), preserving all control and health
-    /// state. Typical use is attaching a
-    /// [`TelemetrySink`](crate::telemetry::TelemetrySink) right after
-    /// [`EpochLoop::new`]:
-    ///
-    /// ```ignore
-    /// let lp = EpochLoop::new(gov, plant)
-    ///     .with_observer(TelemetrySink::new(&TelemetryConfig::trace(256)));
-    /// ```
-    pub fn with_observer<O2: Observer>(self, obs: O2) -> EpochLoop<G, P, O2> {
-        EpochLoop {
-            gov: self.gov,
-            plant: self.plant,
-            obs,
-            y: self.y,
-            u: self.u,
-            y_good: self.y_good,
-            u_good: self.u_good,
-            grids: self.grids,
-            u_hist: self.u_hist,
-            y_hist: self.y_hist,
-            record: self.record,
-            epoch: self.epoch,
-            core: self.core,
-            consecutive_faults: self.consecutive_faults,
-            fault_epochs: self.fault_epochs,
-            quarantine_threshold: self.quarantine_threshold,
-            quarantined: self.quarantined,
-            quarantine_epoch: self.quarantine_epoch,
-        }
+    /// Installs `sink` as the loop's telemetry, replacing any earlier one;
+    /// from the next epoch on every record and the first quarantine latch
+    /// land in it.
+    pub fn set_sink(&mut self, sink: TelemetrySink) {
+        self.sink = Some(sink);
     }
 
     /// Obtains the first measurement by running one epoch at the plant's
@@ -263,8 +234,11 @@ impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
                     self.u_hist.push(self.u.clone());
                     self.y_hist.push(self.y.clone());
                 }
-                if self.obs.enabled() {
-                    self.observe_epoch(epoch, Health::Healthy, None);
+                if let Some(sink) = &mut self.sink {
+                    let health = Health::Healthy;
+                    let rec =
+                        EpochRecord::capture(epoch, self.core, &self.u, &self.y, health, None);
+                    sink.trace.push(rec);
                 }
                 StepOutcome::Healthy
             }
@@ -292,16 +266,19 @@ impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
                     // latch again, but the reported onset must not move.
                     self.quarantine_epoch.get_or_insert(epoch);
                 }
-                if self.obs.enabled() {
+                // Faulted records carry the restored (finite) buffers.
+                if let Some(sink) = &mut self.sink {
                     let health = if escalate {
                         Health::Quarantined
                     } else {
                         Health::Degraded
                     };
-                    self.observe_epoch(epoch, health, Some((&error.cause).into()));
-                    self.obs.on_fault(&error);
+                    let cause = Some((&error.cause).into());
+                    let rec =
+                        EpochRecord::capture(epoch, self.core, &self.u, &self.y, health, cause);
+                    sink.trace.push(rec);
                     if fresh_latch {
-                        self.obs.on_quarantine(&error);
+                        sink.on_quarantine(&error);
                     }
                 }
                 if escalate {
@@ -313,29 +290,14 @@ impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
         }
     }
 
-    /// Builds this epoch's [`EpochRecord`] on the stack and hands it to
-    /// the observer. Only called when the observer is enabled; the buffers
-    /// are already restored to last-good values on faulted epochs, so the
-    /// record never carries NaN/Inf.
-    #[inline]
-    fn observe_epoch(&mut self, epoch: u64, health: Health, cause: Option<CauseCode>) {
-        let rec = EpochRecord::capture(epoch, self.core, &self.u, &self.y, health, cause);
-        self.obs.on_epoch(&rec);
-    }
-
-    /// Declares the run over: hands an end-of-run [`RunSummary`] to the
-    /// observer (a no-op with the default [`NullObserver`]). Drivers call
-    /// this once after their final epoch; calling it again re-emits the
-    /// summary with the then-current counters.
-    pub fn finish(&mut self) {
-        if self.obs.enabled() {
-            let summary = RunSummary {
-                epochs: self.epoch,
-                fault_epochs: self.fault_epochs,
-                quarantined: self.quarantine_epoch.is_some(),
-                quarantine_epoch: self.quarantine_epoch,
-            };
-            self.obs.on_run_end(&summary);
+    /// The run so far as a [`RunSummary`]: epoch and fault counts plus
+    /// the quarantine onset.
+    pub fn summary(&self) -> RunSummary {
+        RunSummary {
+            epochs: self.epoch,
+            fault_epochs: self.fault_epochs,
+            quarantined: self.quarantine_epoch.is_some(),
+            quarantine_epoch: self.quarantine_epoch,
         }
     }
 
@@ -397,9 +359,10 @@ impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
         &mut self.gov
     }
 
-    /// Borrows the observer (e.g. to inspect a sink's metrics mid-run).
-    pub fn observer(&self) -> &O {
-        &self.obs
+    /// Borrows the telemetry sink, if one is installed (e.g. to inspect
+    /// its trace mid-run).
+    pub fn sink(&self) -> Option<&TelemetrySink> {
+        self.sink.as_ref()
     }
 
     /// The actuator grids captured from the plant at construction (e.g.
@@ -461,9 +424,10 @@ impl<G: Governor, P: Plant, O: Observer> EpochLoop<G, P, O> {
         (self.u_hist, self.y_hist)
     }
 
-    /// Consumes the loop, returning the governor, plant, and observer.
-    pub fn into_parts(self) -> (G, P, O) {
-        (self.gov, self.plant, self.obs)
+    /// Consumes the loop, returning the governor, plant, and telemetry
+    /// sink.
+    pub fn into_parts(self) -> (G, P, Option<TelemetrySink>) {
+        (self.gov, self.plant, self.sink)
     }
 }
 
@@ -751,8 +715,8 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_epoch_fault_and_one_quarantine() {
-        use crate::telemetry::{TelemetryConfig, TelemetrySink};
+    fn sink_sees_every_epoch_and_one_quarantine() {
+        use crate::telemetry::{CauseCode, TelemetryConfig, TelemetrySink};
         let gov = || FixedGovernor::new(Vector::from_slice(&[1.0, 4.0]));
         let plant = || NanWindow {
             epochs: 0,
@@ -760,45 +724,38 @@ mod tests {
             to: 2 + DEFAULT_QUARANTINE_THRESHOLD as usize + 2,
         };
         let mut plain = EpochLoop::new(gov(), plant());
-        let mut lp = EpochLoop::new(gov(), plant())
-            .with_observer(TelemetrySink::new(&TelemetryConfig::trace(64)));
+        let mut lp = EpochLoop::new(gov(), plant());
+        lp.set_sink(TelemetrySink::new(&TelemetryConfig::trace(64)));
         plain.set_core(5);
         lp.set_core(5);
         plain.record_history(10);
         lp.record_history(10);
         for _ in 0..10 {
-            // Observation must not perturb the run.
+            // Tracing must not perturb the run.
             assert_eq!(lp.step(), plain.step());
         }
-        lp.finish();
         let targets = Vector::from_slice(&[1.0, 4.0]);
         assert_eq!(
             lp.summarize(&targets, true),
             plain.summarize(&targets, true)
         );
-        let sink = lp.observer();
-        assert_eq!(sink.metrics.epochs, 10);
-        assert_eq!(sink.metrics.healthy_epochs, 4);
-        assert_eq!(sink.metrics.fault_epochs, 6);
-        assert_eq!(
-            sink.metrics.faults_by_cause[crate::telemetry::CauseCode::NonFiniteMeasurement.index()],
-            6
-        );
-        // The latch fires exactly once even though two more epochs fault
-        // while quarantined.
-        assert_eq!(sink.metrics.quarantines, 1);
+        assert!(plain.sink().is_none());
+        let sink = lp.sink().expect("sink installed");
+        // The first latch is kept even though two more epochs fault while
+        // quarantined.
         let q = sink.quarantine.expect("quarantine event captured");
         assert_eq!(q.epoch, 1 + u64::from(DEFAULT_QUARANTINE_THRESHOLD));
         assert_eq!(q.core, Some(5));
         assert_eq!(q.channel, Some(0));
-        let summary = sink.summary.expect("run summary emitted");
+        let summary = lp.summary();
+        assert_eq!(summary, plain.summary());
         assert_eq!(summary.epochs, 10);
         assert_eq!(summary.fault_epochs, 6);
         assert!(summary.quarantined);
         assert_eq!(summary.quarantine_epoch, lp.quarantine_epoch());
         // The trace labels healthy/degraded/quarantined epochs in order,
         // and faulted records carry the restored (finite) buffers.
-        let trace = lp.observer().trace.to_vec();
+        let trace = sink.trace.to_vec();
         assert_eq!(trace.len(), 10);
         let labels: Vec<&str> = trace.iter().map(|r| r.health.as_str()).collect();
         assert_eq!(
@@ -816,29 +773,35 @@ mod tests {
                 "healthy",
             ]
         );
+        // Every faulted record names the NaN measurement as its cause.
+        assert!(trace
+            .iter()
+            .all(|r| r.cause
+                == (r.health != Health::Healthy).then_some(CauseCode::NonFiniteMeasurement)));
         assert!(trace
             .iter()
             .flat_map(|r| r.inputs().iter().chain(r.outputs()))
             .all(|v| v.is_finite()));
-        // into_parts hands the observer back for draining.
+        // into_parts hands the sink back for draining.
         let (_gov, _plant, sink) = lp.into_parts();
-        assert_eq!(sink.trace.len(), 10);
+        assert_eq!(sink.expect("sink installed").trace.len(), 10);
     }
 
     #[test]
-    fn with_observer_preserves_state_and_null_default_is_free() {
+    fn set_sink_mid_run_keeps_state_and_no_sink_is_free() {
+        use crate::telemetry::{TelemetryConfig, TelemetrySink};
         let gov = FixedGovernor::new(Vector::from_slice(&[1.0, 4.0]));
         let mut lp = EpochLoop::new(gov, Echo { epochs: 0 });
-        assert!(!lp.observer().enabled());
+        assert!(lp.sink().is_none());
         lp.step();
-        lp.finish(); // no-op with the NullObserver default
         let before = lp.outputs().clone();
-        // Swapping observers mid-run keeps epochs, buffers, and health.
-        let mut lp = lp.with_observer(crate::telemetry::RingTrace::with_capacity(4));
+        // Installing a sink mid-run keeps epochs, buffers, and health.
+        lp.set_sink(TelemetrySink::new(&TelemetryConfig::trace(4)));
         assert_eq!(lp.epoch(), 1);
         assert_eq!(lp.outputs(), &before);
         lp.step();
-        assert_eq!(lp.observer().len(), 1);
-        assert_eq!(lp.observer().iter().next().unwrap().epoch, 1);
+        let sink = lp.sink().expect("sink installed");
+        assert_eq!(sink.trace.len(), 1);
+        assert_eq!(sink.trace.iter().next().unwrap().epoch, 1);
     }
 }

@@ -27,10 +27,10 @@
 //! * [`engine`] — the unified epoch loop (decide → apply → record) that
 //!   every driver, from the experiment runners to the fleet runtime,
 //!   steps through; its hot path is allocation-free.
-//! * [`telemetry`] — allocation-free epoch tracing and metrics behind the
-//!   [`Observer`] API: ring-buffer traces, typed
-//!   counters/histograms, and JSONL/CSV exporters that drain outside the
-//!   hot loop.
+//! * [`telemetry`] — allocation-free epoch tracing into one
+//!   [`TelemetrySink`]: a ring-buffer trace, the first quarantine latch,
+//!   the run summary, and JSONL exporters that drain outside the hot
+//!   loop.
 //! * [`design`] — the Figure 3 design flow: identify → weight → synthesize
 //!   → validate → guardband → RSA, end to end against a live plant.
 
@@ -63,7 +63,7 @@ pub use governor::{fast_governor, fast_governors, FastController, Governor};
 pub use lqg::{CompiledLqg, LqgController};
 pub use ss::StateSpace;
 pub use storage::{DynStore, LqgStorage, StaticStore};
-pub use telemetry::{NullObserver, Observer, TelemetryConfig, TelemetrySink};
+pub use telemetry::{TelemetryConfig, TelemetrySink};
 
 /// Convenient result alias for controller design operations.
 pub type Result<T> = std::result::Result<T, ControlError>;

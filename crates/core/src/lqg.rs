@@ -446,8 +446,8 @@ impl<S: LqgStorage> CompiledLqg<S> {
 /// The synthesized MIMO LQG tracking controller.
 ///
 /// Call [`LqgController::set_reference`] with physical targets, then
-/// [`LqgController::step`] once per epoch with the measured outputs; the
-/// returned vector is the physical, grid-quantized actuation to apply next.
+/// [`LqgController::step_into`] once per epoch with the measured outputs;
+/// it writes the physical, grid-quantized actuation to apply next.
 ///
 /// A controller is the shared [`CompiledLqg`] design plus its own state
 /// (x̂, the held input, the integrator, the reference and its steady-state
@@ -629,12 +629,6 @@ impl<S: LqgStorage> LqgController<S> {
         self.with_storage()
     }
 
-    /// Converts back to the dynamic heap-backed storage.
-    pub fn to_dynamic(&self) -> LqgController {
-        self.with_storage::<DynStore>()
-            .expect("dynamic storage accepts any dimensions")
-    }
-
     /// Sets the physical output targets (e.g. `[2.5 BIPS, 2.0 W]`).
     ///
     /// Infeasible targets are accepted: the steady-state solve falls back
@@ -652,22 +646,9 @@ impl<S: LqgStorage> LqgController<S> {
         );
     }
 
-    /// One control epoch: consumes the physical measurement `y(t)` and
-    /// returns the physical, quantized actuation `u(t)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y_physical` has the wrong dimension.
-    pub fn step(&mut self, y_physical: &Vector) -> Vector {
-        let mut u_phys = Vector::zeros(self.num_inputs());
-        self.step_into(y_physical, &mut u_phys);
-        u_phys
-    }
-
     /// One control epoch, in place: consumes the physical measurement
     /// `y(t)` and writes the physical, quantized actuation `u(t)` into
-    /// `out`. Bit-identical to [`LqgController::step`] (which forwards
-    /// here) but allocation-free: every temporary lives in the scratch
+    /// `out`. Allocation-free: every temporary lives in the scratch
     /// workspace sized at synthesis.
     ///
     /// # Panics
@@ -753,15 +734,6 @@ impl<S: LqgStorage> LqgController<S> {
         self.state.xhat.as_mut_slice().fill(0.0);
         self.state.u_prev.as_mut_slice().fill(0.0);
         self.state.q_int.as_mut_slice().fill(0.0);
-    }
-
-    /// Seeds the previous-input memory from a physical actuation (e.g. the
-    /// configuration the plant is currently running).
-    pub fn seed_input(&mut self, u_physical: &Vector) {
-        self.compiled
-            .design
-            .input_scaler
-            .normalize_slices(u_physical.as_slice(), self.state.u_prev.as_mut_slice());
     }
 
     /// Snapshot of the evolving runtime state (estimate, held input,
@@ -978,8 +950,9 @@ mod tests {
         let in_scaler = ctrl.design().input_scaler.clone();
         let mut x = Vector::zeros(plant.state_dim());
         let mut y_phys = out_scaler.denormalize(&plant.c().mul_vec(&x).unwrap());
+        let mut u_phys = Vector::zeros(ctrl.num_inputs());
         for _ in 0..steps {
-            let u_phys = ctrl.step(&y_phys);
+            ctrl.step_into(&y_phys, &mut u_phys);
             let u_norm = in_scaler.normalize(&u_phys);
             let (xn, y_norm) = plant.step(&x, &u_norm);
             x = xn;
@@ -1068,10 +1041,13 @@ mod tests {
             design.input_grids = vec![coarse.clone(), coarse];
             let mut ctrl = design.build().unwrap();
             ctrl.set_reference(&y0);
-            let start = ctrl.step(&Vector::from_slice(&[0.0, 0.0]))[1];
+            let y = Vector::zeros(2);
+            let mut u = Vector::zeros(2);
+            ctrl.step_into(&y, &mut u);
+            let start = u[1];
             let mut moved_at = 200;
             for t in 1..200 {
-                let u = ctrl.step(&Vector::from_slice(&[0.0, 0.0]));
+                ctrl.step_into(&y, &mut u);
                 if (u[1] - start).abs() > 1e-12 {
                     moved_at = t;
                     break;
@@ -1166,16 +1142,18 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_seed() {
+    fn reset_clears_the_runtime_state() {
         let mut ctrl = test_design(test_plant(), &[1.0, 1.0], &[1.0, 1.0])
             .build()
             .unwrap();
         ctrl.set_reference(&Vector::from_slice(&[1.0, 1.0]));
-        let _ = ctrl.step(&Vector::from_slice(&[0.5, 0.2]));
+        let mut u = Vector::zeros(2);
+        ctrl.step_into(&Vector::from_slice(&[0.5, 0.2]), &mut u);
+        assert!(ctrl.state.q_int.norm_inf() > 0.0);
         ctrl.reset_state();
+        assert_eq!(ctrl.state.xhat.norm_inf(), 0.0);
         assert_eq!(ctrl.state.u_prev.norm_inf(), 0.0);
-        ctrl.seed_input(&Vector::from_slice(&[0.5, -0.5]));
-        assert!(ctrl.state.u_prev.norm_inf() > 0.0);
+        assert_eq!(ctrl.state.q_int.norm_inf(), 0.0);
     }
 
     #[test]
@@ -1230,7 +1208,7 @@ mod tests {
             }
         }
         // And back: round-tripping to dynamic also preserves state.
-        let mut back = fixed.to_dynamic();
+        let mut back = fixed.with_storage::<DynStore>().unwrap();
         let y = Vector::from_slice(&[0.4, -0.2]);
         fixed.step_into(&y, &mut u_s);
         back.step_into(&y, &mut u_d);
@@ -1300,8 +1278,9 @@ mod tests {
         assert!(Arc::ptr_eq(ctrl.compiled(), retargeted.compiled()));
 
         let before = ctrl.export_state();
+        let mut u = Vector::zeros(2);
         for t in 0..20 {
-            stepped.step(&Vector::from_slice(&[(t as f64 * 0.3).sin(), 0.2]));
+            stepped.step_into(&Vector::from_slice(&[(t as f64 * 0.3).sin(), 0.2]), &mut u);
         }
         retargeted.set_reference(&Vector::from_slice(&[-2.0, 3.0]));
         assert_ne!(stepped.export_state(), before);

@@ -352,8 +352,9 @@ mod tests {
         let in_scaler = c.design().input_scaler.clone();
         let mut x = mimo_linalg::Vector::zeros(2);
         let mut y_phys = out_scaler.denormalize(&mimo_linalg::Vector::zeros(2));
+        let mut u = mimo_linalg::Vector::zeros(2);
         for _ in 0..1000 {
-            let u = c.step(&y_phys);
+            c.step_into(&y_phys, &mut u);
             let (xn, y_norm) = perturbed.step(&x, &in_scaler.normalize(&u));
             x = xn;
             y_phys = out_scaler.denormalize(&y_norm);

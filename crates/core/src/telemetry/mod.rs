@@ -1,45 +1,38 @@
-//! Allocation-free epoch tracing and metrics behind the [`Observer`] API.
+//! Allocation-free epoch tracing behind one sink, [`TelemetrySink`].
 //!
 //! The paper's controller is judged entirely by per-epoch signals (IPS,
 //! power, actuator settings), but the runners only exposed end-of-run
-//! summaries. This module makes a run *watchable*: the engine notifies an
-//! [`Observer`] at four points —
+//! summaries. This module makes a run *watchable*: an
+//! [`crate::engine::EpochLoop`] with a sink installed
+//! ([`crate::engine::EpochLoop::set_sink`]) hands it
 //!
-//! * [`Observer::on_epoch`] — once per epoch, with a stack-allocated
-//!   [`EpochRecord`] snapshot of the actuation, measurement, and health;
-//! * [`Observer::on_fault`] — on every faulted epoch, with the full
-//!   [`EpochError`];
-//! * [`Observer::on_quarantine`] — once, when the failure streak latches
-//!   the quarantine;
-//! * [`Observer::on_run_end`] — when the driver finishes, with a
-//!   [`RunSummary`].
+//! * a stack-allocated [`EpochRecord`] snapshot of the actuation,
+//!   measurement, and health once per epoch, kept in a fixed-capacity
+//!   [`RingTrace`];
+//! * the first quarantine latch, as a [`QuarantineEvent`].
 //!
-//! The hook is wired statically: [`crate::engine::EpochLoop`] takes the
-//! observer as a type parameter defaulting to [`NullObserver`], whose
-//! hooks are empty and report [`Observer::enabled`] `= false`, so the
-//! default monomorphizes to the exact pre-telemetry hot loop — golden
-//! digests and the zero-allocation guarantee are untouched.
+//! The loop's epoch and fault counts are read once, at the end, as a
+//! [`RunSummary`] ([`crate::engine::EpochLoop::summary`]).
 //!
-//! The batteries-included observer is [`TelemetrySink`]: a fixed-capacity
-//! [`RingTrace`] of recent records plus [`Metrics`] (health counters,
-//! per-cause fault counters, IPS/power histograms). Everything it touches
-//! per epoch is fixed-size, so steady-state epochs stay allocation-free
-//! with telemetry attached; serialization happens after the run via the
-//! export writers ([`write_jsonl`], [`save_jsonl`]).
+//! The loop holds the sink as an `Option`: without one (the default) it
+//! skips record capture entirely, so golden digests and the
+//! zero-allocation guarantee are untouched. With one, everything touched
+//! per epoch is fixed-size, so steady-state epochs stay allocation-free;
+//! serialization happens after the run via the export writers
+//! ([`write_jsonl`], [`save_jsonl`]).
 
 use crate::engine::EpochError;
 
 mod export;
-mod metrics;
 mod record;
 mod ring;
 
 pub use export::{record_to_json, save_jsonl, write_jsonl};
-pub use metrics::{Histogram, Metrics};
 pub use record::{CauseCode, EpochRecord, Health, MAX_CHANNELS};
 pub use ring::RingTrace;
 
-/// End-of-run summary handed to [`Observer::on_run_end`].
+/// Summary of one epoch loop's run, from
+/// [`crate::engine::EpochLoop::summary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
     /// Epochs stepped over the run, including faulted ones.
@@ -82,140 +75,14 @@ impl From<&EpochError> for QuarantineEvent {
     }
 }
 
-/// Receives engine notifications. All hooks default to no-ops, so an
-/// observer implements only what it cares about.
-///
-/// The trait is object-safe: boxed observers (`Box<dyn Observer + Send>`)
-/// work anywhere a concrete one does, via the blanket impls below.
-pub trait Observer {
-    /// Whether this observer wants per-epoch records. The engine skips
-    /// building the [`EpochRecord`] entirely when this returns `false`
-    /// (statically so for [`NullObserver`]), which is what keeps the
-    /// default hot loop bit-and-instruction-identical to an unobserved
-    /// one.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Called once per epoch with this epoch's record.
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        let _ = record;
-    }
-
-    /// Called on every faulted epoch with the full error.
-    fn on_fault(&mut self, error: &EpochError) {
-        let _ = error;
-    }
-
-    /// Called once when the failure streak latches the quarantine.
-    fn on_quarantine(&mut self, error: &EpochError) {
-        let _ = error;
-    }
-
-    /// Called when the driver declares the run over (see
-    /// [`crate::engine::EpochLoop::finish`]).
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        let _ = summary;
-    }
-}
-
-/// The default observer: every hook is a no-op and [`Observer::enabled`]
-/// is statically `false`, so an `EpochLoop` with this observer compiles to
-/// the exact pre-telemetry hot loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-impl<O: Observer + ?Sized> Observer for &mut O {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        (**self).on_epoch(record);
-    }
-
-    fn on_fault(&mut self, error: &EpochError) {
-        (**self).on_fault(error);
-    }
-
-    fn on_quarantine(&mut self, error: &EpochError) {
-        (**self).on_quarantine(error);
-    }
-
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        (**self).on_run_end(summary);
-    }
-}
-
-impl<O: Observer + ?Sized> Observer for Box<O> {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        (**self).on_epoch(record);
-    }
-
-    fn on_fault(&mut self, error: &EpochError) {
-        (**self).on_fault(error);
-    }
-
-    fn on_quarantine(&mut self, error: &EpochError) {
-        (**self).on_quarantine(error);
-    }
-
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        (**self).on_run_end(summary);
-    }
-}
-
-/// `None` is a disabled observer; `Some` forwards. This is how the fleet
-/// threads one statically-typed observer slot through every core whether
-/// telemetry is on or off.
-impl<O: Observer> Observer for Option<O> {
-    fn enabled(&self) -> bool {
-        self.as_ref().is_some_and(Observer::enabled)
-    }
-
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        if let Some(o) = self {
-            o.on_epoch(record);
-        }
-    }
-
-    fn on_fault(&mut self, error: &EpochError) {
-        if let Some(o) = self {
-            o.on_fault(error);
-        }
-    }
-
-    fn on_quarantine(&mut self, error: &EpochError) {
-        if let Some(o) = self {
-            o.on_quarantine(error);
-        }
-    }
-
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        if let Some(o) = self {
-            o.on_run_end(summary);
-        }
-    }
-}
-
 /// Configuration for a [`TelemetrySink`] (and, through
 /// `FleetConfig::observer`, for per-core fleet telemetry).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch; when `false` no sink is attached at all.
     pub enabled: bool,
-    /// Ring-buffer capacity for the per-loop epoch trace (0 = metrics
-    /// only, no trace).
+    /// Ring-buffer capacity for the per-loop epoch trace (0 = quarantine
+    /// and summary only, no trace).
     pub trace_capacity: usize,
 }
 
@@ -243,20 +110,15 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// The standard observer: ring trace + metrics + quarantine capture.
+/// The epoch loop's telemetry: ring trace + quarantine capture.
 ///
-/// Per-epoch work is bounded and allocation-free: one ring slot write and
-/// a handful of counter increments.
+/// Per-epoch work is bounded and allocation-free: one ring slot write.
 #[derive(Debug, Clone)]
 pub struct TelemetrySink {
     /// Recent epoch records, oldest overwritten first.
     pub trace: RingTrace,
-    /// Aggregated counters and histograms.
-    pub metrics: Metrics,
     /// First quarantine latch observed, if any.
     pub quarantine: Option<QuarantineEvent>,
-    /// End-of-run summary, populated by [`Observer::on_run_end`].
-    pub summary: Option<RunSummary>,
 }
 
 impl TelemetrySink {
@@ -264,28 +126,15 @@ impl TelemetrySink {
     pub fn new(cfg: &TelemetryConfig) -> Self {
         TelemetrySink {
             trace: RingTrace::with_capacity(cfg.trace_capacity),
-            metrics: Metrics::new(),
             quarantine: None,
-            summary: None,
         }
     }
-}
 
-impl Observer for TelemetrySink {
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        self.metrics.record(record);
-        self.trace.push(*record);
-    }
-
-    fn on_quarantine(&mut self, error: &EpochError) {
-        self.metrics.quarantines += 1;
+    /// Takes a quarantine latch; only the first one is kept.
+    pub(crate) fn on_quarantine(&mut self, error: &EpochError) {
         if self.quarantine.is_none() {
             self.quarantine = Some(error.into());
         }
-    }
-
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        self.summary = Some(*summary);
     }
 }
 
@@ -293,67 +142,24 @@ impl Observer for TelemetrySink {
 mod tests {
     use super::*;
     use crate::engine::EpochCause;
-    use mimo_linalg::Vector;
-
-    fn record(epoch: u64, health: Health, cause: Option<CauseCode>) -> EpochRecord {
-        let u = Vector::from_slice(&[1.3, 6.0]);
-        let y = Vector::from_slice(&[2.5, 1.75]);
-        EpochRecord::capture(epoch, Some(2), &u, &y, health, cause)
-    }
 
     #[test]
-    fn null_observer_is_disabled() {
-        assert!(!NullObserver.enabled());
-        // Blanket impls forward `enabled`.
-        let mut null = NullObserver;
-        assert!(!Observer::enabled(&&mut null));
-        let boxed: Box<dyn Observer> = Box::new(NullObserver);
-        assert!(!boxed.enabled());
-        assert!(!None::<TelemetrySink>.enabled());
-        assert!(Some(TelemetrySink::new(&TelemetryConfig::trace(4))).enabled());
-    }
-
-    #[test]
-    fn sink_accumulates_trace_metrics_and_quarantine() {
+    fn sink_keeps_the_first_quarantine_latch() {
         let mut sink = TelemetrySink::new(&TelemetryConfig::trace(8));
-        sink.on_epoch(&record(0, Health::Healthy, None));
-        sink.on_epoch(&record(
-            1,
-            Health::Degraded,
-            Some(CauseCode::NonFiniteMeasurement),
-        ));
         let err = EpochError {
             epoch: 2,
             core: Some(2),
             cause: EpochCause::NonFiniteMeasurement { channel: 1 },
         };
-        sink.on_fault(&err);
         sink.on_quarantine(&err);
-        sink.on_epoch(&record(
-            2,
-            Health::Quarantined,
-            Some(CauseCode::NonFiniteMeasurement),
-        ));
-        sink.on_run_end(&RunSummary {
-            epochs: 3,
-            fault_epochs: 2,
-            quarantined: true,
-            quarantine_epoch: Some(2),
-        });
-        assert_eq!(sink.trace.len(), 3);
-        assert_eq!(sink.metrics.epochs, 3);
-        assert_eq!(sink.metrics.fault_epochs, 2);
-        assert_eq!(sink.metrics.quarantines, 1);
         let q = sink.quarantine.expect("quarantine captured");
         assert_eq!(q.epoch, 2);
         assert_eq!(q.core, Some(2));
         assert_eq!(q.cause, CauseCode::NonFiniteMeasurement);
         assert_eq!(q.channel, Some(1));
-        assert_eq!(sink.summary.unwrap().quarantine_epoch, Some(2));
         // A second latch (e.g. after a fallback rescue fails) keeps the
-        // first event but still counts.
+        // first event.
         sink.on_quarantine(&EpochError { epoch: 9, ..err });
-        assert_eq!(sink.metrics.quarantines, 2);
         assert_eq!(sink.quarantine.unwrap().epoch, 2);
     }
 }

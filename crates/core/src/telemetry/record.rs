@@ -1,7 +1,7 @@
 //! The per-epoch observation record and its compact health/cause codes.
 //!
 //! [`EpochRecord`] is a fixed-size `Copy` snapshot of one epoch — built on
-//! the stack inside the hot loop and handed to the observer by reference,
+//! the stack inside the hot loop and handed to the sink by reference,
 //! so producing one never touches the heap. Channel storage is capped at
 //! [`MAX_CHANNELS`]; every plant in the repo has at most three inputs and
 //! two outputs, and anything wider is truncated rather than allocated.
@@ -40,8 +40,7 @@ impl Health {
 }
 
 /// Compact, payload-free code for an [`EpochCause`] — the telemetry-side
-/// projection used to bucket fault counters without holding the full
-/// error.
+/// projection a record carries instead of the full error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CauseCode {
     /// The plant produced a NaN/Inf measurement.
@@ -55,19 +54,6 @@ pub enum CauseCode {
 }
 
 impl CauseCode {
-    /// Number of distinct cause codes (sizes the per-cause counters).
-    pub const COUNT: usize = 4;
-
-    /// Dense index into a `[u64; CauseCode::COUNT]` counter array.
-    pub fn index(&self) -> usize {
-        match self {
-            CauseCode::NonFiniteMeasurement => 0,
-            CauseCode::NonFiniteActuation => 1,
-            CauseCode::Governor => 2,
-            CauseCode::Plant => 3,
-        }
-    }
-
     /// Stable snake_case label used by the JSONL/CSV exporters.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -185,11 +171,10 @@ mod tests {
     fn cause_codes_project_from_epoch_causes() {
         let c: CauseCode = (&EpochCause::NonFiniteMeasurement { channel: 1 }).into();
         assert_eq!(c, CauseCode::NonFiniteMeasurement);
-        assert_eq!(c.index(), 0);
         assert_eq!(c.as_str(), "non_finite_measurement");
         let c: CauseCode = (&EpochCause::NonFiniteActuation { channel: 0 }).into();
-        assert_eq!(c.index(), 1);
-        // Every code has a distinct index below COUNT.
+        assert_eq!(c, CauseCode::NonFiniteActuation);
+        // Every code has a distinct label.
         let all = [
             CauseCode::NonFiniteMeasurement,
             CauseCode::NonFiniteActuation,
@@ -197,9 +182,8 @@ mod tests {
             CauseCode::Plant,
         ];
         for (i, a) in all.iter().enumerate() {
-            assert!(a.index() < CauseCode::COUNT);
             for b in &all[i + 1..] {
-                assert_ne!(a.index(), b.index());
+                assert_ne!(a.as_str(), b.as_str());
             }
         }
     }

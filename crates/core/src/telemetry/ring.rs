@@ -6,7 +6,6 @@
 //! the run is.
 
 use super::record::EpochRecord;
-use super::Observer;
 
 /// A fixed-capacity trace of the most recent epoch records.
 #[derive(Debug, Clone)]
@@ -79,12 +78,6 @@ impl RingTrace {
     /// outside the hot loop, e.g. when draining to an exporter).
     pub fn to_vec(&self) -> Vec<EpochRecord> {
         self.iter().copied().collect()
-    }
-}
-
-impl Observer for RingTrace {
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        self.push(*record);
     }
 }
 

@@ -306,10 +306,10 @@ fn steady_state_epoch_allocates_nothing() {
         lp.fault_epochs()
     );
 
-    // --- Observed epochs are equally allocation-free ----------------------
+    // --- Traced epochs are equally allocation-free -------------------------
     // A full ring-buffer telemetry sink rides along: once the ring has
     // filled to capacity (done during warm-up), every further epoch only
-    // overwrites slots and bumps fixed-size counters/histograms.
+    // overwrites slots.
     let plant = ProcessorBuilder::new()
         .app("namd")
         .seed(21)
@@ -318,25 +318,25 @@ fn steady_state_epoch_allocates_nothing() {
         .unwrap();
     let injector = FaultInjector::new(plant, FaultPlan::transient(0.3, 3, 0xBEEF));
     let gov = MimoGovernor::new(design().build().unwrap());
-    let sink = TelemetrySink::new(&TelemetryConfig::trace(128));
-    let mut lp = EpochLoop::new(gov, injector).with_observer(sink);
+    let mut lp = EpochLoop::new(gov, injector);
+    lp.set_sink(TelemetrySink::new(&TelemetryConfig::trace(128)));
     lp.set_targets(&targets);
     // Warm-up fills the trace ring past capacity so the steady-state
     // window exercises the overwrite path only.
     for _ in 0..300 {
         lp.step();
     }
-    assert!(lp.observer().trace.len() == 128, "ring must be full");
-    assert_alloc_free("observed (TelemetrySink) EpochLoop::step", || {
+    assert!(lp.sink().unwrap().trace.len() == 128, "ring must be full");
+    assert_alloc_free("traced (TelemetrySink) EpochLoop::step", || {
         for _ in 0..2000 {
             lp.step();
         }
     });
     // assert_alloc_free may run one to three windows; every stepped epoch
     // must have landed in the sink either way.
-    let (_, _, sink) = lp.into_parts();
-    assert!(sink.metrics.epochs >= 2300, "{}", sink.metrics.epochs);
-    assert!(sink.trace.dropped() > 0);
+    let trace = lp.into_parts().2.unwrap().trace;
+    let pushed = trace.len() as u64 + trace.dropped();
+    assert!(pushed >= 2300, "{pushed}");
 
     // --- Sharing the design costs no heap ---------------------------------
     // A static-storage clone is an `Arc` clone plus a copy of the inline

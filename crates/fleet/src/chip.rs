@@ -25,7 +25,7 @@ use crate::bank::BankKind;
 use crate::config::{CoreSpec, FleetConfig};
 use crate::error::{FleetError, Result};
 use crate::stats::{ChipSummary, CoreStats, FleetStats};
-use crate::telemetry::CoreTelemetry;
+use crate::telemetry::{CoreTelemetry, FleetTelemetry};
 
 /// Epoch length of each random transient fault injected by
 /// [`FleetConfig::fault_rate`].
@@ -36,11 +36,9 @@ pub(crate) const TRANSIENT_FAULT_EPOCHS: u64 = 3;
 struct CoreCell {
     idx: usize,
     spec: CoreSpec,
-    /// The observer slot is `Option<TelemetrySink>`: `None` (untraced
-    /// fleets) reports statically disabled, so the hot loop skips record
-    /// capture entirely and stays bit-and-allocation identical to the
-    /// pre-telemetry runtime.
-    lp: EpochLoop<Box<dyn Governor + Send>, FaultInjector<Processor>, Option<TelemetrySink>>,
+    /// Untraced fleets install no telemetry sink, so the hot loop skips
+    /// record capture entirely.
+    lp: EpochLoop<Box<dyn Governor + Send>, FaultInjector<Processor>>,
     /// Reference active during the current epoch (set by arbitration at
     /// the end of the previous one).
     target: Vector,
@@ -122,19 +120,16 @@ impl CoreCell {
 
     /// Drains the core after the run: statistics always, telemetry when a
     /// sink was attached.
-    fn into_results(mut self) -> (CoreStats, Option<CoreTelemetry>) {
+    fn into_results(self) -> (CoreStats, Option<CoreTelemetry>) {
         let avg_ips_err_pct = self.errs.avg_pct(0);
         let avg_power_err_pct = self.errs.avg_pct(1);
-        let fault_epochs = self.lp.fault_epochs();
-        let quarantine_epoch = self.lp.quarantine_epoch();
-        self.lp.finish();
+        let summary = self.lp.summary();
         let (_, plant, sink) = self.lp.into_parts();
         let telemetry = sink.map(|sink| CoreTelemetry {
             core: self.idx,
             trace: sink.trace.to_vec(),
-            metrics: sink.metrics,
             quarantine: sink.quarantine,
-            summary: sink.summary,
+            summary,
             injected_faults: *plant.injected_by_kind(),
         });
         let totals = plant.inner().totals();
@@ -147,9 +142,9 @@ impl CoreCell {
             avg_power_w: totals.avg_power(),
             energy_j: totals.energy_j,
             instructions_g: totals.instructions_g,
-            fault_epochs,
-            quarantined: quarantine_epoch.is_some(),
-            quarantine_epoch,
+            fault_epochs: summary.fault_epochs,
+            quarantined: summary.quarantined,
+            quarantine_epoch: summary.quarantine_epoch,
         };
         (stats, telemetry)
     }
@@ -199,15 +194,13 @@ where
                 plan = plan.with_fault(*fspec);
             }
         }
-        // A `None` sink is a statically-disabled observer; traced
-        // fleets give every core its own sink so no telemetry state is
-        // shared between cores (or, in a cluster, across shard threads).
-        let sink = if cfg.telemetry.enabled {
-            Some(TelemetrySink::new(&cfg.telemetry))
-        } else {
-            None
-        };
-        let mut lp = EpochLoop::new(gov, FaultInjector::new(plant, plan)).with_observer(sink);
+        let mut lp = EpochLoop::new(gov, FaultInjector::new(plant, plan));
+        // Traced fleets give every core its own sink so no telemetry
+        // state is shared between cores (or, in a cluster, across shard
+        // threads).
+        if cfg.telemetry.enabled {
+            lp.set_sink(TelemetrySink::new(&cfg.telemetry));
+        }
         lp.set_core(idx);
         lp.set_targets(&base);
         cells.push(CoreCell {
@@ -481,18 +474,17 @@ impl Chip {
         self.wall_s += seconds;
     }
 
-    /// Drains the chip into per-chip fleet statistics plus any per-core
-    /// telemetry — the results of a [`FleetRunner`](crate::FleetRunner)
-    /// run and of each cluster chip alike.
-    pub fn into_results(self) -> (FleetStats, Vec<CoreTelemetry>) {
+    /// Drains the chip into per-chip fleet statistics plus its cores'
+    /// telemetry (empty when untraced) — the results of a
+    /// [`FleetRunner`](crate::FleetRunner) run and of each cluster chip
+    /// alike.
+    pub fn into_results(self) -> (FleetStats, FleetTelemetry) {
         let mut per_core: Vec<CoreStats> = Vec::with_capacity(self.cells.len());
-        let mut telemetry: Vec<CoreTelemetry> = Vec::new();
+        let mut telemetry = FleetTelemetry::default();
         for cell in self.cells {
             let (stats, tele) = cell.into_results();
             per_core.push(stats);
-            if let Some(t) = tele {
-                telemetry.push(t);
-            }
+            telemetry.per_core.extend(tele);
         }
         let stats = FleetStats::assemble(
             &self.cfg,

@@ -478,11 +478,13 @@ impl ClusterRunner {
         );
         let wall_s = started.elapsed().as_secs_f64();
         let mut per_chip = Vec::with_capacity(self.chips.len());
-        let mut per_chip_tele = Vec::with_capacity(self.chips.len());
+        let mut telemetry = ClusterTelemetry {
+            per_chip: Vec::with_capacity(self.chips.len()),
+        };
         for chip in self.chips {
             let (stats, tele) = chip.into_results();
             per_chip.push(stats);
-            per_chip_tele.push(crate::telemetry::FleetTelemetry::from_cores(tele));
+            telemetry.per_chip.push(tele);
         }
         let stats = ClusterStats::assemble(
             self.cfg.cluster_power_cap_w,
@@ -495,7 +497,7 @@ impl ClusterRunner {
             per_chip,
             wall_s,
         );
-        Ok((stats, ClusterTelemetry::from_chips(per_chip_tele)))
+        Ok((stats, telemetry))
     }
 }
 

@@ -60,10 +60,9 @@ pub struct FleetConfig {
     /// Per-core telemetry: when enabled, every core carries its own
     /// [`TelemetrySink`](mimo_core::telemetry::TelemetrySink) and the run
     /// returns a populated [`FleetTelemetry`](crate::FleetTelemetry).
-    /// Off by default — the cores then run the statically-disabled
-    /// [`NullObserver`](mimo_core::telemetry::NullObserver)-equivalent
-    /// path (a `None` sink), preserving golden digests and the
-    /// allocation-free guarantee.
+    /// Off by default — the cores then run without a sink and skip record
+    /// capture, preserving golden digests and the allocation-free
+    /// guarantee.
     pub telemetry: TelemetryConfig,
     /// Shared-LLC contention coupling. `None` (the default) runs every
     /// core's cache in isolation, exactly as before the model existed;
@@ -171,7 +170,7 @@ impl FleetConfig {
     /// Attaches per-core telemetry (builder style): each core gets its own
     /// sink built from `telemetry`, and the run's
     /// [`FleetTelemetry`](crate::FleetTelemetry) carries the drained
-    /// traces and merged metrics.
+    /// traces, quarantine events, and run summaries.
     pub fn observer(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self

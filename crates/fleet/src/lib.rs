@@ -37,8 +37,8 @@
 //! [`FleetRunner::run_traced`]: every core carries its own ring-buffer
 //! [`TelemetrySink`](mimo_core::telemetry::TelemetrySink), and the
 //! returned [`FleetTelemetry`] holds each core's recent epoch records,
-//! quarantine events, and merged metrics — with JSONL/CSV export that
-//! drains strictly outside the hot loop.
+//! quarantine event, and run summary — with JSONL export that drains
+//! strictly outside the hot loop.
 //!
 //! # Scaling past one chip
 //!

@@ -101,8 +101,7 @@ impl FleetRunner {
             self.chip.step_epoch();
         }
         self.chip.add_wall(started.elapsed().as_secs_f64());
-        let (stats, telemetry) = self.chip.into_results();
-        Ok((stats, FleetTelemetry::from_cores(telemetry)))
+        Ok(self.chip.into_results())
     }
 }
 
@@ -204,14 +203,13 @@ mod tests {
         assert_eq!(plain.digest(), traced.digest());
         assert!(telemetry.is_enabled());
         assert_eq!(telemetry.per_core.len(), 4);
-        assert_eq!(telemetry.metrics.epochs, 4 * 80);
+        assert_eq!(telemetry.epochs(), 4 * 80);
         for (i, core) in telemetry.per_core.iter().enumerate() {
             assert_eq!(core.core, i);
-            assert_eq!(core.metrics.epochs, 80);
             assert_eq!(core.trace.len(), 32);
             // Ring keeps the newest records.
             assert_eq!(core.trace.last().unwrap().epoch, 79);
-            assert_eq!(core.summary.unwrap().epochs, 80);
+            assert_eq!(core.summary.epochs, 80);
         }
         // Untraced runs return an empty (disabled) telemetry.
         let (_, empty) = FleetRunner::new(small(), fixed_factory())

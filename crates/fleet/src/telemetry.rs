@@ -1,19 +1,18 @@
-//! Fleet-level telemetry: per-core sink results plus the merged view.
+//! Fleet-level telemetry: every core's drained sink, in core order.
 //!
 //! Every core in a traced fleet run carries its own
 //! [`TelemetrySink`](mimo_core::telemetry::TelemetrySink), so the hot loop
 //! never shares telemetry state between cores (or, in a cluster, across
 //! shard threads). When the run ends each chip drains its cores' sinks
-//! into [`CoreTelemetry`] and merges the per-core [`Metrics`] — in core
-//! order, so the result is bit-identical no matter how many shards
-//! stepped the chips.
+//! into [`CoreTelemetry`], in core order, so the result is bit-identical
+//! no matter how many shards stepped the chips.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use mimo_core::telemetry::{self, EpochRecord, Metrics, QuarantineEvent, RunSummary};
+use mimo_core::telemetry::{self, EpochRecord, QuarantineEvent, RunSummary};
 use mimo_sim::fault::FAULT_KIND_COUNT;
 
 /// Per-kind labels for the injected-fault counters, indexed like
@@ -32,37 +31,28 @@ pub struct CoreTelemetry {
     pub core: usize,
     /// The ring trace's surviving records, oldest → newest.
     pub trace: Vec<EpochRecord>,
-    /// The core's aggregated counters and histograms.
-    pub metrics: Metrics,
     /// First quarantine latch on this core, if any.
     pub quarantine: Option<QuarantineEvent>,
     /// End-of-run summary from the core's engine.
-    pub summary: Option<RunSummary>,
+    pub summary: RunSummary,
     /// Fault-injector corruption counts, bucketed by
     /// [`mimo_sim::fault::FaultKind::index`].
     pub injected_faults: [u64; FAULT_KIND_COUNT],
 }
 
-/// Whole-fleet telemetry for one run: the merged metrics plus every core's
-/// drained sink. Returned by `FleetRunner::run_traced`; empty (and
-/// disabled) when the config leaves telemetry off.
+/// Whole-fleet telemetry for one run: every core's drained sink.
+/// Returned by `FleetRunner::run_traced`; empty (and disabled) when the
+/// config leaves telemetry off.
 #[derive(Debug, Clone, Default)]
 pub struct FleetTelemetry {
-    /// All per-core metrics merged in core order.
-    pub metrics: Metrics,
     /// Per-core breakdowns, indexed by core.
     pub per_core: Vec<CoreTelemetry>,
 }
 
 impl FleetTelemetry {
-    /// Merges per-core telemetry into the fleet view. Merge order is the
-    /// core order of `per_core`, which makes the reduction deterministic.
-    pub fn from_cores(per_core: Vec<CoreTelemetry>) -> Self {
-        let mut metrics = Metrics::new();
-        for core in &per_core {
-            metrics.merge(&core.metrics);
-        }
-        FleetTelemetry { metrics, per_core }
+    /// Epochs stepped over the run, summed over every core.
+    pub fn epochs(&self) -> u64 {
+        self.per_core.iter().map(|c| c.summary.epochs).sum()
     }
 
     /// Whether any core produced telemetry (false for untraced runs).
@@ -107,8 +97,8 @@ impl FleetTelemetry {
                 "{{\"type\":\"core_end\",\"core\":{},\"epochs\":{},\"fault_epochs\":{},\
                  \"quarantined\":{},\"trace_len\":{}",
                 core.core,
-                core.metrics.epochs,
-                core.metrics.fault_epochs,
+                core.summary.epochs,
+                core.summary.fault_epochs,
                 core.quarantine.is_some(),
                 core.trace.len()
             );
@@ -150,26 +140,15 @@ impl FleetTelemetry {
 }
 
 /// Whole-cluster telemetry: one drained [`FleetTelemetry`] per chip, in
-/// chip order, plus the cluster-wide merged metrics. Returned by
+/// chip order (shard-count independent). Returned by
 /// `ClusterRunner::run_traced`; empty when the config leaves telemetry off.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterTelemetry {
-    /// Every chip's metrics merged in chip order (shard-count independent).
-    pub metrics: Metrics,
     /// Per-chip telemetry, indexed by chip.
     pub per_chip: Vec<FleetTelemetry>,
 }
 
 impl ClusterTelemetry {
-    /// Merges per-chip telemetry into the cluster view, in chip order.
-    pub fn from_chips(per_chip: Vec<FleetTelemetry>) -> Self {
-        let mut metrics = Metrics::new();
-        for chip in &per_chip {
-            metrics.merge(&chip.metrics);
-        }
-        ClusterTelemetry { metrics, per_chip }
-    }
-
     /// Whether any chip produced telemetry (false for untraced runs).
     pub fn is_enabled(&self) -> bool {
         self.per_chip.iter().any(FleetTelemetry::is_enabled)
@@ -189,7 +168,7 @@ impl ClusterTelemetry {
                 line,
                 "{{\"type\":\"chip_end\",\"chip\":{chip},\"cores\":{},\"epochs\":{}}}",
                 tele.per_core.len(),
-                tele.metrics.epochs
+                tele.epochs()
             );
             line.push('\n');
             w.write_all(line.as_bytes())?;
@@ -205,30 +184,34 @@ mod tests {
     use mimo_linalg::Vector;
 
     fn core_tele(core: usize, epochs: u64) -> CoreTelemetry {
-        let mut metrics = Metrics::new();
         let u = Vector::from_slice(&[1.3, 6.0]);
         let y = Vector::from_slice(&[2.5, 1.875]);
-        let mut trace = Vec::new();
-        for e in 0..epochs {
-            let rec = EpochRecord::capture(e, Some(core), &u, &y, Health::Healthy, None);
-            metrics.record(&rec);
-            trace.push(rec);
-        }
+        let trace = (0..epochs)
+            .map(|e| EpochRecord::capture(e, Some(core), &u, &y, Health::Healthy, None))
+            .collect();
         CoreTelemetry {
             core,
             trace,
-            metrics,
             quarantine: None,
-            summary: None,
+            summary: RunSummary {
+                epochs,
+                fault_epochs: 0,
+                quarantined: false,
+                quarantine_epoch: None,
+            },
             injected_faults: [0; FAULT_KIND_COUNT],
         }
     }
 
+    fn fleet(per_core: Vec<CoreTelemetry>) -> FleetTelemetry {
+        FleetTelemetry { per_core }
+    }
+
     #[test]
-    fn merge_runs_in_core_order_and_sums_epochs() {
-        let fleet = FleetTelemetry::from_cores(vec![core_tele(0, 3), core_tele(1, 5)]);
+    fn fleet_sums_epochs_over_cores() {
+        let fleet = fleet(vec![core_tele(0, 3), core_tele(1, 5)]);
         assert!(fleet.is_enabled());
-        assert_eq!(fleet.metrics.epochs, 8);
+        assert_eq!(fleet.epochs(), 8);
         assert_eq!(fleet.per_core.len(), 2);
         assert!(fleet.quarantines().is_empty());
         assert!(!FleetTelemetry::default().is_enabled());
@@ -244,7 +227,7 @@ mod tests {
             channel: Some(0),
         });
         core.injected_faults[1] = 4;
-        let fleet = FleetTelemetry::from_cores(vec![core]);
+        let fleet = fleet(vec![core]);
         let mut out = Vec::new();
         fleet.write_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -265,12 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn cluster_telemetry_merges_chips_in_order() {
-        let chip0 = FleetTelemetry::from_cores(vec![core_tele(0, 3)]);
-        let chip1 = FleetTelemetry::from_cores(vec![core_tele(0, 5), core_tele(1, 2)]);
-        let cluster = ClusterTelemetry::from_chips(vec![chip0, chip1]);
+    fn cluster_jsonl_closes_each_chip_in_order() {
+        let chip0 = fleet(vec![core_tele(0, 3)]);
+        let chip1 = fleet(vec![core_tele(0, 5), core_tele(1, 2)]);
+        let cluster = ClusterTelemetry {
+            per_chip: vec![chip0, chip1],
+        };
         assert!(cluster.is_enabled());
-        assert_eq!(cluster.metrics.epochs, 10);
         let mut out = Vec::new();
         cluster.write_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();

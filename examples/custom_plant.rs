@@ -102,8 +102,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     controller.set_reference(&Vector::from_slice(&[35.0, 30.0]));
     plant.reset();
     let mut y = Vector::from_slice(&[20.0, 20.0]);
+    let mut u = Vector::zeros(controller.num_inputs());
     for epoch in 0..400 {
-        let u = controller.step(&y);
+        controller.step_into(&y, &mut u);
         y = plant.apply(&u);
         if epoch % 80 == 0 {
             println!(

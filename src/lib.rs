@@ -21,10 +21,9 @@
 //!   stepped in lock-step epochs under a chip-level power-budget arbiter.
 //!
 //! The [`telemetry`] facade re-exports the observability layer
-//! (`mimo_core::telemetry`): the [`telemetry::Observer`] trait, the
-//! ring-buffer [`telemetry::TelemetrySink`], and the JSONL/CSV exporters,
-//! so application code can trace an epoch loop without naming the core
-//! crate directly.
+//! (`mimo_core::telemetry`): the ring-buffer [`telemetry::TelemetrySink`]
+//! an epoch loop traces into and the JSONL exporters, so application code
+//! can trace an epoch loop without naming the core crate directly.
 //!
 //! The facade also defines the workspace-level [`Error`]/[`Result`] pair —
 //! one sum type over every layer's error enum, with `From` conversions so

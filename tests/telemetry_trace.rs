@@ -1,10 +1,12 @@
-//! The telemetry acceptance scenario: a ring-buffer observer on a 16-core
+//! The telemetry acceptance scenario: a ring-buffer sink on a 16-core
 //! faulted fleet must produce a JSONL trace from which the quarantine
-//! epoch and cause of every latched core can be recovered. The trace is
-//! also topology- and shard-independent: a fleet's JSONL is byte-identical
-//! to its one-chip cluster lift's, and a cluster's JSONL is byte-identical
-//! at any shard count.
+//! epoch and cause of every latched core can be recovered, and whose bytes
+//! match a pinned digest. The trace is also topology- and
+//! shard-independent: a fleet's JSONL is byte-identical to its one-chip
+//! cluster lift's, and a cluster's JSONL is byte-identical at any shard
+//! count.
 
+use mimo_arch::core::digest::Fnv1a;
 use mimo_arch::exp::setup;
 use mimo_arch::fleet::{
     ArbitrationPolicy, ClusterConfig, ClusterRunner, ClusterTelemetry, FleetConfig, FleetRunner,
@@ -112,6 +114,26 @@ fn jsonl_trace_recovers_quarantine_epoch_and_cause_per_latched_core() {
             assert!(core.injected_faults.iter().sum::<u64>() > 0);
         }
     }
+}
+
+/// FNV-1a digest of the 16-core faulted fleet's JSONL trace, one byte
+/// per absorbed word. Pins the exported bytes: the epoch, quarantine and
+/// `core_end` lines of every core.
+const FAULTED_FLEET_JSONL_DIGEST: u64 = 0x4eff_2a0b_7b1a_2734;
+
+#[test]
+fn jsonl_trace_bytes_are_pinned() {
+    let (_, telemetry) = traced_faulted_fleet();
+    let mut h = Fnv1a::new();
+    for &b in &fleet_jsonl(&telemetry) {
+        h.write_u64(u64::from(b));
+    }
+    assert_eq!(
+        h.finish(),
+        FAULTED_FLEET_JSONL_DIGEST,
+        "the traced JSONL bytes changed: {:#018x}",
+        h.finish()
+    );
 }
 
 fn fleet_jsonl(telemetry: &FleetTelemetry) -> Vec<u8> {
