@@ -383,11 +383,6 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
         self.quarantine_threshold = streak.max(1);
     }
 
-    /// Epochs stepped so far, including faulted ones.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Total failed epochs over the loop's lifetime.
     pub fn fault_epochs(&self) -> u64 {
         self.fault_epochs
@@ -485,7 +480,7 @@ mod tests {
         assert_eq!(lp.outputs(), &Vector::from_slice(&[1.0, 4.0]));
         assert_eq!(lp.last_input(), &Vector::from_slice(&[1.0, 4.0]));
         assert_eq!(lp.plant().epochs, 2);
-        assert_eq!(lp.epoch(), 1);
+        assert_eq!(lp.summary().epochs, 1);
         assert_eq!(lp.fault_epochs(), 0);
     }
 
@@ -797,7 +792,7 @@ mod tests {
         let before = lp.outputs().clone();
         // Installing a sink mid-run keeps epochs, buffers, and health.
         lp.set_sink(TelemetrySink::new(&TelemetryConfig::trace(4)));
-        assert_eq!(lp.epoch(), 1);
+        assert_eq!(lp.summary().epochs, 1);
         assert_eq!(lp.outputs(), &before);
         lp.step();
         let sink = lp.sink().expect("sink installed");

@@ -28,9 +28,8 @@
 //!   every driver, from the experiment runners to the fleet runtime,
 //!   steps through; its hot path is allocation-free.
 //! * [`telemetry`] — allocation-free epoch tracing into one
-//!   [`TelemetrySink`]: a ring-buffer trace, the first quarantine latch,
-//!   the run summary, and JSONL exporters that drain outside the hot
-//!   loop.
+//!   [`TelemetrySink`] (a ring-buffer trace and the first quarantine
+//!   latch), plus JSONL exporters that drain outside the hot loop.
 //! * [`design`] — the Figure 3 design flow: identify → weight → synthesize
 //!   → validate → guardband → RSA, end to end against a live plant.
 
