@@ -9,7 +9,7 @@
 //! disturbances. §VIII-D shows where that breaks down.
 
 use mimo_linalg::Vector;
-use mimo_sim::Plant;
+use mimo_sim::{Plant, SimError};
 
 use crate::design::DesignFlow;
 use crate::governor::Governor;
@@ -24,7 +24,11 @@ pub struct SisoView<'a, P: Plant + ?Sized> {
     inner: &'a mut P,
     input_idx: usize,
     output_idx: usize,
-    pinned: Vec<f64>,
+    /// The inner plant's actuation: the pinned values, with `input_idx`
+    /// overwritten every epoch.
+    u_full: Vector,
+    /// The inner plant's measurement.
+    y_full: Vector,
 }
 
 impl<'a, P: Plant + ?Sized> SisoView<'a, P> {
@@ -38,11 +42,13 @@ impl<'a, P: Plant + ?Sized> SisoView<'a, P> {
         assert!(input_idx < inner.num_inputs());
         assert!(output_idx < inner.num_outputs());
         assert_eq!(pinned.len(), inner.num_inputs());
+        let y_full = Vector::zeros(inner.num_outputs());
         SisoView {
             inner,
             input_idx,
             output_idx,
-            pinned,
+            u_full: Vector::from(pinned),
+            y_full,
         }
     }
 }
@@ -60,16 +66,22 @@ impl<P: Plant + ?Sized> Plant for SisoView<'_, P> {
         vec![self.inner.input_grids()[self.input_idx].clone()]
     }
 
-    fn apply(&mut self, u: &Vector) -> Vector {
-        let mut full = Vector::from_slice(&self.pinned);
-        full[self.input_idx] = u[0];
-        let y = self.inner.apply(&full);
-        Vector::from_slice(&[y[self.output_idx]])
-    }
-
     fn observe(&mut self) -> Vector {
         let y = self.inner.observe();
         Vector::from_slice(&[y[self.output_idx]])
+    }
+
+    /// Forwards the inner plant's error, which names the inner channel.
+    fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> mimo_sim::Result<()> {
+        for got in [u.len(), out.len()] {
+            if got != 1 {
+                return Err(SimError::BadActuation { got, expected: 1 });
+            }
+        }
+        self.u_full[self.input_idx] = u[0];
+        self.inner.apply_into(&self.u_full, &mut self.y_full)?;
+        out[0] = self.y_full[self.output_idx];
+        Ok(())
     }
 
     fn phase_changed(&self) -> bool {
@@ -242,6 +254,39 @@ mod tests {
         // The cache stayed at the pinned 4 ways.
         assert_eq!(p.config().l2_ways, 4);
         assert!((p.config().freq_ghz - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn siso_view_apply_into_reports_a_non_finite_actuation() {
+        let mut p = plant("namd", 5);
+        let mut out = Vector::from_slice(&[7.0]);
+        {
+            let mut view = SisoView::new(&mut p, 0, 1, vec![1.3, 6.0]);
+            assert_eq!(
+                view.apply_into(&Vector::from_slice(&[f64::NAN]), &mut out),
+                Err(SimError::NonFiniteActuation { channel: 0 })
+            );
+        }
+        assert_eq!(out[0], 7.0);
+        assert_eq!(p.totals().epochs, 0);
+    }
+
+    #[test]
+    fn siso_view_apply_into_rejects_a_wrong_length_output() {
+        let mut p = plant("namd", 6);
+        let mut out = Vector::zeros(2);
+        {
+            let mut view = SisoView::new(&mut p, 0, 1, vec![1.3, 6.0]);
+            assert_eq!(
+                view.apply_into(&Vector::from_slice(&[2.0]), &mut out),
+                Err(SimError::BadActuation {
+                    got: 2,
+                    expected: 1
+                })
+            );
+        }
+        assert_eq!(out, Vector::zeros(2));
+        assert_eq!(p.totals().epochs, 0);
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub use summary::{
 
 /// Consecutive failed epochs after which [`EpochLoop::step`] escalates
 /// from [`StepOutcome::Degraded`] to [`StepOutcome::Quarantined`].
-/// Overridable per loop via [`EpochLoop::set_quarantine_threshold`].
-pub const DEFAULT_QUARANTINE_THRESHOLD: u32 = 4;
+pub const QUARANTINE_THRESHOLD: u32 = 4;
 
 /// Drives one governor against one plant, epoch by epoch.
 ///
@@ -80,8 +79,6 @@ pub struct EpochLoop<G: Governor, P: Plant> {
     consecutive_faults: u32,
     /// Total failed epochs over the loop's lifetime.
     fault_epochs: u64,
-    /// Streak length at which faults escalate to quarantine.
-    quarantine_threshold: u32,
     quarantined: bool,
     /// Epoch at which the loop first quarantined.
     quarantine_epoch: Option<u64>,
@@ -121,7 +118,6 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
             core: None,
             consecutive_faults: 0,
             fault_epochs: 0,
-            quarantine_threshold: DEFAULT_QUARANTINE_THRESHOLD,
             quarantined: false,
             quarantine_epoch: None,
         }
@@ -256,8 +252,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
                     core: self.core,
                     cause,
                 };
-                let escalate =
-                    self.quarantined || self.consecutive_faults >= self.quarantine_threshold;
+                let escalate = self.quarantined || self.consecutive_faults >= QUARANTINE_THRESHOLD;
                 let fresh_latch = escalate && !self.quarantined;
                 if fresh_latch {
                     self.quarantined = true;
@@ -376,13 +371,6 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
         self.core = Some(core);
     }
 
-    /// Overrides the consecutive-failure streak at which `step` escalates
-    /// to [`StepOutcome::Quarantined`] (default
-    /// [`DEFAULT_QUARANTINE_THRESHOLD`]; clamped to at least 1).
-    pub fn set_quarantine_threshold(&mut self, streak: u32) {
-        self.quarantine_threshold = streak.max(1);
-    }
-
     /// Total failed epochs over the loop's lifetime.
     pub fn fault_epochs(&self) -> u64 {
         self.fault_epochs
@@ -450,9 +438,10 @@ mod tests {
             vec![vec![0.0, 1.0, 2.0], vec![0.0, 4.0, 8.0]]
         }
 
-        fn apply(&mut self, u: &Vector) -> Vector {
+        fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> mimo_sim::Result<()> {
             self.epochs += 1;
-            u.clone()
+            out.copy_from(u);
+            Ok(())
         }
 
         fn observe(&mut self) -> Vector {
@@ -547,14 +536,14 @@ mod tests {
             vec![vec![0.0, 1.0, 2.0], vec![0.0, 4.0, 8.0]]
         }
 
-        fn apply(&mut self, u: &Vector) -> Vector {
+        fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> mimo_sim::Result<()> {
             let faulted = self.epochs >= self.from && self.epochs < self.to;
             self.epochs += 1;
+            out.copy_from(u);
             if faulted {
-                Vector::from_slice(&[f64::NAN, u[1]])
-            } else {
-                u.clone()
+                out[0] = f64::NAN;
             }
+            Ok(())
         }
 
         fn observe(&mut self) -> Vector {
@@ -576,7 +565,7 @@ mod tests {
         let plant = NanWindow {
             epochs: 0,
             from: 2,
-            to: 2 + DEFAULT_QUARANTINE_THRESHOLD as usize,
+            to: 2 + QUARANTINE_THRESHOLD as usize,
         };
         let mut lp = EpochLoop::new(gov, plant);
         lp.record_history(8);
@@ -584,7 +573,7 @@ mod tests {
         assert!(lp.step().is_healthy());
         let good = lp.outputs().clone();
         // First three faults degrade; the fourth crosses the threshold.
-        for i in 0..DEFAULT_QUARANTINE_THRESHOLD - 1 {
+        for i in 0..QUARANTINE_THRESHOLD - 1 {
             let outcome = lp.step();
             match outcome {
                 StepOutcome::Degraded(ref e) => {
@@ -599,16 +588,16 @@ mod tests {
         }
         match lp.step() {
             StepOutcome::Quarantined(e) => {
-                assert_eq!(e.epoch, 1 + u64::from(DEFAULT_QUARANTINE_THRESHOLD))
+                assert_eq!(e.epoch, 1 + u64::from(QUARANTINE_THRESHOLD))
             }
             other => panic!("expected Quarantined, got {other:?}"),
         }
         assert!(lp.is_quarantined());
         assert_eq!(
             lp.quarantine_epoch(),
-            Some(1 + u64::from(DEFAULT_QUARANTINE_THRESHOLD))
+            Some(1 + u64::from(QUARANTINE_THRESHOLD))
         );
-        assert_eq!(lp.fault_epochs(), u64::from(DEFAULT_QUARANTINE_THRESHOLD));
+        assert_eq!(lp.fault_epochs(), u64::from(QUARANTINE_THRESHOLD));
         // The plant healed: the epoch itself succeeds, but the quarantine
         // latch stays until the supervisor calls reset_health.
         assert!(lp.step().is_healthy());
@@ -633,7 +622,7 @@ mod tests {
             let plant = NanWindow {
                 epochs: 0,
                 from: 2,
-                to: 2 + DEFAULT_QUARANTINE_THRESHOLD as usize,
+                to: 2 + QUARANTINE_THRESHOLD as usize,
             };
             let mut lp = EpochLoop::new(gov, plant);
             lp.record_history(10);
@@ -716,7 +705,7 @@ mod tests {
         let plant = || NanWindow {
             epochs: 0,
             from: 2,
-            to: 2 + DEFAULT_QUARANTINE_THRESHOLD as usize + 2,
+            to: 2 + QUARANTINE_THRESHOLD as usize + 2,
         };
         let mut plain = EpochLoop::new(gov(), plant());
         let mut lp = EpochLoop::new(gov(), plant());
@@ -739,7 +728,7 @@ mod tests {
         // The first latch is kept even though two more epochs fault while
         // quarantined.
         let q = sink.quarantine.expect("quarantine event captured");
-        assert_eq!(q.epoch, 1 + u64::from(DEFAULT_QUARANTINE_THRESHOLD));
+        assert_eq!(q.epoch, 1 + u64::from(QUARANTINE_THRESHOLD));
         assert_eq!(q.core, Some(5));
         assert_eq!(q.channel, Some(0));
         let summary = lp.summary();

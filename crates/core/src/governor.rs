@@ -85,10 +85,6 @@ impl<G: Governor + ?Sized> Governor for &mut G {
         (**self).set_targets(y0);
     }
 
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
-        (**self).decide(y, phase_changed)
-    }
-
     fn decide_into(
         &mut self,
         y: &Vector,
@@ -114,10 +110,6 @@ impl<G: Governor + ?Sized> Governor for Box<G> {
 
     fn set_targets(&mut self, y0: &Vector) {
         (**self).set_targets(y0);
-    }
-
-    fn decide(&mut self, y: &Vector, phase_changed: bool) -> Vector {
-        (**self).decide(y, phase_changed)
     }
 
     fn decide_into(

@@ -9,7 +9,7 @@
 //! and `V` (measurement).
 
 use mimo_linalg::storage::{add_assign_slices, sub_into_slices};
-use mimo_linalg::{eigen, MatVecKernel, Matrix, VecKernel, Vector};
+use mimo_linalg::{eigen, MatVecKernel, Matrix, VecKernel};
 
 use crate::dare::solve_dare;
 use crate::ss::StateSpace;
@@ -107,47 +107,13 @@ impl KalmanFilter {
     pub fn estimator_radius(&self) -> f64 {
         self.estimator_radius
     }
-
-    /// One predictor update:
-    /// `x̂(t+1) = A x̂ + B u + L (y − C x̂ − D u)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches (programming errors).
-    pub fn update(&self, sys: &StateSpace, xhat: &Vector, u: &Vector, y: &Vector) -> Vector {
-        let mut scratch = KalmanScratch::new(sys.state_dim(), sys.num_outputs());
-        let mut x_next = xhat.clone();
-        self.update_into(sys, &mut x_next, u, y, &mut scratch);
-        x_next
-    }
-
-    /// One predictor update, in place and allocation-free: overwrites
-    /// `xhat` with `x̂(t+1) = A x̂ + B u + L (y − C x̂ − D u)` using the
-    /// caller-provided [`KalmanScratch`].
-    ///
-    /// Bit-identical to [`KalmanFilter::update`] (which forwards here):
-    /// the same matrix-vector products and elementwise sums are evaluated
-    /// in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches (programming errors).
-    pub fn update_into(
-        &self,
-        sys: &StateSpace,
-        xhat: &mut Vector,
-        u: &Vector,
-        y: &Vector,
-        s: &mut KalmanScratch,
-    ) {
-        update_kalman::<DynStore>(&self.l, sys.a(), sys.b(), sys.c(), sys.d(), xhat, u, y, s);
-    }
 }
 
-/// One predictor update over storage `S` — the monomorphizing core that
-/// both [`KalmanFilter::update_into`] (with `S = `[`DynStore`]) and the
-/// fixed-size controllers (with `S = `[`StaticStore`](crate::storage::StaticStore))
-/// call. Overwrites `xhat` with `x̂(t+1) = A x̂ + B u + L (y − C x̂ − D u)`.
+/// One predictor update over storage `S`, in place and allocation-free:
+/// overwrites `xhat` with `x̂(t+1) = A x̂ + B u + L (y − C x̂ − D u)`,
+/// where `L` is a [`KalmanFilter::gain`]. Dynamic controllers call it with
+/// `S = `[`DynStore`], fixed-size ones with
+/// `S = `[`StaticStore`](crate::storage::StaticStore).
 ///
 /// Bit-identity: every storage runs the same matrix-vector products and
 /// elementwise sums in the same order, so the result does not depend on
@@ -185,8 +151,7 @@ pub fn update_kalman<S: LqgStorage>(
     xhat.as_mut_slice().copy_from_slice(s.a_x.as_slice());
 }
 
-/// Reusable temporaries for [`KalmanFilter::update_into`] /
-/// [`update_kalman`], sized for one plant so a steady-state estimator
+/// Reusable temporaries for [`update_kalman`], sized for one plant so a steady-state estimator
 /// update performs no heap allocations. With the default [`DynStore`]
 /// storage the buffers live on the heap; with a fixed-size storage the
 /// whole scratch is plain stack data.
@@ -225,6 +190,7 @@ impl<S: LqgStorage> KalmanScratch<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimo_linalg::Vector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -236,6 +202,22 @@ mod tests {
             Matrix::zeros(1, 1),
         )
         .unwrap()
+    }
+
+    /// One dynamic-storage predictor update of `xhat` through `kf`.
+    fn update(kf: &KalmanFilter, sys: &StateSpace, xhat: &mut Vector, u: &Vector, y: &Vector) {
+        let mut s = KalmanScratch::new(sys.state_dim(), sys.num_outputs());
+        update_kalman::<DynStore>(
+            kf.gain(),
+            sys.a(),
+            sys.b(),
+            sys.c(),
+            sys.d(),
+            xhat,
+            u,
+            y,
+            &mut s,
+        );
     }
 
     fn normal(rng: &mut StdRng) -> f64 {
@@ -280,7 +262,7 @@ mod tests {
         let u = Vector::from_slice(&[0.3]);
         for _ in 0..300 {
             let y = sys.c().mul_vec(&x).unwrap();
-            xhat = kf.update(&sys, &xhat, &u, &y);
+            update(&kf, &sys, &mut xhat, &u, &y);
             let (xn, _) = sys.step(&x, &u);
             x = xn;
         }
@@ -308,7 +290,7 @@ mod tests {
                 err_raw += (y_noisy - x).powi(2);
                 err_filter += (xhat[0] - x).powi(2);
             }
-            xhat = kf.update(&sys, &xhat, &u, &Vector::from_slice(&[y_noisy]));
+            update(&kf, &sys, &mut xhat, &u, &Vector::from_slice(&[y_noisy]));
             x = 0.98 * x + u[0];
         }
         assert!(

@@ -92,22 +92,6 @@ impl LqgDesign {
     /// * [`ControlError::RiccatiDiverged`] / [`ControlError::BadWeights`] —
     ///   synthesis failures from the LQR/Kalman stages.
     pub fn build(self) -> Result<LqgController> {
-        self.build_with::<DynStore>()
-    }
-
-    /// Synthesizes the controller with an explicit runtime storage.
-    ///
-    /// Synthesis itself (LQR, Kalman, steady-state resolve) always runs on
-    /// dynamic matrices; `S` only selects how the runtime copies of the
-    /// gains and state are held. `build_with::<DynStore>()` is exactly
-    /// [`LqgDesign::build`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`LqgDesign::build`] returns, plus
-    /// [`ControlError::DimensionMismatch`] when `S` is a
-    /// [`StaticStore`] whose const dimensions disagree with the model.
-    pub fn build_with<S: LqgStorage>(self) -> Result<LqgController<S>> {
         let n = self.model.state_dim();
         let i = self.model.num_inputs();
         let o = self.model.num_outputs();
@@ -138,8 +122,6 @@ impl LqgDesign {
                 what: format!("integral weight {} must be positive", self.integral_weight),
             });
         }
-        S::check_dims(i, o, n)?;
-
         // --- Augmented system -------------------------------------------
         let a = self.model.a();
         let b = self.model.b();
@@ -188,20 +170,19 @@ impl LqgDesign {
         let kalman =
             KalmanFilter::design(&self.model, &self.process_noise, &self.measurement_noise)?;
 
-        let lin = ControlError::Linalg;
         let compiled = CompiledLqg {
-            f: S::GainF::from_matrix(&lqr.k).map_err(lin)?,
-            l: S::GainL::from_matrix(kalman.gain()).map_err(lin)?,
-            a: S::MatA::from_matrix(a).map_err(lin)?,
-            b: S::MatB::from_matrix(b).map_err(lin)?,
-            c: S::MatC::from_matrix(c).map_err(lin)?,
-            d: S::MatD::from_matrix(d).map_err(lin)?,
+            f: lqr.k,
+            l: kalman.gain().clone(),
+            a: a.clone(),
+            b: b.clone(),
+            c: c.clone(),
+            d: d.clone(),
             ss_solver: SteadyStateSolver::new(&self),
             closed_loop_radius: lqr.closed_loop_radius,
             kalman,
             design: self,
         };
-        let mut state = CoreState::<S>::zeroed(n, i, o)?;
+        let mut state = CoreState::<DynStore>::zeroed(n, i, o)?;
         // Initialize at a neutral reference (normalized zero = operating
         // midpoint); callers set the real target afterwards. The solver is
         // the output-weighted, Tikhonov-regularized inversion of the DC
@@ -221,28 +202,12 @@ impl LqgDesign {
             scratch: LqgScratch::new(n, i, o),
         })
     }
-
-    /// Synthesizes a controller whose runtime buffers are stack-allocated
-    /// with the given const dimensions (`NZ` must equal `NX + NU + NY`).
-    ///
-    /// This is the synthesis→runtime conversion shim: identical to
-    /// [`LqgDesign::build`] followed by
-    /// [`LqgController::into_static`], in one step.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`LqgDesign::build_with`] returns.
-    pub fn into_static<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>(
-        self,
-    ) -> Result<LqgController<StaticStore<NU, NY, NX, NZ>>> {
-        self.build_with::<StaticStore<NU, NY, NX, NZ>>()
-    }
 }
 
 /// Precomputed artifacts of the steady-state resolve.
 ///
 /// Everything in the steady-state ridge inversion (see
-/// [`LqgDesign::build_with`]) except the reference itself is a pure
+/// [`LqgDesign::build`]) except the reference itself is a pure
 /// function of the design: the weighted gain product `Gᵀ Q`, the LU factorization of the
 /// regularized Gram matrix, and the LU factorization of `I − A`. Caching
 /// them at synthesis turns the per-retarget work into one small
@@ -1163,7 +1128,7 @@ mod tests {
         // measurement sequence and demand identical bits at every epoch.
         let design = test_design(test_plant(), &[10.0, 1000.0], &[0.01, 0.01]);
         let mut dynamic = design.clone().build().unwrap();
-        let mut fixed = design.into_static::<2, 2, 2, 6>().unwrap();
+        let mut fixed = design.build().unwrap().into_static::<2, 2, 2, 6>().unwrap();
         let y0 = Vector::from_slice(&[2.0, 1.0]);
         dynamic.set_reference(&y0);
         fixed.set_reference(&y0);
@@ -1269,6 +1234,8 @@ mod tests {
     #[test]
     fn clones_share_the_design_not_the_state() {
         let mut ctrl = test_design(test_plant(), &[10.0, 10.0], &[0.05, 0.05])
+            .build()
+            .unwrap()
             .into_static::<2, 2, 2, 6>()
             .unwrap();
         ctrl.set_reference(&Vector::from_slice(&[1.0, 0.5]));

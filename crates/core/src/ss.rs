@@ -147,56 +147,6 @@ impl StateSpace {
         Ok(&self.c * &x + &self.d)
     }
 
-    /// Solves for a steady state `(x_ss, u_ss)` with `y_ss = y0`:
-    ///
-    /// ```text
-    /// [A − I  B] [x_ss]   [0 ]
-    /// [C      D] [u_ss] = [y0]
-    /// ```
-    ///
-    /// With more inputs than outputs the system is underdetermined and the
-    /// minimum-norm solution is returned (via SVD pseudo-inverse).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InfeasibleReference`] if no steady state
-    /// achieves `y0` (e.g. an unreachable target), and propagates linear
-    /// algebra failures.
-    pub fn steady_state_for(&self, y0: &Vector) -> Result<(Vector, Vector)> {
-        let n = self.state_dim();
-        let i = self.num_inputs();
-        let o = self.num_outputs();
-        if y0.len() != o {
-            return Err(ControlError::DimensionMismatch {
-                what: format!("reference has {} entries, plant has {o} outputs", y0.len()),
-            });
-        }
-        let a_minus_i = &self.a - &Matrix::identity(n);
-        let top = Matrix::hstack(&a_minus_i, &self.b).map_err(ControlError::Linalg)?;
-        let bottom = Matrix::hstack(&self.c, &self.d).map_err(ControlError::Linalg)?;
-        let m = Matrix::vstack(&top, &bottom).map_err(ControlError::Linalg)?;
-        let mut rhs = Matrix::zeros(n + o, 1);
-        for k in 0..o {
-            rhs[(n + k, 0)] = y0[k];
-        }
-        let pinv = mimo_linalg::svd::Svd::new(&m)
-            .map_err(ControlError::Linalg)?
-            .pseudo_inverse(1e-10);
-        let sol = &pinv * &rhs;
-        // Verify the solution actually satisfies the equations (the
-        // pseudo-inverse silently returns a least-squares fit otherwise).
-        let resid = (&(&m * &sol) - &rhs).max_abs();
-        let scale = y0.norm_inf().max(1.0);
-        if resid > 1e-6 * scale {
-            return Err(ControlError::InfeasibleReference {
-                what: format!("no steady state reaches the reference (residual {resid:.3e})"),
-            });
-        }
-        let x_ss = Vector::from(sol.block(0, 0, n, 1));
-        let u_ss = Vector::from(sol.block(n, 0, i, 1));
-        Ok((x_ss, u_ss))
-    }
-
     /// Spectral radius of `A` — below 1 means open-loop stable.
     ///
     /// # Errors
@@ -275,48 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_square_system() {
-        let sys = scalar_lag(0.5, 1.0);
-        let (x_ss, u_ss) = sys.steady_state_for(&Vector::from_slice(&[4.0])).unwrap();
-        // y = x = 4 needs u = (1-0.5)*4 = 2.
-        assert!((x_ss[0] - 4.0).abs() < 1e-9);
-        assert!((u_ss[0] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steady_state_wide_system_min_norm() {
-        // Two inputs, one output: y = x, x(t+1) = 0.5x + u1 + u2.
-        let sys = StateSpace::new(
-            Matrix::from_rows(&[&[0.5]]),
-            Matrix::from_rows(&[&[1.0, 1.0]]),
-            Matrix::from_rows(&[&[1.0]]),
-            Matrix::zeros(1, 2),
-        )
-        .unwrap();
-        let (x_ss, u_ss) = sys.steady_state_for(&Vector::from_slice(&[2.0])).unwrap();
-        assert!((x_ss[0] - 2.0).abs() < 1e-9);
-        // Min-norm split: u1 = u2 = 0.5.
-        assert!((u_ss[0] - 0.5).abs() < 1e-9);
-        assert!((u_ss[1] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steady_state_infeasible_when_unreachable() {
-        // Output decoupled from input: x2 unreachable, y = x2.
-        let sys = StateSpace::new(
-            Matrix::from_rows(&[&[0.5, 0.0], &[0.0, 0.5]]),
-            Matrix::from_rows(&[&[1.0], &[0.0]]),
-            Matrix::from_rows(&[&[0.0, 1.0]]),
-            Matrix::zeros(1, 1),
-        )
-        .unwrap();
-        assert!(matches!(
-            sys.steady_state_for(&Vector::from_slice(&[1.0])),
-            Err(ControlError::InfeasibleReference { .. })
-        ));
-    }
-
-    #[test]
     fn spectral_radius_works() {
         let sys = scalar_lag(-0.7, 1.0);
         assert!((sys.spectral_radius().unwrap() - 0.7).abs() < 1e-12);
@@ -334,13 +242,5 @@ mod tests {
         assert_eq!(ss.state_dim(), 2);
         assert_eq!(ss.num_inputs(), 1);
         assert_eq!(ss.num_outputs(), 1);
-    }
-
-    #[test]
-    fn reference_dimension_checked() {
-        let sys = scalar_lag(0.5, 1.0);
-        assert!(sys
-            .steady_state_for(&Vector::from_slice(&[1.0, 2.0]))
-            .is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Controller storage selection: dynamic heap-backed vs fixed-size stack.
 //!
 //! The deployed controllers are tiny and fixed per architecture, so the
-//! runtime layer ([`KalmanFilter::update_into`](crate::kalman::KalmanFilter::update_into),
+//! runtime layer ([`update_kalman`](crate::kalman::update_kalman),
 //! [`LqgController::step_into`](crate::lqg::LqgController::step_into)) is
 //! written once, generically, over an [`LqgStorage`] selector. Two
 //! selectors exist:
@@ -16,10 +16,12 @@
 //!
 //! Synthesis (DARE, SVD, eigenvalues, RSA, steady-state resolves) always
 //! runs on the dynamic path; storage only decides how the *runtime* copies
-//! of the gains, model matrices, and state vectors are held. The
-//! conversion shims ([`LqgController::into_static`](crate::lqg::LqgController::into_static),
-//! [`LqgDesign::into_static`](crate::lqg::LqgDesign::into_static)) sit
-//! exactly at that synthesis→runtime boundary.
+//! of the gains, model matrices, and state vectors are held.
+//! [`LqgDesign::build`](crate::lqg::LqgDesign::build) always returns a
+//! dynamic controller, and the conversions
+//! ([`LqgController::into_static`](crate::lqg::LqgController::into_static),
+//! [`LqgController::with_storage`](crate::lqg::LqgController::with_storage))
+//! sit exactly at that synthesis→runtime boundary.
 //!
 //! Stable Rust cannot express `NZ = NX + NU + NY` in the type system
 //! (`generic_const_exprs` is unstable), so the augmented-state dimension

@@ -20,8 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mimo_core::decoupled::DecoupledGovernor;
 use mimo_core::engine::EpochLoop;
 use mimo_core::governor::{fast_governor, fast_governors, Governor, MimoGovernor};
-use mimo_core::kalman::KalmanScratch;
+use mimo_core::kalman::{update_kalman, KalmanScratch};
 use mimo_core::lqg::LqgDesign;
+use mimo_core::storage::DynStore;
 use mimo_core::telemetry::{TelemetryConfig, TelemetrySink};
 use mimo_core::StateSpace;
 use mimo_linalg::{Matrix, Vector};
@@ -135,18 +136,31 @@ fn siso_design(out_hi: f64) -> LqgDesign {
 
 #[test]
 fn steady_state_epoch_allocates_nothing() {
-    // --- Kalman update_into ---------------------------------------------
+    // --- Kalman update_kalman --------------------------------------------
     let ctrl = design().build().unwrap();
     let sys = ctrl.model().clone();
-    let kf = ctrl.kalman().clone();
+    let l = ctrl.kalman().gain().clone();
     let mut xhat = Vector::zeros(2);
     let mut scratch = KalmanScratch::new(2, 2);
     let u = Vector::from_slice(&[0.2, -0.1]);
     let y = Vector::from_slice(&[0.3, 0.1]);
-    kf.update_into(&sys, &mut xhat, &u, &y, &mut scratch); // warm
-    assert_alloc_free("KalmanFilter::update_into", || {
+    let mut update = |xhat: &mut Vector| {
+        update_kalman::<DynStore>(
+            &l,
+            sys.a(),
+            sys.b(),
+            sys.c(),
+            sys.d(),
+            xhat,
+            &u,
+            &y,
+            &mut scratch,
+        );
+    };
+    update(&mut xhat); // warm
+    assert_alloc_free("update_kalman", || {
         for _ in 0..1000 {
-            kf.update_into(&sys, &mut xhat, &u, &y, &mut scratch);
+            update(&mut xhat);
         }
     });
 
@@ -187,6 +201,8 @@ fn steady_state_epoch_allocates_nothing() {
     // The stack-allocated controller must be exactly as clean — and
     // bit-identical to the dynamic path while we're watching.
     let mut fixed = design()
+        .build()
+        .unwrap()
         .into_static::<2, 2, 2, 6>()
         .expect("design shape is 2-in/2-out/2-state");
     fixed.set_reference(&targets);
@@ -342,7 +358,11 @@ fn steady_state_epoch_allocates_nothing() {
     // A static-storage clone is an `Arc` clone plus a copy of the inline
     // per-core state, and every governor `fast_governors` hands out is one
     // box around such a clone: construction cost per core, not per design.
-    let ctrl = design().into_static::<2, 2, 2, 6>().unwrap();
+    let ctrl = design()
+        .build()
+        .unwrap()
+        .into_static::<2, 2, 2, 6>()
+        .unwrap();
     assert_allocations("StaticStore controller clone", 0, || {
         std::hint::black_box(ctrl.clone());
     });

@@ -253,7 +253,7 @@ fn controller_retarget_matches_the_allocating_chain() {
     let design = ia_pivots();
     let oracle = AllocatingSolver::new(&design);
     let mut dynamic = design.clone().build().unwrap();
-    let mut fixed = design.into_static::<2, 2, 2, 6>().unwrap();
+    let mut fixed = design.build().unwrap().into_static::<2, 2, 2, 6>().unwrap();
     for y in special_references(2) {
         let y = Vector::from_slice(&y);
         dynamic.set_reference(&y);

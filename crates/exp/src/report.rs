@@ -155,11 +155,6 @@ pub fn fmt(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// Formats a percentage change with a sign (negative = reduction).
-pub fn fmt_pct(v: f64) -> String {
-    format!("{v:+.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +202,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt(1.23456, 2), "1.23");
-        assert_eq!(fmt_pct(-16.0), "-16.0%");
-        assert_eq!(fmt_pct(4.2), "+4.2%");
     }
 }

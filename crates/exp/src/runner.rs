@@ -17,7 +17,7 @@ use mimo_core::engine::{rel_tracking_error, EpochLoop, ScheduleCursor};
 use mimo_core::governor::Governor;
 use mimo_core::optimizer::{Metric, Optimizer, MAX_TRIES};
 use mimo_linalg::Vector;
-use mimo_sim::{Plant, PlantConfig, Processor, EPOCH_US};
+use mimo_sim::{Plant, PlantConfig, Processor};
 
 pub use mimo_core::engine::{ReferenceStep, TrackingStats};
 
@@ -197,36 +197,12 @@ fn stats_from(plant: &Processor, metric: Metric) -> OptimizationStats {
     }
 }
 
-/// Convenience: epochs corresponding to a wall-clock duration.
-pub fn epochs_for_ms(ms: f64) -> usize {
-    ((ms * 1000.0) / EPOCH_US).round() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setup;
-    use mimo_core::governor::FixedGovernor;
+    use mimo_core::governor::{FixedGovernor, MimoGovernor};
     use mimo_sim::InputSet;
-
-    #[test]
-    fn epochs_for_ms_converts() {
-        assert_eq!(epochs_for_ms(10.0), 200);
-        assert_eq!(epochs_for_ms(0.05), 1);
-    }
-
-    #[test]
-    fn epochs_for_ms_rounds_to_nearest_epoch() {
-        // 50 µs epochs: durations land on the nearest epoch boundary, not
-        // the floor. 74 µs → 1.48 epochs → 1; 76 µs → 1.52 → 2.
-        assert_eq!(epochs_for_ms(0.074), 1);
-        assert_eq!(epochs_for_ms(0.076), 2);
-        // Half-way rounds away from zero (f64::round semantics).
-        assert_eq!(epochs_for_ms(0.075), 2);
-        // Sub-half-epoch durations vanish rather than inflating to 1.
-        assert_eq!(epochs_for_ms(0.02), 0);
-        assert_eq!(epochs_for_ms(0.0), 0);
-    }
 
     #[test]
     fn tracking_zero_epochs_returns_zeroed_stats() {
@@ -279,7 +255,11 @@ mod tests {
 
     #[test]
     fn mimo_tracking_beats_fixed_on_namd() {
-        let mut mimo = setup::mimo_governor(InputSet::FreqCache, 2).unwrap();
+        let mut mimo = MimoGovernor::new(
+            setup::design_mimo(InputSet::FreqCache, 2)
+                .unwrap()
+                .controller,
+        );
         let mut plant = setup::plant("namd", InputSet::FreqCache, 3);
         let targets = Vector::from_slice(&[2.5, 2.0]);
         let mimo_stats = run_tracking(&mut mimo, &mut plant, &targets, 3000, false);
@@ -346,7 +326,11 @@ mod tests {
 
     #[test]
     fn optimization_run_consumes_budget() {
-        let mut gov = setup::mimo_governor(InputSet::FreqCache, 5).unwrap();
+        let mut gov = MimoGovernor::new(
+            setup::design_mimo(InputSet::FreqCache, 5)
+                .unwrap()
+                .controller,
+        );
         let mut plant = setup::plant("gamess", InputSet::FreqCache, 6);
         let stats = run_optimization(&mut gov, &mut plant, Metric::EnergyDelay, 0.05);
         assert!(stats.instructions_g >= 0.05);

@@ -2,7 +2,6 @@
 
 use mimo_core::decoupled::{design_decoupled, DecoupledGovernor};
 use mimo_core::design::{DesignFlow, ValidatedDesign};
-use mimo_core::governor::MimoGovernor;
 use mimo_core::heuristic::{profile_sensitivity, SensitivityRanking};
 use mimo_core::optimizer::Metric;
 use mimo_core::weights::WeightSet;
@@ -90,15 +89,6 @@ pub fn design_mimo_with(
     let result = flow.run_multi(training.iter_mut())?;
     let mut validation = validation_plants(input_set, seed);
     flow.validate(result, validation.iter_mut())
-}
-
-/// Wraps a validated design as a [`MimoGovernor`].
-///
-/// # Errors
-///
-/// Propagates design failures.
-pub fn mimo_governor(input_set: InputSet, seed: u64) -> Result<MimoGovernor> {
-    Ok(MimoGovernor::new(design_mimo(input_set, seed)?.controller))
 }
 
 /// Designs the Decoupled architecture (two-input plants only).

@@ -4,7 +4,7 @@
 //! appear in Riccati iterations (`(R + BᵀPB)⁻¹`), Kalman gain computation,
 //! and ARX least-squares normal equations.
 
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result};
 
 /// Threshold below which a pivot is considered numerically zero, relative to
 /// the largest entry of the original matrix. The frequency sweep in
@@ -214,25 +214,6 @@ impl LuDecomposition {
         }
     }
 
-    /// Solves `A * x = b` for a vector right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_vec(&self, b: &Vector) -> Result<Vector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut x: Vector = self.perm.iter().map(|&p| b[p]).collect();
-        self.substitute_in_place(x.as_mut_slice());
-        Ok(x)
-    }
-
     /// Computes the inverse of the original matrix.
     ///
     /// # Errors
@@ -240,23 +221,6 @@ impl LuDecomposition {
     /// Propagates errors from [`LuDecomposition::solve`].
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve(&Matrix::identity(self.dim()))
-    }
-
-    /// Reciprocal condition estimate `1 / (‖A‖∞ · ‖A⁻¹‖∞)`.
-    ///
-    /// A small value (≲ 1e-12) signals an ill-conditioned model — the design
-    /// flow uses this to reject degenerate identification results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::inverse`].
-    pub fn rcond_estimate(&self, a: &Matrix) -> Result<f64> {
-        let inv = self.inverse()?;
-        let denom = a.norm_inf() * inv.norm_inf();
-        if denom == 0.0 {
-            return Ok(0.0);
-        }
-        Ok(1.0 / denom)
     }
 
     /// Largest-magnitude entry of the original matrix, retained for scaling.
@@ -334,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_vec_round_trip() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let lu = LuDecomposition::new(&a).unwrap();
-        let b = Vector::from_slice(&[9.0, 8.0]);
-        let x = lu.solve_vec(&b).unwrap();
-        let back = a.mul_vec(&x).unwrap();
-        assert!((&back - &b).norm_inf() < 1e-12);
-    }
-
-    #[test]
     fn solve_shape_mismatch() {
         let a = Matrix::identity(2);
         let lu = LuDecomposition::new(&a).unwrap();
@@ -352,20 +306,6 @@ mod tests {
             lu.solve(&b),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn rcond_small_for_near_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-10]]);
-        let lu = LuDecomposition::new(&a).unwrap();
-        let rc = lu.rcond_estimate(&a).unwrap();
-        assert!(rc < 1e-8, "rcond = {rc}");
-        let well = Matrix::identity(2);
-        let rc2 = LuDecomposition::new(&well)
-            .unwrap()
-            .rcond_estimate(&well)
-            .unwrap();
-        assert!(rc2 > 0.5);
     }
 
     #[test]
@@ -400,21 +340,10 @@ mod tests {
             let want = lu.solve(&Matrix::col(&b)).unwrap();
             let mut x: Vec<f64> = lu.perm().iter().map(|&p| b[p]).collect();
             lu.substitute_in_place(&mut x);
-            let via_vec = lu.solve_vec(&Vector::from_slice(&b)).unwrap();
             for i in 0..4 {
                 assert_eq!(x[i].to_bits(), want[(i, 0)].to_bits(), "row {i} of {b:?}");
-                assert_eq!(via_vec[i].to_bits(), want[(i, 0)].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn solve_vec_shape_mismatch() {
-        let lu = LuDecomposition::new(&Matrix::identity(2)).unwrap();
-        assert!(matches!(
-            lu.solve_vec(&Vector::zeros(3)),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]

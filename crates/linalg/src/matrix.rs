@@ -184,16 +184,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col_vector(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "column index out of bounds");
-        Vector::from_fn(self.rows, |i| self[(i, j)])
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -902,7 +892,6 @@ mod tests {
     fn row_and_col_accessors() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.row_slice(1), &[3.0, 4.0]);
-        assert_eq!(a.col_vector(0).as_slice(), &[1.0, 3.0]);
         assert_eq!(a.get(1, 1), Some(4.0));
         assert_eq!(a.get(2, 0), None);
     }

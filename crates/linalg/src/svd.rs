@@ -34,8 +34,6 @@ pub struct Svd {
     u: Matrix,
     s: Vec<f64>,
     v: Matrix,
-    /// Whether the factorization was computed on the transpose.
-    transposed: bool,
 }
 
 impl Svd {
@@ -51,21 +49,11 @@ impl Svd {
         }
         if a.rows() >= a.cols() {
             let (u, s, v) = jacobi_svd(a)?;
-            Ok(Svd {
-                u,
-                s,
-                v,
-                transposed: false,
-            })
+            Ok(Svd { u, s, v })
         } else {
             let (u, s, v) = jacobi_svd(&a.transpose())?;
             // A = (Aᵀ)ᵀ = (U S Vᵀ)ᵀ = V S Uᵀ.
-            Ok(Svd {
-                u: v,
-                s,
-                v: u,
-                transposed: true,
-            })
+            Ok(Svd { u: v, s, v: u })
         }
     }
 
@@ -87,11 +75,6 @@ impl Svd {
     /// The right factor `V` (not transposed).
     pub fn v(&self) -> &Matrix {
         &self.v
-    }
-
-    /// Whether the decomposition was internally computed on `Aᵀ`.
-    pub fn is_transposed(&self) -> bool {
-        self.transposed
     }
 
     /// Numerical rank with relative tolerance `rtol` (e.g. `1e-12`).
@@ -287,7 +270,6 @@ mod tests {
     fn reconstruction_wide() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let svd = Svd::new(&a).unwrap();
-        assert!(svd.is_transposed());
         assert!((&svd.reconstruct() - &a).max_abs() < 1e-12);
     }
 

@@ -111,14 +111,6 @@ impl ActuatorGrid {
         }
         Ok(idx)
     }
-
-    /// The neighboring setting `steps` above (positive) or below (negative)
-    /// `v`, clamped to the grid ends.
-    pub fn step_from(&self, v: f64, steps: isize) -> f64 {
-        let idx = self.quantize_index(v) as isize + steps;
-        let idx = idx.clamp(0, self.values.len() as isize - 1) as usize;
-        self.values[idx]
-    }
 }
 
 /// Frequency grid: 0.5 to 2.0 GHz in 0.1 GHz steps (16 settings).
@@ -419,15 +411,6 @@ mod tests {
     fn quantize_handles_nan() {
         let g = cache_grid();
         assert_eq!(g.quantize(f64::NAN), 2.0);
-    }
-
-    #[test]
-    fn step_from_clamps() {
-        let g = cache_grid();
-        assert_eq!(g.step_from(8.0, 1), 8.0);
-        assert_eq!(g.step_from(8.0, -1), 6.0);
-        assert_eq!(g.step_from(2.0, -5), 2.0);
-        assert_eq!(g.step_from(4.0, 2), 8.0);
     }
 
     #[test]

@@ -375,13 +375,6 @@ impl<P: Plant> Plant for FaultInjector<P> {
         self.inner.input_grids()
     }
 
-    fn apply(&mut self, u: &Vector) -> Vector {
-        let mut out = Vector::zeros(self.inner.num_outputs());
-        self.apply_into(u, &mut out)
-            .expect("FaultInjector::apply received an invalid actuation");
-        out
-    }
-
     fn observe(&mut self) -> Vector {
         // Priming reads bypass fault accounting: the wrapped plant decides
         // what a first reading looks like.
@@ -461,8 +454,9 @@ mod tests {
             vec![vec![0.0, 1.0], vec![0.0, 1.0]]
         }
 
-        fn apply(&mut self, u: &Vector) -> Vector {
-            u.clone()
+        fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> Result<()> {
+            out.copy_from(u);
+            Ok(())
         }
 
         fn observe(&mut self) -> Vector {

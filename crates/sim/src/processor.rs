@@ -31,17 +31,14 @@ pub trait Plant {
     fn num_outputs(&self) -> usize;
     /// Allowed values per input, ascending.
     fn input_grids(&self) -> Vec<Vec<f64>>;
-    /// Applies an actuation for one epoch and returns the measured outputs.
-    fn apply(&mut self, u: &Vector) -> Vector;
     /// Runs one epoch *holding the current configuration* and returns the
     /// measured outputs — the first reading a controller sees before it
     /// has issued any actuation.
     fn observe(&mut self) -> Vector;
     /// Applies an actuation for one epoch, writing the measured outputs
-    /// into `out` without allocating. The default forwards to
-    /// [`Plant::apply`] and always succeeds; hot-path plants override it.
-    /// Implementations must be bit-identical to `apply` on success and
-    /// must not allocate in steady state.
+    /// into `out`. This is the one step a plant implements; the epoch hot
+    /// loop calls it, so an implementation should not allocate in steady
+    /// state.
     ///
     /// # Errors
     ///
@@ -49,14 +46,20 @@ pub trait Plant {
     /// number of entries and [`SimError::NonFiniteActuation`] when an
     /// actuation entry is NaN or infinite. On error the plant does not
     /// advance and `out` is left untouched.
+    fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> Result<()>;
+    /// [`Plant::apply_into`] into a fresh vector, for callers outside the
+    /// hot loop.
     ///
     /// # Panics
     ///
-    /// The default implementation panics if `out.len() !=
-    /// self.num_outputs()` (via [`Vector::copy_from`]).
-    fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> Result<()> {
-        out.copy_from(&self.apply(u));
-        Ok(())
+    /// Panics with the error when `apply_into` rejects the actuation
+    /// (wrong length or non-finite entries).
+    fn apply(&mut self, u: &Vector) -> Vector {
+        let mut out = Vector::zeros(self.num_outputs());
+        if let Err(e) = self.apply_into(u, &mut out) {
+            panic!("{e}");
+        }
+        out
     }
     /// Whether the last epoch crossed a program phase boundary.
     fn phase_changed(&self) -> bool;
@@ -74,9 +77,6 @@ impl<P: Plant + ?Sized> Plant for &mut P {
     }
     fn input_grids(&self) -> Vec<Vec<f64>> {
         (**self).input_grids()
-    }
-    fn apply(&mut self, u: &Vector) -> Vector {
-        (**self).apply(u)
     }
     fn observe(&mut self) -> Vector {
         (**self).observe()
@@ -102,9 +102,6 @@ impl<P: Plant + ?Sized> Plant for Box<P> {
     }
     fn input_grids(&self) -> Vec<Vec<f64>> {
         (**self).input_grids()
-    }
-    fn apply(&mut self, u: &Vector) -> Vector {
-        (**self).apply(u)
     }
     fn observe(&mut self) -> Vector {
         (**self).observe()
@@ -294,7 +291,6 @@ pub struct Processor {
     eff: Phase,
     phase_changed: bool,
     totals: RunTotals,
-    last: Option<Observation>,
     /// Shared-LLC miss-pressure multiplier installed by the chip runtime
     /// (see `mimo_sim::llc`). `1.0` — the default, and the value outside
     /// contention — multiplies the miss-traffic jitter bit-transparently,
@@ -333,7 +329,6 @@ impl Processor {
             eff: first,
             phase_changed: false,
             totals: RunTotals::default(),
-            last: None,
             llc_penalty: 1.0,
             cpi_terms: CpiTerms::new(&first, &config, config.l2_ways),
             config_power: power_entry(&config),
@@ -356,11 +351,6 @@ impl Processor {
     /// Cumulative run statistics.
     pub fn totals(&self) -> RunTotals {
         self.totals
-    }
-
-    /// The most recent observation, if any epoch has run.
-    pub fn last_observation(&self) -> Option<Observation> {
-        self.last
     }
 
     /// The shared-LLC miss-pressure multiplier currently applied.
@@ -481,14 +471,12 @@ impl Processor {
         let power_meas =
             true_power * (1.0 + self.builder.power_noise * self.normal.sample(&mut self.rng));
 
-        let obs = Observation {
+        Observation {
             ips_bips: ips_meas.max(0.0),
             power_w: power_meas.max(0.0),
             config: self.config,
             phase_change: self.phase_changed,
-        };
-        self.last = Some(obs);
-        obs
+        }
     }
 
     /// Whether `u` is bit for bit the actuation of the current on-grid
@@ -542,17 +530,6 @@ impl Plant for Processor {
             .iter()
             .map(|g| g.values().to_vec())
             .collect()
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the actuation is rejected (wrong length or non-finite
-    /// entries); fallible callers use [`Plant::apply_into`] instead.
-    fn apply(&mut self, u: &Vector) -> Vector {
-        let mut out = Vector::zeros(2);
-        self.apply_into(u, &mut out)
-            .expect("Processor::apply received an invalid actuation");
-        out
     }
 
     fn observe(&mut self) -> Vector {
@@ -819,6 +796,66 @@ mod tests {
         assert_eq!(p2.num_outputs(), 2);
         assert_eq!(p2.input_grids().len(), 2);
         assert_eq!(p2.input_grids()[0].len(), 16);
+    }
+
+    /// Implements only the required methods, so `apply` is the trait's.
+    struct Ramp {
+        k: f64,
+    }
+
+    impl Plant for Ramp {
+        fn num_inputs(&self) -> usize {
+            2
+        }
+
+        fn num_outputs(&self) -> usize {
+            2
+        }
+
+        fn input_grids(&self) -> Vec<Vec<f64>> {
+            vec![vec![0.0, 1.0], vec![0.0, 1.0]]
+        }
+
+        fn observe(&mut self) -> Vector {
+            Vector::zeros(2)
+        }
+
+        fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> Result<()> {
+            if let Some(channel) = u.iter().position(|v| !v.is_finite()) {
+                return Err(SimError::NonFiniteActuation { channel });
+            }
+            self.k += 0.1;
+            out[0] = u[0] * self.k;
+            out[1] = u[1] / self.k;
+            Ok(())
+        }
+
+        fn phase_changed(&self) -> bool {
+            false
+        }
+
+        fn reset(&mut self) {
+            self.k = 0.0;
+        }
+    }
+
+    #[test]
+    fn provided_apply_is_bit_equal_to_apply_into() {
+        let (mut a, mut b) = (Ramp { k: 0.0 }, Ramp { k: 0.0 });
+        let mut out = Vector::zeros(2);
+        for t in 0..20 {
+            let u = Vector::from_slice(&[0.3 * t as f64, 1.0 / (t + 1) as f64]);
+            let y = a.apply(&u);
+            b.apply_into(&u, &mut out).unwrap();
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&out), "epoch {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "actuation channel 1 is NaN or infinite")]
+    fn provided_apply_panics_with_the_error() {
+        Ramp { k: 0.0 }.apply(&Vector::from_slice(&[1.0, f64::NAN]));
     }
 
     #[test]

@@ -297,7 +297,9 @@ fn play(
                     oracle.apply(&u)
                 }
                 Op::Direct(cfg) => {
-                    plant.step_config(*cfg);
+                    let obs = plant.step_config(*cfg);
+                    out[0] = obs.ips_bips;
+                    out[1] = obs.power_w;
                     oracle.step_config(*cfg)
                 }
                 Op::Llc(penalty) => {
@@ -326,17 +328,16 @@ fn play(
                     .apply_into(&Vector::from_slice(&u), &mut out)
                     .map_err(|e| format!("op {epoch}: {e}"))?;
             }
-            let got = plant.last_observation().unwrap();
+            let got = Observation {
+                ips_bips: out[0],
+                power_w: out[1],
+                config: plant.config(),
+                phase_change: plant.phase_changed(),
+            };
             if !same_obs(&got, &expected) {
                 return Err(format!(
                     "op {epoch} ({op:?}): {got:?} != oracle {expected:?}"
                 ));
-            }
-            if !matches!(op, Op::Direct(_))
-                && (out[0].to_bits() != got.ips_bips.to_bits()
-                    || out[1].to_bits() != got.power_w.to_bits())
-            {
-                return Err(format!("op {epoch}: outputs {out:?} != {got:?}"));
             }
             if !same_totals(&plant.totals(), &oracle.totals) {
                 return Err(format!(

@@ -159,8 +159,9 @@ impl ChannelScaler {
     ///
     /// Panics if `raw.len()` differs from the channel count.
     pub fn normalize(&self, raw: &Vector) -> Vector {
-        assert_eq!(raw.len(), self.channels(), "channel count mismatch");
-        Vector::from_fn(raw.len(), |c| (raw[c] - self.offset[c]) / self.span[c])
+        let mut out = Vector::zeros(raw.len());
+        self.normalize_slices(raw.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// Maps a normalized vector back to raw units.
@@ -169,34 +170,15 @@ impl ChannelScaler {
     ///
     /// Panics if `norm.len()` differs from the channel count.
     pub fn denormalize(&self, norm: &Vector) -> Vector {
-        assert_eq!(norm.len(), self.channels(), "channel count mismatch");
-        Vector::from_fn(norm.len(), |c| norm[c] * self.span[c] + self.offset[c])
-    }
-
-    /// Maps a raw vector into normalized coordinates, writing into `out`
-    /// without allocating. Bit-identical to [`ChannelScaler::normalize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw.len()` or `out.len()` differs from the channel count.
-    pub fn normalize_into(&self, raw: &Vector, out: &mut Vector) {
-        self.normalize_slices(raw.as_slice(), out.as_mut_slice());
-    }
-
-    /// Maps a normalized vector back to raw units, writing into `out`
-    /// without allocating. Bit-identical to [`ChannelScaler::denormalize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `norm.len()` or `out.len()` differs from the channel count.
-    pub fn denormalize_into(&self, norm: &Vector, out: &mut Vector) {
+        let mut out = Vector::zeros(norm.len());
         self.denormalize_slices(norm.as_slice(), out.as_mut_slice());
+        out
     }
 
-    /// Slice form of [`ChannelScaler::normalize_into`], so callers whose
-    /// buffers are fixed-size stack vectors can normalize without going
-    /// through a heap-backed [`Vector`]. One implementation serves both
-    /// paths — bit-identity holds by construction.
+    /// Maps raw values into normalized coordinates, writing into `out`
+    /// without allocating. Every other normalizing method calls this one,
+    /// so all of them agree bit for bit; callers whose buffers are
+    /// fixed-size stack vectors use it directly.
     ///
     /// # Panics
     ///
@@ -209,7 +191,8 @@ impl ChannelScaler {
         }
     }
 
-    /// Slice form of [`ChannelScaler::denormalize_into`].
+    /// Maps normalized values back to raw units, writing into `out`
+    /// without allocating; the one copy of the inverse formula.
     ///
     /// # Panics
     ///
@@ -229,11 +212,10 @@ impl ChannelScaler {
     ///
     /// Panics if a sample's length differs from the channel count.
     pub fn normalize_all(&self, seq: &mut [Vector]) {
+        let mut raw = vec![0.0; self.channels()];
         for v in seq {
-            assert_eq!(v.len(), self.channels(), "channel count mismatch");
-            for (c, x) in v.as_mut_slice().iter_mut().enumerate() {
-                *x = (*x - self.offset[c]) / self.span[c];
-            }
+            raw.copy_from_slice(v.as_slice());
+            self.normalize_slices(&raw, v.as_mut_slice());
         }
     }
 
@@ -244,11 +226,10 @@ impl ChannelScaler {
     ///
     /// Panics if a sample's length differs from the channel count.
     pub fn denormalize_all(&self, seq: &mut [Vector]) {
+        let mut norm = vec![0.0; self.channels()];
         for v in seq {
-            assert_eq!(v.len(), self.channels(), "channel count mismatch");
-            for (c, x) in v.as_mut_slice().iter_mut().enumerate() {
-                *x = *x * self.span[c] + self.offset[c];
-            }
+            norm.copy_from_slice(v.as_slice());
+            self.denormalize_slices(&norm, v.as_mut_slice());
         }
     }
 }
@@ -296,22 +277,6 @@ mod tests {
         assert_eq!(seq[1][0], 1.0);
         s.denormalize_all(&mut seq);
         assert_eq!(seq[1][0], 2.0);
-    }
-
-    #[test]
-    fn into_variants_match_allocating_bitwise() {
-        let s = ChannelScaler::from_ranges(&[(0.5, 2.0), (16.0, 128.0)]);
-        let raw = Vector::from_slice(&[0.7, 48.0]);
-        let want_n = s.normalize(&raw);
-        let mut got_n = Vector::zeros(2);
-        s.normalize_into(&raw, &mut got_n);
-        let want_d = s.denormalize(&want_n);
-        let mut got_d = Vector::zeros(2);
-        s.denormalize_into(&got_n, &mut got_d);
-        for c in 0..2 {
-            assert_eq!(got_n[c].to_bits(), want_n[c].to_bits());
-            assert_eq!(got_d[c].to_bits(), want_d[c].to_bits());
-        }
     }
 
     #[test]

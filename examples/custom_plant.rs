@@ -10,7 +10,7 @@
 use mimo_arch::core::design::DesignFlow;
 use mimo_arch::core::weights::WeightSet;
 use mimo_arch::linalg::Vector;
-use mimo_arch::sim::Plant;
+use mimo_arch::sim::{Plant, SimError};
 
 /// A two-input, two-output thermal plant: two heater duties (0..=10, in
 /// discrete steps) drive two coupled temperatures with first-order lags.
@@ -51,7 +51,16 @@ impl Plant for ThermalPlant {
         vec![grid.clone(), grid]
     }
 
-    fn apply(&mut self, u: &Vector) -> Vector {
+    fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> mimo_arch::sim::Result<()> {
+        // Reject what the dynamics cannot consume, before advancing them.
+        for got in [u.len(), out.len()] {
+            if got != 2 {
+                return Err(SimError::BadActuation { got, expected: 2 });
+            }
+        }
+        if let Some(channel) = u.iter().position(|v| !v.is_finite()) {
+            return Err(SimError::NonFiniteActuation { channel });
+        }
         // Coupled first-order dynamics: each heater mostly warms its own
         // tank but leaks into the other.
         let ambient = 20.0;
@@ -60,7 +69,9 @@ impl Plant for ThermalPlant {
         self.temps[0] += 0.08 * (ambient + w0 - self.temps[0]);
         self.temps[1] += 0.06 * (ambient + w1 - self.temps[1]);
         let (n0, n1) = (self.noise(), self.noise());
-        Vector::from_slice(&[self.temps[0] + n0, self.temps[1] + n1])
+        out[0] = self.temps[0] + n0;
+        out[1] = self.temps[1] + n1;
+        Ok(())
     }
 
     fn observe(&mut self) -> Vector {
@@ -105,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut u = Vector::zeros(controller.num_inputs());
     for epoch in 0..400 {
         controller.step_into(&y, &mut u);
-        y = plant.apply(&u);
+        plant.apply_into(&u, &mut y)?;
         if epoch % 80 == 0 {
             println!(
                 "epoch {epoch:>3}: duties ({:.0}, {:.0}) → temps ({:.1}, {:.1}) °C",
