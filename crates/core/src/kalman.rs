@@ -151,10 +151,10 @@ pub fn update_kalman<S: LqgStorage>(
     xhat.as_mut_slice().copy_from_slice(s.a_x.as_slice());
 }
 
-/// Reusable temporaries for [`update_kalman`], sized for one plant so a steady-state estimator
-/// update performs no heap allocations. With the default [`DynStore`]
-/// storage the buffers live on the heap; with a fixed-size storage the
-/// whole scratch is plain stack data.
+/// Reusable temporaries for [`update_kalman`], sized for one plant so a
+/// steady-state estimator update performs no heap allocations. With the
+/// default [`DynStore`] storage the buffers live on the heap; with a
+/// fixed-size storage the whole scratch is plain stack data.
 #[derive(Debug, Clone)]
 pub struct KalmanScratch<S: LqgStorage = DynStore> {
     y_pred: S::VecY,
