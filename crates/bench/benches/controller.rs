@@ -12,8 +12,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mimo_core::dare::solve_dare;
+use mimo_core::decoupled::FastDecoupled;
 use mimo_core::design::DesignFlow;
 use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
+use mimo_core::lqg::slew_step;
 use mimo_core::optimizer::{Metric, Optimizer, MAX_TRIES};
 use mimo_core::robust::analyze;
 use mimo_exp::setup;
@@ -105,6 +107,29 @@ fn bench_lqg_step(c: &mut Criterion) {
             black_box(out[0])
         })
     });
+    // The Decoupled governor's decide, two SISO loops per call: on the
+    // dynamic storage design hands out, and on the static storage
+    // `FastDecoupled` converts both loops to.
+    let mut decoupled = setup::decoupled_governor(1).expect("design");
+    let mut decoupled_static = FastDecoupled::new(&decoupled).governor();
+    decoupled.set_targets(&Vector::from_slice(&[2.8, 1.9]));
+    decoupled_static.set_targets(&Vector::from_slice(&[2.8, 1.9]));
+    c.bench_function("control/lqg_step_into_decoupled", |b| {
+        b.iter(|| {
+            decoupled
+                .decide_into(black_box(&y), false, &mut out)
+                .unwrap();
+            black_box(out[0])
+        })
+    });
+    c.bench_function("control/lqg_step_into_decoupled_static", |b| {
+        b.iter(|| {
+            decoupled_static
+                .decide_into(black_box(&y), false, &mut out)
+                .unwrap();
+            black_box(out[0])
+        })
+    });
     // Retargeting with an unchanged reference (the fleet arbiter's common
     // case) must cost a compare, not a steady-state resolve.
     let targets = Vector::from_slice(&[2.8, 1.9]);
@@ -126,6 +151,24 @@ fn bench_lqg_step(c: &mut Criterion) {
         b.iter(|| {
             flip ^= 1;
             fixed.set_reference(black_box(&moving[flip]))
+        })
+    });
+}
+
+/// One held-index slew step on the 16-point frequency grid. The candidate
+/// sweeps from below the grid to above it, so the held index walks the
+/// grid, holds at its ends and steps back down on the wrap.
+fn bench_slew(c: &mut Criterion) {
+    let grids = [InputSet::FreqCache.grid(0).values().to_vec()];
+    let candidates: Vec<f64> = (0..64).map(|k| 0.3 + 0.03 * f64::from(k)).collect();
+    let mut held = [grids[0].len() / 2];
+    let mut out = [0.0];
+    let mut k = 0;
+    c.bench_function("control/slew_step", |b| {
+        b.iter(|| {
+            k = (k + 1) % candidates.len();
+            slew_step(&grids, &[black_box(candidates[k])], &mut held, &mut out);
+            black_box(out[0])
         })
     });
 }
@@ -358,6 +401,7 @@ criterion_group!(
     bench_dare,
     bench_rsa,
     bench_lqg_step,
+    bench_slew,
     bench_engine,
     bench_sim_epoch,
     bench_sysid_fit,

@@ -8,12 +8,13 @@
 //! cross couplings (cache→power, frequency→IPS) act as unmodeled
 //! disturbances. §VIII-D shows where that breaks down.
 
-use mimo_linalg::Vector;
+use mimo_linalg::{SVector, Vector};
 use mimo_sim::{Plant, SimError};
 
 use crate::design::DesignFlow;
 use crate::governor::Governor;
 use crate::lqg::LqgController;
+use crate::storage::{DynStore, LqgStorage, StaticStore};
 use crate::weights::WeightSet;
 use crate::Result;
 
@@ -94,44 +95,105 @@ impl<P: Plant + ?Sized> Plant for SisoView<'_, P> {
 }
 
 /// The two uncoordinated SISO loops.
+///
+/// Generic over the loops' runtime storage, like
+/// [`MimoGovernor`](crate::governor::MimoGovernor): design hands out the
+/// dynamic pair, and [`FastDecoupled`] re-homes both loops into stack
+/// storage. A clone shares both loops' designs.
 #[derive(Debug, Clone)]
-pub struct DecoupledGovernor {
+pub struct DecoupledGovernor<S: LqgStorage = DynStore> {
     /// Cache → IPS loop.
-    ips_loop: LqgController,
+    ips_loop: LqgController<S>,
     /// Frequency → power loop.
-    power_loop: LqgController,
-    /// Single-element measurement/actuation scratch buffers so the hot
-    /// `decide_into` path never allocates.
-    y_scratch: Vector,
-    u_cache: Vector,
-    u_freq: Vector,
+    power_loop: LqgController<S>,
+    /// Single-element measurement/actuation scratch, inline so neither
+    /// `decide_into` nor a clone allocates.
+    y_scratch: SVector<1>,
+    u_cache: SVector<1>,
+    u_freq: SVector<1>,
 }
 
-impl DecoupledGovernor {
+impl<S: LqgStorage> DecoupledGovernor<S> {
     /// Wraps two synthesized SISO controllers (`ips_loop` actuating the
     /// cache, `power_loop` actuating the frequency).
-    pub fn new(ips_loop: LqgController, power_loop: LqgController) -> Self {
+    pub fn new(ips_loop: LqgController<S>, power_loop: LqgController<S>) -> Self {
         DecoupledGovernor {
             ips_loop,
             power_loop,
-            y_scratch: Vector::zeros(1),
-            u_cache: Vector::zeros(1),
-            u_freq: Vector::zeros(1),
+            y_scratch: SVector::zeros(),
+            u_cache: SVector::zeros(),
+            u_freq: SVector::zeros(),
         }
     }
 
     /// Borrows the cache→IPS loop.
-    pub fn ips_loop(&self) -> &LqgController {
+    pub fn ips_loop(&self) -> &LqgController<S> {
         &self.ips_loop
     }
 
     /// Borrows the frequency→power loop.
-    pub fn power_loop(&self) -> &LqgController {
+    pub fn power_loop(&self) -> &LqgController<S> {
         &self.power_loop
+    }
+
+    /// Re-homes both loops into another runtime storage, carrying their
+    /// state bit-exactly ([`LqgController::with_storage`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ControlError::DimensionMismatch`](crate::ControlError::DimensionMismatch)
+    /// when `T` is a [`StaticStore`] whose const dimensions disagree with
+    /// either loop's.
+    pub fn with_storage<T: LqgStorage>(&self) -> Result<DecoupledGovernor<T>> {
+        Ok(DecoupledGovernor::new(
+            self.ips_loop.with_storage()?,
+            self.power_loop.with_storage()?,
+        ))
     }
 }
 
-impl Governor for DecoupledGovernor {
+/// A [`DecoupledGovernor`] re-homed, once, into the fastest storage for
+/// its loops' shape — the Decoupled twin of
+/// [`FastController`](crate::governor::FastController).
+///
+/// When both loops are 1-in/1-out with 2 states (every design
+/// [`design_decoupled`] produces), they step on
+/// [`StaticStore<1, 1, 2, 4>`]; a pair with any other shape keeps the
+/// dynamic storage. Every governor [`FastDecoupled::governor`] hands out is
+/// a clone that shares the converted designs, and it steps bit for bit like
+/// the dynamic pair.
+// One `FastDecoupled` exists per experiment and hands out clones, so the
+// size spread between the variants costs nothing on the stepping path.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum FastDecoupled {
+    /// Both loops 1-in/1-out with 2 states, on static storage.
+    Siso(DecoupledGovernor<StaticStore<1, 1, 2, 4>>),
+    /// Any other shape, on the dynamic storage.
+    Dynamic(DecoupledGovernor),
+}
+
+impl FastDecoupled {
+    /// Picks the storage for `gov`'s loops and converts once.
+    pub fn new(gov: &DecoupledGovernor) -> Self {
+        match gov.with_storage() {
+            Ok(fixed) => Self::Siso(fixed),
+            Err(_) => Self::Dynamic(gov.clone()),
+        }
+    }
+
+    /// A governor that shares the converted designs and starts from the
+    /// converted state. With static storage its one heap allocation is the
+    /// box.
+    pub fn governor(&self) -> Box<dyn Governor + Send> {
+        match self {
+            Self::Siso(g) => Box::new(g.clone()),
+            Self::Dynamic(g) => Box::new(g.clone()),
+        }
+    }
+}
+
+impl<S: LqgStorage> Governor for DecoupledGovernor<S> {
     fn name(&self) -> &str {
         "Decoupled"
     }

@@ -53,6 +53,15 @@ pub enum ControlError {
         /// Frequency (rad/sample) of the offending response.
         omega: f64,
     },
+    /// An input's actuator grid cannot carry the held slew index: it is
+    /// empty or not strictly ascending, or one of its points does not map
+    /// back to its own index through the input scaler's round trip.
+    BadActuatorGrid {
+        /// Input channel of the grid.
+        channel: usize,
+        /// What is wrong with it.
+        what: String,
+    },
     /// An underlying identification failure.
     Sysid(SysidError),
     /// An underlying linear-algebra failure.
@@ -80,6 +89,9 @@ impl fmt::Display for ControlError {
             }
             ControlError::NonFiniteResponse { omega } => {
                 write!(f, "frequency response at w = {omega:.4} is NaN or infinite")
+            }
+            ControlError::BadActuatorGrid { channel, what } => {
+                write!(f, "bad actuator grid on input {channel}: {what}")
             }
             ControlError::Sysid(e) => write!(f, "identification failure: {e}"),
             ControlError::Linalg(e) => write!(f, "linear algebra failure: {e}"),

@@ -36,7 +36,7 @@ use mimo_sysid::scale::ChannelScaler;
 use crate::kalman::{update_kalman, KalmanFilter, KalmanScratch};
 use crate::lqr::{design_lqr, LqrGain};
 use crate::ss::StateSpace;
-use crate::storage::{DynStore, LqgStorage, StaticStore};
+use crate::storage::{DynStore, HeldIndex, LqgStorage, StaticStore};
 use crate::{ControlError, Result};
 
 /// Bound on normalized inputs (slightly beyond the identification range so
@@ -91,6 +91,8 @@ impl LqgDesign {
     ///   (the MIMO structural limit of §III-B).
     /// * [`ControlError::RiccatiDiverged`] / [`ControlError::BadWeights`] —
     ///   synthesis failures from the LQR/Kalman stages.
+    /// * [`ControlError::BadActuatorGrid`] — a grid cannot carry the held
+    ///   slew index (see [`slew_step`]).
     pub fn build(self) -> Result<LqgController> {
         let n = self.model.state_dim();
         let i = self.model.num_inputs();
@@ -122,6 +124,7 @@ impl LqgDesign {
                 what: format!("integral weight {} must be positive", self.integral_weight),
             });
         }
+        check_actuator_grids(&self.input_grids, &self.input_scaler)?;
         // --- Augmented system -------------------------------------------
         let a = self.model.a();
         let b = self.model.b();
@@ -183,6 +186,7 @@ impl LqgDesign {
             design: self,
         };
         let mut state = CoreState::<DynStore>::zeroed(n, i, o)?;
+        state.hold_input_indices(&compiled.design);
         // Initialize at a neutral reference (normalized zero = operating
         // midpoint); callers set the real target afterwards. The solver is
         // the output-weighted, Tikhonov-regularized inversion of the DC
@@ -436,6 +440,8 @@ struct CoreState<S: LqgStorage> {
     xhat: S::VecX,
     /// Previous (quantized, normalized) input.
     u_prev: S::VecU,
+    /// Grid index of each channel of `u_prev`, the slew step's start.
+    u_idx: S::IdxU,
     /// Leaky error integrator.
     q_int: S::VecY,
     /// Normalized reference.
@@ -446,12 +452,14 @@ struct CoreState<S: LqgStorage> {
 }
 
 impl<S: LqgStorage> CoreState<S> {
-    /// All-zero state for `n` states, `i` inputs and `o` outputs.
+    /// All-zero state for `n` states, `i` inputs and `o` outputs. The held
+    /// indices are placeholders until [`CoreState::hold_input_indices`].
     fn zeroed(n: usize, i: usize, o: usize) -> Result<Self> {
         let lin = ControlError::Linalg;
         Ok(CoreState {
             xhat: S::VecX::new_dim(n).map_err(lin)?,
             u_prev: S::VecU::new_dim(i).map_err(lin)?,
+            u_idx: S::IdxU::zeroed(i),
             q_int: S::VecY::new_dim(o).map_err(lin)?,
             y_ref_norm: S::VecY::new_dim(o).map_err(lin)?,
             x_ss: S::VecX::new_dim(n).map_err(lin)?,
@@ -459,12 +467,26 @@ impl<S: LqgStorage> CoreState<S> {
         })
     }
 
-    /// Re-homes the state into another storage, bit-exactly.
+    /// Derives the held grid indices from `u_prev` (see
+    /// [`held_grid_indices`]) wherever they are not known: at
+    /// construction, reset and storage conversion.
+    fn hold_input_indices(&mut self, design: &LqgDesign) {
+        held_grid_indices(
+            &design.input_grids,
+            &design.input_scaler,
+            self.u_prev.as_slice(),
+            self.u_idx.as_mut(),
+        );
+    }
+
+    /// Re-homes the state into another storage, bit-exactly. The held
+    /// indices are placeholders until [`CoreState::hold_input_indices`].
     fn convert<T: LqgStorage>(&self) -> Result<CoreState<T>> {
         let lin = ControlError::Linalg;
         Ok(CoreState {
             xhat: T::VecX::from_vector(&self.xhat.to_vector()).map_err(lin)?,
             u_prev: T::VecU::from_vector(&self.u_prev.to_vector()).map_err(lin)?,
+            u_idx: T::IdxU::zeroed(self.u_idx.as_ref().len()),
             q_int: T::VecY::from_vector(&self.q_int.to_vector()).map_err(lin)?,
             y_ref_norm: T::VecY::from_vector(&self.y_ref_norm.to_vector()).map_err(lin)?,
             x_ss: T::VecX::from_vector(&self.x_ss.to_vector()).map_err(lin)?,
@@ -487,8 +509,6 @@ struct LqgScratch<S: LqgStorage> {
     u_raw: S::VecU,
     /// Physical candidate input before quantization.
     u_phys_raw: S::VecU,
-    /// Physical previous input (for slew limiting).
-    u_prev_phys: S::VecU,
     /// Estimator temporaries.
     kalman: KalmanScratch<S>,
 }
@@ -502,7 +522,6 @@ impl<S: LqgStorage> LqgScratch<S> {
             du: vu(),
             u_raw: vu(),
             u_phys_raw: vu(),
-            u_prev_phys: vu(),
             kalman: KalmanScratch::new(n, o),
         }
     }
@@ -573,9 +592,11 @@ impl<S: LqgStorage> LqgController<S> {
         let i = self.num_inputs();
         let o = self.num_outputs();
         T::check_dims(i, o, n)?;
+        let mut state = self.state.convert()?;
+        state.hold_input_indices(&self.compiled.design);
         Ok(LqgController {
             compiled: Arc::new(self.compiled.convert()?),
-            state: self.state.convert()?,
+            state,
             scratch: LqgScratch::new(n, i, o),
         })
     }
@@ -600,7 +621,7 @@ impl<S: LqgStorage> LqgController<S> {
     /// to the closest achievable point and the integrator clamp prevents
     /// windup — matching the paper's non-responsive-application behavior,
     /// where the controller gets as close as it can.
-    pub fn set_reference(&mut self, y0_physical: &Vector) {
+    pub fn set_reference(&mut self, y0_physical: &impl VecKernel) {
         retarget_reference(
             &self.compiled.design.output_scaler,
             y0_physical.as_slice(),
@@ -614,18 +635,19 @@ impl<S: LqgStorage> LqgController<S> {
     /// One control epoch, in place: consumes the physical measurement
     /// `y(t)` and writes the physical, quantized actuation `u(t)` into
     /// `out`. Allocation-free: every temporary lives in the scratch
-    /// workspace sized at synthesis.
+    /// workspace sized at synthesis, and `y_physical` and `out` may be
+    /// heap or stack vectors.
     ///
     /// # Panics
     ///
     /// Panics if `y_physical` or `out` has the wrong dimension.
-    pub fn step_into(&mut self, y_physical: &Vector, out: &mut Vector) {
+    pub fn step_into(&mut self, y_physical: &impl VecKernel, out: &mut impl VecKernel) {
         assert_eq!(
-            y_physical.len(),
+            y_physical.dim(),
             self.num_outputs(),
             "measurement dimension mismatch"
         );
-        assert_eq!(out.len(), self.num_inputs(), "actuation dimension mismatch");
+        assert_eq!(out.dim(), self.num_inputs(), "actuation dimension mismatch");
         let k = &*self.compiled;
         let s = &mut self.scratch;
         let st = &mut self.state;
@@ -678,13 +700,10 @@ impl<S: LqgStorage> LqgController<S> {
         k.design
             .input_scaler
             .denormalize_slices(s.u_raw.as_slice(), s.u_phys_raw.as_mut_slice());
-        k.design
-            .input_scaler
-            .denormalize_slices(st.u_prev.as_slice(), s.u_prev_phys.as_mut_slice());
-        quantize_with_slew(
+        slew_step(
             &k.design.input_grids,
             s.u_phys_raw.as_slice(),
-            s.u_prev_phys.as_slice(),
+            st.u_idx.as_mut(),
             out.as_mut_slice(),
         );
         // Feed the *quantized* input back (anti-windup against rounding).
@@ -699,6 +718,7 @@ impl<S: LqgStorage> LqgController<S> {
         self.state.xhat.as_mut_slice().fill(0.0);
         self.state.u_prev.as_mut_slice().fill(0.0);
         self.state.q_int.as_mut_slice().fill(0.0);
+        self.state.hold_input_indices(&self.compiled.design);
     }
 
     /// Snapshot of the evolving runtime state (estimate, held input,
@@ -766,11 +786,9 @@ pub fn retarget_reference(
         y_ref_norm.len(),
         "reference dimension mismatch"
     );
-    let offsets = output_scaler.offsets();
-    let spans = output_scaler.spans();
     let mut changed = false;
     for c in 0..y0_physical.len() {
-        let v = (y0_physical[c] - offsets[c]) / spans[c];
+        let v = output_scaler.normalize_channel(c, y0_physical[c]);
         if v.to_bits() != y_ref_norm[c].to_bits() {
             y_ref_norm[c] = v;
             changed = true;
@@ -827,27 +845,98 @@ pub fn apply_du_clamped(u_raw: &mut [f64], u_prev: &[f64], du: &[f64]) {
 }
 
 /// Grid quantization with the one-step-per-epoch slew limit: each channel
-/// moves at most one grid index from its current (quantized) position
-/// toward the nearest-to-candidate index.
-pub fn quantize_with_slew(
-    grids: &[Vec<f64>],
-    u_phys_raw: &[f64],
-    u_prev_phys: &[f64],
-    out: &mut [f64],
-) {
+/// moves at most one grid index from its held index `held[ch]` toward the
+/// index nearest the candidate `u_phys_raw[ch]`, writes that grid point to
+/// `out[ch]` and holds its index for the next epoch.
+///
+/// The held index is the one the channel was last written at. A full scan
+/// of the denormalized previous input finds the same index, because the
+/// input scaler's round trip maps every grid point back to its own index
+/// ([`LqgDesign::build`] checks it). Derive the index with
+/// [`held_grid_indices`] wherever the previous input is set another way.
+pub fn slew_step(grids: &[Vec<f64>], u_phys_raw: &[f64], held: &mut [usize], out: &mut [f64]) {
     for ch in 0..out.len() {
         let grid = &grids[ch];
-        let target = quantize_index(grid, u_phys_raw[ch]);
-        let current = quantize_index(grid, u_prev_phys[ch]);
-        let stepped = if target > current {
-            current + 1
-        } else if target < current {
-            current - 1
-        } else {
-            current
-        };
-        out[ch] = grid[stepped];
+        let next = slew_index(grid, held[ch], u_phys_raw[ch]);
+        held[ch] = next;
+        out[ch] = grid[next];
     }
+}
+
+/// The index one slew step from `cur` toward [`quantize_index`]`(grid, v)`
+/// on an ascending `grid`, found by comparing `cur` with its neighbours.
+///
+/// `|g − v|` is unimodal over an ascending grid, also in floating point
+/// (rounding the difference is monotone), so a strictly closer neighbour
+/// names the direction of the nearest point, and two strictly farther
+/// neighbours make `cur` the nearest. A tie or a NaN falls back to the
+/// full scan, so midpoints keep the scan's lower index and ±∞ and NaN its
+/// index 0.
+fn slew_index(grid: &[f64], cur: usize, v: f64) -> usize {
+    let d = (grid[cur] - v).abs();
+    let up = grid.get(cur + 1).map_or(f64::INFINITY, |g| (g - v).abs());
+    let down = match cur {
+        0 => f64::INFINITY,
+        _ => (grid[cur - 1] - v).abs(),
+    };
+    if up < d {
+        cur + 1
+    } else if down < d {
+        cur - 1
+    } else if up > d && down > d {
+        cur
+    } else {
+        let target = quantize_index(grid, v);
+        if target > cur {
+            cur + 1
+        } else if target < cur {
+            cur - 1
+        } else {
+            cur
+        }
+    }
+}
+
+/// Each channel's grid index for a normalized previous input, as the full
+/// scan finds it: denormalize, then [`quantize_index`].
+pub fn held_grid_indices(
+    grids: &[Vec<f64>],
+    input_scaler: &ChannelScaler,
+    u_prev: &[f64],
+    held: &mut [usize],
+) {
+    for (c, h) in held.iter_mut().enumerate() {
+        *h = quantize_index(&grids[c], input_scaler.denormalize_channel(c, u_prev[c]));
+    }
+}
+
+/// Checks that every actuator grid can carry the held slew index: it is
+/// non-empty and strictly ascending, and each point maps back to its own
+/// index through the input scaler's round trip, the way the previous input
+/// travels from one epoch to the next.
+fn check_actuator_grids(grids: &[Vec<f64>], input_scaler: &ChannelScaler) -> Result<()> {
+    for (channel, grid) in grids.iter().enumerate() {
+        let bad = |what: String| Err(ControlError::BadActuatorGrid { channel, what });
+        if grid.is_empty() {
+            return bad("the grid is empty".into());
+        }
+        let ascending = |w: &[f64]| w[0].partial_cmp(&w[1]) == Some(std::cmp::Ordering::Less);
+        if let Some(k) = grid.windows(2).position(|w| !ascending(w)) {
+            return bad(format!("points {k} and {} are not ascending", k + 1));
+        }
+        for (k, &g) in grid.iter().enumerate() {
+            let norm = input_scaler.normalize_channel(channel, g);
+            let back = input_scaler.denormalize_channel(channel, norm);
+            let found = quantize_index(grid, back);
+            if found != k {
+                return bad(format!(
+                    "point {k} ({g}) round-trips through the input scaler to {back}, \
+                     nearest point {found}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Index of the nearest grid value.
@@ -1301,6 +1390,71 @@ mod tests {
             .unwrap();
         crate::governor::MimoGovernor::new(ctrl)
             .decide(&Vector::from_slice(&[f64::NAN, 1.0]), false);
+    }
+
+    /// The index a full scan finds for each channel of `u_prev`.
+    fn scanned_indices<S: LqgStorage>(ctrl: &LqgController<S>) -> Vec<usize> {
+        let d = ctrl.design();
+        let u_prev = d.input_scaler.denormalize(&ctrl.state.u_prev.to_vector());
+        (0..u_prev.len())
+            .map(|c| quantize_index(&d.input_grids[c], u_prev[c]))
+            .collect()
+    }
+
+    #[test]
+    fn held_index_is_the_scanned_index_of_the_previous_input() {
+        // Coarse grids on a skewed scaler, so the loop moves every few
+        // epochs and the round trip is not the identity.
+        let mut design = test_design(test_plant(), &[10.0, 10.0], &[0.05, 0.05]);
+        design.input_scaler = ChannelScaler::from_ranges(&[(0.3, 2.1), (-0.7, 0.9)]);
+        design.input_grids = vec![
+            (0..16).map(|i| 0.5 + 0.1 * i as f64).collect(),
+            (0..9).map(|i| -1.0 + 0.25 * i as f64).collect(),
+        ];
+        let mut ctrl = design.build().unwrap();
+        let mut fixed: Option<LqgController<StaticStore<2, 2, 2, 6>>> = None;
+        ctrl.set_reference(&Vector::from_slice(&[2.0, -1.0]));
+        let mut u = Vector::zeros(2);
+        for t in 0..300 {
+            match t {
+                100 => ctrl.reset_state(),
+                200 => fixed = Some(ctrl.with_storage().unwrap()),
+                _ => {}
+            }
+            assert_eq!(ctrl.state.u_idx, scanned_indices(&ctrl), "epoch {t}");
+            if let Some(f) = fixed.as_mut() {
+                assert_eq!(f.state.u_idx.to_vec(), scanned_indices(f), "epoch {t}");
+                f.step_into(&Vector::from_slice(&[(t as f64 * 0.2).sin(), 0.3]), &mut u);
+            }
+            ctrl.step_into(&Vector::from_slice(&[(t as f64 * 0.2).sin(), 0.3]), &mut u);
+        }
+    }
+
+    #[test]
+    fn build_rejects_a_grid_that_cannot_hold_its_index() {
+        let bad = |grids: Vec<Vec<f64>>, scaler: ChannelScaler| {
+            let mut d = test_design(test_plant(), &[1.0, 1.0], &[1.0, 1.0]);
+            d.input_grids = grids;
+            d.input_scaler = scaler;
+            d.build()
+        };
+        let unit = || ChannelScaler::from_ranges(&[(-1.0, 1.0); 2]);
+        assert!(matches!(
+            bad(vec![fine_grid(), vec![]], unit()),
+            Err(ControlError::BadActuatorGrid { channel: 1, .. })
+        ));
+        assert!(matches!(
+            bad(vec![vec![0.0, 0.5, 0.25], fine_grid()], unit()),
+            Err(ControlError::BadActuatorGrid { channel: 0, .. })
+        ));
+        // At an offset of 2e16 the doubles are 4 apart, so 1.0 normalizes
+        // and comes back as 0.0: grid point 1 would be held as point 0.
+        let coarse = ChannelScaler::from_ranges(&[(2e16 - 4.0, 2e16 + 4.0); 2]);
+        let err = bad(vec![vec![0.0, 1.0, 2.0, 3.0]; 2], coarse).unwrap_err();
+        assert!(
+            matches!(err, ControlError::BadActuatorGrid { channel: 0, .. }),
+            "{err}"
+        );
     }
 
     #[test]

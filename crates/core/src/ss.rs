@@ -172,6 +172,8 @@ impl From<Realization> for StateSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimo_sysid::arx::{ArxModel, ArxOrders};
+    use mimo_sysid::realize::to_state_space;
 
     fn scalar_lag(pole: f64, gain: f64) -> StateSpace {
         StateSpace::new(
@@ -228,6 +230,70 @@ mod tests {
     fn spectral_radius_works() {
         let sys = scalar_lag(-0.7, 1.0);
         assert!((sys.spectral_radius().unwrap() - 0.7).abs() < 1e-12);
+    }
+
+    /// Fits `orders` to `(u, y)` and free-runs the realized model from
+    /// the zero state over every input; returns the largest output error.
+    /// The data must start from rest, so that zero is the true state.
+    fn realized_free_run_error(u: &[Vector], y: &[Vector], orders: ArxOrders) -> f64 {
+        let model = ArxModel::fit(u, y, orders).unwrap();
+        let ss = StateSpace::from(to_state_space(&model));
+        let ys = ss.simulate(&Vector::zeros(ss.state_dim()), u);
+        ys.iter()
+            .zip(y)
+            .map(|(a, b)| (a - b).norm_inf())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn realized_mimo_arx_free_runs_its_data() {
+        // A known 2-in 2-out ARX system, started from rest.
+        let a1 = Matrix::from_rows(&[&[0.5, 0.1], &[-0.1, 0.3]]);
+        let b1 = Matrix::from_rows(&[&[1.0, 0.2], &[0.0, -0.7]]);
+        let (mut u, mut y) = (Vec::new(), Vec::new());
+        let (mut yprev, mut uprev) = (Vector::zeros(2), Vector::zeros(2));
+        for t in 0..600usize {
+            let ut = Vector::from_slice(&[
+                ((t * 31) % 11) as f64 / 5.0 - 1.0,
+                ((t * 7) % 13) as f64 / 6.0 - 1.0,
+            ]);
+            let yt = &a1.mul_vec(&yprev).unwrap() + &b1.mul_vec(&uprev).unwrap();
+            u.push(ut.clone());
+            y.push(yt.clone());
+            yprev = yt;
+            uprev = ut;
+        }
+        let orders = ArxOrders {
+            na: 1,
+            nb: 1,
+            direct_feedthrough: false,
+        };
+        let err = realized_free_run_error(&u, &y, orders);
+        assert!(err < 1e-6, "max error {err}");
+    }
+
+    #[test]
+    fn realized_deeper_arx_free_runs_its_data() {
+        // Two output and two input lags, SISO, started from rest.
+        let (mut u, mut y) = (Vec::new(), Vec::new());
+        let (mut y1, mut y2, mut u1, mut u2) = (0.0, 0.0, 0.0, 0.0);
+        for t in 0..500usize {
+            let ut = ((t * 29) % 17) as f64 / 8.0 - 1.0;
+            let yt = 0.4 * y1 + 0.2 * y2 + 0.5 * u1 - 0.2 * u2;
+            u.push(Vector::from_slice(&[ut]));
+            y.push(Vector::from_slice(&[yt]));
+            y2 = y1;
+            y1 = yt;
+            u2 = u1;
+            u1 = ut;
+        }
+        let orders = ArxOrders {
+            na: 2,
+            nb: 2,
+            direct_feedthrough: false,
+        };
+        let err = realized_free_run_error(&u, &y, orders);
+        assert!(err < 1e-6, "max error {err}");
     }
 
     #[test]

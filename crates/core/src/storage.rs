@@ -60,6 +60,8 @@ pub trait LqgStorage: Clone + std::fmt::Debug + Send + Sync + 'static {
     type GainL: mimo_linalg::MatVecKernel<Self::VecY, Self::VecX>;
     /// LQR feedback gain `F` over the augmented state.
     type GainF: mimo_linalg::MatVecKernel<Self::VecZ, Self::VecU>;
+    /// Held actuator-grid index per input (`NU`).
+    type IdxU: HeldIndex;
 
     /// Checks that this storage can hold a controller with `nu` inputs,
     /// `ny` outputs, and `nx` states.
@@ -69,6 +71,34 @@ pub trait LqgStorage: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Returns [`ControlError::DimensionMismatch`] when a fixed-size
     /// storage's const dimensions disagree with the controller's.
     fn check_dims(nu: usize, ny: usize, nx: usize) -> Result<()>;
+}
+
+/// One grid index per input, held beside the previous input: a `Vec` on
+/// the dynamic path, an inline array on the static one, so a static
+/// controller's clone still allocates nothing.
+pub trait HeldIndex:
+    AsRef<[usize]> + AsMut<[usize]> + Clone + std::fmt::Debug + Send + Sync + 'static
+{
+    /// All-zero indices for `n` inputs.
+    ///
+    /// # Panics
+    ///
+    /// A fixed-size implementation panics when `n` differs from its
+    /// length; [`LqgStorage::check_dims`] rules that out beforehand.
+    fn zeroed(n: usize) -> Self;
+}
+
+impl HeldIndex for Vec<usize> {
+    fn zeroed(n: usize) -> Self {
+        vec![0; n]
+    }
+}
+
+impl<const N: usize> HeldIndex for [usize; N] {
+    fn zeroed(n: usize) -> Self {
+        assert_eq!(n, N, "held index length mismatch");
+        [0; N]
+    }
 }
 
 /// Dynamic storage: heap-backed [`Matrix`]/[`Vector`] buffers sized at
@@ -89,6 +119,7 @@ impl LqgStorage for DynStore {
     type MatD = Matrix;
     type GainL = Matrix;
     type GainF = Matrix;
+    type IdxU = Vec<usize>;
 
     fn check_dims(_nu: usize, _ny: usize, _nx: usize) -> Result<()> {
         Ok(())
@@ -114,6 +145,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize> LqgStor
     type MatD = SMatrix<NY, NU>;
     type GainL = SMatrix<NX, NY>;
     type GainF = SMatrix<NU, NZ>;
+    type IdxU = [usize; NU];
 
     fn check_dims(nu: usize, ny: usize, nx: usize) -> Result<()> {
         if nu != NU || ny != NY || nx != NX {

@@ -7,8 +7,9 @@
 //! bit-compare path) and with a moving one (the steady-state re-solve),
 //! and a full `EpochLoop` epoch over the real `Processor` plant — and
 //! asserts the counter does not move. It also pins what sharing one
-//! design costs: cloning a static-storage controller allocates nothing,
-//! and each governor from `fast_governors` allocates once (its box).
+//! design costs: cloning a static-storage controller or Decoupled pair
+//! allocates nothing, and each governor from `fast_governors` or
+//! `FastDecoupled` allocates once (its box).
 //!
 //! Everything is exercised from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -17,12 +18,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mimo_core::decoupled::DecoupledGovernor;
+use mimo_core::decoupled::{DecoupledGovernor, FastDecoupled};
 use mimo_core::engine::EpochLoop;
 use mimo_core::governor::{fast_governor, fast_governors, Governor, MimoGovernor};
 use mimo_core::kalman::{update_kalman, KalmanScratch};
 use mimo_core::lqg::LqgDesign;
-use mimo_core::storage::DynStore;
+use mimo_core::storage::{DynStore, StaticStore};
 use mimo_core::telemetry::{TelemetryConfig, TelemetrySink};
 use mimo_core::StateSpace;
 use mimo_linalg::{Matrix, Vector};
@@ -369,5 +370,37 @@ fn steady_state_epoch_allocates_nothing() {
     let mut make = fast_governors(&design().build().unwrap());
     assert_allocations("governor from fast_governors", 1, || {
         std::hint::black_box(make());
+    });
+
+    // --- The static Decoupled pair ----------------------------------------
+    // Both SISO loops on `StaticStore<1, 1, 2, 4>`, with inline scratch:
+    // a clone and a decision allocate nothing.
+    let pair = || {
+        DecoupledGovernor::new(
+            siso_design(4.0).build().unwrap(),
+            siso_design(3.0).build().unwrap(),
+        )
+    };
+    let dec_static = pair()
+        .with_storage::<StaticStore<1, 1, 2, 4>>()
+        .expect("both loops are 1-in/1-out/2-state");
+    assert_allocations("static DecoupledGovernor clone", 0, || {
+        std::hint::black_box(dec_static.clone());
+    });
+    let mut dec = dec_static.clone();
+    dec.set_targets(&targets);
+    let mut u_dec = Vector::zeros(2);
+    for _ in 0..50 {
+        dec.decide_into(&y_meas, false, &mut u_dec).unwrap(); // warm
+    }
+    assert_alloc_free("static DecoupledGovernor::decide_into", || {
+        for _ in 0..1000 {
+            dec.decide_into(&y_meas, false, &mut u_dec).unwrap();
+        }
+    });
+    let fast = FastDecoupled::new(&pair());
+    assert!(matches!(fast, FastDecoupled::Siso(_)));
+    assert_allocations("governor from FastDecoupled", 1, || {
+        std::hint::black_box(fast.governor());
     });
 }

@@ -11,8 +11,9 @@
 
 use std::time::Instant;
 
+use mimo_core::decoupled::FastDecoupled;
 use mimo_core::design::DesignFlow;
-use mimo_core::governor::{Governor, MimoGovernor};
+use mimo_core::governor::{fast_governor, FastController, Governor};
 use mimo_core::heuristic::{HeuristicOptimizer, HeuristicTracker};
 use mimo_core::optimizer::{Metric, MAX_TRIES};
 use mimo_core::weights::WeightSet;
@@ -171,13 +172,13 @@ pub fn fig06(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig06Point>> {
         let mut training = setup::training_plants(InputSet::FreqCache, cfg.seed);
         match flow.run_multi(training.iter_mut()) {
             Ok(result) => {
-                let mut gov = MimoGovernor::new(result.into_controller());
+                let mut gov = fast_governor(result.into_controller());
                 let mut plant = setup::try_plant("namd", InputSet::FreqCache, cfg.seed + 40)
                     .map_err(|e| cell_err(&labels[i], e))?;
                 // Convergence from initial conditions, within namd's first
                 // program phase.
                 let epochs = cfg.tracking_epochs.min(2400);
-                let stats = run_tracking(&mut gov, &mut plant, &targets, epochs, false);
+                let stats = run_tracking(&mut *gov, &mut plant, &targets, epochs, false);
                 Ok(Fig06Point {
                     label,
                     steady_freq: stats.steady_epoch[0],
@@ -376,7 +377,10 @@ pub fn fig08(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig08Point>> {
         flow.rsa_redesign(&result, &gb)
             .map_err(|e| cell_err(&design_labels[i], e))
     });
-    let designs: Vec<_> = designs.into_iter().collect::<mimo_core::Result<_>>()?;
+    let designs: Vec<FastController> = designs
+        .into_iter()
+        .map(|d| d.map(|d| FastController::new(&d.controller)))
+        .collect::<mimo_core::Result<_>>()?;
 
     // Stage 2: every (design, app) tracking run is its own cell. Measure
     // within the first program phase (convergence from initial conditions,
@@ -390,10 +394,10 @@ pub fn fig08(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig08Point>> {
         .map(|&(d, k)| format!("fig08/{}/{}", specs[d].0, apps[k]))
         .collect();
     let runs = cfg.grid(&labels, cells, |i, (d, k)| {
-        let mut gov = MimoGovernor::new(designs[d].controller.clone());
+        let mut gov = designs[d].governor();
         let mut plant = setup::try_plant(apps[k], InputSet::FreqCache, cfg.seed + 60 + k as u64)
             .map_err(|e| cell_err(&labels[i], e))?;
-        Ok(run_tracking(&mut gov, &mut plant, &targets, epochs, false))
+        Ok(run_tracking(&mut *gov, &mut plant, &targets, epochs, false))
     });
     let runs: Vec<TrackingStats> = runs.into_iter().collect::<mimo_core::Result<_>>()?;
 
@@ -489,10 +493,12 @@ pub fn optimization_experiment(
     // figure/table that deploys the same (input_set, seed) design reuses
     // one synthesis instead of re-running excitation + DARE.
     let baseline_cfg = cfg.cache.baseline_config(input_set, metric, cfg.seed);
-    let mimo = cfg.cache.design_mimo(input_set, cfg.seed)?;
+    // Each stepping governor is converted once to its runtime storage;
+    // every cell steps a clone that shares the converted design.
+    let mimo = FastController::new(&cfg.cache.design_mimo(input_set, cfg.seed)?.controller);
     let ranking = cfg.cache.heuristic_ranking(input_set, cfg.seed);
     let decoupled = if with_decoupled {
-        Some(cfg.cache.decoupled_governor(cfg.seed)?)
+        Some(FastDecoupled::new(&cfg.cache.decoupled_governor(cfg.seed)?))
     } else {
         None
     };
@@ -537,10 +543,7 @@ pub fn optimization_experiment(
                 ));
                 run_self_directed(&mut gov, &mut plant, metric, cfg.budget_g)
             }
-            "mimo" => {
-                let mut gov = MimoGovernor::new(mimo.controller.clone());
-                run_optimization(&mut gov, &mut plant, metric, cfg.budget_g)
-            }
+            "mimo" => run_optimization(&mut *mimo.governor(), &mut plant, metric, cfg.budget_g),
             "heuristic" => {
                 let mut gov =
                     HeuristicOptimizer::new(grids.clone(), ranking.clone(), metric, MAX_TRIES);
@@ -548,9 +551,10 @@ pub fn optimization_experiment(
             }
             _ => {
                 let mut gov = decoupled
-                    .clone()
-                    .expect("decoupled arch only when designed");
-                run_optimization(&mut gov, &mut plant, metric, cfg.budget_g)
+                    .as_ref()
+                    .expect("decoupled arch only when designed")
+                    .governor();
+                run_optimization(&mut *gov, &mut plant, metric, cfg.budget_g)
             }
         };
         Ok(run.ed_product)
@@ -661,9 +665,13 @@ pub struct Fig11Result {
 /// Propagates design failures.
 pub fn fig11(cfg: &ExpConfig) -> mimo_core::Result<Fig11Result> {
     let targets = Vector::from_slice(&[TARGET_IPS, TARGET_POWER]);
-    let mimo = cfg.cache.design_mimo(InputSet::FreqCache, cfg.seed)?;
+    let mimo = FastController::new(
+        &cfg.cache
+            .design_mimo(InputSet::FreqCache, cfg.seed)?
+            .controller,
+    );
     let ranking = cfg.cache.heuristic_ranking(InputSet::FreqCache, cfg.seed);
-    let decoupled = cfg.cache.decoupled_governor(cfg.seed)?;
+    let decoupled = FastDecoupled::new(&cfg.cache.decoupled_governor(cfg.seed)?);
     let grids: Vec<Vec<f64>> = InputSet::FreqCache
         .grids()
         .iter()
@@ -688,26 +696,17 @@ pub fn fig11(cfg: &ExpConfig) -> mimo_core::Result<Fig11Result> {
             let seed = cfg.seed + 2000 + k as u64;
             let mut plant = setup::try_plant(apps[k], InputSet::FreqCache, seed)
                 .map_err(|e| cell_err(&labels[i], e))?;
-            let mut mimo_gov;
-            let mut heur_gov;
-            let mut dec_gov;
-            let gov: &mut dyn Governor = match a {
-                0 => {
-                    mimo_gov = MimoGovernor::new(mimo.controller.clone());
-                    &mut mimo_gov
-                }
-                1 => {
-                    heur_gov =
-                        HeuristicTracker::new(grids.clone(), ranking.clone(), targets.clone());
-                    &mut heur_gov
-                }
-                _ => {
-                    dec_gov = decoupled.clone();
-                    &mut dec_gov
-                }
+            let mut gov: Box<dyn Governor + Send> = match a {
+                0 => mimo.governor(),
+                1 => Box::new(HeuristicTracker::new(
+                    grids.clone(),
+                    ranking.clone(),
+                    targets.clone(),
+                )),
+                _ => decoupled.governor(),
             };
             let stats: TrackingStats =
-                run_tracking(gov, &mut plant, &targets, cfg.tracking_epochs, false);
+                run_tracking(&mut *gov, &mut plant, &targets, cfg.tracking_epochs, false);
             Ok((stats.avg_err_pct[0], stats.avg_err_pct[1]))
         },
     );
@@ -834,9 +833,13 @@ pub struct Fig12Run {
 /// Propagates design failures.
 pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
     let schedule = BatterySchedule::paper_default().schedule(cfg.schedule_epochs);
-    let mimo = cfg.cache.design_mimo(InputSet::FreqCache, cfg.seed)?;
+    let mimo = FastController::new(
+        &cfg.cache
+            .design_mimo(InputSet::FreqCache, cfg.seed)?
+            .controller,
+    );
     let ranking = cfg.cache.heuristic_ranking(InputSet::FreqCache, cfg.seed);
-    let decoupled = cfg.cache.decoupled_governor(cfg.seed)?;
+    let decoupled = FastDecoupled::new(&cfg.cache.decoupled_governor(cfg.seed)?);
     let grids: Vec<Vec<f64>> = InputSet::FreqCache
         .grids()
         .iter()
@@ -862,10 +865,12 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
             let mut plant = setup::try_plant(app, InputSet::FreqCache, cfg.seed + 3000 + k as u64)
                 .map_err(|e| cell_err(&labels[i], e))?;
             let trace = match arch {
-                "MIMO" => {
-                    let mut gov = MimoGovernor::new(mimo.controller.clone());
-                    run_schedule(&mut gov, &mut plant, &schedule, cfg.schedule_epochs)
-                }
+                "MIMO" => run_schedule(
+                    &mut *mimo.governor(),
+                    &mut plant,
+                    &schedule,
+                    cfg.schedule_epochs,
+                ),
                 "Heuristic" => {
                     let mut gov = HeuristicTracker::new(
                         grids.clone(),
@@ -874,10 +879,12 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
                     );
                     run_schedule(&mut gov, &mut plant, &schedule, cfg.schedule_epochs)
                 }
-                _ => {
-                    let mut gov = decoupled.clone();
-                    run_schedule(&mut gov, &mut plant, &schedule, cfg.schedule_epochs)
-                }
+                _ => run_schedule(
+                    &mut *decoupled.governor(),
+                    &mut plant,
+                    &schedule,
+                    cfg.schedule_epochs,
+                ),
             };
             Ok(Fig12Run { app, arch, trace })
         },

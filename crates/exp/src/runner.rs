@@ -131,7 +131,12 @@ pub fn run_optimization(
     lp.seed_outputs(&y);
     lp.set_targets(&opt.targets());
 
-    let mut window: Vec<Vector> = Vec::new();
+    // The scoring window as a running sum of [IPS, power] and a count:
+    // added from zero in epoch order and scaled once, as averaging the
+    // stored window would, so the score is the same to the bit and the
+    // window allocates nothing.
+    let mut window_sum = [0.0f64; 2];
+    let mut window_len = 0usize;
     let mut epochs_on_trial = 0usize;
     while lp.plant().totals().instructions_g < budget_g {
         // `EpochLoop::step` reads the same flag internally; the plant does
@@ -143,27 +148,28 @@ pub fn run_optimization(
             opt.restart(y[0], y[1]);
             lp.set_targets(&opt.targets());
             epochs_on_trial = 0;
-            window.clear();
+            window_sum = [0.0; 2];
+            window_len = 0;
         }
         lp.step();
         epochs_on_trial += 1;
         if !opt.is_done() {
             if epochs_on_trial > CONVERGE_EPOCHS - SCORE_EPOCHS {
-                window.push(lp.outputs().clone());
+                let y = lp.outputs();
+                window_sum[0] += y[0];
+                window_sum[1] += y[1];
+                window_len += 1;
             }
             if epochs_on_trial >= CONVERGE_EPOCHS {
-                let mut avg = Vector::zeros(2);
-                for v in &window {
-                    avg += v;
-                }
-                avg = avg.scale(1.0 / window.len().max(1) as f64);
-                if let Some(next) = opt.observe(avg[0], avg[1]) {
+                let scale = 1.0 / window_len.max(1) as f64;
+                if let Some(next) = opt.observe(window_sum[0] * scale, window_sum[1] * scale) {
                     lp.set_targets(&next);
                 } else {
                     // Hold the best point found.
                     lp.set_targets(&opt.targets());
                 }
-                window.clear();
+                window_sum = [0.0; 2];
+                window_len = 0;
                 epochs_on_trial = 0;
             }
         }

@@ -11,8 +11,9 @@
 //! wall-clock columns, so the file is byte-identical at any parallelism —
 //! that is what `asserts.invariant` diffs).
 
+use mimo_core::decoupled::FastDecoupled;
 use mimo_core::engine::{rel_tracking_error, ReferenceStep};
-use mimo_core::governor::{Governor, MimoGovernor};
+use mimo_core::governor::fast_governor;
 use mimo_core::optimizer::Metric;
 use mimo_core::telemetry::TelemetryConfig;
 use mimo_fleet::{ClusterConfig, FleetConfig};
@@ -214,19 +215,20 @@ fn run_loop(
     ov: &RunOverrides,
 ) -> Result<Outcome, String> {
     let epochs = ov.epochs.unwrap_or(l.epochs);
-    let mut gov: Box<dyn Governor> = match l.governor {
+    let mut gov = match l.governor {
         GovernorKind::Mimo => {
             let design = cfg
                 .cache
                 .design_mimo(l.input_set, l.seed)
                 .map_err(|e| e.to_string())?;
-            Box::new(MimoGovernor::new(design.controller.clone()))
+            fast_governor(design.controller.clone())
         }
-        GovernorKind::Decoupled => Box::new(
-            cfg.cache
+        GovernorKind::Decoupled => FastDecoupled::new(
+            &cfg.cache
                 .decoupled_governor(l.seed)
                 .map_err(|e| e.to_string())?,
-        ),
+        )
+        .governor(),
     };
     let mut plant = setup::try_plant(&l.app, l.input_set, l.seed).map_err(|e| e.to_string())?;
     let trace = run_schedule(gov.as_mut(), &mut plant, &schedule(l), epochs);

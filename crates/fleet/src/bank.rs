@@ -46,8 +46,8 @@ use std::sync::Arc;
 use mimo_core::engine::EpochCause;
 use mimo_core::governor::FastController;
 use mimo_core::lqg::{
-    apply_du_clamped, assemble_augmented_state, integrate_tracking_error, negate,
-    quantize_with_slew, retarget_reference, CompiledLqg, LqgController,
+    apply_du_clamped, assemble_augmented_state, held_grid_indices, integrate_tracking_error,
+    negate, retarget_reference, slew_step, CompiledLqg, LqgController,
 };
 use mimo_core::storage::StaticStore;
 use mimo_core::ControlError;
@@ -70,6 +70,7 @@ pub struct GovernorBank<const NU: usize, const NY: usize, const NX: usize, const
     // Enrollment template: the prototype's exported runtime state.
     tpl_xhat: SVector<NX>,
     tpl_u_prev: SVector<NU>,
+    tpl_u_idx: [usize; NU],
     tpl_q_int: SVector<NY>,
     tpl_y_ref: SVector<NY>,
     tpl_x_ss: SVector<NX>,
@@ -78,6 +79,7 @@ pub struct GovernorBank<const NU: usize, const NY: usize, const NX: usize, const
     cores: Vec<usize>,
     xhat: Vec<SVector<NX>>,
     u_prev: Vec<SVector<NU>>,
+    u_idx: Vec<[usize; NU]>,
     q_int: Vec<SVector<NY>>,
     y_ref: Vec<SVector<NY>>,
     x_ss: Vec<SVector<NX>>,
@@ -95,11 +97,10 @@ pub struct GovernorBank<const NU: usize, const NY: usize, const NX: usize, const
     du: Vec<SVector<NU>>,
     u_raw: Vec<SVector<NU>>,
     u_phys_raw: Vec<SVector<NU>>,
-    u_prev_phys: Vec<SVector<NU>>,
     u_out: Vec<SVector<NU>>,
     // Screening: per-slot failed channel, and saved state for restore.
     screen_fail: Vec<Option<usize>>,
-    saved: Vec<(usize, SVector<NX>, SVector<NU>, SVector<NY>)>,
+    saved: Vec<(usize, SVector<NX>, SVector<NU>, [usize; NU], SVector<NY>)>,
 }
 
 impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
@@ -108,13 +109,24 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
     /// Builds an empty bank from the shared prototype controller.
     ///
     /// Shares the prototype's design and copies its current runtime state
-    /// (the enrollment template) bit-exactly.
+    /// (the enrollment template) bit-exactly. The template's held grid
+    /// indices are derived from its previous input, so every enrolled slot
+    /// starts with them.
     pub fn new(proto: &LqgController<StaticStore<NU, NY, NX, NZ>>) -> Self {
         let st = proto.export_state();
+        let design = proto.design();
+        let mut tpl_u_idx = [0; NU];
+        held_grid_indices(
+            &design.input_grids,
+            &design.input_scaler,
+            st.u_prev.as_slice(),
+            &mut tpl_u_idx,
+        );
         GovernorBank {
             shared: Arc::clone(proto.compiled()),
             tpl_xhat: SVector::from_slice(st.xhat.as_slice()),
             tpl_u_prev: SVector::from_slice(st.u_prev.as_slice()),
+            tpl_u_idx,
             tpl_q_int: SVector::from_slice(st.q_int.as_slice()),
             tpl_y_ref: SVector::from_slice(st.y_ref_norm.as_slice()),
             tpl_x_ss: SVector::from_slice(st.x_ss.as_slice()),
@@ -122,6 +134,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
             cores: Vec::new(),
             xhat: Vec::new(),
             u_prev: Vec::new(),
+            u_idx: Vec::new(),
             q_int: Vec::new(),
             y_ref: Vec::new(),
             x_ss: Vec::new(),
@@ -138,7 +151,6 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
             du: Vec::new(),
             u_raw: Vec::new(),
             u_phys_raw: Vec::new(),
-            u_prev_phys: Vec::new(),
             u_out: Vec::new(),
             screen_fail: Vec::new(),
             saved: Vec::new(),
@@ -153,6 +165,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
         self.cores.push(core);
         self.xhat.push(self.tpl_xhat);
         self.u_prev.push(self.tpl_u_prev);
+        self.u_idx.push(self.tpl_u_idx);
         self.q_int.push(self.tpl_q_int);
         self.y_ref.push(self.tpl_y_ref);
         self.x_ss.push(self.tpl_x_ss);
@@ -169,7 +182,6 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
         self.du.push(SVector::zeros());
         self.u_raw.push(SVector::zeros());
         self.u_phys_raw.push(SVector::zeros());
-        self.u_prev_phys.push(SVector::zeros());
         self.u_out.push(SVector::zeros());
         self.screen_fail.push(None);
         slot
@@ -202,8 +214,13 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
         match y_physical.iter().position(|v| !v.is_finite()) {
             Some(channel) => {
                 self.screen_fail[slot] = Some(channel);
-                self.saved
-                    .push((slot, self.xhat[slot], self.u_prev[slot], self.q_int[slot]));
+                self.saved.push((
+                    slot,
+                    self.xhat[slot],
+                    self.u_prev[slot],
+                    self.u_idx[slot],
+                    self.q_int[slot],
+                ));
             }
             None => self.screen_fail[slot] = None,
         }
@@ -270,14 +287,10 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
                 self.u_raw[slot].as_slice(),
                 self.u_phys_raw[slot].as_mut_slice(),
             );
-            design.input_scaler.denormalize_slices(
-                self.u_prev[slot].as_slice(),
-                self.u_prev_phys[slot].as_mut_slice(),
-            );
-            quantize_with_slew(
+            slew_step(
                 &design.input_grids,
                 self.u_phys_raw[slot].as_slice(),
-                self.u_prev_phys[slot].as_slice(),
+                &mut self.u_idx[slot],
                 self.u_out[slot].as_mut_slice(),
             );
             design.input_scaler.normalize_slices(
@@ -288,9 +301,10 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
 
         // Screen-failed slots: the per-cell governor would not have
         // stepped at all, so restore the evolving state it owns.
-        while let Some((slot, xhat, u_prev, q_int)) = self.saved.pop() {
+        while let Some((slot, xhat, u_prev, u_idx, q_int)) = self.saved.pop() {
             self.xhat[slot] = xhat;
             self.u_prev[slot] = u_prev;
+            self.u_idx[slot] = u_idx;
             self.q_int[slot] = q_int;
         }
     }
@@ -315,6 +329,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
         self.cores.swap_remove(slot);
         self.xhat.swap_remove(slot);
         self.u_prev.swap_remove(slot);
+        self.u_idx.swap_remove(slot);
         self.q_int.swap_remove(slot);
         self.y_ref.swap_remove(slot);
         self.x_ss.swap_remove(slot);
@@ -331,7 +346,6 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
         self.du.swap_remove(slot);
         self.u_raw.swap_remove(slot);
         self.u_phys_raw.swap_remove(slot);
-        self.u_prev_phys.swap_remove(slot);
         self.u_out.swap_remove(slot);
         self.screen_fail.swap_remove(slot);
         self.cores.get(slot).copied()

@@ -17,7 +17,7 @@
 //! * [`qr::QrDecomposition`] — Householder QR and least squares.
 //! * [`eigen`] — Hessenberg reduction + Francis double-shift QR giving the
 //!   real Schur form, complex eigenvalues, and spectral radius.
-//! * [`svd`] — one-sided Jacobi SVD: singular values, rank, pseudo-inverse.
+//! * [`svd`] — one-sided Jacobi SVD: singular values, rank, condition number.
 //! * [`complex`] — complex matrices (as re/im pairs) and the discrete-time
 //!   frequency response `G(e^{jw}) = C (zI - A)^{-1} B + D` used by the
 //!   robust-stability analysis: [`complex::FrequencySweep`] reduces `A` to

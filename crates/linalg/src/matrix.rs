@@ -359,25 +359,6 @@ impl Matrix {
         Ok(m)
     }
 
-    /// Places `left` beside `right`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hstack(left: &Matrix, right: &Matrix) -> Result<Matrix> {
-        if left.rows != right.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hstack",
-                lhs: left.shape(),
-                rhs: right.shape(),
-            });
-        }
-        let mut m = Matrix::zeros(left.rows, left.cols + right.cols);
-        m.set_block(0, 0, left);
-        m.set_block(0, left.cols, right);
-        Ok(m)
-    }
-
     /// Builds a block matrix from a 2-D grid of blocks.
     ///
     /// Rows of blocks must agree in height, and columns of blocks in width.
@@ -793,8 +774,6 @@ mod tests {
         let b = Matrix::row(&[3.0, 4.0]);
         let v = Matrix::vstack(&a, &b).unwrap();
         assert_eq!(v, Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let h = Matrix::hstack(&a, &b).unwrap();
-        assert_eq!(h, Matrix::row(&[1.0, 2.0, 3.0, 4.0]));
     }
 
     #[test]
@@ -802,8 +781,6 @@ mod tests {
         let a = Matrix::zeros(1, 2);
         let b = Matrix::zeros(1, 3);
         assert!(Matrix::vstack(&a, &b).is_err());
-        let c = Matrix::zeros(2, 1);
-        assert!(Matrix::hstack(&a, &c).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Robust Stability Analysis needs the largest singular value of
 //! frequency-response matrices (the H∞ norm on a grid), and model
-//! validation uses the pseudo-inverse and condition numbers. One-sided
+//! validation uses ranks and condition numbers. One-sided
 //! Jacobi is compact, numerically excellent for the small matrices this
 //! workspace produces, and needs no bidiagonalization machinery.
 
@@ -94,30 +94,6 @@ impl Svd {
         } else {
             self.norm2() / smin
         }
-    }
-
-    /// Moore–Penrose pseudo-inverse, truncating singular values below
-    /// `rtol * s_max`.
-    pub fn pseudo_inverse(&self, rtol: f64) -> Matrix {
-        let smax = self.norm2();
-        let k = self.s.len();
-        let sinv = Matrix::diag(
-            &self
-                .s
-                .iter()
-                .map(|&s| {
-                    if smax > 0.0 && s > rtol * smax {
-                        1.0 / s
-                    } else {
-                        0.0
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        // A⁺ = V S⁺ Uᵀ (shapes: (n x k)(k x k)(k x m)).
-        let vs = &self.v * &sinv;
-        debug_assert_eq!(vs.cols(), k);
-        &vs * &self.u.transpose()
     }
 
     /// Reconstructs `U * diag(s) * Vᵀ` (mainly for tests and validation).
@@ -301,25 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_inverse_of_full_rank_square_is_inverse() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let pinv = Svd::new(&a).unwrap().pseudo_inverse(1e-13);
-        let inv = a.inverse().unwrap();
-        assert!((&pinv - &inv).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn pseudo_inverse_satisfies_moore_penrose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[0.0, 1.0]]);
-        let p = Svd::new(&a).unwrap().pseudo_inverse(1e-12);
-        // A A⁺ A = A and A⁺ A A⁺ = A⁺.
-        let apa = &(&a * &p) * &a;
-        assert!((&apa - &a).max_abs() < 1e-10);
-        let pap = &(&p * &a) * &p;
-        assert!((&pap - &p).max_abs() < 1e-10);
-    }
-
-    #[test]
     fn norm2_of_orthogonal_is_one() {
         let th: f64 = 0.35;
         let q = Matrix::from_rows(&[&[th.cos(), -th.sin()], &[th.sin(), th.cos()]]);
@@ -340,8 +297,6 @@ mod tests {
         let svd = Svd::new(&a).unwrap();
         assert_eq!(svd.norm2(), 0.0);
         assert_eq!(svd.rank(1e-12), 0);
-        // Pseudo-inverse of 0 is 0.
-        assert_eq!(svd.pseudo_inverse(1e-12).max_abs(), 0.0);
     }
 
     #[test]

@@ -163,7 +163,7 @@ proptest! {
         }
         a.set_block(1, 1, &rest);
         let b = Matrix::vstack(&Matrix::from_fn(1, b.cols(), |_, j| 1.0 + j as f64), &b).unwrap();
-        let c = Matrix::hstack(&Matrix::from_fn(c.rows(), 1, |i, _| 0.5 + i as f64), &c).unwrap();
+        let c = Matrix::from_fn(c.rows(), n, |i, j| if j == 0 { 0.5 + i as f64 } else { c[(i, j - 1)] });
         let mut sweep = FrequencySweep::new(&a, &b, &c, &d).unwrap();
         prop_assert!(matches!(sweep.response(omega), Err(LinalgError::Singular)));
         prop_assert!(matches!(dense_sigma(&a, &b, &c, &d, omega), Err(LinalgError::Singular)));

@@ -152,12 +152,18 @@ proptest! {
     }
 
     #[test]
-    fn pseudo_inverse_consistency(a in tall_matrix(5, 2)) {
+    fn svd_factors_give_the_least_squares_solution(a in tall_matrix(5, 2), bs in proptest::collection::vec(-3.0..3.0f64, 5)) {
         let svd = Svd::new(&a).unwrap();
-        prop_assume!(svd.condition_number() < 1e8);
-        let p = svd.pseudo_inverse(1e-12);
-        let apa = &(&a * &p) * &a;
-        prop_assert!((&apa - &a).max_abs() < 1e-7);
+        prop_assume!(svd.condition_number() < 1e3);
+        // x = V S⁻¹ Uᵀ b from the thin factors, against the normal
+        // equations AᵀA x = Aᵀ b.
+        let b = Matrix::col(&bs);
+        let utb = &svd.u().transpose() * &b;
+        let s = svd.singular_values();
+        let x = svd.v() * &Matrix::from_fn(2, 1, |i, _| utb[(i, 0)] / s[i]);
+        let at = a.transpose();
+        let x_ne = (&at * &a).solve(&(&at * &b)).unwrap();
+        prop_assert!((&x - &x_ne).max_abs() < 1e-9 * (1.0 + x_ne.max_abs()));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `na·O + L·I` is the "number of dimensions of the system state" that the
 //! paper sweeps in Figure 7.
 
-use mimo_linalg::{Matrix, Vector};
+use mimo_linalg::Matrix;
 
 use crate::arx::ArxModel;
 
@@ -46,71 +46,6 @@ impl Realization {
     /// Number of outputs `O`.
     pub fn num_outputs(&self) -> usize {
         self.c.rows()
-    }
-
-    /// Advances the state one step: returns `(x_next, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `u` have the wrong dimension.
-    pub fn step(&self, x: &Vector, u: &Vector) -> (Vector, Vector) {
-        let x_next =
-            &self.a.mul_vec(x).expect("state dim") + &self.b.mul_vec(u).expect("input dim");
-        let y = &self.c.mul_vec(x).expect("state dim") + &self.d.mul_vec(u).expect("input dim");
-        (x_next, y)
-    }
-
-    /// Free-run simulation from initial state `x0` under the input sequence.
-    pub fn simulate(&self, x0: &Vector, inputs: &[Vector]) -> Vec<Vector> {
-        let mut x = x0.clone();
-        let mut ys = Vec::with_capacity(inputs.len());
-        for u in inputs {
-            let (x_next, y) = self.step(&x, u);
-            ys.push(y);
-            x = x_next;
-        }
-        ys
-    }
-
-    /// Builds the state vector corresponding to a recorded history, so a
-    /// simulation can start flush with measured data.
-    ///
-    /// `y_hist` and `u_hist` are ordered oldest-first and must hold at least
-    /// `na` outputs and `L` inputs respectively; the *most recent* samples
-    /// are `y(t−1)` and `u(t−1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histories are too short.
-    pub fn state_from_history(
-        &self,
-        y_hist: &[Vector],
-        u_hist: &[Vector],
-        na: usize,
-        input_lags: usize,
-    ) -> Vector {
-        let o = self.num_outputs();
-        let i = self.num_inputs();
-        assert!(y_hist.len() >= na, "output history too short");
-        assert!(u_hist.len() >= input_lags, "input history too short");
-        let mut x = Vector::zeros(self.state_dim());
-        let mut idx = 0;
-        // y(t-1) … y(t-na): most recent first.
-        for k in 0..na {
-            let v = &y_hist[y_hist.len() - 1 - k];
-            for c in 0..o {
-                x[idx] = v[c];
-                idx += 1;
-            }
-        }
-        for k in 0..input_lags {
-            let v = &u_hist[u_hist.len() - 1 - k];
-            for c in 0..i {
-                x[idx] = v[c];
-                idx += 1;
-            }
-        }
-        x
     }
 }
 
@@ -194,6 +129,7 @@ pub fn to_state_space(model: &ArxModel) -> Realization {
 mod tests {
     use super::*;
     use crate::arx::ArxOrders;
+    use mimo_linalg::Vector;
 
     /// Generate data from a known 2-in 2-out system and fit it.
     fn fitted_mimo() -> (ArxModel, Vec<Vector>, Vec<Vector>) {
@@ -232,21 +168,6 @@ mod tests {
         assert_eq!(ss.state_dim(), 4);
         assert_eq!(ss.num_inputs(), 2);
         assert_eq!(ss.num_outputs(), 2);
-    }
-
-    #[test]
-    fn realization_reproduces_arx_simulation() {
-        let (m, u, y) = fitted_mimo();
-        let ss = to_state_space(&m);
-        // Start simulation at t=1 with the recorded history.
-        let x0 = ss.state_from_history(&y[..1], &u[..1], 1, 1);
-        let ys = ss.simulate(&x0, &u[1..]);
-        let max_err = ys
-            .iter()
-            .zip(&y[1..])
-            .map(|(a, b)| (a - b).norm_inf())
-            .fold(0.0, f64::max);
-        assert!(max_err < 1e-6, "max error {max_err}");
     }
 
     #[test]
@@ -298,27 +219,5 @@ mod tests {
         let ss = to_state_space(&m);
         // 2 output lags + 2 input lags, SISO → N = 4.
         assert_eq!(ss.state_dim(), 4);
-        let x0 = ss.state_from_history(&y[..2], &u[..2], 2, 2);
-        let ys = ss.simulate(&x0, &u[2..]);
-        let max_err = ys
-            .iter()
-            .zip(&y[2..])
-            .map(|(a, b)| (a - b).norm_inf())
-            .fold(0.0, f64::max);
-        assert!(max_err < 1e-6, "max error {max_err}");
-    }
-
-    #[test]
-    fn step_outputs_match_simulate() {
-        let (m, u, _) = fitted_mimo();
-        let ss = to_state_space(&m);
-        let x0 = Vector::zeros(ss.state_dim());
-        let ys = ss.simulate(&x0, &u[..10]);
-        let mut x = x0;
-        for (t, uu) in u[..10].iter().enumerate() {
-            let (xn, y) = ss.step(&x, uu);
-            assert_eq!(y, ys[t]);
-            x = xn;
-        }
     }
 }

@@ -143,16 +143,6 @@ impl ChannelScaler {
         self.offset.len()
     }
 
-    /// Per-channel offsets (the operating point).
-    pub fn offsets(&self) -> &[f64] {
-        &self.offset
-    }
-
-    /// Per-channel spans.
-    pub fn spans(&self) -> &[f64] {
-        &self.span
-    }
-
     /// Maps a raw vector into normalized coordinates.
     ///
     /// # Panics
@@ -176,9 +166,10 @@ impl ChannelScaler {
     }
 
     /// Maps raw values into normalized coordinates, writing into `out`
-    /// without allocating. Every other normalizing method calls this one,
-    /// so all of them agree bit for bit; callers whose buffers are
-    /// fixed-size stack vectors use it directly.
+    /// without allocating. Every normalizing method goes through
+    /// [`ChannelScaler::normalize_channel`], so all of them agree bit for
+    /// bit; callers whose buffers are fixed-size stack vectors use this one
+    /// directly.
     ///
     /// # Panics
     ///
@@ -187,12 +178,23 @@ impl ChannelScaler {
         assert_eq!(raw.len(), self.channels(), "channel count mismatch");
         assert_eq!(out.len(), self.channels(), "channel count mismatch");
         for c in 0..raw.len() {
-            out[c] = (raw[c] - self.offset[c]) / self.span[c];
+            out[c] = self.normalize_channel(c, raw[c]);
         }
     }
 
+    /// Maps one raw value of channel `c` into normalized coordinates; the
+    /// one copy of the forward formula.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a channel.
+    #[inline]
+    pub fn normalize_channel(&self, c: usize, raw: f64) -> f64 {
+        (raw - self.offset[c]) / self.span[c]
+    }
+
     /// Maps normalized values back to raw units, writing into `out`
-    /// without allocating; the one copy of the inverse formula.
+    /// without allocating.
     ///
     /// # Panics
     ///
@@ -201,8 +203,19 @@ impl ChannelScaler {
         assert_eq!(norm.len(), self.channels(), "channel count mismatch");
         assert_eq!(out.len(), self.channels(), "channel count mismatch");
         for c in 0..norm.len() {
-            out[c] = norm[c] * self.span[c] + self.offset[c];
+            out[c] = self.denormalize_channel(c, norm[c]);
         }
+    }
+
+    /// Maps one normalized value of channel `c` back to raw units; the one
+    /// copy of the inverse formula.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a channel.
+    #[inline]
+    pub fn denormalize_channel(&self, c: usize, norm: f64) -> f64 {
+        norm * self.span[c] + self.offset[c]
     }
 
     /// Normalizes a whole sequence in place, bit-identical to
@@ -260,9 +273,9 @@ mod tests {
             Vector::from_slice(&[3.0, 10.0]),
         ];
         let s = ChannelScaler::from_data(&data);
-        assert!((s.offsets()[0] - 2.0).abs() < 1e-12);
+        assert!(s.normalize_channel(0, 2.0).abs() < 1e-12);
         // Channel 1 never moved: span defaults to 1.0.
-        assert_eq!(s.spans()[1], 1.0);
+        assert_eq!(s.denormalize_channel(1, 1.0), 11.0);
         let n = s.normalize(&Vector::from_slice(&[3.0, 10.0]));
         assert!((n[0] - 1.0).abs() < 1e-12);
         assert_eq!(n[1], 0.0);

@@ -6,13 +6,15 @@
 //! both storage paths through identical measurement sequences and must
 //! agree to the bit at every epoch. Covers both deployed MIMO shapes —
 //! two-input (StaticStore<2, 2, 4, 8>) and three-input
-//! (StaticStore<3, 2, 5, 10>) — plus the governor-level dispatch.
+//! (StaticStore<3, 2, 5, 10>) — plus the governor-level dispatch and the
+//! Decoupled pair of SISO loops (StaticStore<1, 1, 2, 4>) in closed loop.
 
+use mimo_arch::core::decoupled::{DecoupledGovernor, FastDecoupled};
 use mimo_arch::core::governor::{fast_governor, Governor, MimoGovernor};
 use mimo_arch::core::{LqgController, StaticStore};
 use mimo_arch::exp::setup;
 use mimo_arch::linalg::Vector;
-use mimo_arch::sim::InputSet;
+use mimo_arch::sim::{InputSet, Plant};
 
 /// Deterministic, lightly chaotic measurement sequence in physical units.
 fn measurement(t: usize, outputs: usize) -> Vector {
@@ -106,4 +108,60 @@ fn fast_governor_matches_dynamic_governor() {
         assert_eq!(u_f[1].to_bits(), u_d[1].to_bits(), "epoch {t}");
     }
     assert_eq!(fast.name(), "MIMO");
+}
+
+fn bits(v: &Vector) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The designed Decoupled pair against its static conversion, each in
+/// closed loop on its own copy of the same seeded plant: every decision and
+/// every measurement agrees to the bit, through a retarget and a `reset` of
+/// both governors. From mid-run on, a third governor converted from the
+/// dynamic pair's state decides on the dynamic pair's measurements and
+/// must match it too.
+#[test]
+fn decoupled_static_matches_dynamic_in_closed_loop() {
+    let mut dynamic = setup::decoupled_governor(5).expect("design");
+    let fast = FastDecoupled::new(&dynamic);
+    assert!(
+        matches!(fast, FastDecoupled::Siso(_)),
+        "decoupled loops drifted from 1-in/1-out/2-state; update StaticStore dims"
+    );
+    let mut fixed = fast.governor();
+    let mut converted: Option<DecoupledGovernor<StaticStore<1, 1, 2, 4>>> = None;
+    let mut plant_d = setup::plant("astar", InputSet::FreqCache, 77);
+    let mut plant_s = setup::plant("astar", InputSet::FreqCache, 77);
+    let targets = Vector::from_slice(&[2.5, 2.0]);
+    dynamic.set_targets(&targets);
+    fixed.set_targets(&targets);
+    let (mut y_d, mut y_s) = (plant_d.observe(), plant_s.observe());
+    let (mut u_d, mut u_s, mut u_c) = (Vector::zeros(2), Vector::zeros(2), Vector::zeros(2));
+    for t in 0..900 {
+        match t {
+            200 => {
+                let moved = Vector::from_slice(&[1.6, 1.2]);
+                dynamic.set_targets(&moved);
+                fixed.set_targets(&moved);
+            }
+            400 => {
+                dynamic.reset();
+                fixed.reset();
+            }
+            600 => converted = Some(dynamic.with_storage().expect("SISO shape")),
+            _ => {}
+        }
+        dynamic
+            .decide_into(&y_d, false, &mut u_d)
+            .expect("finite y");
+        fixed.decide_into(&y_s, false, &mut u_s).expect("finite y");
+        assert_eq!(bits(&u_d), bits(&u_s), "epoch {t}: decisions");
+        if let Some(c) = converted.as_mut() {
+            c.decide_into(&y_d, false, &mut u_c).expect("finite y");
+            assert_eq!(bits(&u_d), bits(&u_c), "epoch {t}: converted decision");
+        }
+        y_d = plant_d.apply(&u_d);
+        y_s = plant_s.apply(&u_s);
+        assert_eq!(bits(&y_d), bits(&y_s), "epoch {t}: measurements");
+    }
 }
