@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mimo_core::dare::solve_dare;
-use mimo_core::decoupled::FastDecoupled;
+use mimo_core::decoupled::StaticDecoupled;
 use mimo_core::design::DesignFlow;
 use mimo_core::governor::{fast_governor, Governor, MimoGovernor};
 use mimo_core::lqg::slew_step;
@@ -108,10 +108,12 @@ fn bench_lqg_step(c: &mut Criterion) {
         })
     });
     // The Decoupled governor's decide, two SISO loops per call: on the
-    // dynamic storage design hands out, and on the static storage
-    // `FastDecoupled` converts both loops to.
+    // dynamic storage design hands out, and converted to the static
+    // storage the experiments step.
     let mut decoupled = setup::decoupled_governor(1).expect("design");
-    let mut decoupled_static = FastDecoupled::new(&decoupled).governor();
+    let mut decoupled_static: StaticDecoupled = decoupled
+        .with_storage()
+        .expect("decoupled loops are 1-in/1-out/2-state");
     decoupled.set_targets(&Vector::from_slice(&[2.8, 1.9]));
     decoupled_static.set_targets(&Vector::from_slice(&[2.8, 1.9]));
     c.bench_function("control/lqg_step_into_decoupled", |b| {

@@ -98,8 +98,9 @@ impl<P: Plant + ?Sized> Plant for SisoView<'_, P> {
 ///
 /// Generic over the loops' runtime storage, like
 /// [`MimoGovernor`](crate::governor::MimoGovernor): design hands out the
-/// dynamic pair, and [`FastDecoupled`] re-homes both loops into stack
-/// storage. A clone shares both loops' designs.
+/// dynamic pair, and [`with_storage`](DecoupledGovernor::with_storage)
+/// re-homes both loops, for example into a [`StaticDecoupled`]. A clone
+/// shares both loops' designs.
 #[derive(Debug, Clone)]
 pub struct DecoupledGovernor<S: LqgStorage = DynStore> {
     /// Cache → IPS loop.
@@ -152,46 +153,15 @@ impl<S: LqgStorage> DecoupledGovernor<S> {
     }
 }
 
-/// A [`DecoupledGovernor`] re-homed, once, into the fastest storage for
-/// its loops' shape — the Decoupled twin of
-/// [`FastController`](crate::governor::FastController).
+/// A [`DecoupledGovernor`] with both loops on stack storage.
 ///
-/// When both loops are 1-in/1-out with 2 states (every design
-/// [`design_decoupled`] produces), they step on
-/// [`StaticStore<1, 1, 2, 4>`]; a pair with any other shape keeps the
-/// dynamic storage. Every governor [`FastDecoupled::governor`] hands out is
-/// a clone that shares the converted designs, and it steps bit for bit like
-/// the dynamic pair.
-// One `FastDecoupled` exists per experiment and hands out clones, so the
-// size spread between the variants costs nothing on the stepping path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum FastDecoupled {
-    /// Both loops 1-in/1-out with 2 states, on static storage.
-    Siso(DecoupledGovernor<StaticStore<1, 1, 2, 4>>),
-    /// Any other shape, on the dynamic storage.
-    Dynamic(DecoupledGovernor),
-}
-
-impl FastDecoupled {
-    /// Picks the storage for `gov`'s loops and converts once.
-    pub fn new(gov: &DecoupledGovernor) -> Self {
-        match gov.with_storage() {
-            Ok(fixed) => Self::Siso(fixed),
-            Err(_) => Self::Dynamic(gov.clone()),
-        }
-    }
-
-    /// A governor that shares the converted designs and starts from the
-    /// converted state. With static storage its one heap allocation is the
-    /// box.
-    pub fn governor(&self) -> Box<dyn Governor + Send> {
-        match self {
-            Self::Siso(g) => Box::new(g.clone()),
-            Self::Dynamic(g) => Box::new(g.clone()),
-        }
-    }
-}
+/// Every [`design_decoupled`] loop is 1-in/1-out with 2 states, so
+/// [`DecoupledGovernor::with_storage`] converts a designed pair into this
+/// type, and a pair of any other shape fails the conversion with
+/// [`ControlError::DimensionMismatch`](crate::ControlError::DimensionMismatch).
+/// It steps bit for bit like the dynamic pair, and a clone allocates
+/// nothing.
+pub type StaticDecoupled = DecoupledGovernor<StaticStore<1, 1, 2, 4>>;
 
 impl<S: LqgStorage> Governor for DecoupledGovernor<S> {
     fn name(&self) -> &str {

@@ -570,6 +570,13 @@ impl<S: LqgStorage> LqgController<S> {
         &self.compiled.design
     }
 
+    /// Each input channel's held grid index, the point the next
+    /// [`slew_step`] starts from: the index of the previous input on its
+    /// grid.
+    pub fn held_indices(&self) -> &[usize] {
+        self.state.u_idx.as_ref()
+    }
+
     /// Current physical reference targets.
     pub fn reference(&self) -> Vector {
         self.compiled
@@ -852,8 +859,9 @@ pub fn apply_du_clamped(u_raw: &mut [f64], u_prev: &[f64], du: &[f64]) {
 /// The held index is the one the channel was last written at. A full scan
 /// of the denormalized previous input finds the same index, because the
 /// input scaler's round trip maps every grid point back to its own index
-/// ([`LqgDesign::build`] checks it). Derive the index with
-/// [`held_grid_indices`] wherever the previous input is set another way.
+/// ([`LqgDesign::build`] checks it). A controller derives the index by
+/// that scan wherever its previous input is set another way, and hands
+/// it out as [`LqgController::held_indices`].
 pub fn slew_step(grids: &[Vec<f64>], u_phys_raw: &[f64], held: &mut [usize], out: &mut [f64]) {
     for ch in 0..out.len() {
         let grid = &grids[ch];
@@ -899,7 +907,7 @@ fn slew_index(grid: &[f64], cur: usize, v: f64) -> usize {
 
 /// Each channel's grid index for a normalized previous input, as the full
 /// scan finds it: denormalize, then [`quantize_index`].
-pub fn held_grid_indices(
+fn held_grid_indices(
     grids: &[Vec<f64>],
     input_scaler: &ChannelScaler,
     u_prev: &[f64],

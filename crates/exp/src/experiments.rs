@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use mimo_core::decoupled::FastDecoupled;
+use mimo_core::decoupled::StaticDecoupled;
 use mimo_core::design::DesignFlow;
 use mimo_core::governor::{fast_governor, FastController, Governor};
 use mimo_core::heuristic::{HeuristicOptimizer, HeuristicTracker};
@@ -497,8 +497,8 @@ pub fn optimization_experiment(
     // every cell steps a clone that shares the converted design.
     let mimo = FastController::new(&cfg.cache.design_mimo(input_set, cfg.seed)?.controller);
     let ranking = cfg.cache.heuristic_ranking(input_set, cfg.seed);
-    let decoupled = if with_decoupled {
-        Some(FastDecoupled::new(&cfg.cache.decoupled_governor(cfg.seed)?))
+    let decoupled: Option<StaticDecoupled> = if with_decoupled {
+        Some(cfg.cache.decoupled_governor(cfg.seed)?.with_storage()?)
     } else {
         None
     };
@@ -553,8 +553,8 @@ pub fn optimization_experiment(
                 let mut gov = decoupled
                     .as_ref()
                     .expect("decoupled arch only when designed")
-                    .governor();
-                run_optimization(&mut *gov, &mut plant, metric, cfg.budget_g)
+                    .clone();
+                run_optimization(&mut gov, &mut plant, metric, cfg.budget_g)
             }
         };
         Ok(run.ed_product)
@@ -671,7 +671,7 @@ pub fn fig11(cfg: &ExpConfig) -> mimo_core::Result<Fig11Result> {
             .controller,
     );
     let ranking = cfg.cache.heuristic_ranking(InputSet::FreqCache, cfg.seed);
-    let decoupled = FastDecoupled::new(&cfg.cache.decoupled_governor(cfg.seed)?);
+    let decoupled: StaticDecoupled = cfg.cache.decoupled_governor(cfg.seed)?.with_storage()?;
     let grids: Vec<Vec<f64>> = InputSet::FreqCache
         .grids()
         .iter()
@@ -703,7 +703,7 @@ pub fn fig11(cfg: &ExpConfig) -> mimo_core::Result<Fig11Result> {
                     ranking.clone(),
                     targets.clone(),
                 )),
-                _ => decoupled.governor(),
+                _ => Box::new(decoupled.clone()),
             };
             let stats: TrackingStats =
                 run_tracking(&mut *gov, &mut plant, &targets, cfg.tracking_epochs, false);
@@ -839,7 +839,7 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
             .controller,
     );
     let ranking = cfg.cache.heuristic_ranking(InputSet::FreqCache, cfg.seed);
-    let decoupled = FastDecoupled::new(&cfg.cache.decoupled_governor(cfg.seed)?);
+    let decoupled: StaticDecoupled = cfg.cache.decoupled_governor(cfg.seed)?.with_storage()?;
     let grids: Vec<Vec<f64>> = InputSet::FreqCache
         .grids()
         .iter()
@@ -880,7 +880,7 @@ pub fn fig12(cfg: &ExpConfig) -> mimo_core::Result<Vec<Fig12Run>> {
                     run_schedule(&mut gov, &mut plant, &schedule, cfg.schedule_epochs)
                 }
                 _ => run_schedule(
-                    &mut *decoupled.governor(),
+                    &mut decoupled.clone(),
                     &mut plant,
                     &schedule,
                     cfg.schedule_epochs,

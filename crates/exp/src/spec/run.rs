@@ -11,7 +11,7 @@
 //! wall-clock columns, so the file is byte-identical at any parallelism —
 //! that is what `asserts.invariant` diffs).
 
-use mimo_core::decoupled::FastDecoupled;
+use mimo_core::decoupled::StaticDecoupled;
 use mimo_core::engine::{rel_tracking_error, ReferenceStep};
 use mimo_core::governor::fast_governor;
 use mimo_core::optimizer::Metric;
@@ -223,12 +223,14 @@ fn run_loop(
                 .map_err(|e| e.to_string())?;
             fast_governor(design.controller.clone())
         }
-        GovernorKind::Decoupled => FastDecoupled::new(
-            &cfg.cache
+        GovernorKind::Decoupled => {
+            let pair: StaticDecoupled = cfg
+                .cache
                 .decoupled_governor(l.seed)
-                .map_err(|e| e.to_string())?,
-        )
-        .governor(),
+                .and_then(|g| g.with_storage())
+                .map_err(|e| e.to_string())?;
+            Box::new(pair)
+        }
     };
     let mut plant = setup::try_plant(&l.app, l.input_set, l.seed).map_err(|e| e.to_string())?;
     let trace = run_schedule(gov.as_mut(), &mut plant, &schedule(l), epochs);

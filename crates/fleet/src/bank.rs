@@ -46,8 +46,8 @@ use std::sync::Arc;
 use mimo_core::engine::EpochCause;
 use mimo_core::governor::FastController;
 use mimo_core::lqg::{
-    apply_du_clamped, assemble_augmented_state, held_grid_indices, integrate_tracking_error,
-    negate, retarget_reference, slew_step, CompiledLqg, LqgController,
+    apply_du_clamped, assemble_augmented_state, integrate_tracking_error, negate,
+    retarget_reference, slew_step, CompiledLqg, LqgController,
 };
 use mimo_core::storage::StaticStore;
 use mimo_core::ControlError;
@@ -109,19 +109,12 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
     /// Builds an empty bank from the shared prototype controller.
     ///
     /// Shares the prototype's design and copies its current runtime state
-    /// (the enrollment template) bit-exactly. The template's held grid
-    /// indices are derived from its previous input, so every enrolled slot
-    /// starts with them.
+    /// (the enrollment template) bit-exactly, its held grid indices
+    /// included, so every enrolled slot starts from them.
     pub fn new(proto: &LqgController<StaticStore<NU, NY, NX, NZ>>) -> Self {
         let st = proto.export_state();
-        let design = proto.design();
         let mut tpl_u_idx = [0; NU];
-        held_grid_indices(
-            &design.input_grids,
-            &design.input_scaler,
-            st.u_prev.as_slice(),
-            &mut tpl_u_idx,
-        );
+        tpl_u_idx.copy_from_slice(proto.held_indices());
         GovernorBank {
             shared: Arc::clone(proto.compiled()),
             tpl_xhat: SVector::from_slice(st.xhat.as_slice()),

@@ -9,7 +9,7 @@
 //! (StaticStore<3, 2, 5, 10>) — plus the governor-level dispatch and the
 //! Decoupled pair of SISO loops (StaticStore<1, 1, 2, 4>) in closed loop.
 
-use mimo_arch::core::decoupled::{DecoupledGovernor, FastDecoupled};
+use mimo_arch::core::decoupled::StaticDecoupled;
 use mimo_arch::core::governor::{fast_governor, Governor, MimoGovernor};
 use mimo_arch::core::{LqgController, StaticStore};
 use mimo_arch::exp::setup;
@@ -123,13 +123,10 @@ fn bits(v: &Vector) -> Vec<u64> {
 #[test]
 fn decoupled_static_matches_dynamic_in_closed_loop() {
     let mut dynamic = setup::decoupled_governor(5).expect("design");
-    let fast = FastDecoupled::new(&dynamic);
-    assert!(
-        matches!(fast, FastDecoupled::Siso(_)),
-        "decoupled loops drifted from 1-in/1-out/2-state; update StaticStore dims"
-    );
-    let mut fixed = fast.governor();
-    let mut converted: Option<DecoupledGovernor<StaticStore<1, 1, 2, 4>>> = None;
+    let mut fixed: StaticDecoupled = dynamic
+        .with_storage()
+        .expect("decoupled loops drifted from 1-in/1-out/2-state; update StaticDecoupled");
+    let mut converted: Option<StaticDecoupled> = None;
     let mut plant_d = setup::plant("astar", InputSet::FreqCache, 77);
     let mut plant_s = setup::plant("astar", InputSet::FreqCache, 77);
     let targets = Vector::from_slice(&[2.5, 2.0]);
