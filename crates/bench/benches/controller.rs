@@ -200,7 +200,8 @@ fn bench_engine(c: &mut Criterion) {
 /// One plant epoch through the allocation-free `apply_into`, on both of
 /// the plant's paths: a held actuation reuses the configuration's cached
 /// terms, a new grid configuration every epoch rebuilds them and pays the
-/// transition.
+/// transition. Then one noise draw, and a configuration sweep against the
+/// serial loop it replaces.
 fn bench_sim_epoch(c: &mut Criterion) {
     let mut cpu = ProcessorBuilder::new()
         .app("astar")
@@ -238,6 +239,30 @@ fn bench_sim_epoch(c: &mut Criterion) {
     let mut normal = NormalSampler::new();
     c.bench_function("sim/standard_normal", |b| {
         b.iter(|| black_box(normal.sample(&mut rng)))
+    });
+
+    // One training app of the three-input Baseline grid profile: 128
+    // candidates × 400 epochs over one shared noise path, against the
+    // same totals from a cloned plant per candidate.
+    let candidates = setup::baseline_candidates(InputSet::FreqCacheRob);
+    let plant = setup::plant("sjeng", InputSet::FreqCacheRob, 2016 + 900);
+    c.bench_function("sim/config_sweep_128x400", |b| {
+        b.iter(|| black_box(plant.sweep(&candidates, 400)))
+    });
+    c.bench_function("sim/config_serial_128x400", |b| {
+        b.iter(|| {
+            let totals: Vec<_> = candidates
+                .iter()
+                .map(|&cfg| {
+                    let mut p = plant.clone();
+                    for _ in 0..400 {
+                        p.step_config(cfg);
+                    }
+                    p.totals()
+                })
+                .collect();
+            black_box(totals)
+        })
     });
 }
 

@@ -119,12 +119,13 @@ pub fn run_optimization(
 ) -> OptimizationStats {
     // §VI-B: every search starts from the midrange configuration.
     let mid = PlantConfig::midrange();
-    let mut y = Vector::zeros(2);
+    let mut last = [0.0f64; 2];
     for _ in 0..SCORE_EPOCHS {
         let obs = plant.step_config(mid);
-        y = Vector::from_slice(&[obs.ips_bips, obs.power_w]);
+        last = [obs.ips_bips, obs.power_w];
     }
-    let (start_ips, start_p) = (y[0], y[1]);
+    let [start_ips, start_p] = last;
+    let y = Vector::from_slice(&last);
     let mut opt = Optimizer::new(metric, start_ips, start_p, MAX_TRIES);
 
     let mut lp = EpochLoop::new(gov, plant);

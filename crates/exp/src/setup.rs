@@ -129,43 +129,55 @@ pub fn heuristic_ranking(input_set: InputSet, seed: u64) -> SensitivityRanking {
     }
 }
 
-/// The Baseline architecture for a metric: profiles the training set over
-/// a configuration grid and fixes the configuration with the best average
-/// `E·D^(k−1)` (§VII-C: "inputs fixed and chosen to deliver the best
-/// outputs").
-pub fn baseline_config(input_set: InputSet, metric: Metric, seed: u64) -> PlantConfig {
-    // Coarse but covering grid: every other frequency, all cache levels,
-    // every other ROB size.
-    let freqs: Vec<f64> = (0..8).map(|i| 0.5 + 0.2 * i as f64).collect();
-    let caches = [2usize, 4, 6, 8];
-    let robs: Vec<usize> = match input_set {
-        InputSet::FreqCache => vec![48], // Table III baseline ROB
-        InputSet::FreqCacheRob => vec![32, 64, 96, 128],
+/// The configurations [`baseline_config`] profiles, in the order it ranks
+/// them: a coarse but covering grid of every other frequency, all cache
+/// levels and every other ROB size (32 for two inputs, 128 for three).
+pub fn baseline_candidates(input_set: InputSet) -> Vec<PlantConfig> {
+    let robs: &[usize] = match input_set {
+        InputSet::FreqCache => &[48], // Table III baseline ROB
+        InputSet::FreqCacheRob => &[32, 64, 96, 128],
     };
+    let mut candidates = Vec::with_capacity(8 * 4 * robs.len());
+    for f in (0..8).map(|i| 0.5 + 0.2 * i as f64) {
+        for l2_ways in [2usize, 4, 6, 8] {
+            for &rob_entries in robs {
+                candidates.push(PlantConfig {
+                    freq_ghz: (f * 10.0).round() / 10.0,
+                    l2_ways,
+                    rob_entries,
+                });
+            }
+        }
+    }
+    candidates
+}
+
+/// The Baseline architecture for a metric: profiles the training set over
+/// [`baseline_candidates`] and fixes the configuration with the best
+/// average `E·D^(k−1)` (§VII-C: "inputs fixed and chosen to deliver the
+/// best outputs"); the first of equal scores wins.
+///
+/// Every candidate runs 400 epochs from the same fresh plant per training
+/// app. [`Processor::sweep`] runs them all over one shared noise path,
+/// which gives the totals of one plant per candidate bit for bit.
+pub fn baseline_config(input_set: InputSet, metric: Metric, seed: u64) -> PlantConfig {
+    let candidates = baseline_candidates(input_set);
+    // Each candidate's score adds the apps in training-set order, as one
+    // plant per candidate and app would.
+    let mut scores = vec![0.0; candidates.len()];
+    for (k, name) in TRAINING_SET.iter().enumerate() {
+        // Fixed work per probe.
+        let totals = plant(name, input_set, seed + 900 + k as u64).sweep(&candidates, 400);
+        for (score, t) in scores.iter_mut().zip(&totals) {
+            *score += t.energy_delay_product(metric.exponent() as u32);
+        }
+    }
     let mut best = PlantConfig::baseline();
     let mut best_score = f64::INFINITY;
-    for &f in &freqs {
-        for &c in &caches {
-            for &r in &robs {
-                let cfg = PlantConfig {
-                    freq_ghz: (f * 10.0).round() / 10.0,
-                    l2_ways: c,
-                    rob_entries: r,
-                };
-                let mut total = 0.0;
-                for (k, name) in TRAINING_SET.iter().enumerate() {
-                    let mut p = plant(name, input_set, seed + 900 + k as u64);
-                    // Fixed work per probe.
-                    for _ in 0..400 {
-                        let _ = p.step_config(cfg);
-                    }
-                    total += p.totals().energy_delay_product(metric.exponent() as u32);
-                }
-                if total < best_score {
-                    best_score = total;
-                    best = cfg;
-                }
-            }
+    for (&cfg, &score) in candidates.iter().zip(&scores) {
+        if score < best_score {
+            best_score = score;
+            best = cfg;
         }
     }
     best

@@ -272,13 +272,26 @@ impl Default for ProcessorBuilder {
 }
 
 /// The simulated processor plant.
+///
+/// Its state is two halves. The *program* is everything the seed
+/// decides: the random stream, the phase schedule and the smoothed phase.
+/// The *core* is everything the configuration decides: the configuration
+/// itself, the cache, the cached model terms and the run totals. No random
+/// draw depends on the configuration, so plants with one seed and
+/// different configurations share one program, which is what
+/// [`Processor::sweep`] exploits.
 #[derive(Debug, Clone)]
 pub struct Processor {
     builder: ProcessorBuilder,
-    profile: &'static AppProfile,
     input_set: InputSet,
-    config: PlantConfig,
-    cache: CacheState,
+    program: Program,
+    core: Core,
+}
+
+/// The seed-driven half of the plant.
+#[derive(Debug, Clone)]
+struct Program {
+    profile: &'static AppProfile,
     rng: StdRng,
     /// Normal draws from `rng`, holding the spare of the last transform.
     normal: NormalSampler,
@@ -289,23 +302,31 @@ pub struct Processor {
     /// First-order-smoothed effective phase parameters (the program does
     /// not switch behavior instantaneously at a phase boundary).
     eff: Phase,
+    /// Whether `eff` has reached the f64 fixed point of its smoothing
+    /// toward the current phase, so further smoothing changes nothing
+    /// until the next phase boundary.
+    eff_settled: bool,
     phase_changed: bool,
+}
+
+/// The configuration-driven half of the plant.
+#[derive(Debug, Clone, Copy)]
+struct Core {
+    config: PlantConfig,
+    cache: CacheState,
+    /// CPI terms of the program's smoothed phase under `config`, rebuilt
+    /// whenever either moves.
+    cpi_terms: CpiTerms,
+    /// `config`'s entry in the shared power table; `None` exactly when
+    /// `config` is off the grid, where each epoch computes the terms
+    /// afresh.
+    config_power: Option<&'static ConfigPower>,
     totals: RunTotals,
     /// Shared-LLC miss-pressure multiplier installed by the chip runtime
     /// (see `mimo_sim::llc`). `1.0` — the default, and the value outside
     /// contention — multiplies the miss-traffic jitter bit-transparently,
     /// so plants without a contention model are unaffected.
     llc_penalty: f64,
-    /// CPI terms of `eff` under `config`, rebuilt whenever either moves.
-    cpi_terms: CpiTerms,
-    /// `config`'s entry in the shared power table; `None` exactly when
-    /// `config` is off the grid, where each epoch computes the terms
-    /// afresh.
-    config_power: Option<&'static ConfigPower>,
-    /// Whether `eff` has reached the f64 fixed point of its smoothing
-    /// toward the current phase, so further smoothing changes nothing
-    /// until the next phase boundary.
-    eff_settled: bool,
 }
 
 /// Fraction of the gap to the target phase closed per epoch.
@@ -313,34 +334,19 @@ const PHASE_SMOOTHING: f64 = 0.12;
 
 impl Processor {
     fn from_parts(builder: ProcessorBuilder, profile: &'static AppProfile) -> Self {
-        let mut rng = StdRng::seed_from_u64(builder.seed);
-        let phase_idx = 0;
-        let first = profile.phases()[0];
-        let phase_left = jittered_duration(first.duration_epochs, &mut rng);
-        let config = builder.initial;
+        let program = Program::new(profile, builder.seed);
+        let core = Core::new(builder.initial, &program.eff);
         Processor {
             input_set: builder.input_set,
-            config,
-            cache: CacheState::new(config.l2_ways),
-            rng,
-            normal: NormalSampler::new(),
-            phase_idx,
-            phase_left,
-            eff: first,
-            phase_changed: false,
-            totals: RunTotals::default(),
-            llc_penalty: 1.0,
-            cpi_terms: CpiTerms::new(&first, &config, config.l2_ways),
-            config_power: power_entry(&config),
-            eff_settled: false,
+            program,
+            core,
             builder,
-            profile,
         }
     }
 
     /// The currently applied configuration.
     pub fn config(&self) -> PlantConfig {
-        self.config
+        self.core.config
     }
 
     /// The active input set.
@@ -350,12 +356,12 @@ impl Processor {
 
     /// Cumulative run statistics.
     pub fn totals(&self) -> RunTotals {
-        self.totals
+        self.core.totals
     }
 
     /// The shared-LLC miss-pressure multiplier currently applied.
     pub fn llc_penalty(&self) -> f64 {
-        self.llc_penalty
+        self.core.llc_penalty
     }
 
     /// Installs the shared-LLC miss-pressure multiplier for subsequent
@@ -372,7 +378,7 @@ impl Processor {
             penalty.is_finite() && penalty >= 1.0,
             "llc penalty {penalty} must be finite and >= 1"
         );
-        self.llc_penalty = penalty;
+        self.core.llc_penalty = penalty;
     }
 
     /// Runs one epoch with an explicit configuration (used by profiling and
@@ -383,6 +389,142 @@ impl Processor {
     /// full model runs, in the same order, so reusing a term never moves a
     /// bit.
     pub fn step_config(&mut self, target: PlantConfig) -> Observation {
+        let (jitter, eff_moved) = self.program.advance(self.builder.process_noise);
+        let (true_ips, true_power) = self.core.step(target, &self.program.eff, eff_moved, jitter);
+
+        // --- Sensors -------------------------------------------------------
+        let (z_ips, z_power) = self.program.sensor_normals();
+        let ips_meas = true_ips * (1.0 + self.builder.ips_noise * z_ips);
+        let power_meas = true_power * (1.0 + self.builder.power_noise * z_power);
+
+        Observation {
+            ips_bips: ips_meas.max(0.0),
+            power_w: power_meas.max(0.0),
+            config: self.core.config,
+            phase_change: self.program.phase_changed,
+        }
+    }
+
+    /// Runs `epochs` epochs at each of `configs` from this plant's current
+    /// state and returns each run's totals, in the order of `configs`. The
+    /// plant itself does not move.
+    ///
+    /// The totals are bit for bit those of cloning the plant once per
+    /// configuration and calling [`Processor::step_config`] with it
+    /// `epochs` times. That holds exactly, not approximately: the program
+    /// half of the plant (phase schedule, miss jitter, sensor noise) is
+    /// drawn from the seed alone, so every configuration sees the same
+    /// one. The sweep advances one copy of it per epoch and steps one core
+    /// state per configuration against it, so it pays for the random draws
+    /// once rather than once per configuration, and allocates only the
+    /// per-configuration state.
+    pub fn sweep(&self, configs: &[PlantConfig], epochs: usize) -> Vec<RunTotals> {
+        let mut program = self.program.clone();
+        let mut cores = vec![self.core; configs.len()];
+        for _ in 0..epochs {
+            let (jitter, eff_moved) = program.advance(self.builder.process_noise);
+            for (core, &target) in cores.iter_mut().zip(configs) {
+                core.step(target, &program.eff, eff_moved, jitter);
+            }
+            program.sensor_normals();
+        }
+        cores.iter().map(|core| core.totals).collect()
+    }
+
+    /// Whether `u` is bit for bit the actuation of the current on-grid
+    /// configuration, which quantizing would give back unchanged.
+    fn actuates_current_config(&self, u: &[f64]) -> bool {
+        let c = &self.core.config;
+        self.core.config_power.is_some()
+            && u.len() == self.input_set.len()
+            && u[0].to_bits() == c.freq_ghz.to_bits()
+            && u[1].to_bits() == (c.l2_ways as f64).to_bits()
+            && u.get(2)
+                .is_none_or(|r| r.to_bits() == (c.rob_entries as f64).to_bits())
+    }
+}
+
+impl Program {
+    fn new(profile: &'static AppProfile, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let first = profile.phases()[0];
+        let phase_left = jittered_duration(first.duration_epochs, &mut rng);
+        Program {
+            profile,
+            rng,
+            normal: NormalSampler::new(),
+            phase_idx: 0,
+            phase_left,
+            eff: first,
+            eff_settled: false,
+            phase_changed: false,
+        }
+    }
+
+    /// Advances the program one epoch and draws its miss-traffic jitter.
+    /// Returns the jitter and whether the smoothed phase moved.
+    #[inline(always)]
+    fn advance(&mut self, process_noise: f64) -> (f64, bool) {
+        self.phase_changed = false;
+        if self.phase_left == 0 {
+            self.phase_idx += 1;
+            let next = *self.profile.phase(self.phase_idx);
+            self.phase_left = jittered_duration(next.duration_epochs, &mut self.rng);
+            self.phase_changed = true;
+            self.eff_settled = false;
+        } else {
+            self.phase_left -= 1;
+        }
+        let mut eff_moved = false;
+        if !self.eff_settled {
+            let target_phase = self.profile.phase(self.phase_idx);
+            let next = lerp_phase(&self.eff, target_phase, PHASE_SMOOTHING);
+            eff_moved = !same_phase_bits(&next, &self.eff);
+            self.eff_settled = !eff_moved;
+            self.eff = next;
+        }
+
+        // Miss-traffic jitter: log-normal-ish program noise plus rare
+        // interrupt spikes.
+        let z = self.normal.sample(&mut self.rng);
+        let mut jitter = (process_noise * z).exp();
+        if self.rng.gen::<f64>() < 0.01 {
+            jitter *= 1.5; // interrupt / page-fault burst
+        }
+        (jitter, eff_moved)
+    }
+
+    /// The epoch's two sensor-noise normals, IPS first.
+    #[inline(always)]
+    fn sensor_normals(&mut self) -> (f64, f64) {
+        let z_ips = self.normal.sample(&mut self.rng);
+        (z_ips, self.normal.sample(&mut self.rng))
+    }
+}
+
+impl Core {
+    fn new(config: PlantConfig, phase: &Phase) -> Self {
+        Core {
+            config,
+            cache: CacheState::new(config.l2_ways),
+            cpi_terms: CpiTerms::new(phase, &config, config.l2_ways),
+            config_power: power_entry(&config),
+            totals: RunTotals::default(),
+            llc_penalty: 1.0,
+        }
+    }
+
+    /// Runs one epoch at `target` under the program's smoothed phase `eff`
+    /// and miss-traffic `jitter`, and returns the true (noise-free) IPS
+    /// and power.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        target: PlantConfig,
+        eff: &Phase,
+        eff_moved: bool,
+        jitter: f64,
+    ) -> (f64, f64) {
         // --- Actuation and transition costs -----------------------------
         // An unmoved configuration costs nothing, and its stall and energy
         // terms below would only add exact zeros.
@@ -398,42 +540,15 @@ impl Processor {
         } else {
             TransitionCost::default()
         };
-
-        // --- Advance the program --------------------------------------
-        self.phase_changed = false;
-        if self.phase_left == 0 {
-            self.phase_idx += 1;
-            let next = *self.profile.phase(self.phase_idx);
-            self.phase_left = jittered_duration(next.duration_epochs, &mut self.rng);
-            self.phase_changed = true;
-            self.eff_settled = false;
-        } else {
-            self.phase_left -= 1;
-        }
-        let mut eff_moved = false;
-        if !self.eff_settled {
-            let target_phase = *self.profile.phase(self.phase_idx);
-            let next = lerp_phase(&self.eff, &target_phase, PHASE_SMOOTHING);
-            eff_moved = !same_phase_bits(&next, &self.eff);
-            self.eff_settled = !eff_moved;
-            self.eff = next;
-        }
         if moved || eff_moved {
-            self.cpi_terms = CpiTerms::new(&self.eff, &self.config, self.cache.ways());
+            self.cpi_terms = CpiTerms::new(eff, &self.config, self.cache.ways());
         }
         self.cache.tick();
 
         // --- Performance -----------------------------------------------
-        // Miss-traffic jitter: log-normal-ish program noise plus rare
-        // interrupt spikes.
-        let z = self.normal.sample(&mut self.rng);
-        let mut jitter = (self.builder.process_noise * z).exp();
-        if self.rng.gen::<f64>() < 0.01 {
-            jitter *= 1.5; // interrupt / page-fault burst
-        }
         // Shared-LLC contention raises effective miss traffic; at the
         // default 1.0 this multiply is bit-transparent (x * 1.0 == x).
-        jitter *= self.llc_penalty;
+        let jitter = jitter * self.llc_penalty;
         let breakdown = self.cpi_terms.breakdown(&self.cache, jitter);
         let ipc = breakdown.ipc();
         let exec_us = (EPOCH_US - cost.stall_us).max(0.0);
@@ -446,13 +561,13 @@ impl Processor {
             Some(entry) => *entry,
             None => ConfigPower::new(&self.config),
         };
-        let run_power = config_power.total_power(ipc, self.eff.activity);
+        let run_power = config_power.total_power(ipc, eff.activity);
         let mut true_power = run_power * exec_us;
         if moved {
             // During transition stalls the core clock-gates most dynamic
             // power.
             let stall_power =
-                config_power.leakage_w + 0.3 * config_power.dynamic_power(0.0, self.eff.activity);
+                config_power.leakage_w + 0.3 * config_power.dynamic_power(0.0, eff.activity);
             true_power = (true_power + stall_power * cost.stall_us) / EPOCH_US
                 + cost.energy_uj * 1e-6 / (EPOCH_US * 1e-6);
         } else {
@@ -464,31 +579,7 @@ impl Processor {
         self.totals.instructions_g += instr_g;
         self.totals.time_s += EPOCH_US * 1e-6;
         self.totals.epochs += 1;
-
-        // --- Sensors -------------------------------------------------------
-        let ips_meas =
-            true_ips * (1.0 + self.builder.ips_noise * self.normal.sample(&mut self.rng));
-        let power_meas =
-            true_power * (1.0 + self.builder.power_noise * self.normal.sample(&mut self.rng));
-
-        Observation {
-            ips_bips: ips_meas.max(0.0),
-            power_w: power_meas.max(0.0),
-            config: self.config,
-            phase_change: self.phase_changed,
-        }
-    }
-
-    /// Whether `u` is bit for bit the actuation of the current on-grid
-    /// configuration, which quantizing would give back unchanged.
-    fn actuates_current_config(&self, u: &[f64]) -> bool {
-        let c = &self.config;
-        self.config_power.is_some()
-            && u.len() == self.input_set.len()
-            && u[0].to_bits() == c.freq_ghz.to_bits()
-            && u[1].to_bits() == (c.l2_ways as f64).to_bits()
-            && u.get(2)
-                .is_none_or(|r| r.to_bits() == (c.rob_entries as f64).to_bits())
+        (true_ips, true_power)
     }
 }
 
@@ -534,7 +625,7 @@ impl Plant for Processor {
 
     fn observe(&mut self) -> Vector {
         // One epoch at the current configuration provides the first reading.
-        let u = Vector::from_slice(&self.config.to_actuation(self.input_set));
+        let u = Vector::from_slice(&self.core.config.to_actuation(self.input_set));
         self.apply(&u)
     }
 
@@ -549,9 +640,9 @@ impl Plant for Processor {
             return Err(SimError::NonFiniteActuation { channel });
         }
         let cfg = if self.actuates_current_config(u.as_slice()) {
-            self.config
+            self.core.config
         } else {
-            PlantConfig::from_actuation(u.as_slice(), self.input_set, &self.config)?
+            PlantConfig::from_actuation(u.as_slice(), self.input_set, &self.core.config)?
         };
         let obs = self.step_config(cfg);
         out[0] = obs.ips_bips;
@@ -560,11 +651,11 @@ impl Plant for Processor {
     }
 
     fn phase_changed(&self) -> bool {
-        self.phase_changed
+        self.program.phase_changed
     }
 
     fn reset(&mut self) {
-        *self = Processor::from_parts(self.builder.clone(), self.profile);
+        *self = Processor::from_parts(self.builder.clone(), self.program.profile);
     }
 }
 
