@@ -206,7 +206,8 @@ impl DesignCache {
     }
 
     /// Memoized [`setup::baseline_config`] (the grid profile behind the
-    /// Baseline architecture is the second-costliest design step).
+    /// Baseline architecture: 32 or 128 configurations swept over one
+    /// noise path per training app, cheaper than one MIMO design).
     pub fn baseline_config(&self, input_set: InputSet, metric: Metric, seed: u64) -> PlantConfig {
         get_or_compute(
             &self.inner.baselines,
