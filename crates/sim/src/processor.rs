@@ -283,7 +283,6 @@ impl Default for ProcessorBuilder {
 #[derive(Debug, Clone)]
 pub struct Processor {
     builder: ProcessorBuilder,
-    input_set: InputSet,
     program: Program,
     core: Core,
 }
@@ -337,7 +336,6 @@ impl Processor {
         let program = Program::new(profile, builder.seed);
         let core = Core::new(builder.initial, &program.eff);
         Processor {
-            input_set: builder.input_set,
             program,
             core,
             builder,
@@ -351,7 +349,7 @@ impl Processor {
 
     /// The active input set.
     pub fn input_set(&self) -> InputSet {
-        self.input_set
+        self.builder.input_set
     }
 
     /// Cumulative run statistics.
@@ -436,7 +434,7 @@ impl Processor {
     fn actuates_current_config(&self, u: &[f64]) -> bool {
         let c = &self.core.config;
         self.core.config_power.is_some()
-            && u.len() == self.input_set.len()
+            && u.len() == self.builder.input_set.len()
             && u[0].to_bits() == c.freq_ghz.to_bits()
             && u[1].to_bits() == (c.l2_ways as f64).to_bits()
             && u.get(2)
@@ -608,7 +606,7 @@ fn same_phase_bits(a: &Phase, b: &Phase) -> bool {
 
 impl Plant for Processor {
     fn num_inputs(&self) -> usize {
-        self.input_set.len()
+        self.builder.input_set.len()
     }
 
     fn num_outputs(&self) -> usize {
@@ -616,7 +614,8 @@ impl Plant for Processor {
     }
 
     fn input_grids(&self) -> Vec<Vec<f64>> {
-        self.input_set
+        self.builder
+            .input_set
             .grids()
             .iter()
             .map(|g| g.values().to_vec())
@@ -625,7 +624,7 @@ impl Plant for Processor {
 
     fn observe(&mut self) -> Vector {
         // One epoch at the current configuration provides the first reading.
-        let u = Vector::from_slice(&self.core.config.to_actuation(self.input_set));
+        let u = Vector::from_slice(&self.core.config.to_actuation(self.builder.input_set));
         self.apply(&u)
     }
 
@@ -642,7 +641,7 @@ impl Plant for Processor {
         let cfg = if self.actuates_current_config(u.as_slice()) {
             self.core.config
         } else {
-            PlantConfig::from_actuation(u.as_slice(), self.input_set, &self.core.config)?
+            PlantConfig::from_actuation(u.as_slice(), self.builder.input_set, &self.core.config)?
         };
         let obs = self.step_config(cfg);
         out[0] = obs.ips_bips;
