@@ -23,6 +23,7 @@ use mimo_linalg::{eigen, Matrix, Vector};
 use mimo_sim::noise::NormalSampler;
 use mimo_sim::{InputSet, Plant, ProcessorBuilder};
 use mimo_sysid::arx::{ArxModel, ArxOrders};
+use mimo_sysid::Samples;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -267,31 +268,34 @@ fn bench_sim_epoch(c: &mut Criterion) {
 }
 
 fn bench_sysid_fit(c: &mut Criterion) {
-    // 2-in 2-out ARX fit over 2000 samples (one identification run).
-    let mut u = Vec::new();
-    let mut y = Vec::new();
-    let mut state = [0.0_f64; 2];
-    for t in 0..2000usize {
-        let ut = Vector::from_slice(&[
-            ((t * 31) % 11) as f64 / 5.0 - 1.0,
-            ((t * 17) % 7) as f64 / 3.0 - 1.0,
-        ]);
-        let yt = Vector::from_slice(&[
-            0.6 * state[0] + 0.4 * ut[0] + 0.1 * ut[1],
-            0.5 * state[1] + 0.2 * ut[0] + 0.5 * ut[1],
-        ]);
-        state = [yt[0], yt[1]];
-        u.push(ut);
-        y.push(yt);
-    }
+    // 2-in 2-out ARX fits: 2000 samples, and 8400, the size of one
+    // `design_mimo` identification (4 training apps × 3 segments × 700).
     let orders = ArxOrders {
         na: 1,
         nb: 1,
         direct_feedthrough: false,
     };
-    c.bench_function("sysid/arx_fit_2000", |b| {
-        b.iter(|| ArxModel::fit(black_box(&u), black_box(&y), orders).unwrap())
-    });
+    for steps in [2000, 8400] {
+        let mut u = Samples::with_capacity(2, steps);
+        let mut y = Samples::with_capacity(2, steps);
+        let mut state = [0.0_f64; 2];
+        for t in 0..steps {
+            let ut = [
+                ((t * 31) % 11) as f64 / 5.0 - 1.0,
+                ((t * 17) % 7) as f64 / 3.0 - 1.0,
+            ];
+            let yt = [
+                0.6 * state[0] + 0.4 * ut[0] + 0.1 * ut[1],
+                0.5 * state[1] + 0.2 * ut[0] + 0.5 * ut[1],
+            ];
+            state = yt;
+            u.push(&ut);
+            y.push(&yt);
+        }
+        c.bench_function(&format!("sysid/arx_fit_{steps}"), |b| {
+            b.iter(|| ArxModel::fit(black_box(u.view()), black_box(y.view()), orders).unwrap())
+        });
+    }
 }
 
 /// One scaled-down kernel per paper experiment (the figure binaries run

@@ -20,13 +20,9 @@ use mimo_sysid::arx::{ArxModel, ArxOrders};
 use mimo_sysid::noise::estimate_noise;
 use mimo_sysid::realize::to_state_space;
 use mimo_sysid::scale::{remove_moving_mean, ChannelScaler};
-
-/// Moving-mean window (epochs) for identification detrending: far above
-/// the excitation hold times (12–30 epochs), far below phase durations
-/// (700+ epochs).
-const DETREND_WINDOW: usize = 201;
 use mimo_sysid::signal::{identification_waveform, Excitation};
 use mimo_sysid::validate::compare;
+use mimo_sysid::Samples;
 
 use crate::lqg::{LqgController, LqgDesign};
 use crate::robust::{analyze, RobustReport};
@@ -34,22 +30,29 @@ use crate::ss::StateSpace;
 use crate::weights::WeightSet;
 use crate::{ControlError, Result};
 
-/// Recorded identification data in physical units.
+/// Moving-mean window (epochs) for identification detrending: far above
+/// the excitation hold times (12–30 epochs), far below phase durations
+/// (700+ epochs).
+const DETREND_WINDOW: usize = 201;
+
+/// Recorded identification data in physical units: one sample per epoch,
+/// each record one contiguous buffer.
 #[derive(Debug, Clone, Default)]
 pub struct IdentificationData {
     /// Inputs applied per epoch.
-    pub u: Vec<Vector>,
+    pub u: Samples,
     /// Outputs measured per epoch.
-    pub y: Vec<Vector>,
+    pub y: Samples,
 }
 
 impl IdentificationData {
-    /// Appends another recording (the few boundary regression rows between
-    /// recordings contribute negligible error relative to thousands of
-    /// samples).
-    pub fn extend(&mut self, other: IdentificationData) {
-        self.u.extend(other.u);
-        self.y.extend(other.y);
+    /// An empty recording of `inputs`-wide inputs and `outputs`-wide
+    /// outputs.
+    pub fn new(inputs: usize, outputs: usize) -> Self {
+        IdentificationData {
+            u: Samples::new(inputs),
+            y: Samples::new(outputs),
+        }
     }
 
     /// Number of samples.
@@ -61,18 +64,42 @@ impl IdentificationData {
     pub fn is_empty(&self) -> bool {
         self.u.is_empty()
     }
+
+    /// Removes every sample, keeping the buffers for the next recording.
+    pub fn clear(&mut self) {
+        self.u.clear();
+        self.y.clear();
+    }
 }
 
-/// Drives `plant` with an excitation and records the response. The
-/// excitation's samples become the recording's inputs, so each epoch
-/// allocates only its measured output.
+/// Drives `plant` with an excitation and appends the applied inputs and
+/// the measured outputs to `data` (recordings follow each other; the few
+/// boundary regression rows between them contribute negligible error
+/// relative to thousands of samples). Every epoch steps through
+/// [`Plant::apply_into`] with one reused input and one reused output
+/// vector.
+///
+/// # Panics
+///
+/// Panics with the plant's error if it rejects an actuation, as
+/// [`Plant::apply`] does.
 pub fn record_excitation<P: Plant + ?Sized>(
     plant: &mut P,
-    excitation: Excitation,
-) -> IdentificationData {
-    let u = excitation.into_samples();
-    let y = u.iter().map(|u| plant.apply(u)).collect();
-    IdentificationData { u, y }
+    excitation: &Excitation,
+    data: &mut IdentificationData,
+) {
+    let samples = excitation.samples();
+    data.u.extend_from(samples.view());
+    data.y.reserve(samples.len());
+    let mut u = Vector::zeros(samples.channels());
+    let mut y = Vector::zeros(plant.num_outputs());
+    for sample in samples.iter() {
+        u.as_mut_slice().copy_from_slice(sample);
+        if let Err(e) = plant.apply_into(&u, &mut y) {
+            panic!("{e}");
+        }
+        data.y.push(y.as_slice());
+    }
 }
 
 /// Configuration of the design flow. Defaults mirror Table III.
@@ -193,6 +220,7 @@ impl DesignFlow {
                 grids = Some(plant.input_grids());
                 n_inputs = plant.num_inputs();
                 n_outputs = plant.num_outputs();
+                data = IdentificationData::new(n_inputs, n_outputs);
                 if self.weights.input.len() != n_inputs || self.weights.output.len() != n_outputs {
                     return Err(ControlError::DimensionMismatch {
                         what: format!(
@@ -208,7 +236,7 @@ impl DesignFlow {
             }
             plant.reset();
             let excitation = self.excitation_for(plant, self.seed.wrapping_add(k as u64));
-            data.extend(record_excitation(plant, excitation));
+            record_excitation(plant, &excitation, &mut data);
             record_bounds.push(data.len());
         }
         let grids = grids.ok_or(ControlError::DimensionMismatch {
@@ -221,23 +249,23 @@ impl DesignFlow {
             .map(|g| (g[0], *g.last().expect("nonempty")))
             .collect();
         let input_scaler = ChannelScaler::from_ranges(&ranges);
-        let output_scaler = ChannelScaler::from_data(&data.y);
+        let output_scaler = ChannelScaler::from_data(data.y.view());
 
         let training_samples = data.len();
         let IdentificationData {
             u: mut u_fit,
             y: mut y_fit,
         } = data;
-        input_scaler.normalize_all(&mut u_fit);
-        output_scaler.normalize_all(&mut y_fit);
+        input_scaler.normalize_all(u_fit.view_mut());
+        output_scaler.normalize_all(y_fit.view_mut());
 
         // Detrend each application's record separately: slow cross-app and
         // cross-phase output drift is not input-driven and would corrupt
         // the regression (see `remove_moving_mean`).
         for w in record_bounds.windows(2) {
             let (a, b) = (w[0], w[1]);
-            remove_moving_mean(&mut u_fit[a..b], DETREND_WINDOW);
-            remove_moving_mean(&mut y_fit[a..b], DETREND_WINDOW);
+            remove_moving_mean(u_fit.range_mut(a..b), DETREND_WINDOW);
+            remove_moving_mean(y_fit.range_mut(a..b), DETREND_WINDOW);
         }
 
         let orders = ArxOrders {
@@ -245,7 +273,7 @@ impl DesignFlow {
             nb: 1,
             direct_feedthrough: self.direct_feedthrough,
         };
-        let arx = ArxModel::fit(&u_fit, &y_fit, orders)?;
+        let arx = ArxModel::fit(u_fit.view(), y_fit.view(), orders)?;
         let realization = to_state_space(&arx);
         let model = StateSpace::from(realization);
         let noise = estimate_noise(arx.residuals(), model.state_dim(), self.process_fraction)?;
@@ -330,21 +358,24 @@ impl DesignFlow {
     {
         let design = result.controller.design();
         let mut max_err_frac = vec![0.0_f64; result.n_outputs];
+        let x0 = Vector::zeros(result.model.state_dim());
+        let mut data = IdentificationData::new(result.n_inputs, result.n_outputs);
         for (k, plant) in validation.into_iter().enumerate() {
             plant.reset();
             let excitation = self.excitation_for(plant, self.seed.wrapping_add(1000 + k as u64));
-            let IdentificationData { u: mut u_norm, y } = record_excitation(plant, excitation);
-            design.input_scaler.normalize_all(&mut u_norm);
+            data.clear();
+            record_excitation(plant, &excitation, &mut data);
+            design.input_scaler.normalize_all(data.u.view_mut());
             // Free-run the model on the validation inputs.
-            let x0 = Vector::zeros(result.model.state_dim());
-            let mut y_pred = result.model.simulate(&x0, &u_norm);
+            let mut y_pred = result.model.simulate(&x0, data.u.view());
             // Compare in *physical* units — normalized coordinates are
             // centered on the training data and would wildly inflate the
             // relative error of a differently-behaved validation app.
-            design.output_scaler.denormalize_all(&mut y_pred);
+            design.output_scaler.denormalize_all(y_pred.view_mut());
             // Skip the initial transient (the model starts at rest).
-            let skip = 50.min(y_pred.len() / 4);
-            let report = compare(&y[skip..], &y_pred[skip..], 20)?;
+            let n = y_pred.len();
+            let skip = 50.min(n / 4);
+            let report = compare(data.y.range(skip..n), y_pred.range(skip..n), 20)?;
             for (o, &e) in report.mean_rel_error_pct.iter().enumerate() {
                 max_err_frac[o] = max_err_frac[o].max(e / 100.0);
             }

@@ -13,8 +13,6 @@
 //! trials (Table III: 10). A new search starts when the application
 //! changes phase.
 
-use mimo_linalg::Vector;
-
 /// The metric being minimized, `E·D^(k−1)` — maximize `IPS^k / P`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
@@ -110,9 +108,9 @@ impl Optimizer {
         self.metric
     }
 
-    /// The current `(IPS₀, P₀)` targets for the tracking controller.
-    pub fn targets(&self) -> Vector {
-        Vector::from_slice(&[self.targets.0, self.targets.1])
+    /// The current `[IPS₀, P₀]` targets for the tracking controller.
+    pub fn targets(&self) -> [f64; 2] {
+        [self.targets.0, self.targets.1]
     }
 
     /// Whether the search has exhausted its trials.
@@ -129,7 +127,7 @@ impl Optimizer {
     /// the current targets, and advances the search. Returns the next
     /// targets, or `None` once `MaxTries` is exhausted (the search holds
     /// the best point found).
-    pub fn observe(&mut self, achieved_ips: f64, achieved_power: f64) -> Option<Vector> {
+    pub fn observe(&mut self, achieved_ips: f64, achieved_power: f64) -> Option<[f64; 2]> {
         if self.done {
             return None;
         }

@@ -7,6 +7,7 @@
 
 use mimo_linalg::{Matrix, Vector};
 use mimo_sysid::realize::Realization;
+use mimo_sysid::{SampleView, Samples};
 
 use crate::{ControlError, Result};
 
@@ -121,17 +122,38 @@ impl StateSpace {
         (xn, y)
     }
 
-    /// Simulates the output sequence from `x0` under `inputs`.
-    pub fn simulate(&self, x0: &Vector, inputs: &[Vector]) -> Vec<Vector> {
+    /// Simulates the output sequence from `x0` under `inputs`, one output
+    /// sample per input sample. Bit-identical to chaining
+    /// [`StateSpace::step`]: each product accumulates row by row, then
+    /// `A x + B u` and `C x + D u` add elementwise; the state lives in two
+    /// reused buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0` or the input samples have wrong dimensions.
+    pub fn simulate(&self, x0: &Vector, inputs: SampleView<'_>) -> Samples {
+        let (n, o) = (self.state_dim(), self.num_outputs());
         let mut x = x0.clone();
-        inputs
-            .iter()
-            .map(|u| {
-                let (xn, y) = self.step(&x, u);
-                x = xn;
-                y
-            })
-            .collect()
+        let mut x_next = Vector::zeros(n);
+        let mut bu = vec![0.0; n];
+        let mut du = vec![0.0; o];
+        let mut out = Samples::zeros(inputs.len(), o);
+        for (u, y) in inputs.iter().zip(out.iter_mut()) {
+            self.a
+                .mul_slice_into(x.as_slice(), x_next.as_mut_slice())
+                .expect("x dim");
+            self.b.mul_slice_into(u, &mut bu).expect("u dim");
+            for (xi, bi) in x_next.as_mut_slice().iter_mut().zip(&bu) {
+                *xi += bi;
+            }
+            self.c.mul_slice_into(x.as_slice(), y).expect("x dim");
+            self.d.mul_slice_into(u, &mut du).expect("u dim");
+            for (yi, di) in y.iter_mut().zip(&du) {
+                *yi += di;
+            }
+            std::mem::swap(&mut x, &mut x_next);
+        }
+        out
     }
 
     /// Steady-state (DC) gain `C (I − A)⁻¹ B + D`.
@@ -213,11 +235,33 @@ mod tests {
     #[test]
     fn step_and_simulate_agree() {
         let sys = scalar_lag(0.5, 1.0);
-        let inputs = vec![Vector::from_slice(&[1.0]); 5];
-        let ys = sys.simulate(&Vector::zeros(1), &inputs);
+        let inputs = Samples::from_fn(5, 1, |_, _| 1.0);
+        let ys = sys.simulate(&Vector::zeros(1), inputs.view());
         // y(t) = x(t); x: 0, 1, 1.5, 1.75, 1.875
-        assert!((ys[0][0] - 0.0).abs() < 1e-12);
-        assert!((ys[4][0] - 1.875).abs() < 1e-12);
+        assert!((ys.sample(0)[0] - 0.0).abs() < 1e-12);
+        assert!((ys.sample(4)[0] - 1.875).abs() < 1e-12);
+    }
+
+    #[test]
+    fn simulate_matches_chained_steps_bitwise() {
+        let sys = StateSpace::new(
+            Matrix::from_rows(&[&[0.5, 0.1, 0.0], &[-0.2, 0.3, 0.7], &[0.0, 0.0, 0.0]]),
+            Matrix::from_rows(&[&[1.0, 0.2], &[0.0, -0.7], &[1.0, 0.0]]),
+            Matrix::from_rows(&[&[0.3, 0.1, -0.4], &[0.9, 0.0, 0.2]]),
+            Matrix::from_rows(&[&[0.01, 0.0], &[0.0, -0.02]]),
+        )
+        .unwrap();
+        let inputs = Samples::from_fn(50, 2, |t, c| ((t * 7 + c * 3) % 11) as f64 / 5.0 - 1.0);
+        let x0 = Vector::from_slice(&[0.3, -0.1, 0.2]);
+        let ys = sys.simulate(&x0, inputs.view());
+        let mut x = x0;
+        for (u, y) in inputs.iter().zip(ys.iter()) {
+            let (xn, want) = sys.step(&x, &Vector::from_slice(u));
+            for (a, b) in y.iter().zip(want.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            x = xn;
+        }
     }
 
     #[test]
@@ -235,13 +279,14 @@ mod tests {
     /// Fits `orders` to `(u, y)` and free-runs the realized model from
     /// the zero state over every input; returns the largest output error.
     /// The data must start from rest, so that zero is the true state.
-    fn realized_free_run_error(u: &[Vector], y: &[Vector], orders: ArxOrders) -> f64 {
-        let model = ArxModel::fit(u, y, orders).unwrap();
+    fn realized_free_run_error(u: &Samples, y: &Samples, orders: ArxOrders) -> f64 {
+        let model = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         let ss = StateSpace::from(to_state_space(&model));
-        let ys = ss.simulate(&Vector::zeros(ss.state_dim()), u);
-        ys.iter()
-            .zip(y)
-            .map(|(a, b)| (a - b).norm_inf())
+        let ys = ss.simulate(&Vector::zeros(ss.state_dim()), u.view());
+        ys.as_flat()
+            .iter()
+            .zip(y.as_flat())
+            .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
 
@@ -250,7 +295,7 @@ mod tests {
         // A known 2-in 2-out ARX system, started from rest.
         let a1 = Matrix::from_rows(&[&[0.5, 0.1], &[-0.1, 0.3]]);
         let b1 = Matrix::from_rows(&[&[1.0, 0.2], &[0.0, -0.7]]);
-        let (mut u, mut y) = (Vec::new(), Vec::new());
+        let (mut u, mut y) = (Samples::new(2), Samples::new(2));
         let (mut yprev, mut uprev) = (Vector::zeros(2), Vector::zeros(2));
         for t in 0..600usize {
             let ut = Vector::from_slice(&[
@@ -258,8 +303,8 @@ mod tests {
                 ((t * 7) % 13) as f64 / 6.0 - 1.0,
             ]);
             let yt = &a1.mul_vec(&yprev).unwrap() + &b1.mul_vec(&uprev).unwrap();
-            u.push(ut.clone());
-            y.push(yt.clone());
+            u.push(ut.as_slice());
+            y.push(yt.as_slice());
             yprev = yt;
             uprev = ut;
         }
@@ -275,13 +320,13 @@ mod tests {
     #[test]
     fn realized_deeper_arx_free_runs_its_data() {
         // Two output and two input lags, SISO, started from rest.
-        let (mut u, mut y) = (Vec::new(), Vec::new());
+        let (mut u, mut y) = (Samples::new(1), Samples::new(1));
         let (mut y1, mut y2, mut u1, mut u2) = (0.0, 0.0, 0.0, 0.0);
         for t in 0..500usize {
             let ut = ((t * 29) % 17) as f64 / 8.0 - 1.0;
             let yt = 0.4 * y1 + 0.2 * y2 + 0.5 * u1 - 0.2 * u2;
-            u.push(Vector::from_slice(&[ut]));
-            y.push(Vector::from_slice(&[yt]));
+            u.push(&[ut]);
+            y.push(&[yt]);
             y2 = y1;
             y1 = yt;
             u2 = u1;

@@ -130,7 +130,9 @@ pub fn run_optimization(
 
     let mut lp = EpochLoop::new(gov, plant);
     lp.seed_outputs(&y);
-    lp.set_targets(&opt.targets());
+    // The one target vector every trial and restart refills.
+    let mut target = Vector::from_slice(&opt.targets());
+    lp.set_targets(&target);
 
     // The scoring window as a running sum of [IPS, power] and a count:
     // added from zero in epoch order and scaled once, as averaging the
@@ -147,7 +149,8 @@ pub fn run_optimization(
             // §V: a new search starts when the application changes phases.
             let y = lp.outputs();
             opt.restart(y[0], y[1]);
-            lp.set_targets(&opt.targets());
+            target.as_mut_slice().copy_from_slice(&opt.targets());
+            lp.set_targets(&target);
             epochs_on_trial = 0;
             window_sum = [0.0; 2];
             window_len = 0;
@@ -163,12 +166,12 @@ pub fn run_optimization(
             }
             if epochs_on_trial >= CONVERGE_EPOCHS {
                 let scale = 1.0 / window_len.max(1) as f64;
-                if let Some(next) = opt.observe(window_sum[0] * scale, window_sum[1] * scale) {
-                    lp.set_targets(&next);
-                } else {
-                    // Hold the best point found.
-                    lp.set_targets(&opt.targets());
-                }
+                // Past its last trial the search holds the best point found.
+                let next = opt
+                    .observe(window_sum[0] * scale, window_sum[1] * scale)
+                    .unwrap_or_else(|| opt.targets());
+                target.as_mut_slice().copy_from_slice(&next);
+                lp.set_targets(&target);
                 window_sum = [0.0; 2];
                 window_len = 0;
                 epochs_on_trial = 0;

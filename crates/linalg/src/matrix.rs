@@ -223,14 +223,7 @@ impl Matrix {
             });
         }
         let mut out = Vector::zeros(self.rows);
-        for i in 0..self.rows {
-            let row = self.row_slice(i);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(v.as_slice()) {
-                acc += a * b;
-            }
-            out[i] = acc;
-        }
+        self.mul_rows_into(v.as_slice(), out.as_mut_slice());
         Ok(out)
     }
 
@@ -258,15 +251,39 @@ impl Matrix {
                 rhs: (out.len(), 1),
             });
         }
-        for i in 0..self.rows {
-            let row = self.row_slice(i);
+        self.mul_rows_into(v.as_slice(), out.as_mut_slice());
+        Ok(())
+    }
+
+    /// [`Matrix::mul_vec_into`] over slices, for callers whose vectors
+    /// live inside a larger buffer (one sample of a recorded signal).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != self.cols()`
+    /// or `out.len() != self.rows()`.
+    pub fn mul_slice_into(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
+        if v.len() != self.cols || out.len() != self.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "mul_slice_into",
+                lhs: self.shape(),
+                rhs: (v.len(), out.len()),
+            });
+        }
+        self.mul_rows_into(v, out);
+        Ok(())
+    }
+
+    /// The one matrix-vector kernel: each row's products accumulated left
+    /// to right from `0.0`. Shapes are checked by the callers.
+    fn mul_rows_into(&self, v: &[f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for (a, b) in row.iter().zip(v.as_slice()) {
+            for (a, b) in self.row_slice(i).iter().zip(v) {
                 acc += a * b;
             }
-            out[i] = acc;
+            *o = acc;
         }
-        Ok(())
     }
 
     /// Matrix product `self * rhs` written into `out`, allocation-free.

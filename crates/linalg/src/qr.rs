@@ -30,10 +30,56 @@ use crate::{LinalgError, Matrix, Result};
 /// ```
 #[derive(Debug, Clone)]
 pub struct QrDecomposition {
-    /// Householder vectors stored below the diagonal; R on and above it.
-    qr: Matrix,
+    /// The factored matrix in column-major order (entry `(i, j)` at
+    /// `j·rows + i`): Householder vectors below the diagonal, R on and
+    /// above it. Every reflector walks one contiguous column.
+    qr: Vec<f64>,
+    rows: usize,
+    cols: usize,
     /// Scaling factors `tau` of the Householder reflectors.
     tau: Vec<f64>,
+}
+
+/// Applies the reflector `I − tau·v·vᵀ` (with `v[0] = 1` implied) to the
+/// column segment `c`, both starting at the pivot row: the dot product and
+/// the update run over the rows in row order.
+fn reflect(v: &[f64], tau: f64, c: &mut [f64]) {
+    let mut s = c[0];
+    for (vi, ci) in v[1..].iter().zip(&c[1..]) {
+        s += vi * ci;
+    }
+    s *= tau;
+    c[0] -= s;
+    for (vi, ci) in v[1..].iter().zip(&mut c[1..]) {
+        *ci -= s * vi;
+    }
+}
+
+/// Rejects an empty or wide shape before factoring.
+fn check_shape(m: usize, n: usize) -> Result<()> {
+    if m == 0 || n == 0 {
+        return Err(LinalgError::EmptyInput);
+    }
+    if m < n {
+        return Err(LinalgError::ShapeMismatch {
+            op: "qr (needs rows >= cols)",
+            lhs: (m, n),
+            rhs: (n, n),
+        });
+    }
+    Ok(())
+}
+
+/// Copies a row-major matrix into a column-major buffer of `ld` rows per
+/// column (rows past `m.rows()` are left zero).
+fn col_major(m: &Matrix, ld: usize) -> Vec<f64> {
+    let mut out = vec![0.0; ld * m.cols()];
+    for (j, col) in out.chunks_exact_mut(ld).enumerate() {
+        for (i, x) in col[..m.rows()].iter_mut().enumerate() {
+            *x = m[(i, j)];
+        }
+    }
+    out
 }
 
 impl QrDecomposition {
@@ -45,119 +91,104 @@ impl QrDecomposition {
     /// [`LinalgError::EmptyInput`] if the matrix is empty.
     pub fn new(a: &Matrix) -> Result<Self> {
         let (m, n) = a.shape();
-        if m == 0 || n == 0 {
-            return Err(LinalgError::EmptyInput);
-        }
-        if m < n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "qr (needs rows >= cols)",
-                lhs: (m, n),
-                rhs: (n, n),
-            });
-        }
-        let mut qr = a.clone();
-        let mut tau = vec![0.0; n];
+        check_shape(m, n)?;
+        Ok(Self::factor(col_major(a, m), m, n))
+    }
 
+    /// Factors the column-major `m x n` matrix `qr` in place.
+    fn factor(mut qr: Vec<f64>, m: usize, n: usize) -> Self {
+        let mut tau = vec![0.0; n];
         for k in 0..n {
+            let (done, rest) = qr.split_at_mut((k + 1) * m);
+            // Column k from the pivot row down.
+            let v = &mut done[k * m + k..];
             // Build the Householder reflector for column k.
             let mut norm2 = 0.0;
-            for i in k..m {
-                norm2 += qr[(i, k)] * qr[(i, k)];
+            for x in v.iter() {
+                norm2 += x * x;
             }
             let norm = norm2.sqrt();
             if norm == 0.0 {
                 tau[k] = 0.0;
                 continue;
             }
-            let alpha = if qr[(k, k)] >= 0.0 { -norm } else { norm };
+            let alpha = if v[0] >= 0.0 { -norm } else { norm };
             // v = x - alpha*e1, normalized so v[k] = 1.
-            let v0 = qr[(k, k)] - alpha;
+            let v0 = v[0] - alpha;
             tau[k] = -v0 / alpha;
-            for i in (k + 1)..m {
-                qr[(i, k)] /= v0;
+            for x in &mut v[1..] {
+                *x /= v0;
             }
-            qr[(k, k)] = alpha;
+            v[0] = alpha;
             // Apply the reflector to the remaining columns.
-            for j in (k + 1)..n {
-                let mut s = qr[(k, j)];
-                for i in (k + 1)..m {
-                    s += qr[(i, k)] * qr[(i, j)];
-                }
-                s *= tau[k];
-                qr[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = qr[(i, k)];
-                    qr[(i, j)] -= s * vik;
-                }
+            for col in rest.chunks_exact_mut(m) {
+                reflect(v, tau[k], &mut col[k..]);
             }
         }
+        QrDecomposition {
+            qr,
+            rows: m,
+            cols: n,
+            tau,
+        }
+    }
 
-        Ok(QrDecomposition { qr, tau })
+    /// Entry `(i, j)` of the factored storage.
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.qr[j * self.rows + i]
+    }
+
+    /// Column `k` of the factored storage from the diagonal down: the
+    /// Householder vector, with `R`'s diagonal entry in place of its
+    /// implied leading 1.
+    fn reflector(&self, k: usize) -> &[f64] {
+        &self.qr[k * self.rows + k..(k + 1) * self.rows]
     }
 
     /// Number of rows of the factored matrix.
     pub fn rows(&self) -> usize {
-        self.qr.rows()
+        self.rows
     }
 
     /// Number of columns of the factored matrix.
     pub fn cols(&self) -> usize {
-        self.qr.cols()
+        self.cols
     }
 
     /// Extracts the `n x n` upper-triangular factor `R`.
     pub fn r(&self) -> Matrix {
-        let n = self.cols();
-        Matrix::from_fn(n, n, |i, j| if j >= i { self.qr[(i, j)] } else { 0.0 })
+        let n = self.cols;
+        Matrix::from_fn(n, n, |i, j| if j >= i { self.at(i, j) } else { 0.0 })
     }
 
     /// Reconstructs the thin orthonormal factor `Q` (`m x n`).
     pub fn q(&self) -> Matrix {
-        let (m, n) = self.qr.shape();
-        let mut q = Matrix::zeros(m, n);
+        let (m, n) = (self.rows, self.cols);
+        let mut q = vec![0.0; m * n];
         for j in 0..n {
-            q[(j, j)] = 1.0;
+            q[j * m + j] = 1.0;
         }
         // Accumulate reflectors in reverse order: Q = H_0 H_1 ... H_{n-1} I.
         for k in (0..n).rev() {
             if self.tau[k] == 0.0 {
                 continue;
             }
-            for j in 0..n {
-                let mut s = q[(k, j)];
-                for i in (k + 1)..m {
-                    s += self.qr[(i, k)] * q[(i, j)];
-                }
-                s *= self.tau[k];
-                q[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = self.qr[(i, k)];
-                    q[(i, j)] -= s * vik;
-                }
+            for col in q.chunks_exact_mut(m) {
+                reflect(self.reflector(k), self.tau[k], &mut col[k..]);
             }
         }
-        q
+        Matrix::from_fn(m, n, |i, j| q[j * m + i])
     }
 
-    /// Applies `Qᵀ` to a matrix in place (used by the least-squares solve).
-    fn apply_qt(&self, b: &mut Matrix) {
-        let (m, n) = self.qr.shape();
-        let p = b.cols();
-        for k in 0..n {
+    /// Applies `Qᵀ` in place to the column-major `rows x p` buffer `b`
+    /// (used by the least-squares solve).
+    fn apply_qt(&self, b: &mut [f64]) {
+        for k in 0..self.cols {
             if self.tau[k] == 0.0 {
                 continue;
             }
-            for j in 0..p {
-                let mut s = b[(k, j)];
-                for i in (k + 1)..m {
-                    s += self.qr[(i, k)] * b[(i, j)];
-                }
-                s *= self.tau[k];
-                b[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = self.qr[(i, k)];
-                    b[(i, j)] -= s * vik;
-                }
+            for col in b.chunks_exact_mut(self.rows) {
+                reflect(self.reflector(k), self.tau[k], &mut col[k..]);
             }
         }
     }
@@ -170,29 +201,37 @@ impl QrDecomposition {
     /// factored matrix, or [`LinalgError::Singular`] if `A` is rank deficient
     /// to working precision.
     pub fn solve_least_squares(&self, b: &Matrix) -> Result<Matrix> {
-        let (m, n) = self.qr.shape();
-        if b.rows() != m {
+        if b.rows() != self.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "qr_solve",
-                lhs: (m, n),
+                lhs: (self.rows, self.cols),
                 rhs: b.shape(),
             });
         }
-        let mut qtb = b.clone();
+        self.solve_col_major(col_major(b, self.rows), b.cols())
+    }
+
+    /// [`QrDecomposition::solve_least_squares`] for a column-major
+    /// right-hand side of `p` columns, which it overwrites with `Qᵀ B`.
+    fn solve_col_major(&self, mut qtb: Vec<f64>, p: usize) -> Result<Matrix> {
+        let (m, n) = (self.rows, self.cols);
         self.apply_qt(&mut qtb);
         // Back-substitute R x = (Qᵀ b)[0..n].
-        let p = b.cols();
         let mut x = Matrix::zeros(n, p);
-        let scale = self.qr.max_abs().max(f64::MIN_POSITIVE);
+        let scale = self
+            .qr
+            .iter()
+            .fold(0.0, |mx: f64, v| mx.max(v.abs()))
+            .max(f64::MIN_POSITIVE);
         for i in (0..n).rev() {
-            let rii = self.qr[(i, i)];
+            let rii = self.at(i, i);
             if rii.abs() <= 1e-13 * scale {
                 return Err(LinalgError::Singular);
             }
             for j in 0..p {
-                let mut s = qtb[(i, j)];
+                let mut s = qtb[j * m + i];
                 for k in (i + 1)..n {
-                    s -= self.qr[(i, k)] * x[(k, j)];
+                    s -= self.at(i, k) * x[(k, j)];
                 }
                 x[(i, j)] = s / rii;
             }
@@ -211,14 +250,66 @@ impl QrDecomposition {
 ///
 /// Propagates shape and rank errors from the underlying QR solve.
 pub fn ridge_least_squares(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
-    if lambda <= 0.0 {
-        return QrDecomposition::new(a)?.solve_least_squares(b);
+    if b.rows() != a.rows() {
+        return Err(LinalgError::ShapeMismatch {
+            op: "qr_solve",
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
     }
-    let n = a.cols();
-    let reg = Matrix::identity(n).scale(lambda.sqrt());
-    let a_aug = Matrix::vstack(a, &reg)?;
-    let b_aug = Matrix::vstack(b, &Matrix::zeros(n, b.cols()))?;
-    QrDecomposition::new(&a_aug)?.solve_least_squares(&b_aug)
+    ridge_least_squares_by_columns(
+        a.rows(),
+        a.cols(),
+        b.cols(),
+        lambda,
+        |j, col| {
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = a[(i, j)];
+            }
+        },
+        |j, col| {
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = b[(i, j)];
+            }
+        },
+    )
+}
+
+/// [`ridge_least_squares`] for an `A` (`rows x cols`) and `B`
+/// (`rows x rhs_cols`) written column by column straight into the
+/// factor's storage: `fill_a(j, col)` writes column `j` of `A` and
+/// `fill_b(j, col)` column `j` of `B`, each `rows` long. With
+/// `lambda > 0` the `sqrt(lambda) I` rows and the matching zero rows of
+/// `B` follow each column, so no stacked copy of either matrix is made.
+///
+/// # Errors
+///
+/// Propagates shape and rank errors from the underlying QR solve.
+pub fn ridge_least_squares_by_columns(
+    rows: usize,
+    cols: usize,
+    rhs_cols: usize,
+    lambda: f64,
+    mut fill_a: impl FnMut(usize, &mut [f64]),
+    mut fill_b: impl FnMut(usize, &mut [f64]),
+) -> Result<Matrix> {
+    let reg = if lambda > 0.0 { cols } else { 0 };
+    let m = rows + reg;
+    check_shape(m, cols)?;
+    let root = lambda.sqrt();
+    let mut a = vec![0.0; m * cols];
+    for (j, col) in a.chunks_exact_mut(m).enumerate() {
+        fill_a(j, &mut col[..rows]);
+        for (i, x) in col[rows..].iter_mut().enumerate() {
+            // The entries of `Matrix::identity(cols).scale(root)`.
+            *x = (if i == j { 1.0 } else { 0.0 }) * root;
+        }
+    }
+    let mut b = vec![0.0; m * rhs_cols];
+    for (j, col) in b.chunks_exact_mut(m).enumerate() {
+        fill_b(j, &mut col[..rows]);
+    }
+    QrDecomposition::factor(a, m, cols).solve_col_major(b, rhs_cols)
 }
 
 #[cfg(test)]

@@ -13,10 +13,14 @@
 //! fit with linear least squares over the recorded waveforms (a ridge term
 //! keeps the regression solvable under weak excitation). The `B₀ u(t)` term
 //! is optional — disable `direct_feedthrough` for a strictly proper model.
+//!
+//! The regression is written column by column straight into the QR
+//! factor's column-major storage ([`ridge_least_squares_by_columns`]), and
+//! the one-step residuals go into one [`Samples`] buffer.
 
-use mimo_linalg::{qr::ridge_least_squares, Matrix, Vector};
+use mimo_linalg::{qr::ridge_least_squares_by_columns, Matrix, Vector};
 
-use crate::{Result, SysidError};
+use crate::{Result, SampleView, Samples, SysidError};
 
 /// Model orders for an ARX fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +70,7 @@ pub struct ArxModel {
     n_outputs: usize,
     n_inputs: usize,
     /// One-step-ahead residuals on the training data.
-    residuals: Vec<Vector>,
+    residuals: Samples,
 }
 
 impl ArxModel {
@@ -83,7 +87,7 @@ impl ArxModel {
     ///   unknowns.
     /// * [`SysidError::PoorExcitation`] — the regression is singular even
     ///   after ridge regularization.
-    pub fn fit(u: &[Vector], y: &[Vector], orders: ArxOrders) -> Result<ArxModel> {
+    pub fn fit(u: SampleView<'_>, y: SampleView<'_>, orders: ArxOrders) -> Result<ArxModel> {
         Self::fit_regularized(u, y, orders, 1e-8)
     }
 
@@ -93,8 +97,8 @@ impl ArxModel {
     ///
     /// Same conditions as [`ArxModel::fit`].
     pub fn fit_regularized(
-        u: &[Vector],
-        y: &[Vector],
+        u: SampleView<'_>,
+        y: SampleView<'_>,
         orders: ArxOrders,
         lambda: f64,
     ) -> Result<ArxModel> {
@@ -110,16 +114,11 @@ impl ArxModel {
         }
         let t_total = u.len();
         let p = orders.history();
-        let n_inputs = u.first().map_or(0, Vector::len);
-        let n_outputs = y.first().map_or(0, Vector::len);
+        let width = |s: SampleView<'_>| if s.is_empty() { 0 } else { s.channels() };
+        let (n_inputs, n_outputs) = (width(u), width(y));
         if n_inputs == 0 || n_outputs == 0 {
             return Err(SysidError::InconsistentData {
                 what: "empty input or output vectors".into(),
-            });
-        }
-        if u.iter().any(|v| v.len() != n_inputs) || y.iter().any(|v| v.len() != n_outputs) {
-            return Err(SysidError::InconsistentData {
-                what: "ragged input or output dimensions".into(),
             });
         }
         let n_params = orders.na * n_outputs + orders.nb * n_inputs;
@@ -131,31 +130,34 @@ impl ArxModel {
             });
         }
 
-        // Build the regression Phi * Theta = Y.
-        let mut phi = Matrix::zeros(n_rows, n_params);
-        let mut targets = Matrix::zeros(n_rows, n_outputs);
+        // The regression Phi * Theta = Y, row `t − p` for sample `t`.
+        // Phi's columns are y(t−1) … y(t−na), then u(t−j0) … u(t−j0−nb+1),
+        // each channel by channel; column (lag, c) of a record is channel
+        // `c` of samples `p − lag ..`, one stride of the record's width.
         let j0 = orders.first_input_lag();
-        for (row, t) in (p..t_total).enumerate() {
-            let mut col = 0;
-            for i in 1..=orders.na {
-                for &yo in &y[t - i].as_slice()[..n_outputs] {
-                    phi[(row, col)] = yo;
-                    col += 1;
+        let gather = |rec: SampleView<'_>, lag: usize, c: usize, col: &mut [f64]| {
+            let w = rec.channels();
+            let src = rec.as_flat()[(p - lag) * w + c..].iter().step_by(w);
+            for (x, v) in col.iter_mut().zip(src) {
+                *x = *v;
+            }
+        };
+        let theta = ridge_least_squares_by_columns(
+            n_rows,
+            n_params,
+            n_outputs,
+            lambda,
+            |col, dst| {
+                let y_cols = orders.na * n_outputs;
+                if col < y_cols {
+                    gather(y, 1 + col / n_outputs, col % n_outputs, dst);
+                } else {
+                    let k = col - y_cols;
+                    gather(u, j0 + k / n_inputs, k % n_inputs, dst);
                 }
-            }
-            for j in 0..orders.nb {
-                let lag = j0 + j;
-                for &ui in &u[t - lag].as_slice()[..n_inputs] {
-                    phi[(row, col)] = ui;
-                    col += 1;
-                }
-            }
-            for o in 0..n_outputs {
-                targets[(row, o)] = y[t][o];
-            }
-        }
-
-        let theta = ridge_least_squares(&phi, &targets, lambda)?;
+            },
+            |o, dst| gather(y, 0, o, dst),
+        )?;
 
         // Slice Theta^T into the coefficient matrices.
         let theta_t = theta.transpose(); // O x n_params
@@ -171,20 +173,22 @@ impl ArxModel {
             col += n_inputs;
         }
 
-        // One-step-ahead residuals.
-        let mut residuals = Vec::with_capacity(n_rows);
+        // One-step-ahead residuals `y(t) − ŷ(t)`.
+        let mut residuals = Samples::zeros(n_rows, n_outputs);
         let model = ArxModel {
             orders,
             a_coeffs,
             b_coeffs,
             n_outputs,
             n_inputs,
-            residuals: Vec::new(),
+            residuals: Samples::new(n_outputs),
         };
         let (mut pred, mut term) = (Vector::zeros(n_outputs), Vector::zeros(n_outputs));
-        for t in p..t_total {
+        for (t, r) in (p..t_total).zip(residuals.iter_mut()) {
             model.predict_into(u, y, t, &mut pred, &mut term)?;
-            residuals.push(&y[t] - &pred);
+            for ((r, yt), pt) in r.iter_mut().zip(y.sample(t)).zip(pred.iter()) {
+                *r = yt - pt;
+            }
         }
         Ok(ArxModel { residuals, ..model })
     }
@@ -215,9 +219,10 @@ impl ArxModel {
         self.n_inputs
     }
 
-    /// One-step-ahead training residuals `y(t) − ŷ(t|t−1)`.
-    pub fn residuals(&self) -> &[Vector] {
-        &self.residuals
+    /// One-step-ahead training residuals `y(t) − ŷ(t|t−1)`, one sample
+    /// per regression row.
+    pub fn residuals(&self) -> SampleView<'_> {
+        self.residuals.view()
     }
 
     /// Predicts `y(t)` from the *recorded* history in `u`/`y`.
@@ -226,7 +231,12 @@ impl ArxModel {
     ///
     /// Returns [`SysidError::NotEnoughData`] if `t` precedes the required
     /// history window.
-    pub fn predict_one_step(&self, u: &[Vector], y: &[Vector], t: usize) -> Result<Vector> {
+    pub fn predict_one_step(
+        &self,
+        u: SampleView<'_>,
+        y: SampleView<'_>,
+        t: usize,
+    ) -> Result<Vector> {
         let mut pred = Vector::zeros(self.n_outputs);
         let mut term = Vector::zeros(self.n_outputs);
         self.predict_into(u, y, t, &mut pred, &mut term)?;
@@ -237,8 +247,8 @@ impl ArxModel {
     /// (both of length `O`): the same products, summed in the same order.
     fn predict_into(
         &self,
-        u: &[Vector],
-        y: &[Vector],
+        u: SampleView<'_>,
+        y: SampleView<'_>,
         t: usize,
         pred: &mut Vector,
         term: &mut Vector,
@@ -249,12 +259,12 @@ impl ArxModel {
         }
         pred.fill(0.0);
         for (i, a) in self.a_coeffs.iter().enumerate() {
-            a.mul_vec_into(&y[t - 1 - i], term)?;
+            a.mul_slice_into(y.sample(t - 1 - i), term.as_mut_slice())?;
             *pred += &*term;
         }
         let j0 = self.orders.first_input_lag();
         for (j, b) in self.b_coeffs.iter().enumerate() {
-            b.mul_vec_into(&u[t - j0 - j], term)?;
+            b.mul_slice_into(u.sample(t - j0 - j), term.as_mut_slice())?;
             *pred += &*term;
         }
         Ok(())
@@ -269,7 +279,7 @@ impl ArxModel {
     /// Returns [`SysidError::NotEnoughData`] if `y_init` is shorter than the
     /// required history, or [`SysidError::InconsistentData`] on dimension
     /// mismatches.
-    pub fn simulate(&self, u: &[Vector], y_init: &[Vector]) -> Result<Vec<Vector>> {
+    pub fn simulate(&self, u: SampleView<'_>, y_init: SampleView<'_>) -> Result<Samples> {
         let p = self.orders.history();
         if y_init.len() < p {
             return Err(SysidError::NotEnoughData {
@@ -277,15 +287,17 @@ impl ArxModel {
                 need: p,
             });
         }
-        if y_init.iter().any(|v| v.len() != self.n_outputs) {
+        if y_init.channels() != self.n_outputs {
             return Err(SysidError::InconsistentData {
                 what: "y_init dimension mismatch".into(),
             });
         }
-        let mut y_sim: Vec<Vector> = y_init[..p].to_vec();
+        let mut y_sim = Samples::with_capacity(self.n_outputs, u.len().max(p));
+        y_sim.extend_from(y_init.range(0..p));
+        let (mut pred, mut term) = (Vector::zeros(self.n_outputs), Vector::zeros(self.n_outputs));
         for t in p..u.len() {
-            let pred = self.predict_one_step(u, &y_sim, t)?;
-            y_sim.push(pred);
+            self.predict_into(u, y_sim.view(), t, &mut pred, &mut term)?;
+            y_sim.push(pred.as_slice());
         }
         Ok(y_sim)
     }
@@ -297,15 +309,15 @@ mod tests {
 
     /// Builds data from a known SISO ARX system
     /// y(t) = 0.7 y(t-1) - 0.1 y(t-2) + 0.5 u(t-1).
-    fn known_siso(steps: usize) -> (Vec<Vector>, Vec<Vector>) {
-        let mut u = Vec::new();
-        let mut y = Vec::new();
+    fn known_siso(steps: usize) -> (Samples, Samples) {
+        let mut u = Samples::new(1);
+        let mut y = Samples::new(1);
         let (mut y1, mut y2, mut u1) = (0.0, 0.0, 0.0);
         for t in 0..steps {
             let ut = ((t * 7919) % 13) as f64 / 6.0 - 1.0;
             let yt = 0.7 * y1 - 0.1 * y2 + 0.5 * u1;
-            u.push(Vector::from_slice(&[ut]));
-            y.push(Vector::from_slice(&[yt]));
+            u.push(&[ut]);
+            y.push(&[yt]);
             y2 = y1;
             y1 = yt;
             u1 = ut;
@@ -317,16 +329,16 @@ mod tests {
     fn recovers_siso_coefficients() {
         // Regenerate data in a self-consistent indexing.
         let steps = 400;
-        let mut u: Vec<Vector> = Vec::new();
-        let mut y: Vec<Vector> = Vec::new();
+        let mut u = Samples::new(1);
+        let mut y = Samples::new(1);
         let mut y1 = 0.0;
         let mut y2 = 0.0;
         let mut u1 = 0.0;
         for t in 0..steps {
             let ut = ((t * 7919) % 13) as f64 / 6.0 - 1.0;
             let yt = 0.7 * y1 - 0.1 * y2 + 0.5 * u1;
-            u.push(Vector::from_slice(&[ut]));
-            y.push(Vector::from_slice(&[yt]));
+            u.push(&[ut]);
+            y.push(&[yt]);
             y2 = y1;
             y1 = yt;
             u1 = ut;
@@ -336,16 +348,16 @@ mod tests {
             nb: 1,
             direct_feedthrough: false,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         assert!((m.a_coeffs()[0][(0, 0)] - 0.7).abs() < 1e-6);
         assert!((m.a_coeffs()[1][(0, 0)] + 0.1).abs() < 1e-6);
         assert!((m.b_coeffs()[0][(0, 0)] - 0.5).abs() < 1e-6);
         // Residuals on noiseless data are ~0.
         let max_resid = m
             .residuals()
+            .as_flat()
             .iter()
-            .map(Vector::norm_inf)
-            .fold(0.0, f64::max);
+            .fold(0.0_f64, |m, r| m.max(r.abs()));
         assert!(max_resid < 1e-8);
     }
 
@@ -356,8 +368,8 @@ mod tests {
         let a1 = Matrix::from_rows(&[&[0.6, 0.1], &[-0.2, 0.4]]);
         let b0 = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, -1.0]]);
         let steps = 500;
-        let mut u = Vec::new();
-        let mut y = Vec::new();
+        let mut u = Samples::new(2);
+        let mut y = Samples::new(2);
         let mut prev = Vector::zeros(2);
         for t in 0..steps {
             let ut = Vector::from_slice(&[
@@ -365,8 +377,8 @@ mod tests {
                 ((t * 17) % 5) as f64 / 2.0 - 1.0,
             ]);
             let yt = &a1.mul_vec(&prev).unwrap() + &b0.mul_vec(&ut).unwrap();
-            u.push(ut);
-            y.push(yt.clone());
+            u.push(ut.as_slice());
+            y.push(yt.as_slice());
             prev = yt;
         }
         let orders = ArxOrders {
@@ -374,7 +386,7 @@ mod tests {
             nb: 1,
             direct_feedthrough: true,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         assert!((&m.a_coeffs()[0] - &a1).max_abs() < 1e-6);
         assert!((&m.b_coeffs()[0] - &b0).max_abs() < 1e-6);
     }
@@ -382,20 +394,19 @@ mod tests {
     #[test]
     fn simulate_tracks_true_system() {
         let (u, y) = known_siso(300);
-        let n = u.len().min(y.len());
-        let u = &u[..n];
-        let y = &y[..n];
         let orders = ArxOrders {
             na: 2,
             nb: 2,
             direct_feedthrough: false,
         };
-        let m = ArxModel::fit(u, y, orders).unwrap();
-        let y_sim = m.simulate(u, &y[..orders.history()]).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
+        let y_sim = m.simulate(u.view(), y.range(0..orders.history())).unwrap();
+        assert_eq!(y_sim.len(), y.len());
         let err: f64 = y_sim
+            .as_flat()
             .iter()
-            .zip(y)
-            .map(|(a, b)| (a - b).norm_inf())
+            .zip(y.as_flat())
+            .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-6, "free-run error {err}");
     }
@@ -404,99 +415,113 @@ mod tests {
     fn residuals_match_the_allocating_prediction_bitwise() {
         // A literal copy of the allocating one-step prediction the fit's
         // residual loop used: one product per lag, summed in lag order.
-        fn allocating(m: &ArxModel, u: &[Vector], y: &[Vector], t: usize) -> Vector {
+        fn allocating(m: &ArxModel, u: &Samples, y: &Samples, t: usize) -> Vector {
             let mut pred = Vector::zeros(m.num_outputs());
             for (i, a) in m.a_coeffs().iter().enumerate() {
-                pred += &a.mul_vec(&y[t - 1 - i]).unwrap();
+                pred += &a.mul_vec(&Vector::from_slice(y.sample(t - 1 - i))).unwrap();
             }
             let j0 = m.orders().first_input_lag();
             for (j, b) in m.b_coeffs().iter().enumerate() {
-                pred += &b.mul_vec(&u[t - j0 - j]).unwrap();
+                pred += &b
+                    .mul_vec(&Vector::from_slice(u.sample(t - j0 - j)))
+                    .unwrap();
             }
             pred
         }
-        let u: Vec<Vector> = (0..300)
-            .map(|t| {
-                Vector::from_slice(&[((t * 31) % 7) as f64 / 3.0 - 1.0, (t as f64 * 0.3).sin()])
-            })
-            .collect();
-        let y: Vec<Vector> = (0..300)
-            .map(|t| Vector::from_slice(&[(t as f64 * 0.11).cos(), ((t * 13) % 9) as f64 * 0.2]))
-            .collect();
+        let u = Samples::from_fn(300, 2, |t, c| {
+            if c == 0 {
+                ((t * 31) % 7) as f64 / 3.0 - 1.0
+            } else {
+                (t as f64 * 0.3).sin()
+            }
+        });
+        let y = Samples::from_fn(300, 2, |t, c| {
+            if c == 0 {
+                (t as f64 * 0.11).cos()
+            } else {
+                ((t * 13) % 9) as f64 * 0.2
+            }
+        });
         let orders = ArxOrders {
             na: 2,
             nb: 2,
             direct_feedthrough: false,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         let p = orders.history();
-        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(m.residuals().len(), 300 - p);
         for (k, r) in m.residuals().iter().enumerate() {
             let want = allocating(&m, &u, &y, p + k);
-            assert_eq!(bits(r), bits(&(&y[p + k] - &want)));
+            let yt = Vector::from_slice(y.sample(p + k));
+            assert_eq!(bits(r), bits((&yt - &want).as_slice()));
             assert_eq!(
-                bits(&m.predict_one_step(&u, &y, p + k).unwrap()),
-                bits(&want)
+                bits(
+                    m.predict_one_step(u.view(), y.view(), p + k)
+                        .unwrap()
+                        .as_slice()
+                ),
+                bits(want.as_slice())
             );
         }
     }
 
     #[test]
     fn rejects_mismatched_lengths() {
-        let u = vec![Vector::zeros(1); 10];
-        let y = vec![Vector::zeros(1); 9];
+        let u = Samples::zeros(10, 1);
+        let y = Samples::zeros(9, 1);
         let orders = ArxOrders {
             na: 1,
             nb: 1,
             direct_feedthrough: false,
         };
         assert!(matches!(
-            ArxModel::fit(&u, &y, orders),
+            ArxModel::fit(u.view(), y.view(), orders),
             Err(SysidError::InconsistentData { .. })
         ));
     }
 
     #[test]
     fn rejects_too_few_samples() {
-        let u = vec![Vector::zeros(2); 5];
-        let y = vec![Vector::zeros(2); 5];
+        let u = Samples::zeros(5, 2);
+        let y = Samples::zeros(5, 2);
         let orders = ArxOrders {
             na: 2,
             nb: 2,
             direct_feedthrough: false,
         };
         assert!(matches!(
-            ArxModel::fit(&u, &y, orders),
+            ArxModel::fit(u.view(), y.view(), orders),
             Err(SysidError::NotEnoughData { .. })
         ));
     }
 
     #[test]
     fn rejects_zero_orders() {
-        let u = vec![Vector::zeros(1); 50];
-        let y = vec![Vector::zeros(1); 50];
+        let u = Samples::zeros(50, 1);
+        let y = Samples::zeros(50, 1);
         let orders = ArxOrders {
             na: 0,
             nb: 1,
             direct_feedthrough: false,
         };
-        assert!(ArxModel::fit(&u, &y, orders).is_err());
+        assert!(ArxModel::fit(u.view(), y.view(), orders).is_err());
     }
 
     #[test]
     fn constant_input_is_poor_excitation_but_ridge_survives() {
         // With ridge regularization the fit is still produced (biased to 0).
-        let u = vec![Vector::from_slice(&[1.0]); 100];
-        let y = vec![Vector::from_slice(&[2.0]); 100];
+        let u = Samples::from_fn(100, 1, |_, _| 1.0);
+        let y = Samples::from_fn(100, 1, |_, _| 2.0);
         let orders = ArxOrders {
             na: 1,
             nb: 1,
             direct_feedthrough: false,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         // The DC relation y = a*y + b*u with a+ (b/2)=... many solutions; just
         // require the one-step prediction to be close on the training data.
-        let pred = m.predict_one_step(&u, &y, 50).unwrap();
+        let pred = m.predict_one_step(u.view(), y.view(), 50).unwrap();
         assert!((pred[0] - 2.0).abs() < 1e-3);
     }
 

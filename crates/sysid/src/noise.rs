@@ -14,32 +14,42 @@
 //! * the measurement part is `V = (1−α) Σe` plus a small floor that keeps
 //!   the Kalman filter well posed.
 
-use mimo_linalg::{Matrix, Vector};
+use mimo_linalg::Matrix;
 
-use crate::{Result, SysidError};
+use crate::{Result, SampleView, SysidError};
 
-/// Sample covariance of a sequence of vectors.
+/// Sample covariance of a record: the mean summed in sample order and
+/// scaled by `1/n`, then the outer products of the deviations summed in
+/// sample order and scaled by `1/(n−1)`.
 ///
 /// # Errors
 ///
 /// Returns [`SysidError::NotEnoughData`] for fewer than 2 samples.
-pub fn covariance(samples: &[Vector]) -> Result<Matrix> {
+pub fn covariance(samples: SampleView<'_>) -> Result<Matrix> {
     if samples.len() < 2 {
         return Err(SysidError::NotEnoughData {
             have: samples.len(),
             need: 2,
         });
     }
-    let dim = samples[0].len();
+    let dim = samples.channels();
     let n = samples.len() as f64;
-    let mut mean = Vector::zeros(dim);
-    for s in samples {
-        mean += s;
+    let mut mean = vec![0.0; dim];
+    for s in samples.iter() {
+        for (m, x) in mean.iter_mut().zip(s) {
+            *m += x;
+        }
     }
-    mean = mean.scale(1.0 / n);
+    let inv_n = 1.0 / n;
+    for m in &mut mean {
+        *m *= inv_n;
+    }
     let mut cov = Matrix::zeros(dim, dim);
-    for s in samples {
-        let d = s - &mean;
+    let mut d = vec![0.0; dim];
+    for s in samples.iter() {
+        for ((d, x), m) in d.iter_mut().zip(s).zip(&mean) {
+            *d = x - m;
+        }
         for i in 0..dim {
             for j in 0..dim {
                 cov[(i, j)] += d[i] * d[j];
@@ -76,7 +86,7 @@ pub struct NoiseEstimate {
 /// [`SysidError::InconsistentData`] if `state_dim` is smaller than the
 /// output count or `process_fraction` is outside `[0, 1]`.
 pub fn estimate_noise(
-    residuals: &[Vector],
+    residuals: SampleView<'_>,
     state_dim: usize,
     process_fraction: f64,
 ) -> Result<NoiseEstimate> {
@@ -114,27 +124,29 @@ pub fn estimate_noise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Samples;
 
-    fn noisy_residuals(n: usize, s0: f64, s1: f64) -> Vec<Vector> {
+    fn noisy_residuals(n: usize, s0: f64, s1: f64) -> Samples {
         // Deterministic pseudo-noise with per-channel std s0, s1.
-        (0..n)
-            .map(|t| {
-                let a = (((t * 2654435761) % 1000) as f64 / 1000.0 - 0.5) * 3.464; // ~unit variance
-                let b = (((t * 40503 + 17) % 1000) as f64 / 1000.0 - 0.5) * 3.464;
-                Vector::from_slice(&[a * s0, b * s1])
-            })
-            .collect()
+        let mut r = Samples::with_capacity(2, n);
+        for t in 0..n {
+            let a = (((t * 2654435761) % 1000) as f64 / 1000.0 - 0.5) * 3.464; // ~unit variance
+            let b = (((t * 40503 + 17) % 1000) as f64 / 1000.0 - 0.5) * 3.464;
+            r.push(&[a * s0, b * s1]);
+        }
+        r
     }
 
     #[test]
     fn covariance_of_known_data() {
-        let samples = vec![
-            Vector::from_slice(&[1.0, 0.0]),
-            Vector::from_slice(&[-1.0, 0.0]),
-            Vector::from_slice(&[1.0, 0.0]),
-            Vector::from_slice(&[-1.0, 0.0]),
-        ];
-        let c = covariance(&samples).unwrap();
+        let samples = Samples::from_fn(4, 2, |t, c| {
+            if c == 0 && t % 2 == 1 {
+                -1.0
+            } else {
+                1.0 - c as f64
+            }
+        });
+        let c = covariance(samples.view()).unwrap();
         // Variance of ±1 = 4/3 with n-1 normalization; channel 1 is 0.
         assert!((c[(0, 0)] - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(c[(1, 1)], 0.0);
@@ -143,9 +155,9 @@ mod tests {
 
     #[test]
     fn covariance_requires_two_samples() {
-        let one = vec![Vector::zeros(2)];
+        let one = Samples::zeros(1, 2);
         assert!(matches!(
-            covariance(&one),
+            covariance(one.view()),
             Err(SysidError::NotEnoughData { .. })
         ));
     }
@@ -153,7 +165,7 @@ mod tests {
     #[test]
     fn covariance_scales_quadratically() {
         let r1 = noisy_residuals(2000, 1.0, 2.0);
-        let c = covariance(&r1).unwrap();
+        let c = covariance(r1.view()).unwrap();
         assert!(
             c[(1, 1)] > 2.0 * c[(0, 0)],
             "c00={} c11={}",
@@ -165,7 +177,7 @@ mod tests {
     #[test]
     fn split_respects_fraction() {
         let r = noisy_residuals(500, 1.0, 1.0);
-        let est = estimate_noise(&r, 4, 0.25).unwrap();
+        let est = estimate_noise(r.view(), 4, 0.25).unwrap();
         // W top-left block ≈ 0.25 Σe; V ≈ 0.75 Σe.
         let w00 = est.process[(0, 0)];
         let v00 = est.measurement[(0, 0)];
@@ -177,7 +189,7 @@ mod tests {
     #[test]
     fn process_noise_only_in_output_rows() {
         let r = noisy_residuals(500, 1.0, 1.0);
-        let est = estimate_noise(&r, 6, 0.5).unwrap();
+        let est = estimate_noise(r.view(), 6, 0.5).unwrap();
         assert_eq!(est.process.shape(), (6, 6));
         // Rows/cols beyond the first O=2 hold only the tiny floor.
         for i in 2..6 {
@@ -193,8 +205,8 @@ mod tests {
 
     #[test]
     fn perfect_fit_still_positive_definite() {
-        let r = vec![Vector::zeros(2); 100];
-        let est = estimate_noise(&r, 4, 0.5).unwrap();
+        let r = Samples::zeros(100, 2);
+        let est = estimate_noise(r.view(), 4, 0.5).unwrap();
         // Diagonal floor present.
         for i in 0..4 {
             assert!(est.process[(i, i)] > 0.0);
@@ -207,7 +219,7 @@ mod tests {
     #[test]
     fn rejects_bad_fraction_and_dims() {
         let r = noisy_residuals(100, 1.0, 1.0);
-        assert!(estimate_noise(&r, 4, 1.5).is_err());
-        assert!(estimate_noise(&r, 1, 0.5).is_err());
+        assert!(estimate_noise(r.view(), 4, 1.5).is_err());
+        assert!(estimate_noise(r.view(), 1, 0.5).is_err());
     }
 }

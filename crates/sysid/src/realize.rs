@@ -56,23 +56,23 @@ impl Realization {
 /// ```
 /// use mimo_sysid::arx::{ArxModel, ArxOrders};
 /// use mimo_sysid::realize::to_state_space;
-/// use mimo_linalg::Vector;
+/// use mimo_sysid::Samples;
 ///
 /// # fn main() -> Result<(), mimo_sysid::SysidError> {
 /// // y(t) = 0.5 y(t-1) + u(t-1)
-/// let mut u = Vec::new();
-/// let mut y = Vec::new();
+/// let mut u = Samples::new(1);
+/// let mut y = Samples::new(1);
 /// let (mut y1, mut u1) = (0.0, 0.0);
 /// for t in 0..200usize {
 ///     let ut = ((t * 13) % 7) as f64 / 3.0 - 1.0;
 ///     let yt = 0.5 * y1 + u1;
-///     u.push(Vector::from_slice(&[ut]));
-///     y.push(Vector::from_slice(&[yt]));
+///     u.push(&[ut]);
+///     y.push(&[yt]);
 ///     y1 = yt;
 ///     u1 = ut;
 /// }
 /// let orders = ArxOrders { na: 1, nb: 1, direct_feedthrough: false };
-/// let model = ArxModel::fit(&u, &y, orders)?;
+/// let model = ArxModel::fit(u.view(), y.view(), orders)?;
 /// let ss = to_state_space(&model);
 /// assert_eq!(ss.state_dim(), 2); // one output lag + one input lag
 /// # Ok(())
@@ -129,15 +129,16 @@ pub fn to_state_space(model: &ArxModel) -> Realization {
 mod tests {
     use super::*;
     use crate::arx::ArxOrders;
+    use crate::Samples;
     use mimo_linalg::Vector;
 
     /// Generate data from a known 2-in 2-out system and fit it.
-    fn fitted_mimo() -> (ArxModel, Vec<Vector>, Vec<Vector>) {
+    fn fitted_mimo() -> ArxModel {
         let a1 = Matrix::from_rows(&[&[0.5, 0.1], &[-0.1, 0.3]]);
         let b1 = Matrix::from_rows(&[&[1.0, 0.2], &[0.0, -0.7]]);
         let steps = 600;
-        let mut u = Vec::new();
-        let mut y = Vec::new();
+        let mut u = Samples::new(2);
+        let mut y = Samples::new(2);
         let mut yprev = Vector::zeros(2);
         let mut uprev = Vector::zeros(2);
         for t in 0..steps {
@@ -146,8 +147,8 @@ mod tests {
                 ((t * 7) % 13) as f64 / 6.0 - 1.0,
             ]);
             let yt = &a1.mul_vec(&yprev).unwrap() + &b1.mul_vec(&uprev).unwrap();
-            u.push(ut.clone());
-            y.push(yt.clone());
+            u.push(ut.as_slice());
+            y.push(yt.as_slice());
             yprev = yt;
             uprev = ut;
         }
@@ -156,13 +157,12 @@ mod tests {
             nb: 1,
             direct_feedthrough: false,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
-        (m, u, y)
+        ArxModel::fit(u.view(), y.view(), orders).unwrap()
     }
 
     #[test]
     fn realization_dimension() {
-        let (m, _, _) = fitted_mimo();
+        let m = fitted_mimo();
         let ss = to_state_space(&m);
         // na=1, O=2 → 2 states from outputs; L=1, I=2 → 2 from inputs.
         assert_eq!(ss.state_dim(), 4);
@@ -173,14 +173,14 @@ mod tests {
     #[test]
     fn feedthrough_lands_in_d() {
         // y(t) = 0.4 y(t-1) + 2 u(t)
-        let mut u = Vec::new();
-        let mut y = Vec::new();
+        let mut u = Samples::new(1);
+        let mut y = Samples::new(1);
         let mut y1 = 0.0;
         for t in 0..300usize {
             let ut = ((t * 13) % 9) as f64 / 4.0 - 1.0;
             let yt = 0.4 * y1 + 2.0 * ut;
-            u.push(Vector::from_slice(&[ut]));
-            y.push(Vector::from_slice(&[yt]));
+            u.push(&[ut]);
+            y.push(&[yt]);
             y1 = yt;
         }
         let orders = ArxOrders {
@@ -188,7 +188,7 @@ mod tests {
             nb: 1,
             direct_feedthrough: true,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         let ss = to_state_space(&m);
         assert_eq!(ss.state_dim(), 1); // only y(t-1); no input history
         assert!((ss.d[(0, 0)] - 2.0).abs() < 1e-6);
@@ -197,14 +197,14 @@ mod tests {
 
     #[test]
     fn deeper_orders_give_larger_states() {
-        let mut u = Vec::new();
-        let mut y = Vec::new();
+        let mut u = Samples::new(1);
+        let mut y = Samples::new(1);
         let (mut y1, mut y2, mut u1, mut u2) = (0.0, 0.0, 0.0, 0.0);
         for t in 0..500usize {
             let ut = ((t * 29) % 17) as f64 / 8.0 - 1.0;
             let yt = 0.4 * y1 + 0.2 * y2 + 0.5 * u1 - 0.2 * u2;
-            u.push(Vector::from_slice(&[ut]));
-            y.push(Vector::from_slice(&[yt]));
+            u.push(&[ut]);
+            y.push(&[yt]);
             y2 = y1;
             y1 = yt;
             u2 = u1;
@@ -215,7 +215,7 @@ mod tests {
             nb: 2,
             direct_feedthrough: false,
         };
-        let m = ArxModel::fit(&u, &y, orders).unwrap();
+        let m = ArxModel::fit(u.view(), y.view(), orders).unwrap();
         let ss = to_state_space(&m);
         // 2 output lags + 2 input lags, SISO → N = 4.
         assert_eq!(ss.state_dim(), 4);

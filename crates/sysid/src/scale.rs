@@ -10,6 +10,8 @@
 
 use mimo_linalg::Vector;
 
+use crate::{SampleView, SampleViewMut};
+
 /// Removes a centered moving mean from a signal record.
 ///
 /// Black-box identification across several applications (or across program
@@ -22,28 +24,30 @@ use mimo_linalg::Vector;
 ///
 /// The window is clamped at the record edges. `window` is rounded up to an
 /// odd length. The record is detrended in place: the moving means come from
-/// per-channel prefix sums of the original samples, taken before any sample
-/// is changed.
-pub fn remove_moving_mean(seq: &mut [Vector], window: usize) {
+/// per-channel prefix sums of the original samples (summed in sample
+/// order, held sample-major in one buffer), taken before any sample is
+/// changed.
+pub fn remove_moving_mean(mut seq: SampleViewMut<'_>, window: usize) {
     if seq.is_empty() {
         return;
     }
-    let dim = seq[0].len();
+    let dim = seq.channels();
     let w = window.max(1) | 1; // odd
     let half = w / 2;
     let n = seq.len();
-    // Prefix sums per channel for O(n) moving means.
-    let mut prefix = vec![vec![0.0_f64; n + 1]; dim];
+    // Prefix sums for O(n) moving means: entry `t·dim + c` is the sum of
+    // channel `c` over samples `0..t`.
+    let mut prefix = vec![0.0_f64; (n + 1) * dim];
     for (t, v) in seq.iter().enumerate() {
         for c in 0..dim {
-            prefix[c][t + 1] = prefix[c][t] + v[c];
+            prefix[(t + 1) * dim + c] = prefix[t * dim + c] + v[c];
         }
     }
     for (t, v) in seq.iter_mut().enumerate() {
         let lo = t.saturating_sub(half);
         let hi = (t + half + 1).min(n);
         for c in 0..dim {
-            let mean = (prefix[c][hi] - prefix[c][lo]) / (hi - lo) as f64;
+            let mean = (prefix[hi * dim + c] - prefix[lo * dim + c]) / (hi - lo) as f64;
             v[c] -= mean;
         }
     }
@@ -111,12 +115,12 @@ impl ChannelScaler {
     /// # Panics
     ///
     /// Panics if `data` is empty.
-    pub fn from_data(data: &[Vector]) -> Self {
+    pub fn from_data(data: SampleView<'_>) -> Self {
         assert!(!data.is_empty(), "cannot infer scales from empty data");
-        let channels = data[0].len();
+        let channels = data.channels();
         let n = data.len() as f64;
         let mut offset = vec![0.0; channels];
-        for v in data {
+        for v in data.iter() {
             for c in 0..channels {
                 offset[c] += v[c];
             }
@@ -125,7 +129,7 @@ impl ChannelScaler {
             *o /= n;
         }
         let mut span = vec![0.0_f64; channels];
-        for v in data {
+        for v in data.iter() {
             for c in 0..channels {
                 span[c] = span[c].max((v[c] - offset[c]).abs());
             }
@@ -218,31 +222,39 @@ impl ChannelScaler {
         norm * self.span[c] + self.offset[c]
     }
 
-    /// Normalizes a whole sequence in place, bit-identical to
+    /// Normalizes a whole record in place, bit-identical to
     /// [`ChannelScaler::normalize`] per sample.
     ///
     /// # Panics
     ///
-    /// Panics if a sample's length differs from the channel count.
-    pub fn normalize_all(&self, seq: &mut [Vector]) {
-        let mut raw = vec![0.0; self.channels()];
-        for v in seq {
-            raw.copy_from_slice(v.as_slice());
-            self.normalize_slices(&raw, v.as_mut_slice());
+    /// Panics if the record's width differs from the channel count.
+    pub fn normalize_all(&self, mut seq: SampleViewMut<'_>) {
+        assert!(
+            seq.is_empty() || seq.channels() == self.channels(),
+            "channel count mismatch"
+        );
+        for v in seq.iter_mut() {
+            for (c, x) in v.iter_mut().enumerate() {
+                *x = self.normalize_channel(c, *x);
+            }
         }
     }
 
-    /// Denormalizes a whole sequence in place, bit-identical to
+    /// Denormalizes a whole record in place, bit-identical to
     /// [`ChannelScaler::denormalize`] per sample.
     ///
     /// # Panics
     ///
-    /// Panics if a sample's length differs from the channel count.
-    pub fn denormalize_all(&self, seq: &mut [Vector]) {
-        let mut norm = vec![0.0; self.channels()];
-        for v in seq {
-            norm.copy_from_slice(v.as_slice());
-            self.denormalize_slices(&norm, v.as_mut_slice());
+    /// Panics if the record's width differs from the channel count.
+    pub fn denormalize_all(&self, mut seq: SampleViewMut<'_>) {
+        assert!(
+            seq.is_empty() || seq.channels() == self.channels(),
+            "channel count mismatch"
+        );
+        for v in seq.iter_mut() {
+            for (c, x) in v.iter_mut().enumerate() {
+                *x = self.denormalize_channel(c, *x);
+            }
         }
     }
 }
@@ -250,6 +262,7 @@ impl ChannelScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Samples;
 
     #[test]
     fn round_trip() {
@@ -268,11 +281,10 @@ mod tests {
 
     #[test]
     fn from_data_centers_on_mean() {
-        let data = vec![
-            Vector::from_slice(&[1.0, 10.0]),
-            Vector::from_slice(&[3.0, 10.0]),
-        ];
-        let s = ChannelScaler::from_data(&data);
+        let mut data = Samples::new(2);
+        data.push(&[1.0, 10.0]);
+        data.push(&[3.0, 10.0]);
+        let s = ChannelScaler::from_data(data.view());
         assert!(s.normalize_channel(0, 2.0).abs() < 1e-12);
         // Channel 1 never moved: span defaults to 1.0.
         assert_eq!(s.denormalize_channel(1, 1.0), 11.0);
@@ -284,12 +296,11 @@ mod tests {
     #[test]
     fn normalize_all_applies_elementwise() {
         let s = ChannelScaler::from_ranges(&[(0.0, 2.0)]);
-        let mut seq = vec![Vector::from_slice(&[0.0]), Vector::from_slice(&[2.0])];
-        s.normalize_all(&mut seq);
-        assert_eq!(seq[0][0], -1.0);
-        assert_eq!(seq[1][0], 1.0);
-        s.denormalize_all(&mut seq);
-        assert_eq!(seq[1][0], 2.0);
+        let mut seq = Samples::from_fn(2, 1, |t, _| 2.0 * t as f64);
+        s.normalize_all(seq.view_mut());
+        assert_eq!(seq.as_flat(), &[-1.0, 1.0]);
+        s.denormalize_all(seq.view_mut());
+        assert_eq!(seq.sample(1)[0], 2.0);
     }
 
     #[test]
@@ -309,41 +320,41 @@ mod tests {
 #[cfg(test)]
 mod detrend_tests {
     use super::*;
+    use crate::Samples;
 
     #[test]
     fn removes_constant_offset() {
-        let mut seq: Vec<Vector> = (0..100).map(|_| Vector::from_slice(&[5.0])).collect();
-        remove_moving_mean(&mut seq, 11);
+        let mut seq = Samples::from_fn(100, 1, |_, _| 5.0);
+        remove_moving_mean(seq.view_mut(), 11);
         assert!(seq.iter().all(|v| v[0].abs() < 1e-12));
     }
 
     #[test]
     fn preserves_fast_content_removes_slow_step() {
         // Slow step at t=200 plus fast ±1 square wave of period 10.
-        let mut out: Vec<Vector> = (0..400)
-            .map(|t| {
-                let slow = if t < 200 { 0.0 } else { 10.0 };
-                let fast = if (t / 5) % 2 == 0 { 1.0 } else { -1.0 };
-                Vector::from_slice(&[slow + fast])
-            })
-            .collect();
-        remove_moving_mean(&mut out, 101);
+        let mut out = Samples::from_fn(400, 1, |t, _| {
+            let slow = if t < 200 { 0.0 } else { 10.0 };
+            let fast = if (t / 5) % 2 == 0 { 1.0 } else { -1.0 };
+            slow + fast
+        });
+        remove_moving_mean(out.view_mut(), 101);
+        let at = |t: usize| out.sample(t)[0];
         // Away from the step, the fast wave survives nearly intact.
-        assert!((out[100][0].abs() - 1.0).abs() < 0.1, "{}", out[100][0]);
-        assert!((out[300][0].abs() - 1.0).abs() < 0.1);
+        assert!((at(100).abs() - 1.0).abs() < 0.1, "{}", at(100));
+        assert!((at(300).abs() - 1.0).abs() < 0.1);
         // The slow 10.0 offset is gone in the second half interior.
-        assert!(out[350][0].abs() < 1.5);
+        assert!(at(350).abs() < 1.5);
     }
 
     #[test]
     fn empty_input_ok() {
-        remove_moving_mean(&mut [], 11);
+        remove_moving_mean(Samples::default().view_mut(), 11);
     }
 
     #[test]
     fn window_one_zeroes_everything() {
-        let mut seq = vec![Vector::from_slice(&[3.0]); 5];
-        remove_moving_mean(&mut seq, 1);
+        let mut seq = Samples::from_fn(5, 1, |_, _| 3.0);
+        remove_moving_mean(seq.view_mut(), 1);
         assert!(seq.iter().all(|v| v[0].abs() < 1e-12));
     }
 
@@ -373,28 +384,36 @@ mod detrend_tests {
                 })
                 .collect()
         }
-        let raw: Vec<Vector> = (0..500)
-            .map(|t| {
-                let x = t as f64;
-                Vector::from_slice(&[(x * 0.37).sin() * 1.7 + 2.4, 40.0 + (x * 0.011).cos() * 9.0])
-            })
+        let raw = Samples::from_fn(500, 2, |t, c| {
+            let x = t as f64;
+            if c == 0 {
+                (x * 0.37).sin() * 1.7 + 2.4
+            } else {
+                40.0 + (x * 0.011).cos() * 9.0
+            }
+        });
+        let s = ChannelScaler::from_data(raw.view());
+        let normed: Vec<Vector> = raw
+            .iter()
+            .map(|v| s.normalize(&Vector::from_slice(v)))
             .collect();
-        let s = ChannelScaler::from_data(&raw);
-        let normed: Vec<Vector> = raw.iter().map(|v| s.normalize(v)).collect();
         let want = allocating(&normed, 201);
         let mut got = raw.clone();
-        s.normalize_all(&mut got);
-        remove_moving_mean(&mut got, 201);
+        s.normalize_all(got.view_mut());
+        remove_moving_mean(got.view_mut(), 201);
         for (g, w) in got.iter().zip(&want) {
             for c in 0..2 {
                 assert_eq!(g[c].to_bits(), w[c].to_bits());
             }
         }
-        let mut back = normed.clone();
-        s.denormalize_all(&mut back);
+        let mut back = Samples::new(2);
+        for n in &normed {
+            back.push(n.as_slice());
+        }
+        s.denormalize_all(back.view_mut());
         for (b, n) in back.iter().zip(&normed) {
             let d = s.denormalize(n);
-            assert_eq!(b.as_slice(), d.as_slice());
+            assert_eq!(b, d.as_slice());
         }
     }
 }

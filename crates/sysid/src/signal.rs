@@ -13,20 +13,21 @@
 //! * [`multilevel`] — pseudo-random multi-level sequences that visit
 //!   intermediate settings, exposing nonlinearity.
 
-use mimo_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::Samples;
 
 /// A generated excitation: one value per time step per input channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Excitation {
-    /// `samples[t]` is the input vector applied at epoch `t`.
-    samples: Vec<Vector>,
+    /// Sample `t` is the input vector applied at epoch `t`.
+    samples: Samples,
 }
 
 impl Excitation {
     /// Wraps a raw sample sequence.
-    pub fn new(samples: Vec<Vector>) -> Self {
+    pub fn new(samples: Samples) -> Self {
         Excitation { samples }
     }
 
@@ -42,21 +43,20 @@ impl Excitation {
 
     /// Number of input channels (0 for an empty excitation).
     pub fn channels(&self) -> usize {
-        self.samples.first().map_or(0, Vector::len)
+        if self.is_empty() {
+            0
+        } else {
+            self.samples.channels()
+        }
     }
 
     /// Borrows the sample at step `t`.
-    pub fn sample(&self, t: usize) -> &Vector {
-        &self.samples[t]
-    }
-
-    /// Takes the samples, e.g. to keep them as a recording's inputs.
-    pub fn into_samples(self) -> Vec<Vector> {
-        self.samples
+    pub fn sample(&self, t: usize) -> &[f64] {
+        self.samples.sample(t)
     }
 
     /// Borrows all samples.
-    pub fn samples(&self) -> &[Vector] {
+    pub fn samples(&self) -> &Samples {
         &self.samples
     }
 
@@ -73,7 +73,7 @@ impl Excitation {
                 "cannot concatenate excitations with different channel counts"
             );
         }
-        self.samples.extend(other.samples);
+        self.samples.extend_from(other.samples.view());
         self
     }
 
@@ -83,10 +83,8 @@ impl Excitation {
         if self.samples.len() < 2 {
             return 0.0;
         }
-        let switches = self
-            .samples
-            .windows(2)
-            .filter(|w| w[0][ch] != w[1][ch])
+        let switches = (1..self.samples.len())
+            .filter(|&t| self.samples.sample(t - 1)[ch] != self.samples.sample(t)[ch])
             .count();
         switches as f64 / (self.samples.len() - 1) as f64
     }
@@ -94,7 +92,7 @@ impl Excitation {
     /// Number of distinct values channel `ch` visits (up to float equality).
     pub fn distinct_levels(&self, ch: usize) -> usize {
         let mut seen: Vec<f64> = Vec::new();
-        for s in &self.samples {
+        for s in self.samples.iter() {
             let v = s[ch];
             if !seen.contains(&v) {
                 seen.push(v);
@@ -132,8 +130,8 @@ pub fn prbs(steps: usize, lo: &[f64], hi: &[f64], hold: usize, seed: u64) -> Exc
         })
         .collect();
     let mut bits: Vec<bool> = lfsr.iter().map(|&s| s & 1 == 1).collect();
-    let mut samples = Vec::with_capacity(steps);
-    for t in 0..steps {
+    let mut samples = Samples::zeros(steps, channels);
+    for (t, sample) in samples.iter_mut().enumerate() {
         if t % hold == 0 && t > 0 {
             for c in 0..channels {
                 // Galois LFSR with taps 16,15,13,4 (maximal length).
@@ -146,13 +144,9 @@ pub fn prbs(steps: usize, lo: &[f64], hi: &[f64], hold: usize, seed: u64) -> Exc
                 bits[c] = lsb;
             }
         }
-        samples.push(Vector::from_fn(channels, |c| {
-            if bits[c] {
-                hi[c]
-            } else {
-                lo[c]
-            }
-        }));
+        for (c, x) in sample.iter_mut().enumerate() {
+            *x = if bits[c] { hi[c] } else { lo[c] };
+        }
     }
     Excitation::new(samples)
 }
@@ -182,19 +176,14 @@ pub fn staircase(
         "each channel needs >= 2 levels"
     );
     assert!(dwell > 0, "dwell must be positive");
-    let channels = lo.len();
-    let mut samples = Vec::with_capacity(steps);
-    for t in 0..steps {
-        samples.push(Vector::from_fn(channels, |c| {
-            let n = levels[c];
-            let period = 2 * (n - 1); // up then down
-            let phase_offset = c * (dwell + 1); // desynchronize channels
-            let k = ((t + phase_offset) / dwell) % period;
-            let idx = if k < n { k } else { period - k };
-            lo[c] + (hi[c] - lo[c]) * idx as f64 / (n - 1) as f64
-        }));
-    }
-    Excitation::new(samples)
+    Excitation::new(Samples::from_fn(steps, lo.len(), |t, c| {
+        let n = levels[c];
+        let period = 2 * (n - 1); // up then down
+        let phase_offset = c * (dwell + 1); // desynchronize channels
+        let k = ((t + phase_offset) / dwell) % period;
+        let idx = if k < n { k } else { period - k };
+        lo[c] + (hi[c] - lo[c]) * idx as f64 / (n - 1) as f64
+    }))
 }
 
 /// Generates a pseudo-random multilevel excitation: each channel holds a
@@ -222,16 +211,16 @@ pub fn multilevel(
     assert!(hold > 0, "hold must be positive");
     let channels = lo.len();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut current = Vector::from_fn(channels, |c| lo[c]);
-    let mut samples = Vec::with_capacity(steps);
-    for t in 0..steps {
+    let mut current = lo.to_vec();
+    let mut samples = Samples::zeros(steps, channels);
+    for (t, sample) in samples.iter_mut().enumerate() {
         if t % hold == 0 {
             for c in 0..channels {
                 let idx = rng.gen_range(0..levels[c]);
                 current[c] = lo[c] + (hi[c] - lo[c]) * idx as f64 / (levels[c] - 1) as f64;
             }
         }
-        samples.push(current.clone());
+        sample.copy_from_slice(&current);
     }
     Excitation::new(samples)
 }
@@ -342,7 +331,7 @@ mod tests {
     #[test]
     fn then_empty_is_noop() {
         let e = prbs(10, &[0.0], &[1.0], 1, 1);
-        let combined = e.clone().then(Excitation::new(Vec::new()));
+        let combined = e.clone().then(Excitation::new(Samples::default()));
         assert_eq!(combined.len(), 10);
     }
 

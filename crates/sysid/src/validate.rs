@@ -9,9 +9,7 @@
 //! dimension, sweeping the order through `DesignFlow::with_arx_na` in
 //! `mimo-core`.
 
-use mimo_linalg::Vector;
-
-use crate::{Result, SysidError};
+use crate::{Result, SampleView, SysidError};
 
 /// Per-output validation metrics from comparing a model's free-run
 /// simulation against measured outputs.
@@ -47,8 +45,8 @@ impl ValidationReport {
 /// Returns [`SysidError::InconsistentData`] if the sequences differ in
 /// length or dimension, or [`SysidError::NotEnoughData`] if they are empty.
 pub fn compare(
-    measured: &[Vector],
-    predicted: &[Vector],
+    measured: SampleView<'_>,
+    predicted: SampleView<'_>,
     window: usize,
 ) -> Result<ValidationReport> {
     if measured.len() != predicted.len() {
@@ -63,10 +61,13 @@ pub fn compare(
     if measured.is_empty() {
         return Err(SysidError::NotEnoughData { have: 0, need: 1 });
     }
-    let o = measured[0].len();
-    if measured.iter().chain(predicted).any(|v| v.len() != o) {
+    let o = measured.channels();
+    if predicted.channels() != o {
         return Err(SysidError::InconsistentData {
-            what: "ragged output dimensions".into(),
+            what: format!(
+                "measured has {o} channels, predicted has {}",
+                predicted.channels()
+            ),
         });
     }
     let w = window.max(1);
@@ -78,7 +79,7 @@ pub fn compare(
 
     // Per-channel normalization: mean |y|.
     let mut norm = vec![0.0_f64; o];
-    for m in measured {
+    for m in measured.iter() {
         for c in 0..o {
             norm[c] += m[c].abs();
         }
@@ -93,7 +94,7 @@ pub fn compare(
         for c in 0..o {
             let mut err = 0.0;
             for t in start..end {
-                err += measured[t][c] - predicted[t][c];
+                err += measured.sample(t)[c] - predicted.sample(t)[c];
             }
             let rel = (err / (end - start) as f64).abs() / norm[c] * 100.0;
             max_rel[c] = max_rel[c].max(rel);
@@ -110,9 +111,9 @@ pub fn compare(
         let mean_y: f64 = measured.iter().map(|v| v[c]).sum::<f64>() / n as f64;
         let mut num = 0.0;
         let mut den = 0.0;
-        for t in 0..n {
-            num += (measured[t][c] - predicted[t][c]).powi(2);
-            den += (measured[t][c] - mean_y).powi(2);
+        for (m, p) in measured.iter().zip(predicted.iter()) {
+            num += (m[c] - p[c]).powi(2);
+            den += (m[c] - mean_y).powi(2);
         }
         fit[c] = if den > 0.0 {
             100.0 * (1.0 - (num / den).sqrt())
@@ -133,18 +134,19 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Samples;
 
-    fn gen_system(steps: usize, phase: u64) -> (Vec<Vector>, Vec<Vector>) {
+    fn gen_system(steps: usize, phase: u64) -> (Samples, Samples) {
         // Second-order SISO truth with mild noise.
-        let mut u = Vec::new();
-        let mut y = Vec::new();
+        let mut u = Samples::new(1);
+        let mut y = Samples::new(1);
         let (mut y1, mut y2, mut u1) = (0.0, 0.0, 0.0);
         for t in 0..steps {
             let ut = (((t as u64 * 2654435761 + phase * 97) % 9) as f64) / 4.0 - 1.0;
             let noise = (((t as u64 * 40503 + phase) % 1000) as f64 / 1000.0 - 0.5) * 0.01;
             let yt = 0.6 * y1 - 0.08 * y2 + 0.8 * u1 + noise;
-            u.push(Vector::from_slice(&[ut]));
-            y.push(Vector::from_slice(&[yt]));
+            u.push(&[ut]);
+            y.push(&[yt]);
             y2 = y1;
             y1 = yt;
             u1 = ut;
@@ -155,7 +157,7 @@ mod tests {
     #[test]
     fn perfect_prediction_scores_100() {
         let (_, y) = gen_system(100, 1);
-        let r = compare(&y, &y, 1).unwrap();
+        let r = compare(y.view(), y.view(), 1).unwrap();
         assert!(r.worst_error_pct() < 1e-9);
         assert!(r.fit_pct.iter().all(|&f| (f - 100.0).abs() < 1e-9));
     }
@@ -163,8 +165,8 @@ mod tests {
     #[test]
     fn constant_offset_detected() {
         let (_, y) = gen_system(100, 2);
-        let off: Vec<Vector> = y.iter().map(|v| v + &Vector::filled(1, 0.5)).collect();
-        let r = compare(&y, &off, 1).unwrap();
+        let off = Samples::from_fn(y.len(), 1, |t, _| y.sample(t)[0] + 0.5);
+        let r = compare(y.view(), off.view(), 1).unwrap();
         assert!(r.worst_error_pct() > 10.0);
         assert!(r.fit_pct[0] < 100.0);
     }
@@ -173,21 +175,21 @@ mod tests {
     fn windowed_errors_smooth_noise() {
         let (_, y) = gen_system(400, 3);
         // Alternating ±1 noise cancels in windows.
-        let noisy: Vec<Vector> = y
-            .iter()
-            .enumerate()
-            .map(|(t, v)| v + &Vector::filled(1, if t % 2 == 0 { 0.3 } else { -0.3 }))
-            .collect();
-        let raw = compare(&y, &noisy, 1).unwrap();
-        let smooth = compare(&y, &noisy, 10).unwrap();
+        let noisy = Samples::from_fn(y.len(), 1, |t, _| {
+            y.sample(t)[0] + if t % 2 == 0 { 0.3 } else { -0.3 }
+        });
+        let raw = compare(y.view(), noisy.view(), 1).unwrap();
+        let smooth = compare(y.view(), noisy.view(), 10).unwrap();
         assert!(smooth.worst_error_pct() < raw.worst_error_pct());
     }
 
     #[test]
     fn compare_rejects_mismatch() {
-        let a = vec![Vector::zeros(1); 5];
-        let b = vec![Vector::zeros(1); 4];
-        assert!(compare(&a, &b, 1).is_err());
-        assert!(compare(&[], &[], 1).is_err());
+        let a = Samples::zeros(5, 1);
+        let b = Samples::zeros(4, 1);
+        assert!(compare(a.view(), b.view(), 1).is_err());
+        assert!(compare(a.range(0..4), Samples::zeros(4, 2).view(), 1).is_err());
+        let empty = Samples::new(1);
+        assert!(compare(empty.view(), empty.view(), 1).is_err());
     }
 }
