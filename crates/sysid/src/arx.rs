@@ -76,13 +76,13 @@ pub struct ArxModel {
 impl ArxModel {
     /// Fits an ARX model to recorded input/output waveforms.
     ///
-    /// `u[t]` is the input applied at epoch `t` and `y[t]` the output
-    /// observed at epoch `t`; the sequences must have equal length.
+    /// `u.sample(t)` is the input applied at epoch `t` and `y.sample(t)` the
+    /// output observed at epoch `t`; the records must have equal length.
     ///
     /// # Errors
     ///
-    /// * [`SysidError::InconsistentData`] — mismatched lengths or ragged
-    ///   vector dimensions.
+    /// * [`SysidError::InconsistentData`] — mismatched lengths, zero
+    ///   orders or an empty record.
     /// * [`SysidError::NotEnoughData`] — fewer samples than regression
     ///   unknowns.
     /// * [`SysidError::PoorExcitation`] — the regression is singular even
