@@ -276,8 +276,8 @@ fn bench_sysid_fit(c: &mut Criterion) {
         direct_feedthrough: false,
     };
     for steps in [2000, 8400] {
-        let mut u = Samples::with_capacity(2, steps);
-        let mut y = Samples::with_capacity(2, steps);
+        let mut u = Samples::with_capacity(steps, 2);
+        let mut y = Samples::with_capacity(steps, 2);
         let mut state = [0.0_f64; 2];
         for t in 0..steps {
             let ut = [

@@ -37,7 +37,7 @@ const DETREND_WINDOW: usize = 201;
 
 /// Recorded identification data in physical units: one sample per epoch,
 /// each record one contiguous buffer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct IdentificationData {
     /// Inputs applied per epoch.
     pub u: Samples,
@@ -210,7 +210,7 @@ impl DesignFlow {
         P: Plant + ?Sized + 'p,
         It: IntoIterator<Item = &'p mut P>,
     {
-        let mut data = IdentificationData::default();
+        let mut data = IdentificationData::new(0, 0);
         let mut record_bounds: Vec<usize> = vec![0];
         let mut grids: Option<Vec<Vec<f64>>> = None;
         let mut n_inputs = 0;

@@ -111,46 +111,72 @@ impl StateSpace {
         &self.d
     }
 
-    /// Advances one step: `(x_next, y)`.
+    /// Advances one step: `(x_next, y)`. Allocates its outputs and runs
+    /// [`StateSpace::step_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x` or `u` have wrong dimensions.
     pub fn step(&self, x: &Vector, u: &Vector) -> (Vector, Vector) {
-        let xn = &self.a.mul_vec(x).expect("x dim") + &self.b.mul_vec(u).expect("u dim");
-        let y = &self.c.mul_vec(x).expect("x dim") + &self.d.mul_vec(u).expect("u dim");
-        (xn, y)
+        let (n, o) = (self.state_dim(), self.num_outputs());
+        let (mut x_next, mut y) = (Vector::zeros(n), Vector::zeros(o));
+        let (mut bu, mut du) = (vec![0.0; n], vec![0.0; o]);
+        self.step_into(
+            x.as_slice(),
+            u.as_slice(),
+            x_next.as_mut_slice(),
+            y.as_mut_slice(),
+            &mut bu,
+            &mut du,
+        );
+        (x_next, y)
+    }
+
+    /// Advances one step in place: `x_next = A x + B u` and
+    /// `y = C x + D u`, each product accumulated row by row and the two
+    /// then added elementwise. `bu` (state-sized) and `du` (output-sized)
+    /// are scratch for `B u` and `D u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice has the wrong length.
+    pub fn step_into(
+        &self,
+        x: &[f64],
+        u: &[f64],
+        x_next: &mut [f64],
+        y: &mut [f64],
+        bu: &mut [f64],
+        du: &mut [f64],
+    ) {
+        self.a.mul_slice_into(x, x_next).expect("x dim");
+        self.b.mul_slice_into(u, bu).expect("u dim");
+        for (xi, bi) in x_next.iter_mut().zip(bu.iter()) {
+            *xi += bi;
+        }
+        self.c.mul_slice_into(x, y).expect("x dim");
+        self.d.mul_slice_into(u, du).expect("u dim");
+        for (yi, di) in y.iter_mut().zip(du.iter()) {
+            *yi += di;
+        }
     }
 
     /// Simulates the output sequence from `x0` under `inputs`, one output
-    /// sample per input sample. Bit-identical to chaining
-    /// [`StateSpace::step`]: each product accumulates row by row, then
-    /// `A x + B u` and `C x + D u` add elementwise; the state lives in two
-    /// reused buffers.
+    /// sample per input sample, through [`StateSpace::step_into`] with the
+    /// state in two reused buffers.
     ///
     /// # Panics
     ///
     /// Panics if `x0` or the input samples have wrong dimensions.
     pub fn simulate(&self, x0: &Vector, inputs: SampleView<'_>) -> Samples {
         let (n, o) = (self.state_dim(), self.num_outputs());
-        let mut x = x0.clone();
-        let mut x_next = Vector::zeros(n);
+        let mut x = x0.as_slice().to_vec();
+        let mut x_next = vec![0.0; n];
         let mut bu = vec![0.0; n];
         let mut du = vec![0.0; o];
         let mut out = Samples::zeros(inputs.len(), o);
         for (u, y) in inputs.iter().zip(out.iter_mut()) {
-            self.a
-                .mul_slice_into(x.as_slice(), x_next.as_mut_slice())
-                .expect("x dim");
-            self.b.mul_slice_into(u, &mut bu).expect("u dim");
-            for (xi, bi) in x_next.as_mut_slice().iter_mut().zip(&bu) {
-                *xi += bi;
-            }
-            self.c.mul_slice_into(x.as_slice(), y).expect("x dim");
-            self.d.mul_slice_into(u, &mut du).expect("u dim");
-            for (yi, di) in y.iter_mut().zip(&du) {
-                *yi += di;
-            }
+            self.step_into(&x, u, &mut x_next, y, &mut bu, &mut du);
             std::mem::swap(&mut x, &mut x_next);
         }
         out

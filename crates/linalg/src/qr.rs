@@ -246,46 +246,17 @@ impl QrDecomposition {
 /// Regularization keeps system identification well posed when excitation is
 /// poor (e.g. an input that barely moves during a training run).
 ///
-/// # Errors
-///
-/// Propagates shape and rank errors from the underlying QR solve.
-pub fn ridge_least_squares(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
-    if b.rows() != a.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "qr_solve",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    ridge_least_squares_by_columns(
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        lambda,
-        |j, col| {
-            for (i, x) in col.iter_mut().enumerate() {
-                *x = a[(i, j)];
-            }
-        },
-        |j, col| {
-            for (i, x) in col.iter_mut().enumerate() {
-                *x = b[(i, j)];
-            }
-        },
-    )
-}
-
-/// [`ridge_least_squares`] for an `A` (`rows x cols`) and `B`
-/// (`rows x rhs_cols`) written column by column straight into the
-/// factor's storage: `fill_a(j, col)` writes column `j` of `A` and
-/// `fill_b(j, col)` column `j` of `B`, each `rows` long. With
-/// `lambda > 0` the `sqrt(lambda) I` rows and the matching zero rows of
-/// `B` follow each column, so no stacked copy of either matrix is made.
+/// `A` is `rows x cols` and `B` is `rows x rhs_cols`, both written column
+/// by column straight into the factor's column-major storage:
+/// `fill_a(j, col)` writes column `j` of `A` and `fill_b(j, col)` column
+/// `j` of `B`, each `rows` long. With `lambda > 0` the `sqrt(lambda) I`
+/// rows and the matching zero rows of `B` follow each column, so no
+/// stacked copy of either matrix is made.
 ///
 /// # Errors
 ///
 /// Propagates shape and rank errors from the underlying QR solve.
-pub fn ridge_least_squares_by_columns(
+pub fn ridge_least_squares(
     rows: usize,
     cols: usize,
     rhs_cols: usize,
@@ -394,11 +365,25 @@ mod tests {
         );
     }
 
+    /// Writes column `j` of `m` into `col`.
+    fn columns(m: &Matrix) -> impl FnMut(usize, &mut [f64]) + '_ {
+        move |j, col| {
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = m[(i, j)];
+            }
+        }
+    }
+
+    /// [`ridge_least_squares`] over the columns of `a` and `b`.
+    fn ridge(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
+        ridge_least_squares(a.rows(), a.cols(), b.cols(), lambda, columns(a), columns(b))
+    }
+
     #[test]
     fn ridge_handles_rank_deficiency() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
         let b = Matrix::col(&[1.0, 2.0, 3.0]);
-        let x = ridge_least_squares(&a, &b, 1e-6).unwrap();
+        let x = ridge(&a, &b, 1e-6).unwrap();
         assert!(x.all_finite());
         // The regularized solution should still nearly fit (system is consistent).
         let r = &(&a * &x) - &b;
@@ -409,7 +394,7 @@ mod tests {
     fn ridge_with_zero_lambda_is_plain_least_squares() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
         let b = Matrix::col(&[1.0, 2.0, 3.0]);
-        let x0 = ridge_least_squares(&a, &b, 0.0).unwrap();
+        let x0 = ridge(&a, &b, 0.0).unwrap();
         let x1 = QrDecomposition::new(&a)
             .unwrap()
             .solve_least_squares(&b)

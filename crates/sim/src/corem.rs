@@ -108,17 +108,6 @@ impl CpiTerms {
         }
     }
 
-    /// These terms at frequency `freq_ghz`: only the memory latency in
-    /// cycles depends on it, so a configuration that differs from this
-    /// one's in frequency alone gets its terms without the `powf`s and the
-    /// `sqrt` (bit for bit what [`CpiTerms::new`] gives it).
-    pub(crate) fn at_freq(self, freq_ghz: f64) -> Self {
-        CpiTerms {
-            mem_latency_cycles: MEM_LATENCY_NS * freq_ghz,
-            ..self
-        }
-    }
-
     /// The breakdown with `cache`'s warm-up transient and `mpki_jitter`
     /// applied to the miss traffic.
     pub(crate) fn breakdown(&self, cache: &CacheState, mpki_jitter: f64) -> CpiBreakdown {

@@ -419,40 +419,10 @@ impl Processor {
     pub fn sweep(&self, configs: &[PlantConfig], epochs: usize) -> Vec<RunTotals> {
         let mut program = self.program.clone();
         let mut cores = vec![self.core; configs.len()];
-        // The moved phase's CPI terms, computed once per distinct (L1 ways,
-        // cache ways, ROB) among the candidates — a grid repeats each of
-        // those at every frequency — and completed per core with its
-        // frequency term. `groups` holds each distinct triple's first
-        // candidate and its terms; `group[i]` is candidate i's entry.
-        let mut groups: Vec<(usize, CpiTerms)> = Vec::with_capacity(configs.len());
-        let mut group = Vec::with_capacity(configs.len());
-        let key = |c: &PlantConfig| (c.l1_ways(), c.l2_ways, c.rob_entries);
-        for (i, c) in configs.iter().enumerate() {
-            let g = groups
-                .iter()
-                .position(|&(first, _)| key(&configs[first]) == key(c));
-            group.push(g.unwrap_or_else(|| {
-                groups.push((i, self.core.cpi_terms));
-                groups.len() - 1
-            }));
-        }
         for _ in 0..epochs {
             let (jitter, eff_moved) = program.advance(self.builder.process_noise);
-            if eff_moved {
-                for (first, terms) in &mut groups {
-                    let c = &configs[*first];
-                    *terms = CpiTerms::new(&program.eff, c, c.l2_ways);
-                }
-            }
-            for ((core, &target), &g) in cores.iter_mut().zip(configs).zip(&group) {
-                // A core that moves this epoch rebuilds its terms in `step`
-                // from its new configuration; one that stays at `target`
-                // (whose cache holds `target.l2_ways`) takes its group's.
-                if eff_moved && target.same_bits(&core.config) {
-                    debug_assert_eq!(core.cache.ways(), target.l2_ways);
-                    core.cpi_terms = groups[g].1.at_freq(target.freq_ghz);
-                }
-                core.step(target, &program.eff, false, jitter);
+            for (core, &target) in cores.iter_mut().zip(configs) {
+                core.step(target, &program.eff, eff_moved, jitter);
             }
             program.sensor_normals();
         }

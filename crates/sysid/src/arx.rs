@@ -15,10 +15,10 @@
 //! is optional — disable `direct_feedthrough` for a strictly proper model.
 //!
 //! The regression is written column by column straight into the QR
-//! factor's column-major storage ([`ridge_least_squares_by_columns`]), and
+//! factor's column-major storage ([`ridge_least_squares`]), and
 //! the one-step residuals go into one [`Samples`] buffer.
 
-use mimo_linalg::{qr::ridge_least_squares_by_columns, Matrix, Vector};
+use mimo_linalg::{qr::ridge_least_squares, Matrix, Vector};
 
 use crate::{Result, SampleView, Samples, SysidError};
 
@@ -142,7 +142,7 @@ impl ArxModel {
                 *x = *v;
             }
         };
-        let theta = ridge_least_squares_by_columns(
+        let theta = ridge_least_squares(
             n_rows,
             n_params,
             n_outputs,
@@ -292,7 +292,7 @@ impl ArxModel {
                 what: "y_init dimension mismatch".into(),
             });
         }
-        let mut y_sim = Samples::with_capacity(self.n_outputs, u.len().max(p));
+        let mut y_sim = Samples::with_capacity(u.len().max(p), self.n_outputs);
         y_sim.extend_from(y_init.range(0..p));
         let (mut pred, mut term) = (Vector::zeros(self.n_outputs), Vector::zeros(self.n_outputs));
         for t in p..u.len() {

@@ -128,7 +128,7 @@ mod tests {
 
     fn noisy_residuals(n: usize, s0: f64, s1: f64) -> Samples {
         // Deterministic pseudo-noise with per-channel std s0, s1.
-        let mut r = Samples::with_capacity(2, n);
+        let mut r = Samples::with_capacity(n, 2);
         for t in 0..n {
             let a = (((t * 2654435761) % 1000) as f64 / 1000.0 - 0.5) * 3.464; // ~unit variance
             let b = (((t * 40503 + 17) % 1000) as f64 / 1000.0 - 0.5) * 3.464;

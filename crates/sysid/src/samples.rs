@@ -44,21 +44,14 @@ pub type SampleView<'a> = Samples<&'a [f64]>;
 /// A borrowed, writable run of samples.
 pub type SampleViewMut<'a> = Samples<&'a mut [f64]>;
 
-impl Default for Samples {
-    /// An empty record whose width the first sample sets.
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 impl Samples {
     /// An empty record of `channels`-wide samples.
     pub fn new(channels: usize) -> Self {
-        Self::with_capacity(channels, 0)
+        Self::with_capacity(0, channels)
     }
 
     /// An empty record with room for `len` samples.
-    pub fn with_capacity(channels: usize, len: usize) -> Self {
+    pub fn with_capacity(len: usize, channels: usize) -> Self {
         Samples {
             data: Vec::with_capacity(channels * len),
             channels,
@@ -85,33 +78,22 @@ impl Samples {
         s
     }
 
-    /// Appends one sample. An empty record with no channels takes its
-    /// width from the first sample.
+    /// Appends one sample.
     ///
     /// # Panics
     ///
     /// Panics if `sample.len()` differs from the channel count.
     pub fn push(&mut self, sample: &[f64]) {
-        if self.channels == 0 && self.data.is_empty() {
-            self.channels = sample.len();
-        }
         assert_eq!(sample.len(), self.channels, "sample width mismatch");
         self.data.extend_from_slice(sample);
     }
 
-    /// Appends every sample of `other`. An empty record takes `other`'s
-    /// width.
+    /// Appends every sample of `other`.
     ///
     /// # Panics
     ///
-    /// Panics if both records hold samples and their widths differ.
+    /// Panics if the two records' widths differ.
     pub fn extend_from(&mut self, other: SampleView<'_>) {
-        if other.is_empty() {
-            return;
-        }
-        if self.data.is_empty() {
-            self.channels = other.channels;
-        }
         assert_eq!(self.channels, other.channels, "sample width mismatch");
         self.data.extend_from_slice(other.data);
     }
@@ -239,13 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_records_take_the_first_width() {
-        let mut s = Samples::default();
+    fn records_append_and_clear_at_their_width() {
+        let mut s = Samples::new(3);
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         s.push(&[1.0, 2.0, 3.0]);
         assert_eq!(s.channels(), 3);
-        let mut t = Samples::default();
+        let mut t = Samples::with_capacity(2, 3);
         t.extend_from(s.view());
         t.extend_from(s.view());
         assert_eq!(t.len(), 2);

@@ -66,14 +66,17 @@ impl Excitation {
     ///
     /// Panics if the channel counts differ (and neither is empty).
     pub fn then(mut self, other: Excitation) -> Excitation {
-        if !self.is_empty() && !other.is_empty() {
+        if self.is_empty() {
+            return other;
+        }
+        if !other.is_empty() {
             assert_eq!(
                 self.channels(),
                 other.channels(),
                 "cannot concatenate excitations with different channel counts"
             );
+            self.samples.extend_from(other.samples.view());
         }
-        self.samples.extend_from(other.samples.view());
         self
     }
 
@@ -331,7 +334,7 @@ mod tests {
     #[test]
     fn then_empty_is_noop() {
         let e = prbs(10, &[0.0], &[1.0], 1, 1);
-        let combined = e.clone().then(Excitation::new(Samples::default()));
+        let combined = e.clone().then(Excitation::new(Samples::new(1)));
         assert_eq!(combined.len(), 10);
     }
 

@@ -101,6 +101,15 @@ fn scaling_and_detrending_match_the_vector_chain() {
     same_records(gu.view(), &wu, "input scaling");
 }
 
+/// Writes column `j` of `m` into `col`.
+fn columns(m: &Matrix) -> impl FnMut(usize, &mut [f64]) + '_ {
+    move |j, col| {
+        for (i, x) in col.iter_mut().enumerate() {
+            *x = m[(i, j)];
+        }
+    }
+}
+
 #[test]
 fn ridge_least_squares_matches_the_row_major_qr() {
     let a = Matrix::from_fn(300, 5, |i, j| {
@@ -108,7 +117,7 @@ fn ridge_least_squares_matches_the_row_major_qr() {
     });
     let b = Matrix::from_fn(300, 2, |i, j| ((i * 3 + j) as f64 * 0.37).cos());
     for lambda in [0.0, 1e-8, 0.5] {
-        let got = ridge_least_squares(&a, &b, lambda).unwrap();
+        let got = ridge_least_squares(300, 5, 2, lambda, columns(&a), columns(&b)).unwrap();
         let want = reference::ridge_least_squares(&a, &b, lambda);
         assert_eq!(matrix_bits(&got), matrix_bits(&want), "lambda {lambda}");
     }
