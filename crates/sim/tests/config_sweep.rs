@@ -149,36 +149,6 @@ fn sweep_starts_from_the_plants_current_state_and_leaves_it() {
     }
 }
 
-/// The three-input Baseline grid (8 frequencies × 4 cache × 4 ROB sizes)
-/// from the epoch before a phase boundary: the smoothed phase then moves
-/// for hundreds of epochs while every candidate holds its configuration,
-/// so each (cache, ROB) group's CPI terms are shared across frequencies.
-#[test]
-fn baseline_grid_across_a_phase_boundary_matches_one_plant_per_candidate() {
-    let mut grid = Vec::new();
-    for i in 0..8 {
-        for l2_ways in [2, 4, 6, 8] {
-            for rob_entries in [32, 64, 96, 128] {
-                grid.push(PlantConfig {
-                    freq_ghz: ((0.5 + 0.2 * i as f64) * 10.0).round() / 10.0,
-                    l2_ways,
-                    rob_entries,
-                });
-            }
-        }
-    }
-    let mut plant = build("gobmk", 2016, InputSet::FreqCacheRob);
-    let mut probe = plant.clone();
-    let mut before_boundary = 0;
-    while !probe.step_config(PlantConfig::midrange()).phase_change {
-        before_boundary += 1;
-    }
-    for _ in 0..before_boundary {
-        plant.step_config(PlantConfig::midrange());
-    }
-    check_sweep(&plant, &grid, 400).unwrap();
-}
-
 #[test]
 fn zero_epochs_and_no_candidates() {
     let mut plant = build("astar", 3, InputSet::FreqCacheRob);
