@@ -181,9 +181,9 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
         self.settle(epoch, result)
     }
 
-    /// Runs one epoch whose governor decision was computed *externally* —
-    /// the batched bank path. The caller (a governor bank in `mimo-fleet`
-    /// stepping many cores at once) passes either the decided actuation
+    /// Runs one epoch whose governor decision was computed *externally*.
+    /// The caller (`benchmark/`'s traced rebuild, deciding through a
+    /// `mimo-fleet` governor bank) passes either the decided actuation
     /// in physical units or the
     /// [`EpochCause`] its screening produced; this method then runs the
     /// same screen → apply → screen tail and the same fault/quarantine
@@ -193,8 +193,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// decided.
     ///
     /// Note the owned governor is **not** consulted — the caller is
-    /// responsible for keeping any governor state consistent (the bank
-    /// owns the controller runtime wholesale while a core is enrolled).
+    /// responsible for keeping any governor state consistent.
     ///
     /// # Panics
     ///
@@ -310,7 +309,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// The post-decision half of one epoch: screen the actuation, apply
     /// it to the plant, screen the measurement. Shared between
     /// [`EpochLoop::step`] (decision from the owned governor) and
-    /// [`EpochLoop::step_decided`] (decision from a bank).
+    /// [`EpochLoop::step_decided`] (decision from the caller).
     fn apply_decided(&mut self) -> Result<(), EpochCause> {
         if let Some(channel) = self.u.iter().position(|v| !v.is_finite()) {
             return Err(EpochCause::NonFiniteActuation { channel });

@@ -370,45 +370,9 @@ impl<S: LqgStorage> CompiledLqg<S> {
         })
     }
 
-    /// The design the controller was synthesized from (scalers, grids,
-    /// weights, model).
-    pub fn design(&self) -> &LqgDesign {
-        &self.design
-    }
-
-    /// The LQR gain `F` over `[x̃; ũ₋₁; q]`.
-    pub fn f(&self) -> &S::GainF {
-        &self.f
-    }
-
     /// The Kalman predictor gain `L`.
     pub fn l(&self) -> &S::GainL {
         &self.l
-    }
-
-    /// The model's `A`.
-    pub fn a(&self) -> &S::MatA {
-        &self.a
-    }
-
-    /// The model's `B`.
-    pub fn b(&self) -> &S::MatB {
-        &self.b
-    }
-
-    /// The model's `C`.
-    pub fn c(&self) -> &S::MatC {
-        &self.c
-    }
-
-    /// The model's `D`.
-    pub fn d(&self) -> &S::MatD {
-        &self.d
-    }
-
-    /// The cached steady-state solve artifacts every retarget goes through.
-    pub fn steady_state_solver(&self) -> &SteadyStateSolver {
-        &self.ss_solver
     }
 }
 
@@ -568,13 +532,6 @@ impl<S: LqgStorage> LqgController<S> {
     /// The design the controller was built from.
     pub fn design(&self) -> &LqgDesign {
         &self.compiled.design
-    }
-
-    /// Each input channel's held grid index, the point the next
-    /// [`slew_step`] starts from: the index of the previous input on its
-    /// grid.
-    pub fn held_indices(&self) -> &[usize] {
-        self.state.u_idx.as_ref()
     }
 
     /// Current physical reference targets.
@@ -762,11 +719,6 @@ pub struct LqgState {
 }
 
 // --- Slice-level pieces of the LQG epoch -------------------------------
-//
-// `step_into` and `set_reference` are built from these free functions so
-// the fleet's banked (structure-of-arrays) stepping path can run the *same*
-// scalar code per core: one implementation, one floating-point operation
-// order, bit parity by construction.
 
 /// Retargets one controller's state: normalizes the physical reference
 /// into `y_ref_norm` and re-solves `u_ss`/`x_ss` only when some channel's
@@ -780,7 +732,7 @@ pub struct LqgState {
 /// # Panics
 ///
 /// Panics if `y0_physical` and `y_ref_norm` differ in length.
-pub fn retarget_reference(
+fn retarget_reference(
     output_scaler: &ChannelScaler,
     y0_physical: &[f64],
     y_ref_norm: &mut [f64],
@@ -808,7 +760,7 @@ pub fn retarget_reference(
 
 /// Leaky error integration with the anti-windup clamp:
 /// `q ← clamp(q·leak + (y − y_ref), ±Q_CLAMP)` per channel.
-pub fn integrate_tracking_error(q_int: &mut [f64], y_norm: &[f64], y_ref_norm: &[f64]) {
+fn integrate_tracking_error(q_int: &mut [f64], y_norm: &[f64], y_ref_norm: &[f64]) {
     for c in 0..q_int.len() {
         let err = y_norm[c] - y_ref_norm[c];
         q_int[c] = (q_int[c] * INTEGRATOR_LEAK + err).clamp(-Q_CLAMP, Q_CLAMP);
@@ -816,7 +768,7 @@ pub fn integrate_tracking_error(q_int: &mut [f64], y_norm: &[f64], y_ref_norm: &
 }
 
 /// Assembles the augmented state `z = [x̂ − x_ss; u₋₁ − u_ss; q]`.
-pub fn assemble_augmented_state(
+fn assemble_augmented_state(
     z: &mut [f64],
     xhat: &[f64],
     x_ss: &[f64],
@@ -838,14 +790,14 @@ pub fn assemble_augmented_state(
 }
 
 /// In-place sign flip (`v ← v · −1`), the `Δu = −F z` negation.
-pub fn negate(values: &mut [f64]) {
+fn negate(values: &mut [f64]) {
     for v in values {
         *v *= -1.0;
     }
 }
 
 /// Candidate input: `u_raw = clamp(u_prev + Δu, ±U_CLAMP)` per channel.
-pub fn apply_du_clamped(u_raw: &mut [f64], u_prev: &[f64], du: &[f64]) {
+fn apply_du_clamped(u_raw: &mut [f64], u_prev: &[f64], du: &[f64]) {
     for k in 0..u_raw.len() {
         u_raw[k] = (u_prev[k] + du[k]).clamp(-U_CLAMP, U_CLAMP);
     }
@@ -860,8 +812,7 @@ pub fn apply_du_clamped(u_raw: &mut [f64], u_prev: &[f64], du: &[f64]) {
 /// of the denormalized previous input finds the same index, because the
 /// input scaler's round trip maps every grid point back to its own index
 /// ([`LqgDesign::build`] checks it). A controller derives the index by
-/// that scan wherever its previous input is set another way, and hands
-/// it out as [`LqgController::held_indices`].
+/// that scan wherever its previous input is set another way.
 pub fn slew_step(grids: &[Vec<f64>], u_phys_raw: &[f64], held: &mut [usize], out: &mut [f64]) {
     for ch in 0..out.len() {
         let grid = &grids[ch];

@@ -52,8 +52,8 @@ SUBCOMMANDS:
     fault-sweep  fault rate × arbitration policy on a 16-core fleet
     phase-step   spec-only scenario: stepped power/QoE reference schedule
     cluster-fault  spec-only scenario: mid-run chip fault on a cluster
-    cluster-bank  spec-only scenario: banked cluster with a mid-run bank
-                 eviction, pinned to the per-cell digest
+    cluster-bank  spec-only scenario: a cluster losing a core mid-run,
+                 digest-pinned at shards 1/2/3
 
     Every subcommand but `all` is an alias for `run` on the embedded copy
     of the matching specs/<name>.toml file.
@@ -381,7 +381,7 @@ fn run_all(cfg: &ExpConfig, epochs: Option<usize>) -> Vec<(String, String)> {
         ("cluster-fault", "Scenario — mid-run chip fault (spec-only)"),
         (
             "cluster-bank",
-            "Scenario — banked cluster, mid-run bank eviction (spec-only)",
+            "Scenario — cluster losing a core mid-run (spec-only)",
         ),
     ];
     let ov = RunOverrides {

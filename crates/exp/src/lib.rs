@@ -27,7 +27,7 @@
 //! | `fault-sweep` | `specs/fault_sweep.toml` | fault rate × policy on a 16-core fleet |
 //! | `phase-step`  | `specs/phase_step.toml` | spec-only: stepped reference schedule |
 //! | `cluster-fault` | `specs/cluster_fault.toml` | spec-only: mid-run chip fault + quarantine |
-//! | `cluster-bank` | `specs/cluster_bank.toml` | spec-only: banked cluster, mid-run bank eviction |
+//! | `cluster-bank` | `specs/cluster_bank.toml` | spec-only: a cluster losing a core mid-run |
 //! | `all`         | every spec above | runs the full suite (the default) |
 //!
 //! `mimo-exp validate <path>...` checks specs without running them;

@@ -516,16 +516,15 @@ impl FromValue for LoopSpec {
 }
 
 /// Reads the keys `[fleet]` and `[cluster]` share onto either runtime
-/// config (both builders name these knobs alike). `epochs` is required,
-/// `seed` defaults to 2016 and `banked` to true; any other absent key
-/// leaves the runtime default. `$cores` sizes the LLC model: the cores on
+/// config (both builders name these knobs alike). `epochs` is required
+/// and `seed` defaults to 2016; any other absent key leaves the runtime
+/// default. `$cores` sizes the LLC model: the cores on
 /// one chip.
 macro_rules! shared_keys {
     ($cfg:ident, $t:expr, $path:expr, $line:expr, $cores:expr) => {
         $cfg = $cfg
             .epochs($t.field("epochs", $path, $line)?)
-            .seed($t.field_or("seed", $path, 2016)?)
-            .banked($t.field_or("banked", $path, true)?);
+            .seed($t.field_or("seed", $path, 2016)?);
         if let Some(watts) = $t.field_opt("power_cap", $path)? {
             $cfg = $cfg.power_cap(watts);
         }
@@ -548,7 +547,7 @@ macro_rules! shared_keys {
 }
 
 /// The keys `[fleet]` and `[cluster]` share, after their topology keys.
-const SHARED_KEYS: [&str; 11] = [
+const SHARED_KEYS: [&str; 10] = [
     "epochs",
     "seed",
     "power_cap",
@@ -559,7 +558,6 @@ const SHARED_KEYS: [&str; 11] = [
     "fault_rate",
     "faults",
     "llc",
-    "banked",
 ];
 
 /// Reads `[fleet]` onto [`FleetConfig::new`] and runs the config's own
@@ -1062,6 +1060,15 @@ mod tests {
         let err =
             cluster_spec("chips = 2\ncores_per_chip = 2\nshards = 0\nepochs = 10\n").unwrap_err();
         assert_eq!((err.path.as_str(), err.line), ("cluster.shards", 7));
+    }
+
+    #[test]
+    fn cluster_floor_above_the_nominal_cap_fails_at_the_section_line() {
+        // 2 cores x 0.2 x 7 W = 2.8 W of floor against a 2.4 W nominal cap.
+        let err = cluster_spec("chips = 2\ncores_per_chip = 2\nepochs = 5\ntargets = [2.5, 7.0]\n")
+            .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("cluster", 4));
+        assert!(err.msg.contains("exceeds the nominal chip cap"), "{err}");
     }
 
     #[test]

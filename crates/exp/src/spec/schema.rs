@@ -52,8 +52,6 @@ input_set   string,  default freq_cache
 apps        array of strings, default built-in mix; assigned round-robin
 targets     array [ips, power], default runtime's
 fault_rate  float,   default 0      transient faults per core-epoch
-banked      bool,    default true   SoA governor banks; false forces the
-                                    per-cell path (results identical)
 [[fleet.faults]]                    scheduled fault plan
   core      integer, required
   kind      string,  required       stuck_sensor | nan_measurement |
@@ -74,7 +72,7 @@ chips           integer, required
 cores_per_chip  integer, required
 shards          integer, default 1  --shards overrides; results identical at any value
 epochs / seed / power_cap / policy / input_set / apps / targets /
-fault_rate / llc / banked           as for [fleet] (power_cap caps the cluster;
+fault_rate / llc                    as for [fleet] (power_cap caps the cluster;
                                     policy sets each chip's arbiter)
 [[cluster.faults]]                  as for [fleet.faults] plus:
   chip      integer, required       which chip the fault lands on

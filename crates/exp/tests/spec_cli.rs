@@ -67,6 +67,12 @@ fn unknown_key_is_named_with_its_line() {
         "schema = 1\nname = \"x\"\nkind = \"paper\"\nbogus = 1\n[paper]\nexperiment = \"fig06\"\n",
     );
     assert_run_fails(&spec, &["unknown-key.toml", "bogus", "unknown key"]);
+    // `banked` selected a stepping path the runtime no longer has.
+    let spec = temp_spec(
+        "banked-key",
+        "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 2\nepochs = 5\nbanked = true\n",
+    );
+    assert_run_fails(&spec, &["banked-key.toml:7", "fleet.banked", "unknown key"]);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! is why the chip beat needs no locks at all.
 
 use mimo_core::engine::{fleet_warmup, EpochLoop, StepOutcome, TrackingErrorAccumulator};
-use mimo_core::governor::{FastController, Governor};
+use mimo_core::governor::Governor;
 use mimo_core::heuristic::{HeuristicTracker, SensitivityRanking};
 use mimo_core::telemetry::TelemetrySink;
 use mimo_linalg::Vector;
@@ -21,7 +21,6 @@ use mimo_sim::llc::SharedLlc;
 use mimo_sim::{Plant, Processor, ProcessorBuilder};
 
 use crate::arbiter::{BudgetArbiter, CoreObs};
-use crate::bank::BankKind;
 use crate::config::{CoreSpec, FleetConfig};
 use crate::error::{FleetError, Result};
 use crate::stats::{ChipSummary, CoreStats, FleetStats};
@@ -53,23 +52,6 @@ impl CoreCell {
     /// whether this epoch crossed into quarantine.
     fn step(&mut self) -> (CoreObs, bool) {
         let outcome = self.lp.step();
-        self.after_step(outcome)
-    }
-
-    /// Runs one epoch whose governor decision came from a
-    /// [`GovernorBank`](crate::bank::GovernorBank) slot instead of the
-    /// cell's own (stale while enrolled) governor. Same observation and
-    /// quarantine reporting as [`CoreCell::step`].
-    fn step_banked(
-        &mut self,
-        decision: std::result::Result<&[f64], mimo_core::engine::EpochCause>,
-    ) -> (CoreObs, bool) {
-        let outcome = self.lp.step_decided(decision);
-        self.after_step(outcome)
-    }
-
-    /// Shared epilogue of the per-cell and banked steps.
-    fn after_step(&mut self, outcome: StepOutcome) -> (CoreObs, bool) {
         // On faulted epochs the engine substitutes the last healthy
         // measurement, so the observation table stays finite.
         let y = self.lp.outputs();
@@ -221,13 +203,6 @@ pub struct Chip {
     index: usize,
     cfg: FleetConfig,
     cells: Vec<CoreCell>,
-    /// Batched structure-of-arrays stepping for the healthy cores sharing
-    /// the chip's controller shape (`None` for factory-built chips, for
-    /// shapes outside the deployed set, or when the config disables it).
-    bank: Option<BankKind>,
-    /// Core index → bank slot; `None` once a core is evicted to the
-    /// per-cell path (quarantine/heuristic fallback) or never enrolled.
-    bank_slots: Vec<Option<usize>>,
     arbiter: BudgetArbiter,
     llc: Option<SharedLlc>,
     obs: Vec<CoreObs>,
@@ -262,55 +237,8 @@ impl Chip {
     where
         F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
     {
-        Self::build_with_bank(index, cfg, factory, None)
-    }
-
-    /// Builds chip `index` around a shared controller, already converted
-    /// once to its runtime storage ([`FastController::new`]): every core's
-    /// governor is a [`FastController::governor`] sharing that design, and
-    /// when the shape is banked-capable and the config allows it every
-    /// core is also enrolled into a
-    /// [`GovernorBank`](crate::bank::GovernorBank) over the same design.
-    /// Each cell still carries its own (per-cell-path-identical) governor
-    /// so eviction back to per-cell stepping needs no resynthesis; the
-    /// banked decisions are bit-identical, so results match
-    /// [`Chip::build`] with a `fast_governor` factory exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Chip::build`].
-    pub fn build_banked(index: usize, cfg: FleetConfig, ctrl: &FastController) -> Result<Self> {
-        let bank = if cfg.banked {
-            BankKind::try_new(ctrl)
-        } else {
-            None
-        };
-        Self::build_with_bank(index, cfg, &mut |_, _| ctrl.governor(), bank)
-    }
-
-    fn build_with_bank<F>(
-        index: usize,
-        cfg: FleetConfig,
-        factory: &mut F,
-        mut bank: Option<BankKind>,
-    ) -> Result<Self>
-    where
-        F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
-    {
         let cells = build_cells(&cfg, factory)?;
         let n = cells.len();
-        // Enroll every core, replaying `build_cells`' base retarget on the
-        // bank side so slot state starts bit-identical to each cell's own
-        // governor.
-        let mut bank_slots = vec![None; n];
-        if let Some(bank) = &mut bank {
-            let base = Vector::from_slice(&cfg.base_targets);
-            for cell in &cells {
-                let slot = bank.enroll(cell.idx);
-                bank.set_target(slot, &base);
-                bank_slots[cell.idx] = Some(slot);
-            }
-        }
         let priorities: Vec<f64> = cells.iter().map(|c| c.spec.priority).collect();
         let arbiter = BudgetArbiter::new(
             cfg.chip_power_cap_w,
@@ -325,8 +253,6 @@ impl Chip {
         Ok(Chip {
             index,
             cells,
-            bank,
-            bank_slots,
             arbiter,
             llc,
             obs: vec![
@@ -369,34 +295,10 @@ impl Chip {
     /// beat, so a one-chip cluster is bit-identical to a
     /// [`FleetRunner`](crate::FleetRunner) run.
     pub fn step_epoch(&mut self) {
-        // Banked pre-pass: decide for every enrolled core in one
-        // structure-of-arrays batch. Cores are mutually independent, so
-        // deciding before the plant applications is bit-identical to the
-        // per-cell interleaving.
-        if let Some(bank) = &mut self.bank {
-            for cell in &self.cells {
-                if let Some(slot) = self.bank_slots[cell.idx] {
-                    bank.load_measurement(slot, cell.lp.outputs().as_slice());
-                }
-            }
-            bank.step_all();
-        }
         for cell in &mut self.cells {
-            let (obs, quarantined_now) = match (&self.bank, self.bank_slots[cell.idx]) {
-                (Some(bank), Some(slot)) => cell.step_banked(bank.decision(slot)),
-                _ => cell.step(),
-            };
+            let (obs, quarantined_now) = cell.step();
             if quarantined_now {
                 cell.handle_quarantine();
-                // Evict from the bank back to the per-cell path (the
-                // heuristic fallback owns the core from here on).
-                if let (Some(bank), Some(slot)) =
-                    (self.bank.as_mut(), self.bank_slots[cell.idx].take())
-                {
-                    if let Some(moved) = bank.evict(slot) {
-                        self.bank_slots[moved] = Some(slot);
-                    }
-                }
             }
             // Report the live latch: a core the fallback rescues regains
             // budget; a permanently faulted one stays pinned at the floor.
@@ -416,15 +318,7 @@ impl Chip {
         self.win_ips_sum += self.obs.iter().map(|o| o.ips).sum::<f64>();
         self.win_epochs += 1;
         for (cell, target) in self.cells.iter_mut().zip(&self.targets) {
-            match (self.bank.as_mut(), self.bank_slots[cell.idx]) {
-                (Some(bank), Some(slot)) => {
-                    // The bank owns the controller runtime while the core
-                    // is enrolled; skip the stale boxed governor.
-                    cell.target.copy_from(target);
-                    bank.set_target(slot, target);
-                }
-                _ => cell.retarget(target),
-            }
+            cell.retarget(target);
         }
         if let Some(llc) = &self.llc {
             for cell in &mut self.cells {

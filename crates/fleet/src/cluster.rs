@@ -89,9 +89,6 @@ pub struct ClusterConfig {
     pub core_faults: Vec<(usize, usize, FaultSpec)>,
     /// Per-core telemetry, applied to every chip.
     pub telemetry: TelemetryConfig,
-    /// Banked structure-of-arrays stepping on every chip (same semantics
-    /// as [`FleetConfig::banked`]; applies to shared-controller clusters).
-    pub banked: bool,
 }
 
 /// Seed stride between chips (an odd 64-bit constant, so the map from
@@ -121,15 +118,7 @@ impl ClusterConfig {
             fault_rate: 0.0,
             core_faults: Vec::new(),
             telemetry: TelemetryConfig::off(),
-            banked: true,
         }
-    }
-
-    /// Enables or disables banked stepping on every chip (builder style;
-    /// on by default).
-    pub fn banked(mut self, banked: bool) -> Self {
-        self.banked = banked;
-        self
     }
 
     /// Sets the shard count (builder style).
@@ -237,7 +226,8 @@ impl ClusterConfig {
     ///
     /// Returns [`FleetError::InvalidConfig`] for a zero-sized cluster, a
     /// zero exchange period, an explicit shard count exceeding the chip
-    /// count, or a per-chip configuration the fleet layer rejects.
+    /// count, a per-chip configuration the fleet layer rejects, or a chip
+    /// floor above the nominal chip cap.
     pub fn validate(&self) -> Result<()> {
         if self.n_chips == 0 {
             return Err(FleetError::InvalidConfig {
@@ -281,7 +271,21 @@ impl ClusterConfig {
         }
         // Everything per-chip (core count, targets, LLC shape) is checked
         // by the fleet-config layer all chips share.
-        self.chip_config(0).validate()
+        let chip = self.chip_config(0);
+        chip.validate()?;
+        // The cluster arbiter never cuts a chip below its floor, so a
+        // floor above the nominal cap leaves it nothing to grant.
+        let floor = self.chip_floor_w();
+        if floor > chip.chip_power_cap_w {
+            return Err(FleetError::InvalidConfig {
+                what: format!(
+                    "chip floor {floor:.2} W ({} cores x {MIN_TARGET_FRACTION} x the {} W \
+                     power target) exceeds the nominal chip cap {:.2} W",
+                    self.cores_per_chip, self.base_targets[1], chip.chip_power_cap_w
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// The effective shard count: explicit, or one per hardware thread,
@@ -316,8 +320,7 @@ impl ClusterConfig {
             .apps(self.apps.clone())
             .cores(self.cores.clone())
             .fault_rate(self.fault_rate)
-            .observer(self.telemetry.clone())
-            .banked(self.banked);
+            .observer(self.telemetry.clone());
         cfg.llc = self.llc;
         for &(c, core, spec) in &self.core_faults {
             if c == chip {
@@ -359,8 +362,7 @@ impl From<FleetConfig> for ClusterConfig {
             .apps(fleet.apps)
             .cores(fleet.cores)
             .fault_rate(fleet.fault_rate)
-            .observer(fleet.telemetry)
-            .banked(fleet.banked);
+            .observer(fleet.telemetry);
         cfg.llc = fleet.llc;
         for (core, spec) in fleet.core_faults {
             cfg = cfg.core_fault(0, core, spec);
@@ -396,11 +398,6 @@ impl ClusterRunner {
             let mut per_core = |core: usize, spec: &CoreSpec| factory(chip, core, spec);
             chips.push(Chip::build(chip, chip_cfg, &mut per_core)?);
         }
-        Self::assemble(cfg, chips)
-    }
-
-    /// The arbiter-construction tail shared by every build path.
-    fn assemble(cfg: ClusterConfig, chips: Vec<Chip>) -> Result<Self> {
         let nominal: Vec<f64> = chips.iter().map(|c| 1.2 * c.n_cores() as f64).collect();
         let floors = vec![cfg.chip_floor_w(); cfg.n_chips];
         let priorities = vec![1.0; cfg.n_chips];
@@ -426,23 +423,12 @@ impl ClusterRunner {
     /// [`FleetRunner::with_shared_controller`](crate::FleetRunner::with_shared_controller)
     /// does once per fleet.
     ///
-    /// When the controller's shape is banked-capable (and
-    /// [`ClusterConfig::banked`] is on), every chip additionally enrolls
-    /// its cores in a [`GovernorBank`](crate::bank::GovernorBank) and
-    /// steps them as one structure-of-arrays batch — bit-identical
-    /// decisions, identical digests, less wall-clock.
-    ///
     /// # Errors
     ///
     /// Same conditions as [`ClusterRunner::new`].
     pub fn with_shared_controller(cfg: ClusterConfig, ctrl: &LqgController) -> Result<Self> {
-        cfg.validate()?;
         let fast = FastController::new(ctrl);
-        let mut chips = Vec::with_capacity(cfg.n_chips);
-        for chip in 0..cfg.n_chips {
-            chips.push(Chip::build_banked(chip, cfg.chip_config(chip), &fast)?);
-        }
-        Self::assemble(cfg, chips)
+        Self::new(cfg, |_, _, _| fast.governor())
     }
 
     /// The configuration this runner was built from.
@@ -525,6 +511,12 @@ mod tests {
         assert!(ClusterConfig::new(2, 4).shards(2).validate().is_ok());
         assert!(ClusterConfig::new(2, 4).shards(0).validate().is_ok());
         assert!(ClusterConfig::new(1, 1).validate().is_ok());
+        // A 7 W power target puts the floor (2 x 0.2 x 7 = 2.8 W) above
+        // the 2.4 W nominal chip cap.
+        assert!(ClusterConfig::new(2, 2)
+            .base_targets([2.5, 7.0])
+            .validate()
+            .is_err());
     }
 
     #[test]

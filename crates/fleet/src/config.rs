@@ -70,13 +70,10 @@ pub struct FleetConfig {
     /// budget and raises neighbors' effective miss pressure when the chip
     /// oversubscribes it (see [`mimo_sim::llc`]).
     pub llc: Option<LlcConfig>,
-    /// Batched structure-of-arrays stepping for shared-controller runs
-    /// (`true` by default). When a run is built around one shared
-    /// controller of a banked-capable shape, healthy cores step through a
-    /// [`GovernorBank`](crate::bank::GovernorBank) — bit-identical to the
-    /// per-cell path, so this knob only ever changes wall-clock. `false`
-    /// forces every core onto the per-cell path (the determinism CI uses
-    /// this to cross-check the two paths byte-for-byte).
+    /// Read only by `benchmark/`'s traced rebuild, which still steps a
+    /// [`GovernorBank`](crate::GovernorBank) when it is set (`true` by
+    /// default). The runtime steps every core through its own governor
+    /// and never reads it.
     pub banked: bool,
 }
 
@@ -101,13 +98,6 @@ impl FleetConfig {
             llc: None,
             banked: true,
         }
-    }
-
-    /// Enables or disables banked structure-of-arrays stepping for
-    /// shared-controller runs (builder style; on by default).
-    pub fn banked(mut self, banked: bool) -> Self {
-        self.banked = banked;
-        self
     }
 
     /// A no-op, kept for `benchmark/`, which still calls it: a chip steps

@@ -57,20 +57,16 @@ impl FleetRunner {
     /// The controller is converted once, by
     /// [`FastController::new`], so a shape that matches a reference
     /// architecture steps on stack-allocated fixed-size kernels, and every
-    /// core's governor shares that one converted design. When
-    /// [`FleetConfig::banked`] is on (the default) and the shape matches,
-    /// the healthy cores additionally step as one structure-of-arrays
-    /// [`GovernorBank`](crate::GovernorBank) batch (see
-    /// [`Chip::build_banked`]). Both fast paths are bit-identical to the
-    /// dynamic per-cell one — the fleet digests do not move.
+    /// core's governor is a [`FastController::governor`] sharing that one
+    /// converted design — bit-identical to the dynamic per-cell path, so
+    /// the fleet digests do not move.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FleetRunner::new`].
     pub fn with_shared_controller(cfg: FleetConfig, ctrl: &LqgController) -> Result<Self> {
-        let epochs = cfg.epochs;
-        let chip = Chip::build_banked(0, cfg, &FastController::new(ctrl))?;
-        Ok(FleetRunner { chip, epochs })
+        let fast = FastController::new(ctrl);
+        Self::new(cfg, |_, _| fast.governor())
     }
 
     /// Number of cores in the fleet.

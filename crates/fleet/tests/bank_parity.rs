@@ -1,4 +1,5 @@
-//! Property-based bit-parity of banked vs per-cell governor stepping.
+//! Property-based bit-parity of the `GovernorBank` shim `benchmark/`'s
+//! traced rebuild steps against per-cell governor stepping.
 //!
 //! For every controller shape the fleet deploys on the static fast path —
 //! SISO `(1,1,2)`, the 2-state test plant `(2,2,2)`, the two-input

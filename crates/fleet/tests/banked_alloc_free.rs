@@ -1,12 +1,12 @@
-//! Proof that the banked steady-state epoch path performs zero heap
+//! Proof that a `GovernorBank`'s steady-state epoch performs zero heap
 //! allocations.
 //!
-//! Mirrors `mimo-core`'s `alloc_free` suite for the fleet's
-//! structure-of-arrays path: a counting `#[global_allocator]` wraps the
+//! Mirrors `mimo-core`'s `alloc_free` suite for the bank `benchmark/`'s
+//! traced rebuild steps: a counting `#[global_allocator]` wraps the
 //! system allocator, the bank is warmed up (including one screened
-//! failure so the restore stack owns its capacity), and then full
-//! load → step → decide epochs — with unchanged-reference retargets and
-//! occasional screened measurements — must not move the counter.
+//! failure), and then full load → step → decide epochs — with
+//! unchanged-reference retargets and occasional screened measurements —
+//! must not move the counter.
 //!
 //! Everything runs from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -114,8 +114,7 @@ fn banked_epoch_hot_path_is_allocation_free() {
         bank.set_target(slot, &base);
     }
 
-    // Warm-up: steady epochs, plus one screened failure so the restore
-    // stack owns its capacity before the measurement window.
+    // Warm-up: steady epochs, plus one screened failure.
     for epoch in 0..8 {
         for slot in 0..n {
             let mut y = y_of(slot, epoch);

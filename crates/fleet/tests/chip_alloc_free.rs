@@ -5,9 +5,7 @@
 //! holds its steady grant, and one under a throttling proportional cap
 //! with LLC contention, where every core's grant moves every epoch — and
 //! then a window of `Chip::step_epoch` calls — governor decide, plant
-//! apply, arbitration, LLC update, retarget — must not move the counter,
-//! on the banked path the shared-controller runtime steps and on the
-//! per-cell path alike.
+//! apply, arbitration, LLC update, retarget — must not move the counter.
 //!
 //! Everything runs from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -16,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mimo_core::governor::{fast_governor, FastController};
+use mimo_core::governor::fast_governor;
 use mimo_core::lqg::{LqgController, LqgDesign};
 use mimo_core::StateSpace;
 use mimo_fleet::{ArbitrationPolicy, Chip, FleetConfig};
@@ -120,26 +118,23 @@ fn chip_epoch_beat_is_allocation_free() {
         .epochs(400)
         .seed(5);
     for (name, cfg) in [("uniform", uniform), ("contended", contended)] {
-        let banked = Chip::build_banked(0, cfg.clone(), &FastController::new(&ctrl)).unwrap();
-        let per_cell = Chip::build(0, cfg, &mut |_, _| fast_governor(ctrl.clone())).unwrap();
-        for (path, mut chip) in [("banked", banked), ("per-cell", per_cell)] {
-            let label = format!("{name} {path} chip");
-            // Warm-up: the first arbitration moves every reference off the
-            // base targets; from then on the uniform grant repeats bit for
-            // bit, and the contended grants keep moving.
-            for _ in 0..20 {
+        let mut chip = Chip::build(0, cfg, &mut |_, _| fast_governor(ctrl.clone())).unwrap();
+        let label = format!("{name} chip");
+        // Warm-up: the first arbitration moves every reference off the
+        // base targets; from then on the uniform grant repeats bit for
+        // bit, and the contended grants keep moving.
+        for _ in 0..20 {
+            chip.step_epoch();
+        }
+        assert_alloc_free(&label, || {
+            for _ in 0..100 {
                 chip.step_epoch();
             }
-            assert_alloc_free(&label, || {
-                for _ in 0..100 {
-                    chip.step_epoch();
-                }
-            });
-            let (stats, _) = chip.into_results();
-            assert_eq!(stats.quarantined_cores, 0, "{label}");
-            if name == "contended" {
-                assert!(stats.throttle_events > 0, "{label}: the cap never bit");
-            }
+        });
+        let (stats, _) = chip.into_results();
+        assert_eq!(stats.quarantined_cores, 0, "{label}");
+        if name == "contended" {
+            assert!(stats.throttle_events > 0, "{label}: the cap never bit");
         }
     }
 }

@@ -290,101 +290,6 @@ impl<const R: usize, const C: usize> SMatrix<R, C> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batch (structure-of-arrays) kernels.
-//
-// A governor bank steps many cores that share one controller against
-// per-core state laid out core-major (`&[SVector<N>]`). Each batch kernel
-// below applies the corresponding scalar kernel to every (input, output)
-// pair in slice order, so per-core results are bit-identical to stepping
-// that core alone: the scalar op order inside each pair is untouched, and
-// cores are independent. The win is locality — the shared matrix operand
-// stays hot in cache across the whole bank.
-// ---------------------------------------------------------------------------
-
-impl<const R: usize, const C: usize> SMatrix<R, C> {
-    /// Matrix-vector product against every vector of a bank:
-    /// `outs[k] = self * vs[k]` for each `k` in slice order.
-    ///
-    /// Per element bit-identical to [`SMatrix::mul_vec_into`] (which it
-    /// calls per pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vs.len() != outs.len()`.
-    pub fn mul_vec_batch_into(&self, vs: &[SVector<C>], outs: &mut [SVector<R>]) {
-        assert_eq!(
-            vs.len(),
-            outs.len(),
-            "mul_vec_batch_into: bank length mismatch"
-        );
-        for (v, out) in vs.iter().zip(outs.iter_mut()) {
-            self.mul_vec_into(v, out);
-        }
-    }
-}
-
-/// Bank-wide scaled accumulation: `ys[k] += alpha * xs[k]` for each `k`.
-/// Per element bit-identical to [`SVector::axpy`].
-///
-/// # Panics
-///
-/// Panics if `ys.len() != xs.len()`.
-pub fn axpy_batch<const N: usize>(ys: &mut [SVector<N>], alpha: f64, xs: &[SVector<N>]) {
-    assert_eq!(ys.len(), xs.len(), "axpy_batch: bank length mismatch");
-    for (y, x) in ys.iter_mut().zip(xs) {
-        y.axpy(alpha, x);
-    }
-}
-
-/// Bank-wide elementwise accumulation: `ys[k] += xs[k]` for each `k`.
-/// Per element bit-identical to [`SVector`]'s `AddAssign`.
-///
-/// # Panics
-///
-/// Panics if `ys.len() != xs.len()`.
-pub fn add_assign_batch<const N: usize>(ys: &mut [SVector<N>], xs: &[SVector<N>]) {
-    assert_eq!(ys.len(), xs.len(), "add_assign_batch: bank length mismatch");
-    for (y, x) in ys.iter_mut().zip(xs) {
-        *y += x;
-    }
-}
-
-/// Bank-wide elementwise difference: `outs[k] = lhs[k] - rhs[k]` for each
-/// `k`. Per element bit-identical to [`SVector::sub_into`].
-///
-/// # Panics
-///
-/// Panics if the three banks differ in length.
-pub fn sub_into_batch<const N: usize>(
-    lhs: &[SVector<N>],
-    rhs: &[SVector<N>],
-    outs: &mut [SVector<N>],
-) {
-    assert_eq!(lhs.len(), rhs.len(), "sub_into_batch: bank length mismatch");
-    assert_eq!(
-        lhs.len(),
-        outs.len(),
-        "sub_into_batch: bank length mismatch"
-    );
-    for ((l, r), o) in lhs.iter().zip(rhs).zip(outs.iter_mut()) {
-        l.sub_into(r, o);
-    }
-}
-
-/// Bank-wide copy: `dsts[k] = srcs[k]` for each `k`. Per element
-/// bit-identical to [`SVector::copy_from`].
-///
-/// # Panics
-///
-/// Panics if `dsts.len() != srcs.len()`.
-pub fn copy_batch<const N: usize>(dsts: &mut [SVector<N>], srcs: &[SVector<N>]) {
-    assert_eq!(dsts.len(), srcs.len(), "copy_batch: bank length mismatch");
-    for (d, s) in dsts.iter_mut().zip(srcs) {
-        d.copy_from(s);
-    }
-}
-
 impl<const R: usize, const C: usize> Index<(usize, usize)> for SMatrix<R, C> {
     type Output = f64;
 
@@ -449,66 +354,6 @@ mod tests {
                 assert_eq!(sy[(i, j)].to_bits(), dy[(i, j)].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn batch_kernels_match_per_core_bits() {
-        // Each slot of the bank must come out bit-identical to running the
-        // scalar kernel on that slot alone.
-        let m = SMatrix::<3, 4>::from_fn(|i, j| 0.11 + 0.29 * (i * 4 + j) as f64);
-        let vs: Vec<SVector<4>> = (0..5)
-            .map(|k| SVector::from_fn(|i| (-1.0_f64).powi((k + i) as i32) * (0.17 + i as f64)))
-            .collect();
-        let mut outs = vec![SVector::<3>::zeros(); 5];
-        m.mul_vec_batch_into(&vs, &mut outs);
-        for (v, out) in vs.iter().zip(&outs) {
-            let mut solo = SVector::<3>::zeros();
-            m.mul_vec_into(v, &mut solo);
-            for i in 0..3 {
-                assert_eq!(out[i].to_bits(), solo[i].to_bits());
-            }
-        }
-
-        let xs: Vec<SVector<3>> = (0..5)
-            .map(|k| SVector::from_fn(|i| 0.41 * (k as f64 - i as f64)))
-            .collect();
-        let mut ys = outs.clone();
-        let seed = outs.clone();
-        axpy_batch(&mut ys, -0.73, &xs);
-        for k in 0..5 {
-            let mut solo = seed[k];
-            solo.axpy(-0.73, &xs[k]);
-            assert_eq!(ys[k], solo);
-        }
-
-        let mut sums = seed.clone();
-        add_assign_batch(&mut sums, &xs);
-        for k in 0..5 {
-            let mut solo = seed[k];
-            solo += &xs[k];
-            assert_eq!(sums[k], solo);
-        }
-
-        let mut diffs = vec![SVector::<3>::zeros(); 5];
-        sub_into_batch(&seed, &xs, &mut diffs);
-        for k in 0..5 {
-            let mut solo = SVector::<3>::zeros();
-            seed[k].sub_into(&xs[k], &mut solo);
-            assert_eq!(diffs[k], solo);
-        }
-
-        let mut copies = vec![SVector::<3>::zeros(); 5];
-        copy_batch(&mut copies, &seed);
-        assert_eq!(copies, seed);
-    }
-
-    #[test]
-    #[should_panic(expected = "bank length mismatch")]
-    fn batch_kernels_reject_ragged_banks() {
-        let m = SMatrix::<2, 2>::zeros();
-        let vs = vec![SVector::<2>::zeros(); 3];
-        let mut outs = vec![SVector::<2>::zeros(); 2];
-        m.mul_vec_batch_into(&vs, &mut outs);
     }
 
     #[test]
