@@ -131,7 +131,8 @@ pub struct DesignFlow {
     pub guardband_multiplier: f64,
     /// Frequency-grid resolution for RSA.
     pub rsa_grid: usize,
-    /// Redesign attempts (input-weight escalations) before giving up.
+    /// Redesign attempts before giving up; each one scales the integral
+    /// (tracking) weight by 0.4 ([`DesignFlow::rsa_redesign`]).
     pub max_redesigns: usize,
     /// Seed for the excitation generator.
     pub seed: u64,
@@ -308,7 +309,8 @@ impl DesignFlow {
 
     /// The validation + uncertainty + RSA loop: measures model error on
     /// held-out plants, sets guardbands at `guardband_multiplier × error`,
-    /// and escalates input weights until the loop is robust.
+    /// and de-escalates the integral weight (×0.4 per redesign, see
+    /// [`DesignFlow::rsa_redesign`]) until the loop is robust.
     ///
     /// # Errors
     ///
@@ -489,7 +491,7 @@ pub struct ValidatedDesign {
     pub guardbands: Vec<f64>,
     /// The final RSA report.
     pub rsa: RobustReport,
-    /// How many input-weight escalations were needed.
+    /// How many integral-weight de-escalations (×0.4 each) were needed.
     pub redesigns: usize,
 }
 

@@ -248,18 +248,10 @@ impl FastController {
     }
 }
 
-/// Converts `ctrl` once ([`FastController::new`]) and returns a factory
-/// of governors that all share the converted design — the way to hand
-/// one synthesized controller to many cores.
-pub fn fast_governors(ctrl: &LqgController) -> impl FnMut() -> Box<dyn Governor + Send> {
-    let fast = FastController::new(ctrl);
-    move || fast.governor()
-}
-
 /// Wraps a dynamic controller in the fastest governor available for its
-/// shape: one governor from [`fast_governors`].
+/// shape: `FastController::new(&ctrl).governor()`.
 pub fn fast_governor(ctrl: LqgController) -> Box<dyn Governor + Send> {
-    fast_governors(&ctrl)()
+    FastController::new(&ctrl).governor()
 }
 
 impl<S: LqgStorage> Governor for MimoGovernor<S> {

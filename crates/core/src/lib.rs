@@ -58,7 +58,7 @@ mod error;
 pub use digest::{digest_f64, Fnv1a};
 pub use engine::{EpochCause, EpochError, EpochLoop, StepOutcome};
 pub use error::ControlError;
-pub use governor::{fast_governor, fast_governors, FastController, Governor};
+pub use governor::{fast_governor, FastController, Governor};
 pub use lqg::{CompiledLqg, LqgController};
 pub use ss::StateSpace;
 pub use storage::{DynStore, LqgStorage, StaticStore};

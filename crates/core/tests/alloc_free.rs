@@ -8,8 +8,8 @@
 //! and a full `EpochLoop` epoch over the real `Processor` plant — and
 //! asserts the counter does not move. It also pins what sharing one
 //! design costs: cloning a static-storage controller or Decoupled pair
-//! allocates nothing, and each governor from `fast_governors` allocates
-//! once (its box).
+//! allocates nothing, and each governor from `FastController::governor`
+//! allocates once (its box).
 //!
 //! Everything is exercised from ONE `#[test]` function: the counter is
 //! process-global, so concurrent tests in the same binary would pollute
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mimo_core::decoupled::{DecoupledGovernor, StaticDecoupled};
 use mimo_core::engine::EpochLoop;
-use mimo_core::governor::{fast_governor, fast_governors, Governor, MimoGovernor};
+use mimo_core::governor::{fast_governor, FastController, Governor, MimoGovernor};
 use mimo_core::kalman::{update_kalman, KalmanScratch};
 use mimo_core::lqg::LqgDesign;
 use mimo_core::storage::DynStore;
@@ -357,7 +357,7 @@ fn steady_state_epoch_allocates_nothing() {
 
     // --- Sharing the design costs no heap ---------------------------------
     // A static-storage clone is an `Arc` clone plus a copy of the inline
-    // per-core state, and every governor `fast_governors` hands out is one
+    // per-core state, and every governor `FastController` hands out is one
     // box around such a clone: construction cost per core, not per design.
     let ctrl = design()
         .build()
@@ -367,9 +367,9 @@ fn steady_state_epoch_allocates_nothing() {
     assert_allocations("StaticStore controller clone", 0, || {
         std::hint::black_box(ctrl.clone());
     });
-    let mut make = fast_governors(&design().build().unwrap());
-    assert_allocations("governor from fast_governors", 1, || {
-        std::hint::black_box(make());
+    let fast = FastController::new(&design().build().unwrap());
+    assert_allocations("governor from FastController::governor", 1, || {
+        std::hint::black_box(fast.governor());
     });
 
     // --- The static Decoupled pair ----------------------------------------

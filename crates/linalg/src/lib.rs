@@ -11,8 +11,9 @@
 //! * [`Matrix`] / [`Vector`] — dense row-major storage with the usual
 //!   arithmetic, block, and stacking operations.
 //! * [`SMatrix`] / [`SVector`] — stack-allocated const-generic
-//!   counterparts whose kernels are bit-identical to the dynamic ones, and
-//!   the [`storage`] traits that let runtime code be generic over both.
+//!   counterparts whose mat-vec runs the same kernel as the dynamic one
+//!   (so the bits match by construction), and the [`storage`] traits that
+//!   let runtime code be generic over both.
 //! * [`lu::LuDecomposition`] — partial-pivot LU: solve, inverse, determinant.
 //! * [`qr::QrDecomposition`] — Householder QR and least squares.
 //! * [`eigen`] — Hessenberg reduction + Francis double-shift QR giving the

@@ -274,57 +274,10 @@ impl Matrix {
         Ok(())
     }
 
-    /// The one matrix-vector kernel: each row's products accumulated left
-    /// to right from `0.0`. Shapes are checked by the callers.
+    /// The shared row-accumulate kernel over this matrix's rows. Shapes
+    /// are checked by the callers.
     fn mul_rows_into(&self, v: &[f64], out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (a, b) in self.row_slice(i).iter().zip(v) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
-    }
-
-    /// Matrix product `self * rhs` written into `out`, allocation-free.
-    ///
-    /// Bit-identical to `&self * &rhs`: the same i-k-j accumulation order
-    /// including the zero-entry skip.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the inner dimensions
-    /// differ or `out` is not `self.rows() x rhs.cols()`.
-    pub fn mul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "mul_into",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        if out.shape() != (self.rows, rhs.cols) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "mul_into",
-                lhs: (self.rows, rhs.cols),
-                rhs: out.shape(),
-            });
-        }
-        out.data.fill(0.0);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow) {
-                    *o += a * r;
-                }
-            }
-        }
-        Ok(())
+        crate::storage::mul_rows_into((0..self.rows).map(|i| self.row_slice(i)), v, out);
     }
 
     /// Copies the `rows x cols` block whose top-left corner is `(r0, c0)`.
@@ -740,28 +693,6 @@ mod tests {
         assert!(a.mul_vec_into(&Vector::zeros(3), &mut out).is_err());
         let mut short = Vector::zeros(1);
         assert!(a.mul_vec_into(&Vector::zeros(2), &mut short).is_err());
-    }
-
-    #[test]
-    fn mul_into_matches_mul() {
-        let a = Matrix::from_fn(3, 2, |i, j| ((i * 3 + j) as f64).sin());
-        let b = Matrix::from_fn(2, 4, |i, j| ((i + j) as f64).cos());
-        let want = &a * &b;
-        let mut got = Matrix::filled(3, 4, f64::NAN);
-        a.mul_into(&b, &mut got).unwrap();
-        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn mul_into_shape_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(3, 2);
-        let mut bad = Matrix::zeros(3, 3);
-        assert!(a.mul_into(&b, &mut bad).is_err());
-        let mut out = Matrix::zeros(2, 2);
-        assert!(a.mul_into(&Matrix::zeros(2, 2), &mut out).is_err());
     }
 
     #[test]

@@ -4,23 +4,22 @@
 //! (2–3 inputs/outputs, single-digit state order), yet the dynamic types
 //! carry heap indirection and runtime dimension checks into every 50 µs
 //! epoch. [`SMatrix`] and [`SVector`] hold the same `f64` data inline in
-//! arrays whose sizes are const generics, so the per-epoch kernels
-//! monomorphize: bounds checks vanish, loops unroll, and the working set
+//! arrays whose sizes are const generics, so the per-epoch mat-vec
+//! monomorphizes: bounds checks vanish, loops unroll, and the working set
 //! is contiguous on the stack.
 //!
-//! **Bit-identity contract.** Every kernel here evaluates the *same
-//! floating-point operations in the same order* as its dynamic
-//! counterpart (`mul_vec_into` accumulates left to right per row,
-//! `mul_into` runs the i-k-j order with the zero-entry skip, elementwise
-//! kernels run in storage order). IEEE-754 arithmetic is deterministic,
-//! so results are bit-identical to the dynamic path — the property tests
-//! in `tests/static_parity.rs` pin this for every shape the reference
-//! architectures use.
+//! **Bit identity by construction.** The only arithmetic here is
+//! [`SMatrix::mul_vec_into`], and it runs the same row-accumulate kernel
+//! as [`Matrix::mul_vec_into`] (one left-to-right sum per row from
+//! `0.0`), so the two storages give the same bits for every shape. The
+//! property tests in `tests/static_parity.rs` check this for every shape
+//! the reference architectures deploy.
 
-use std::ops::{AddAssign, Index, IndexMut, SubAssign};
+use std::ops::{Index, IndexMut};
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
+use crate::storage::mul_rows_into;
 use crate::vector::Vector;
 use crate::Result;
 
@@ -34,18 +33,6 @@ impl<const N: usize> SVector<N> {
     /// The all-zeros vector.
     pub fn zeros() -> Self {
         SVector { data: [0.0; N] }
-    }
-
-    /// Creates a vector by copying a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn from_slice(values: &[f64]) -> Self {
-        assert_eq!(values.len(), N, "SVector::from_slice: length mismatch");
-        let mut v = Self::zeros();
-        v.data.copy_from_slice(values);
-        v
     }
 
     /// Creates a vector by evaluating `f(i)` at every index.
@@ -70,7 +57,9 @@ impl<const N: usize> SVector<N> {
                 rhs: (v.len(), 1),
             });
         }
-        Ok(Self::from_slice(v.as_slice()))
+        let mut out = Self::zeros();
+        out.data.copy_from_slice(v.as_slice());
+        Ok(out)
     }
 
     /// Copies into a heap-allocated [`Vector`].
@@ -93,42 +82,6 @@ impl<const N: usize> SVector<N> {
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Iterates over the entries.
-    pub fn iter(&self) -> std::slice::Iter<'_, f64> {
-        self.data.iter()
-    }
-
-    /// Copies every entry from `src`, allocation-free.
-    pub fn copy_from(&mut self, src: &Self) {
-        self.data = src.data;
-    }
-
-    /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f64) {
-        self.data.fill(value);
-    }
-
-    /// In-place scaled accumulation `self += alpha * x` (BLAS `axpy`).
-    /// Bit-identical to [`Vector::axpy`].
-    pub fn axpy(&mut self, alpha: f64, x: &Self) {
-        for (a, b) in self.data.iter_mut().zip(&x.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Writes `self - rhs` into `out`. Bit-identical to
-    /// [`Vector::sub_into`].
-    pub fn sub_into(&self, rhs: &Self, out: &mut Self) {
-        for ((o, a), b) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
-            *o = a - b;
-        }
-    }
-
-    /// Returns `true` if all entries are finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
 }
 
 impl<const N: usize> Index<usize> for SVector<N> {
@@ -142,22 +95,6 @@ impl<const N: usize> Index<usize> for SVector<N> {
 impl<const N: usize> IndexMut<usize> for SVector<N> {
     fn index_mut(&mut self, i: usize) -> &mut f64 {
         &mut self.data[i]
-    }
-}
-
-impl<const N: usize> AddAssign<&SVector<N>> for SVector<N> {
-    fn add_assign(&mut self, rhs: &SVector<N>) {
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-}
-
-impl<const N: usize> SubAssign<&SVector<N>> for SVector<N> {
-    fn sub_assign(&mut self, rhs: &SVector<N>) {
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a -= b;
-        }
     }
 }
 
@@ -207,86 +144,12 @@ impl<const R: usize, const C: usize> SMatrix<R, C> {
         Matrix::from_fn(R, C, |i, j| self.data[i][j])
     }
 
-    /// Number of rows (`R`).
-    pub const fn rows(&self) -> usize {
-        R
-    }
-
-    /// Number of columns (`C`).
-    pub const fn cols(&self) -> usize {
-        C
-    }
-
-    /// Borrows row `i` as a slice.
-    pub fn row_slice(&self, i: usize) -> &[f64] {
-        &self.data[i]
-    }
-
-    /// Copies every entry from `src`, allocation-free.
-    pub fn copy_from(&mut self, src: &Self) {
-        self.data = src.data;
-    }
-
-    /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f64) {
-        for row in self.data.iter_mut() {
-            row.fill(value);
-        }
-    }
-
-    /// In-place scaled accumulation `self += alpha * x`, elementwise in
-    /// row-major order.
-    pub fn axpy(&mut self, alpha: f64, x: &Self) {
-        for (arow, brow) in self.data.iter_mut().zip(&x.data) {
-            for (a, b) in arow.iter_mut().zip(brow) {
-                *a += alpha * b;
-            }
-        }
-    }
-
-    /// Writes `self - rhs` into `out`, elementwise in row-major order.
-    pub fn sub_into(&self, rhs: &Self, out: &mut Self) {
-        for ((orow, arow), brow) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
-            for ((o, a), b) in orow.iter_mut().zip(arow).zip(brow) {
-                *o = a - b;
-            }
-        }
-    }
-
     /// Matrix-vector product written into `out`.
     ///
-    /// Bit-identical to [`Matrix::mul_vec_into`]: each output entry is one
-    /// left-to-right accumulation over the row.
+    /// Bit-identical to [`Matrix::mul_vec_into`]: both run the same
+    /// row-accumulate kernel.
     pub fn mul_vec_into(&self, v: &SVector<C>, out: &mut SVector<R>) {
-        for i in 0..R {
-            let row = &self.data[i];
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(v.as_slice()) {
-                acc += a * b;
-            }
-            out[i] = acc;
-        }
-    }
-
-    /// Matrix product `self * rhs` written into `out`.
-    ///
-    /// Bit-identical to [`Matrix::mul_into`]: the same i-k-j accumulation
-    /// order including the zero-entry skip.
-    pub fn mul_into<const K: usize>(&self, rhs: &SMatrix<C, K>, out: &mut SMatrix<R, K>) {
-        out.fill(0.0);
-        for i in 0..R {
-            for k in 0..C {
-                let a = self.data[i][k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k];
-                let orow = &mut out.data[i];
-                for (o, r) in orow.iter_mut().zip(rrow) {
-                    *o += a * r;
-                }
-            }
-        }
+        mul_rows_into(self.data.iter().map(|row| &row[..]), &v.data, &mut out.data);
     }
 }
 
@@ -335,51 +198,5 @@ mod tests {
         for i in 0..3 {
             assert_eq!(sy[i].to_bits(), dy[i].to_bits());
         }
-    }
-
-    #[test]
-    fn mul_matches_dynamic_bits_including_zero_skip() {
-        let mut a = Matrix::from_fn(2, 3, |i, j| (1 + i + j) as f64 * 0.21);
-        a[(0, 1)] = 0.0; // exercise the zero-entry skip
-        let b = Matrix::from_fn(3, 2, |i, j| (i as f64 - j as f64) * 0.73);
-        let mut dy = Matrix::zeros(2, 2);
-        a.mul_into(&b, &mut dy).unwrap();
-
-        let sa = SMatrix::<2, 3>::from_matrix(&a).unwrap();
-        let sb = SMatrix::<3, 2>::from_matrix(&b).unwrap();
-        let mut sy = SMatrix::<2, 2>::zeros();
-        sa.mul_into(&sb, &mut sy);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(sy[(i, j)].to_bits(), dy[(i, j)].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn elementwise_kernels() {
-        let a = SVector::<3>::from_slice(&[1.0, 2.0, 3.0]);
-        let b = SVector::<3>::from_slice(&[0.5, -1.0, 4.0]);
-        let mut out = SVector::<3>::zeros();
-        a.sub_into(&b, &mut out);
-        assert_eq!(out.as_slice(), &[0.5, 3.0, -1.0]);
-
-        let mut acc = a;
-        acc.axpy(2.0, &b);
-        assert_eq!(acc.as_slice(), &[2.0, 0.0, 11.0]);
-
-        acc.copy_from(&b);
-        assert_eq!(acc, b);
-        acc.fill(0.0);
-        assert_eq!(acc, SVector::<3>::zeros());
-        assert!(acc.all_finite());
-
-        let mut ms = SMatrix::<2, 2>::from_fn(|i, j| (i + j) as f64);
-        let mt = ms;
-        ms.axpy(-1.0, &mt);
-        assert_eq!(ms, SMatrix::<2, 2>::zeros());
-        let mut md = SMatrix::<2, 2>::zeros();
-        mt.sub_into(&SMatrix::<2, 2>::zeros(), &mut md);
-        assert_eq!(md, mt);
     }
 }

@@ -8,11 +8,14 @@
 //! SVD, eigenvalues, robust-stability analysis) stays on the dynamic
 //! types and never touches these traits.
 //!
-//! The traits deliberately expose *slices* for elementwise work: a
-//! `[f64; N]` coerced to `&[f64]` keeps its compile-time length after
-//! inlining, so generic elementwise kernels written over slices still
-//! unroll on the static path — and, crucially, a single implementation
-//! serves both paths, making bit-identity hold by construction.
+//! Every kernel is written once, over *slices*: a `[f64; N]` coerced to
+//! `&[f64]` keeps its compile-time length after inlining, so a kernel
+//! written over slices still unrolls on the static path. One
+//! implementation serves both storages — the mat-vec
+//! ([`MatVecKernel::mat_vec_into`] reaches `mul_rows_into` from
+//! [`Matrix`] and [`SMatrix`] alike) and the elementwise
+//! [`add_assign_slices`] / [`sub_into_slices`] — so bit-identity holds by
+//! construction, not by a hand-kept mirror.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -151,6 +154,20 @@ impl<const R: usize, const C: usize> MatVecKernel<SVector<C>, SVector<R>> for SM
     }
 }
 
+/// The one matrix-vector kernel, shared by [`Matrix`] and [`SMatrix`]:
+/// `out[i]` is row `i`'s products accumulated left to right from `0.0`.
+/// Shapes are checked by the callers.
+#[inline(always)]
+pub(crate) fn mul_rows_into<'a>(rows: impl Iterator<Item = &'a [f64]>, v: &[f64], out: &mut [f64]) {
+    for (o, row) in out.iter_mut().zip(rows) {
+        let mut acc = 0.0;
+        for (a, b) in row.iter().zip(v) {
+            acc += a * b;
+        }
+        *o = acc;
+    }
+}
+
 /// Elementwise `a += b` over slices, in the same order as
 /// `Vector::add_assign`.
 ///
@@ -164,7 +181,7 @@ pub fn add_assign_slices(a: &mut [f64], b: &[f64]) {
 }
 
 /// Elementwise `out = a - b` over slices, in the same order as
-/// [`Vector::sub_into`].
+/// `&a - &b` on [`Vector`].
 pub fn sub_into_slices(a: &[f64], b: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), b.len(), "sub_into_slices: length mismatch");
     debug_assert_eq!(
@@ -211,8 +228,7 @@ mod tests {
 
         let mut diff = [0.0; 3];
         sub_into_slices(&a, &b, &mut diff);
-        let mut vd = Vector::zeros(3);
-        Vector::from_slice(&a).sub_into(&Vector::from_slice(&b), &mut vd);
+        let vd = &Vector::from_slice(&a) - &Vector::from_slice(&b);
         assert_eq!(&diff[..], vd.as_slice());
     }
 

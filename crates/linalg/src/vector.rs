@@ -164,35 +164,6 @@ impl Vector {
         self.data.fill(value);
     }
 
-    /// In-place scaled accumulation `self += alpha * x` (BLAS `axpy`),
-    /// allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn axpy(&mut self, alpha: f64, x: &Vector) {
-        assert_eq!(self.len(), x.len(), "axpy: length mismatch");
-        for (a, b) in self.data.iter_mut().zip(&x.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Writes `self - rhs` into `out` without allocating.
-    ///
-    /// Bit-identical to `self - rhs` (the same elementwise subtraction in
-    /// the same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any of the three lengths differ.
-    pub fn sub_into(&self, rhs: &Vector, out: &mut Vector) {
-        assert_eq!(self.len(), rhs.len(), "sub_into: length mismatch");
-        assert_eq!(self.len(), out.len(), "sub_into: output length mismatch");
-        for ((o, a), b) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
-            *o = a - b;
-        }
-    }
-
     /// Returns `true` if all entries are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -443,37 +414,5 @@ mod tests {
     #[should_panic(expected = "copy_from")]
     fn copy_from_length_mismatch_panics() {
         Vector::zeros(2).copy_from(&Vector::zeros(3));
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut v = Vector::from_slice(&[1.0, 2.0]);
-        v.axpy(0.5, &Vector::from_slice(&[4.0, 8.0]));
-        assert_eq!(v.as_slice(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    fn axpy_unit_alpha_matches_add_assign_bitwise() {
-        let a = Vector::from_fn(5, |i| (i as f64 * 0.7).sin());
-        let b = Vector::from_fn(5, |i| (i as f64 * 1.3).cos());
-        let mut via_add = a.clone();
-        via_add += &b;
-        let mut via_axpy = a.clone();
-        via_axpy.axpy(1.0, &b);
-        for i in 0..5 {
-            assert_eq!(via_axpy[i].to_bits(), via_add[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn sub_into_matches_sub_bitwise() {
-        let a = Vector::from_fn(4, |i| (i as f64 + 0.1).sqrt());
-        let b = Vector::from_fn(4, |i| (i as f64 * 0.9).tan());
-        let want = &a - &b;
-        let mut got = Vector::filled(4, f64::NAN);
-        a.sub_into(&b, &mut got);
-        for i in 0..4 {
-            assert_eq!(got[i].to_bits(), want[i].to_bits());
-        }
     }
 }

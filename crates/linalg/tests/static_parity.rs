@@ -1,10 +1,10 @@
-//! Property tests: the stack-allocated kernels are bit-identical to the
-//! dynamic ones for every matrix shape the four reference architectures
+//! Property tests: the stack-allocated mat-vec is bit-identical to the
+//! dynamic one for every matrix shape the four reference architectures
 //! deploy.
 //!
-//! The runtime storage refactor only holds up if `SMatrix`/`SVector` are
-//! exact drop-ins — same f64 bit patterns, not "numerically close" — for
-//! each shape `StaticStore` instantiates:
+//! Both storages run one shared row-accumulate kernel; these tests pin
+//! that `SMatrix`/`SVector` stay exact drop-ins — same f64 bit patterns,
+//! not "numerically close" — for each shape `StaticStore` instantiates:
 //!
 //! * two-input MIMO  (2-in/2-out/4-state):  A 4×4, B 4×2, C 2×4, D 2×2, L 4×2, F 2×8
 //! * three-input MIMO (3-in/2-out/5-state): A 5×5, B 5×3, C 2×5, D 2×3, L 5×2, F 3×10
@@ -14,8 +14,8 @@
 use mimo_linalg::{Matrix, SMatrix, SVector, Vector};
 use proptest::prelude::*;
 
-/// Strategy: a dynamic matrix with mixed magnitudes including exact zeros
-/// (the `mul` kernels skip zero entries, so that branch must be covered).
+/// Strategy: a dynamic matrix with mixed magnitudes, including exact zeros
+/// and entries near 1e-9 of the rest.
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     (
         proptest::collection::vec(-1e3..1e3f64, rows * cols),
@@ -93,72 +93,8 @@ mat_vec_parity! {
     test_plant_f_2x6: 2 x 6,
 }
 
-/// Matrix-matrix parity for a representative set of (R, C, K) triples,
-/// covering the i-k-j order and the zero-entry skip.
-macro_rules! mat_mul_parity {
-    ($($name:ident: $r:literal, $c:literal, $k:literal),+ $(,)?) => {
-        $(
-            proptest! {
-                #![proptest_config(ProptestConfig::with_cases(48))]
-                #[test]
-                fn $name(a in matrix($r, $c), b in matrix($c, $k)) {
-                    let mut expect = Matrix::zeros($r, $k);
-                    a.mul_into(&b, &mut expect).unwrap();
-                    let sa = SMatrix::<$r, $c>::from_matrix(&a).unwrap();
-                    let sb = SMatrix::<$c, $k>::from_matrix(&b).unwrap();
-                    let mut got = SMatrix::<$r, $k>::zeros();
-                    sa.mul_into(&sb, &mut got);
-                    for i in 0..$r {
-                        for j in 0..$k {
-                            prop_assert_eq!(expect[(i, j)].to_bits(), got[(i, j)].to_bits());
-                        }
-                    }
-                }
-            }
-        )+
-    };
-}
-
-mat_mul_parity! {
-    mul_4x4_times_4x2: 4, 4, 2,
-    mul_2x8_times_8x8: 2, 8, 8,
-    mul_5x5_times_5x3: 5, 5, 3,
-    mul_1x4_times_4x4: 1, 4, 4,
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn svector_elementwise_matches_dynamic(a in vector(8), b in vector(8), alpha in -1e3..1e3f64) {
-        let sa = SVector::<8>::from_vector(&a).unwrap();
-        let sb = SVector::<8>::from_vector(&b).unwrap();
-
-        // sub_into
-        let mut expect = Vector::zeros(8);
-        a.sub_into(&b, &mut expect);
-        let mut got = SVector::<8>::zeros();
-        sa.sub_into(&sb, &mut got);
-        for i in 0..8 {
-            prop_assert_eq!(expect[i].to_bits(), got[i].to_bits());
-        }
-
-        // axpy
-        let mut expect = b.clone();
-        expect.axpy(alpha, &a);
-        let mut got = sb;
-        got.axpy(alpha, &sa);
-        for i in 0..8 {
-            prop_assert_eq!(expect[i].to_bits(), got[i].to_bits());
-        }
-
-        // copy_from
-        let mut dst = SVector::<8>::zeros();
-        dst.copy_from(&sa);
-        for i in 0..8 {
-            prop_assert_eq!(dst[i].to_bits(), a[i].to_bits());
-        }
-    }
 
     #[test]
     fn stale_static_output_is_overwritten(v in vector(4)) {
@@ -167,17 +103,10 @@ proptest! {
         let m = Matrix::zeros(3, 4);
         let sm = SMatrix::<3, 4>::from_matrix(&m).unwrap();
         let sv = SVector::<4>::from_vector(&v).unwrap();
-        let mut out = SVector::<3>::from_slice(&[42.0; 3]);
+        let mut out = SVector::<3>::from_fn(|_| 42.0);
         sm.mul_vec_into(&sv, &mut out);
         for i in 0..3 {
             prop_assert_eq!(out[i], 0.0);
-        }
-        let mut mout = SMatrix::<3, 2>::from_fn(|_, _| 42.0);
-        sm.mul_into(&SMatrix::<4, 2>::zeros(), &mut mout);
-        for i in 0..3 {
-            for j in 0..2 {
-                prop_assert_eq!(mout[(i, j)], 0.0);
-            }
         }
     }
 }
