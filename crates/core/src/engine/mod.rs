@@ -66,8 +66,6 @@ pub struct EpochLoop<G: Governor, P: Plant> {
     y_good: Vector,
     /// Last healthy actuation, restored into `u` on faulted epochs.
     u_good: Vector,
-    /// Actuator grids, captured once at construction.
-    grids: Vec<Vec<f64>>,
     u_hist: Vec<Vector>,
     y_hist: Vec<Vector>,
     record: bool,
@@ -101,7 +99,6 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
         );
         let y = Vector::zeros(plant.num_outputs());
         let u = Vector::zeros(plant.num_inputs());
-        let grids = plant.input_grids();
         EpochLoop {
             y_good: y.clone(),
             u_good: u.clone(),
@@ -110,7 +107,6 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
             sink: None,
             y,
             u,
-            grids,
             u_hist: Vec::new(),
             y_hist: Vec::new(),
             record: false,
@@ -359,10 +355,11 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
         self.sink.as_ref()
     }
 
-    /// The actuator grids captured from the plant at construction (e.g.
-    /// for building a fallback governor after a quarantine).
-    pub fn input_grids(&self) -> &[Vec<f64>] {
-        &self.grids
+    /// The plant's actuator grids (e.g. for building a fallback governor
+    /// after a quarantine). The loop keeps no copy: each call asks the
+    /// plant, which builds them afresh.
+    pub fn input_grids(&self) -> Vec<Vec<f64>> {
+        self.plant.input_grids()
     }
 
     /// Stamps a fleet core id into every subsequent [`EpochError`].
@@ -397,7 +394,8 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// Reduces the recorded history to [`TrackingStats`] against fixed
     /// `targets` (history recording must be enabled).
     pub fn summarize(&self, targets: &Vector, keep_trace: bool) -> TrackingStats {
-        summary::summarize(&self.u_hist, &self.y_hist, targets, &self.grids, keep_trace)
+        let grids = self.plant.input_grids();
+        summary::summarize(&self.u_hist, &self.y_hist, targets, &grids, keep_trace)
     }
 
     /// Consumes the loop, returning the recorded `(inputs, outputs)`

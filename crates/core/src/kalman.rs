@@ -9,11 +9,11 @@
 //! and `V` (measurement).
 
 use mimo_linalg::storage::{add_assign_slices, sub_into_slices};
-use mimo_linalg::{eigen, MatVecKernel, Matrix, VecKernel};
+use mimo_linalg::{eigen, MatVecKernel, Matrix, SVector, VecKernel};
 
 use crate::dare::solve_dare;
 use crate::ss::StateSpace;
-use crate::storage::{DynStore, LqgStorage};
+use crate::storage::{DynStore, LqgStorage, StaticStore};
 use crate::{ControlError, Result};
 
 /// A steady-state Kalman filter for a [`StateSpace`] plant.
@@ -113,7 +113,7 @@ impl KalmanFilter {
 /// overwrites `xhat` with `x̂(t+1) = A x̂ + B u + L (y − C x̂ − D u)`,
 /// where `L` is a [`KalmanFilter::gain`]. Dynamic controllers call it with
 /// `S = `[`DynStore`], fixed-size ones with
-/// `S = `[`StaticStore`](crate::storage::StaticStore).
+/// `S = `[`StaticStore`].
 ///
 /// Bit-identity: every storage runs the same matrix-vector products and
 /// elementwise sums in the same order, so the result does not depend on
@@ -135,34 +135,45 @@ pub fn update_kalman<S: LqgStorage>(
     y: &S::VecY,
     s: &mut KalmanScratch<S>,
 ) {
-    // y_pred = C x̂ + D u.
+    // y_pred = C x̂ + D u, with D u held in `innov` until it is added.
     c.mat_vec_into(xhat, &mut s.y_pred);
-    d.mat_vec_into(u, &mut s.d_u);
-    add_assign_slices(s.y_pred.as_mut_slice(), s.d_u.as_slice());
+    d.mat_vec_into(u, &mut s.innov);
+    add_assign_slices(s.y_pred.as_mut_slice(), s.innov.as_slice());
     // innov = y − y_pred.
     sub_into_slices(y.as_slice(), s.y_pred.as_slice(), s.innov.as_mut_slice());
-    // correction = L innov.
-    l.mat_vec_into(&s.innov, &mut s.correction);
-    // x̂ ← (A x̂ + B u) + correction.
+    // x̂ ← (A x̂ + B u) + L innov, with L innov in `b_u` once B u is added.
     a.mat_vec_into(xhat, &mut s.a_x);
     b.mat_vec_into(u, &mut s.b_u);
     add_assign_slices(s.a_x.as_mut_slice(), s.b_u.as_slice());
-    add_assign_slices(s.a_x.as_mut_slice(), s.correction.as_slice());
+    l.mat_vec_into(&s.innov, &mut s.b_u);
+    add_assign_slices(s.a_x.as_mut_slice(), s.b_u.as_slice());
     xhat.as_mut_slice().copy_from_slice(s.a_x.as_slice());
 }
 
 /// Reusable temporaries for [`update_kalman`], sized for one plant so a
 /// steady-state estimator update performs no heap allocations. With the
 /// default [`DynStore`] storage the buffers live on the heap; with a
-/// fixed-size storage the whole scratch is plain stack data.
+/// fixed-size storage the whole scratch is plain stack data. Each buffer
+/// holds two terms in turn, so there are two per dimension, not three.
+///
+/// The innovation comes last on purpose (hence `repr(C)`): in a
+/// one-output loop it is a single value that `L innov` broadcasts, and
+/// the compiler may widen that load to 16 bytes. As the last field of a
+/// stack scratch (see [`LqgScratch`](crate::lqg::LqgScratch)) the load
+/// cannot reach into a neighbour that was just written, which stalls
+/// store forwarding: the static Decoupled decide measured 20 % slower
+/// with the innovation in the middle.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct KalmanScratch<S: LqgStorage = DynStore> {
+    /// `C x̂ + D u`.
     y_pred: S::VecY,
-    d_u: S::VecY,
-    innov: S::VecY,
+    /// `A x̂ + B u + L innov`.
     a_x: S::VecX,
+    /// `B u`, then `L innov`.
     b_u: S::VecX,
-    correction: S::VecX,
+    /// `D u`, then the innovation `y − y_pred`.
+    innov: S::VecY,
 }
 
 impl<S: LqgStorage> KalmanScratch<S> {
@@ -178,11 +189,24 @@ impl<S: LqgStorage> KalmanScratch<S> {
         let vec_x = || S::VecX::new_dim(n).expect("scratch state dim matches storage");
         KalmanScratch {
             y_pred: vec_y(),
-            d_u: vec_y(),
             innov: vec_y(),
             a_x: vec_x(),
             b_u: vec_x(),
-            correction: vec_x(),
+        }
+    }
+}
+
+impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
+    KalmanScratch<StaticStore<NU, NY, NX, NZ>>
+{
+    /// Stack scratch for a fixed-size storage, whose const dimensions
+    /// leave no shape to check.
+    pub(crate) fn on_stack() -> Self {
+        KalmanScratch {
+            y_pred: SVector::zeros(),
+            innov: SVector::zeros(),
+            a_x: SVector::zeros(),
+            b_u: SVector::zeros(),
         }
     }
 }

@@ -30,13 +30,13 @@
 use std::sync::Arc;
 
 use mimo_linalg::lu::LuDecomposition;
-use mimo_linalg::{MatVecKernel, Matrix, VecKernel, Vector};
+use mimo_linalg::{MatVecKernel, Matrix, SVector, VecKernel, Vector};
 use mimo_sysid::scale::ChannelScaler;
 
 use crate::kalman::{update_kalman, KalmanFilter, KalmanScratch};
 use crate::lqr::{design_lqr, LqrGain};
 use crate::ss::StateSpace;
-use crate::storage::{DynStore, HeldIndex, LqgStorage, StaticStore};
+use crate::storage::{DynStore, HeldIndex, LqgStorage, StaticStore, StepScratch};
 use crate::{ControlError, Result};
 
 /// Bound on normalized inputs (slightly beyond the identification range so
@@ -209,7 +209,7 @@ impl LqgDesign {
         Ok(LqgController {
             compiled: Arc::new(compiled),
             state,
-            scratch: LqgScratch::new(n, i, o),
+            scratch: LqgScratch::on_heap(n, i, o),
         })
     }
 }
@@ -390,16 +390,19 @@ impl<S: LqgStorage> CompiledLqg<S> {
 ///
 /// A controller is the shared [`CompiledLqg`] design plus its own state
 /// (x̂, the held input, the integrator, the reference and its steady-state
-/// operating point) and scratch. [`Clone`] shares the design — an `Arc`
-/// clone — and copies only the state, so with [`StaticStore`] a clone
-/// makes no heap allocation.
+/// operating point) and, on [`DynStore`], its step temporaries.
+/// [`Clone`] shares the design — an `Arc` clone — and copies only the
+/// rest, so with [`StaticStore`] a clone makes no heap allocation and
+/// holds nothing but the `Arc` and the state.
 #[derive(Debug, Clone)]
 pub struct LqgController<S: LqgStorage = DynStore> {
     compiled: Arc<CompiledLqg<S>>,
     /// The controller's evolving state, in normalized coordinates.
     state: CoreState<S>,
-    /// Reusable temporaries so a steady-state epoch allocates nothing.
-    scratch: LqgScratch<S>,
+    /// Where the step's temporaries live between epochs: heap buffers on
+    /// [`DynStore`], nothing on [`StaticStore`] (see
+    /// [`LqgStorage::Scratch`]).
+    scratch: S::Scratch,
 }
 
 /// The per-controller half: the evolving state the hot path writes, held
@@ -463,36 +466,119 @@ impl<S: LqgStorage> CoreState<S> {
             u_ss: T::VecU::from_vector(&self.u_ss.to_vector()).map_err(lin)?,
         })
     }
+
+    /// The body of [`LqgController::step_into`] over the design `k` and
+    /// the temporaries `s`, on checked slices.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        k: &CompiledLqg<S>,
+        s: &mut LqgScratch<S>,
+        y_physical: &[f64],
+        out: &mut [f64],
+    ) {
+        k.design
+            .output_scaler
+            .normalize_slices(y_physical, s.y_norm.as_mut_slice());
+
+        // Estimator update with the input actually applied last epoch.
+        update_kalman::<S>(
+            &k.l,
+            &k.a,
+            &k.b,
+            &k.c,
+            &k.d,
+            &mut self.xhat,
+            &self.u_prev,
+            &s.y_norm,
+            &mut s.kalman,
+        );
+
+        // Integrate the tracking error (leaky, with anti-windup clamp).
+        integrate_tracking_error(
+            self.q_int.as_mut_slice(),
+            s.y_norm.as_slice(),
+            self.y_ref_norm.as_slice(),
+        );
+
+        // Δu = −F [x̃; ũ₋₁; q].
+        assemble_augmented_state(
+            s.z.as_mut_slice(),
+            self.xhat.as_slice(),
+            self.x_ss.as_slice(),
+            self.u_prev.as_slice(),
+            self.u_ss.as_slice(),
+            self.q_int.as_slice(),
+        );
+        k.f.mat_vec_into(&s.z, &mut s.du);
+        negate(s.du.as_mut_slice());
+
+        // Apply, clamp, quantize, and slew-limit to one grid step per
+        // epoch per input: ways are power-gated one at a time and DVFS
+        // relocks per step, and single-step motion stops the controller
+        // from reacting to its own transition stalls (§IV-B2's "smaller
+        // steps ... more effective control").
+        apply_du_clamped(s.du.as_mut_slice(), self.u_prev.as_slice());
+        k.design
+            .input_scaler
+            .denormalize_slices(s.du.as_slice(), s.u_phys_raw.as_mut_slice());
+        slew_step(
+            &k.design.input_grids,
+            s.u_phys_raw.as_slice(),
+            self.u_idx.as_mut(),
+            out,
+        );
+        // Feed the *quantized* input back (anti-windup against rounding).
+        k.design
+            .input_scaler
+            .normalize_slices(out, self.u_prev.as_mut_slice());
+    }
 }
 
-/// Reusable temporaries for [`LqgController::step_into`], sized once at
-/// synthesis so the 50 µs epoch step performs zero heap allocations.
+/// The temporaries of one [`LqgController::step_into`]. A dynamic
+/// controller keeps one, sized once, so its step allocates nothing; a
+/// static controller builds one on the stack in each step (see
+/// [`StepScratch`]). The estimator's temporaries stay last, so the
+/// innovation ends the struct (see [`KalmanScratch`]).
 #[derive(Debug, Clone)]
-struct LqgScratch<S: LqgStorage> {
+#[repr(C)]
+pub struct LqgScratch<S: LqgStorage> {
     /// Normalized measurement.
     y_norm: S::VecY,
     /// Augmented state `[x̃; ũ₋₁; q]`.
     z: S::VecZ,
-    /// `Δu = −F z`.
+    /// `Δu = −F z`, then the clamped normalized candidate `u₋₁ + Δu`.
     du: S::VecU,
-    /// Clamped normalized candidate input.
-    u_raw: S::VecU,
     /// Physical candidate input before quantization.
     u_phys_raw: S::VecU,
     /// Estimator temporaries.
     kalman: KalmanScratch<S>,
 }
 
-impl<S: LqgStorage> LqgScratch<S> {
-    fn new(n: usize, i: usize, o: usize) -> Self {
-        let vu = || S::VecU::new_dim(i).expect("scratch input dim matches storage");
+impl LqgScratch<DynStore> {
+    /// Heap buffers for `n` states, `i` inputs and `o` outputs.
+    pub(crate) fn on_heap(n: usize, i: usize, o: usize) -> Self {
         LqgScratch {
-            y_norm: S::VecY::new_dim(o).expect("scratch output dim matches storage"),
-            z: S::VecZ::new_dim(n + i + o).expect("scratch augmented dim matches storage"),
-            du: vu(),
-            u_raw: vu(),
-            u_phys_raw: vu(),
+            y_norm: Vector::zeros(o),
+            z: Vector::zeros(n + i + o),
+            du: Vector::zeros(i),
+            u_phys_raw: Vector::zeros(i),
             kalman: KalmanScratch::new(n, o),
+        }
+    }
+}
+
+impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
+    LqgScratch<StaticStore<NU, NY, NX, NZ>>
+{
+    /// Stack temporaries; the const dimensions leave no shape to check.
+    pub(crate) fn on_stack() -> Self {
+        LqgScratch {
+            y_norm: SVector::zeros(),
+            z: SVector::zeros(),
+            du: SVector::zeros(),
+            u_phys_raw: SVector::zeros(),
+            kalman: KalmanScratch::on_stack(),
         }
     }
 }
@@ -567,7 +653,7 @@ impl<S: LqgStorage> LqgController<S> {
         Ok(LqgController {
             compiled: Arc::new(self.compiled.convert()?),
             state,
-            scratch: LqgScratch::new(n, i, o),
+            scratch: T::Scratch::new(n, i, o),
         })
     }
 
@@ -604,9 +690,9 @@ impl<S: LqgStorage> LqgController<S> {
 
     /// One control epoch, in place: consumes the physical measurement
     /// `y(t)` and writes the physical, quantized actuation `u(t)` into
-    /// `out`. Allocation-free: every temporary lives in the scratch
-    /// workspace sized at synthesis, and `y_physical` and `out` may be
-    /// heap or stack vectors.
+    /// `out`. Allocation-free: the temporaries are the dynamic
+    /// controller's buffers or the static controller's stack locals, and
+    /// `y_physical` and `out` may be heap or stack vectors.
     ///
     /// # Panics
     ///
@@ -619,67 +705,9 @@ impl<S: LqgStorage> LqgController<S> {
         );
         assert_eq!(out.dim(), self.num_inputs(), "actuation dimension mismatch");
         let k = &*self.compiled;
-        let s = &mut self.scratch;
         let st = &mut self.state;
-        k.design
-            .output_scaler
-            .normalize_slices(y_physical.as_slice(), s.y_norm.as_mut_slice());
-
-        // Estimator update with the input actually applied last epoch.
-        update_kalman::<S>(
-            &k.l,
-            &k.a,
-            &k.b,
-            &k.c,
-            &k.d,
-            &mut st.xhat,
-            &st.u_prev,
-            &s.y_norm,
-            &mut s.kalman,
-        );
-
-        // Integrate the tracking error (leaky, with anti-windup clamp).
-        integrate_tracking_error(
-            st.q_int.as_mut_slice(),
-            s.y_norm.as_slice(),
-            st.y_ref_norm.as_slice(),
-        );
-
-        // Δu = −F [x̃; ũ₋₁; q].
-        assemble_augmented_state(
-            s.z.as_mut_slice(),
-            st.xhat.as_slice(),
-            st.x_ss.as_slice(),
-            st.u_prev.as_slice(),
-            st.u_ss.as_slice(),
-            st.q_int.as_slice(),
-        );
-        k.f.mat_vec_into(&s.z, &mut s.du);
-        negate(s.du.as_mut_slice());
-
-        // Apply, clamp, quantize, and slew-limit to one grid step per
-        // epoch per input: ways are power-gated one at a time and DVFS
-        // relocks per step, and single-step motion stops the controller
-        // from reacting to its own transition stalls (§IV-B2's "smaller
-        // steps ... more effective control").
-        apply_du_clamped(
-            s.u_raw.as_mut_slice(),
-            st.u_prev.as_slice(),
-            s.du.as_slice(),
-        );
-        k.design
-            .input_scaler
-            .denormalize_slices(s.u_raw.as_slice(), s.u_phys_raw.as_mut_slice());
-        slew_step(
-            &k.design.input_grids,
-            s.u_phys_raw.as_slice(),
-            st.u_idx.as_mut(),
-            out.as_mut_slice(),
-        );
-        // Feed the *quantized* input back (anti-windup against rounding).
-        k.design
-            .input_scaler
-            .normalize_slices(out.as_slice(), st.u_prev.as_mut_slice());
+        self.scratch
+            .with(|s| st.step(k, s, y_physical.as_slice(), out.as_mut_slice()));
     }
 
     /// Resets the runtime state (estimate, integrator, previous input)
@@ -802,10 +830,11 @@ fn negate(values: &mut [f64]) {
     }
 }
 
-/// Candidate input: `u_raw = clamp(u_prev + Δu, ±U_CLAMP)` per channel.
-fn apply_du_clamped(u_raw: &mut [f64], u_prev: &[f64], du: &[f64]) {
-    for k in 0..u_raw.len() {
-        u_raw[k] = (u_prev[k] + du[k]).clamp(-U_CLAMP, U_CLAMP);
+/// Candidate input, in place of `du`: `clamp(u_prev + Δu, ±U_CLAMP)` per
+/// channel.
+fn apply_du_clamped(du: &mut [f64], u_prev: &[f64]) {
+    for k in 0..du.len() {
+        du[k] = (u_prev[k] + du[k]).clamp(-U_CLAMP, U_CLAMP);
     }
 }
 

@@ -23,6 +23,11 @@
 //! [`LqgController::with_storage`](crate::lqg::LqgController::with_storage))
 //! sit exactly at that synthesis→runtime boundary.
 //!
+//! The two also differ in where a controller keeps the temporaries of its
+//! step ([`LqgStorage::Scratch`]): a dynamic controller holds heap buffers
+//! sized once, so its step allocates nothing; a static controller holds
+//! none and builds them on the stack in each step.
+//!
 //! Stable Rust cannot express `NZ = NX + NU + NY` in the type system
 //! (`generic_const_exprs` is unstable), so the augmented-state dimension
 //! is a fourth const parameter validated at conversion time by
@@ -30,6 +35,7 @@
 
 use mimo_linalg::{Matrix, SMatrix, SVector, Vector};
 
+use crate::lqg::LqgScratch;
 use crate::{ControlError, Result};
 
 /// Selects the storage for every buffer a runtime controller owns.
@@ -62,6 +68,8 @@ pub trait LqgStorage: Clone + std::fmt::Debug + Send + Sync + 'static {
     type GainF: mimo_linalg::MatVecKernel<Self::VecZ, Self::VecU>;
     /// Held actuator-grid index per input (`NU`).
     type IdxU: HeldIndex;
+    /// What a controller keeps of its step temporaries between epochs.
+    type Scratch: StepScratch<Self>;
 
     /// Checks that this storage can hold a controller with `nu` inputs,
     /// `ny` outputs, and `nx` states.
@@ -101,6 +109,52 @@ impl<const N: usize> HeldIndex for [usize; N] {
     }
 }
 
+/// Where a controller keeps the temporaries of
+/// [`LqgController::step_into`](crate::lqg::LqgController::step_into)
+/// between epochs.
+pub trait StepScratch<S: LqgStorage>: Clone + std::fmt::Debug + Send + Sync + 'static {
+    /// The home for a controller with `n` states, `i` inputs and `o`
+    /// outputs.
+    fn new(n: usize, i: usize, o: usize) -> Self;
+
+    /// Runs one step with the temporaries.
+    fn with<R>(&mut self, step: impl FnOnce(&mut LqgScratch<S>) -> R) -> R;
+}
+
+/// The dynamic path keeps its heap buffers, sized once, so a steady-state
+/// step allocates nothing.
+impl StepScratch<DynStore> for LqgScratch<DynStore> {
+    fn new(n: usize, i: usize, o: usize) -> Self {
+        LqgScratch::on_heap(n, i, o)
+    }
+
+    #[inline(always)]
+    fn with<R>(&mut self, step: impl FnOnce(&mut LqgScratch<DynStore>) -> R) -> R {
+        step(self)
+    }
+}
+
+/// A static controller keeps no temporaries: each step builds them on the
+/// stack, so a controller is only its shared design and its state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OnStack;
+
+impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize>
+    StepScratch<StaticStore<NU, NY, NX, NZ>> for OnStack
+{
+    fn new(_n: usize, _i: usize, _o: usize) -> Self {
+        OnStack
+    }
+
+    #[inline(always)]
+    fn with<R>(
+        &mut self,
+        step: impl FnOnce(&mut LqgScratch<StaticStore<NU, NY, NX, NZ>>) -> R,
+    ) -> R {
+        step(&mut LqgScratch::on_stack())
+    }
+}
+
 /// Dynamic storage: heap-backed [`Matrix`]/[`Vector`] buffers sized at
 /// synthesis. The default — and the only choice for dimension sweeps
 /// (e.g. Figure 7's state-order sweep) whose shapes are not known at
@@ -120,6 +174,7 @@ impl LqgStorage for DynStore {
     type GainL = Matrix;
     type GainF = Matrix;
     type IdxU = Vec<usize>;
+    type Scratch = LqgScratch<DynStore>;
 
     fn check_dims(_nu: usize, _ny: usize, _nx: usize) -> Result<()> {
         Ok(())
@@ -146,6 +201,7 @@ impl<const NU: usize, const NY: usize, const NX: usize, const NZ: usize> LqgStor
     type GainL = SMatrix<NX, NY>;
     type GainF = SMatrix<NU, NZ>;
     type IdxU = [usize; NU];
+    type Scratch = OnStack;
 
     fn check_dims(nu: usize, ny: usize, nx: usize) -> Result<()> {
         if nu != NU || ny != NY || nx != NX {

@@ -73,7 +73,7 @@ impl CoreCell {
         if self.fallback_installed {
             return;
         }
-        let grids = self.lp.input_grids().to_vec();
+        let grids = self.lp.input_grids();
         let ranking = SensitivityRanking::frequency_first(grids.len());
         let fallback = HeuristicTracker::new(grids, ranking, self.target.clone());
         *self.lp.governor_mut() = Box::new(fallback);

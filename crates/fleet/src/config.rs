@@ -264,10 +264,10 @@ impl FleetConfig {
     /// aggressive IPS target) round-robin, each with a seed derived from
     /// the base seed and the core index only.
     pub fn core_specs(&self) -> Vec<CoreSpec> {
-        let default_apps: Vec<String> = if self.apps.is_empty() {
-            default_fleet_apps().iter().map(|s| s.to_string()).collect()
+        let default_apps: Vec<&str> = if self.apps.is_empty() {
+            default_fleet_apps()
         } else {
-            self.apps.clone()
+            self.apps.iter().map(String::as_str).collect()
         };
         (0..self.n_cores)
             .map(|i| {

@@ -1,16 +1,19 @@
 //! Memory pin for the shared-controller fleet: per core, a
-//! `FleetRunner::with_shared_controller` fleet holds only what differs
-//! between cores — the plant, the loop, the controller state — and not a
-//! copy of the synthesized design.
+//! `FleetRunner::with_shared_controller` fleet holds only what is the
+//! core's own — the plant, the loop's buffers, the governor's state — and
+//! neither a copy of the synthesized design, nor a copy of the actuator
+//! grids, nor fault buffers a fault-free core never uses, nor controller
+//! scratch.
 //!
-//! A `#[global_allocator]` counts live heap bytes. The heap growth of a
-//! 128-core fleet minus that of a 64-core fleet, over 64, is the per-core
-//! cost with every per-fleet constant (the one converted design, the
-//! arbiter's fixed state) cancelled out. A per-core copy of the gains,
-//! scalers, grids, LU factors and Kalman record adds about 2.5 KB per
-//! core, which the bound does not allow.
+//! A `#[global_allocator]` counts live heap bytes and live blocks. The
+//! growth of a 128-core fleet minus that of a 64-core fleet, over 64, is
+//! the per-core cost with every per-fleet constant (the one converted
+//! design, the arbiter's fixed state) cancelled out. A per-core copy of
+//! the gains, scalers, grids, LU factors and Kalman record adds about
+//! 2.5 KB per core, a per-core copy of the actuator grids about 300 B,
+//! and idle fault buffers about 300 B; the bounds allow none of them.
 //!
-//! Everything runs from ONE `#[test]` function: the counter is
+//! Everything runs from ONE `#[test]` function: the counters are
 //! process-global, so concurrent tests in the same binary would pollute
 //! the measurement.
 
@@ -22,30 +25,42 @@ use mimo_core::StateSpace;
 use mimo_fleet::{FleetConfig, FleetRunner};
 use mimo_linalg::Matrix;
 use mimo_sim::config::{cache_grid, frequency_grid};
+use mimo_sim::fault::{FaultInjector, FaultPlan};
+use mimo_sim::ProcessorBuilder;
 use mimo_sysid::scale::ChannelScaler;
 
 struct LiveBytes;
 
 static LIVE: AtomicI64 = AtomicI64::new(0);
+static BLOCKS: AtomicI64 = AtomicI64::new(0);
+static ALLOCS: AtomicI64 = AtomicI64::new(0);
+
+fn count_alloc(size: usize) {
+    LIVE.fetch_add(size as i64, Ordering::Relaxed);
+    BLOCKS.fetch_add(1, Ordering::Relaxed);
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        BLOCKS.fetch_sub(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -53,10 +68,18 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
 
-/// Per-core heap bound, set between the two layouts: with one shared
-/// design a core holds about 3.5 KB of heap, with a per-core copy of the
-/// design about 6.0 KB.
-const MAX_BYTES_PER_CORE: i64 = 4_700;
+/// Per-core heap bound, just above the measured 1,319 B: about 990 B of
+/// core cell inline in the chip's cell vector (the plant, the fault
+/// wrapper's fixed fields, the epoch loop), the boxed governor (152 B:
+/// its shared design's `Arc` and its state), the loop's four
+/// measurement/actuation buffers, the core's reference and error
+/// accumulator, and the chip's per-core tables. Before the actuator grid
+/// copy, the idle fault buffers, the controller scratch and the plant's
+/// app-name copy went, a core held 2,141 B in 16 blocks.
+const MAX_BYTES_PER_CORE: i64 = 1_400;
+
+/// Per-core bound on live heap blocks, just above the measured 9.
+const MAX_BLOCKS_PER_CORE: i64 = 10;
 
 /// A two-input (frequency, cache), 4-state controller over the plant's own
 /// grids: the shape the fleet and cluster benchmarks deploy.
@@ -86,24 +109,54 @@ fn controller() -> LqgController {
     .unwrap()
 }
 
-/// Live heap bytes a freshly built `n`-core shared-controller fleet holds.
-fn fleet_bytes(n: usize, ctrl: &LqgController) -> i64 {
-    let before = LIVE.load(Ordering::Relaxed);
+/// Live heap bytes and blocks a freshly built `n`-core shared-controller
+/// fleet holds.
+fn fleet_footprint(n: usize, ctrl: &LqgController) -> (i64, i64) {
+    let (bytes, blocks) = (LIVE.load(Ordering::Relaxed), BLOCKS.load(Ordering::Relaxed));
     let runner = FleetRunner::with_shared_controller(FleetConfig::new(n).epochs(10), ctrl).unwrap();
-    let held = LIVE.load(Ordering::Relaxed) - before;
+    let held = (
+        LIVE.load(Ordering::Relaxed) - bytes,
+        BLOCKS.load(Ordering::Relaxed) - blocks,
+    );
     drop(runner);
     held
+}
+
+/// Allocations `FaultInjector::new` makes around an already built plant.
+fn injector_allocs(plan: FaultPlan) -> i64 {
+    let plant = ProcessorBuilder::new().app("astar").build().unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let injector = FaultInjector::new(plant, plan);
+    let made = ALLOCS.load(Ordering::Relaxed) - before;
+    drop(injector);
+    made
 }
 
 #[test]
 fn shared_controller_fleet_holds_no_per_core_design() {
     let ctrl = controller();
     // Warm-up: lazily built tables are paid once, outside the measurement.
-    fleet_bytes(64, &ctrl);
-    let per_core = (fleet_bytes(128, &ctrl) - fleet_bytes(64, &ctrl)) / 64;
-    eprintln!("shared-controller fleet: {per_core} heap bytes per core");
+    fleet_footprint(64, &ctrl);
+    let (bytes_128, blocks_128) = fleet_footprint(128, &ctrl);
+    let (bytes_64, blocks_64) = fleet_footprint(64, &ctrl);
+    let per_core = (bytes_128 - bytes_64) / 64;
+    let blocks_per_core = (blocks_128 - blocks_64) / 64;
+    eprintln!(
+        "shared-controller fleet: {per_core} heap bytes and {blocks_per_core} live allocations per core"
+    );
     assert!(
         per_core < MAX_BYTES_PER_CORE,
         "{per_core} heap bytes per core; the bound is {MAX_BYTES_PER_CORE}"
     );
+    assert!(
+        blocks_per_core < MAX_BLOCKS_PER_CORE,
+        "{blocks_per_core} live allocations per core; the bound is {MAX_BLOCKS_PER_CORE}"
+    );
+
+    // A plan that cannot fire costs the injector nothing of its own.
+    assert_eq!(injector_allocs(FaultPlan::none()), 0);
+    assert_eq!(injector_allocs(FaultPlan::transient(0.0, 3, 1)), 0);
+    // One that can fire holds its buffers: the two per-channel vectors,
+    // plus the transient list when it has a transient process.
+    assert_eq!(injector_allocs(FaultPlan::transient(0.01, 3, 1)), 3);
 }

@@ -26,7 +26,9 @@
 //! Bit-exactness contract: an injector with an empty schedule and zero
 //! transient rate is a transparent wrapper — it performs no RNG draws and
 //! forwards `apply_into` untouched, so fault-free runs reproduce the exact
-//! digests of the unwrapped plant. The steady-state epoch path performs no
+//! digests of the unwrapped plant. Such an injector also allocates nothing
+//! of its own: the transient list and the two per-channel buffers exist
+//! only for plans that can fire. The steady-state epoch path performs no
 //! heap allocations, faulting or not.
 
 use mimo_linalg::Vector;
@@ -164,8 +166,8 @@ impl Default for FaultPlan {
 }
 
 /// Upper bound on concurrently active transient faults. New transients are
-/// skipped (deterministically) while the list is full, which keeps the
-/// active list allocation-free after construction.
+/// skipped (deterministically) while the list is full, so the list a
+/// transient plan reserves at construction never grows.
 const MAX_ACTIVE_TRANSIENTS: usize = 8;
 
 /// Wraps any [`Plant`], corrupting actuations and measurements according
@@ -177,12 +179,14 @@ pub struct FaultInjector<P: Plant> {
     plan: FaultPlan,
     rng: StdRng,
     epoch: u64,
-    /// Active transient faults as `(kind, end_epoch)`.
+    /// Active transient faults as `(kind, end_epoch)`; reserved only when
+    /// the plan has a transient process.
     active: Vec<(FaultKind, u64)>,
     /// Last healthy (pre-fault) reading per output channel, for
-    /// [`FaultKind::StuckSensor`].
+    /// [`FaultKind::StuckSensor`]; empty for a plan that cannot fire.
     last_good: Vector,
-    /// Scratch actuation buffer for actuator faults.
+    /// Scratch actuation buffer for actuator faults; empty for a plan
+    /// that cannot fire.
     u_scratch: Vector,
     /// Epochs in which at least one fault corrupted the interface.
     faulted_epochs: u64,
@@ -192,17 +196,28 @@ pub struct FaultInjector<P: Plant> {
 }
 
 impl<P: Plant> FaultInjector<P> {
-    /// Wraps `inner` with `plan`.
+    /// Wraps `inner` with `plan`. A plan that cannot fire
+    /// ([`FaultPlan::is_empty`]) allocates nothing here.
     pub fn new(inner: P, plan: FaultPlan) -> Self {
-        let last_good = Vector::zeros(inner.num_outputs());
-        let u_scratch = Vector::zeros(inner.num_inputs());
+        let (outputs, inputs) = if plan.is_empty() {
+            (0, 0)
+        } else {
+            (inner.num_outputs(), inner.num_inputs())
+        };
+        let active = if plan.rate > 0.0 {
+            Vec::with_capacity(MAX_ACTIVE_TRANSIENTS)
+        } else {
+            Vec::new()
+        };
+        let last_good = Vector::zeros(outputs);
+        let u_scratch = Vector::zeros(inputs);
         let rng = StdRng::seed_from_u64(plan.seed);
         FaultInjector {
             inner,
             plan,
             rng,
             epoch: 0,
-            active: Vec::with_capacity(MAX_ACTIVE_TRANSIENTS),
+            active,
             last_good,
             u_scratch,
             faulted_epochs: 0,
@@ -246,7 +261,7 @@ impl<P: Plant> FaultInjector<P> {
         }
         let epoch = self.epoch;
         self.active.retain(|&(_, end)| epoch < end);
-        if self.rng.gen::<f64>() < self.plan.rate && self.active.len() < self.active.capacity() {
+        if self.rng.gen::<f64>() < self.plan.rate && self.active.len() < MAX_ACTIVE_TRANSIENTS {
             let kind = match self.rng.gen::<u64>() % 4 {
                 0 => FaultKind::StuckSensor {
                     channel: (self.rng.gen::<u64>() % self.last_good.len().max(1) as u64) as usize,
@@ -538,5 +553,53 @@ mod tests {
             }
         }
         assert_eq!(kinds[0].as_str(), "stuck_sensor");
+    }
+
+    #[test]
+    fn a_high_rate_plan_never_exceeds_the_transient_cap() {
+        // A transient starts almost every epoch and lasts far longer than
+        // the cap, so the list would grow without the cap.
+        let plan = FaultPlan::transient(0.99, 1_000, 42);
+        let mut inj = FaultInjector::new(Echo, plan);
+        let reserved = inj.active.capacity();
+        let u = Vector::from_slice(&[1.0, 1.0]);
+        let mut y = Vector::zeros(2);
+        let mut peak = 0;
+        for _ in 0..500 {
+            // Echo never rejects an actuation; NaN outputs are the
+            // injector's own corruption.
+            inj.apply_into(&u, &mut y).unwrap();
+            assert!(inj.active.len() <= MAX_ACTIVE_TRANSIENTS);
+            peak = peak.max(inj.active.len());
+        }
+        assert_eq!(peak, MAX_ACTIVE_TRANSIENTS, "the cap was never reached");
+        // The list a transient plan reserves up front never grows.
+        assert_eq!(inj.active.capacity(), reserved);
+    }
+
+    #[test]
+    fn a_zero_rate_plan_steps_bit_identically_to_the_bare_plant() {
+        use crate::ProcessorBuilder;
+        let plant = || ProcessorBuilder::new().app("mcf").seed(7).build().unwrap();
+        let mut bare = plant();
+        let mut inj = FaultInjector::new(plant(), FaultPlan::transient(0.0, 3, 9));
+        assert!(inj.last_good.is_empty() && inj.u_scratch.is_empty());
+        assert_eq!(inj.active.capacity(), 0);
+        let mut y_bare = Vector::zeros(2);
+        let mut y_inj = Vector::zeros(2);
+        for t in 0..2_000 {
+            let k = t % 16;
+            let u = Vector::from_slice(&[0.5 + 0.1 * k as f64, (1 + k % 8) as f64, 128.0]);
+            bare.apply_into(&u, &mut y_bare).unwrap();
+            inj.apply_into(&u, &mut y_inj).unwrap();
+            assert_eq!(
+                y_bare.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                y_inj.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "epoch {t}"
+            );
+        }
+        assert_eq!(bare.totals(), inj.inner().totals());
+        assert_eq!(inj.faulted_epochs(), 0);
+        assert_eq!(inj.epoch(), 2_000);
     }
 }

@@ -195,6 +195,13 @@ impl RunTotals {
 #[derive(Debug, Clone)]
 pub struct ProcessorBuilder {
     app: String,
+    settings: Settings,
+}
+
+/// What a built [`Processor`] keeps of its builder: every setting but the
+/// application name, which the shared [`AppProfile`] already carries.
+#[derive(Debug, Clone, Copy)]
+struct Settings {
     seed: u64,
     input_set: InputSet,
     initial: PlantConfig,
@@ -209,12 +216,14 @@ impl ProcessorBuilder {
     pub fn new() -> Self {
         ProcessorBuilder {
             app: "namd".to_owned(),
-            seed: 0,
-            input_set: InputSet::FreqCacheRob,
-            initial: PlantConfig::baseline(),
-            ips_noise: 0.01,
-            power_noise: 0.015,
-            process_noise: 0.05,
+            settings: Settings {
+                seed: 0,
+                input_set: InputSet::FreqCacheRob,
+                initial: PlantConfig::baseline(),
+                ips_noise: 0.01,
+                power_noise: 0.015,
+                process_noise: 0.05,
+            },
         }
     }
 
@@ -226,27 +235,27 @@ impl ProcessorBuilder {
 
     /// Seeds all stochastic behavior (deterministic per seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.settings.seed = seed;
         self
     }
 
     /// Chooses the actuated input set (2-input or 3-input plant).
     pub fn input_set(mut self, set: InputSet) -> Self {
-        self.input_set = set;
+        self.settings.input_set = set;
         self
     }
 
     /// Sets the relative sensor-noise standard deviations for IPS and
     /// power readings.
     pub fn sensor_noise(mut self, ips: f64, power: f64) -> Self {
-        self.ips_noise = ips;
-        self.power_noise = power;
+        self.settings.ips_noise = ips;
+        self.settings.power_noise = power;
         self
     }
 
     /// Sets the relative process-noise level (miss-traffic jitter).
     pub fn process_noise(mut self, sigma: f64) -> Self {
-        self.process_noise = sigma;
+        self.settings.process_noise = sigma;
         self
     }
 
@@ -260,8 +269,8 @@ impl ProcessorBuilder {
         let profile = lookup_shared(&self.app).ok_or_else(|| SimError::UnknownApp {
             name: self.app.clone(),
         })?;
-        self.initial.validate()?;
-        Ok(Processor::from_parts(self, profile))
+        self.settings.initial.validate()?;
+        Ok(Processor::from_parts(self.settings, profile))
     }
 }
 
@@ -282,7 +291,7 @@ impl Default for ProcessorBuilder {
 /// [`Processor::sweep`] exploits.
 #[derive(Debug, Clone)]
 pub struct Processor {
-    builder: ProcessorBuilder,
+    settings: Settings,
     program: Program,
     core: Core,
 }
@@ -332,13 +341,13 @@ struct Core {
 const PHASE_SMOOTHING: f64 = 0.12;
 
 impl Processor {
-    fn from_parts(builder: ProcessorBuilder, profile: &'static AppProfile) -> Self {
-        let program = Program::new(profile, builder.seed);
-        let core = Core::new(builder.initial, &program.eff);
+    fn from_parts(settings: Settings, profile: &'static AppProfile) -> Self {
+        let program = Program::new(profile, settings.seed);
+        let core = Core::new(settings.initial, &program.eff);
         Processor {
+            settings,
             program,
             core,
-            builder,
         }
     }
 
@@ -349,7 +358,7 @@ impl Processor {
 
     /// The active input set.
     pub fn input_set(&self) -> InputSet {
-        self.builder.input_set
+        self.settings.input_set
     }
 
     /// Cumulative run statistics.
@@ -387,13 +396,13 @@ impl Processor {
     /// full model runs, in the same order, so reusing a term never moves a
     /// bit.
     pub fn step_config(&mut self, target: PlantConfig) -> Observation {
-        let (jitter, eff_moved) = self.program.advance(self.builder.process_noise);
+        let (jitter, eff_moved) = self.program.advance(self.settings.process_noise);
         let (true_ips, true_power) = self.core.step(target, &self.program.eff, eff_moved, jitter);
 
         // --- Sensors -------------------------------------------------------
         let (z_ips, z_power) = self.program.sensor_normals();
-        let ips_meas = true_ips * (1.0 + self.builder.ips_noise * z_ips);
-        let power_meas = true_power * (1.0 + self.builder.power_noise * z_power);
+        let ips_meas = true_ips * (1.0 + self.settings.ips_noise * z_ips);
+        let power_meas = true_power * (1.0 + self.settings.power_noise * z_power);
 
         Observation {
             ips_bips: ips_meas.max(0.0),
@@ -420,7 +429,7 @@ impl Processor {
         let mut program = self.program.clone();
         let mut cores = vec![self.core; configs.len()];
         for _ in 0..epochs {
-            let (jitter, eff_moved) = program.advance(self.builder.process_noise);
+            let (jitter, eff_moved) = program.advance(self.settings.process_noise);
             for (core, &target) in cores.iter_mut().zip(configs) {
                 core.step(target, &program.eff, eff_moved, jitter);
             }
@@ -434,7 +443,7 @@ impl Processor {
     fn actuates_current_config(&self, u: &[f64]) -> bool {
         let c = &self.core.config;
         self.core.config_power.is_some()
-            && u.len() == self.builder.input_set.len()
+            && u.len() == self.settings.input_set.len()
             && u[0].to_bits() == c.freq_ghz.to_bits()
             && u[1].to_bits() == (c.l2_ways as f64).to_bits()
             && u.get(2)
@@ -606,7 +615,7 @@ fn same_phase_bits(a: &Phase, b: &Phase) -> bool {
 
 impl Plant for Processor {
     fn num_inputs(&self) -> usize {
-        self.builder.input_set.len()
+        self.settings.input_set.len()
     }
 
     fn num_outputs(&self) -> usize {
@@ -614,7 +623,7 @@ impl Plant for Processor {
     }
 
     fn input_grids(&self) -> Vec<Vec<f64>> {
-        self.builder
+        self.settings
             .input_set
             .grids()
             .iter()
@@ -624,7 +633,7 @@ impl Plant for Processor {
 
     fn observe(&mut self) -> Vector {
         // One epoch at the current configuration provides the first reading.
-        let u = Vector::from_slice(&self.core.config.to_actuation(self.builder.input_set));
+        let u = Vector::from_slice(&self.core.config.to_actuation(self.settings.input_set));
         self.apply(&u)
     }
 
@@ -641,7 +650,7 @@ impl Plant for Processor {
         let cfg = if self.actuates_current_config(u.as_slice()) {
             self.core.config
         } else {
-            PlantConfig::from_actuation(u.as_slice(), self.builder.input_set, &self.core.config)?
+            PlantConfig::from_actuation(u.as_slice(), self.settings.input_set, &self.core.config)?
         };
         let obs = self.step_config(cfg);
         out[0] = obs.ips_bips;
@@ -654,7 +663,7 @@ impl Plant for Processor {
     }
 
     fn reset(&mut self) {
-        *self = Processor::from_parts(self.builder.clone(), self.program.profile);
+        *self = Processor::from_parts(self.settings, self.program.profile);
     }
 }
 

@@ -262,7 +262,7 @@ pub fn catalog() -> Vec<AppProfile> {
 
 /// Names of every catalog application, in catalog order.
 pub fn catalog_names() -> Vec<&'static str> {
-    catalog().iter().map(AppProfile::name).collect()
+    shared_catalog().iter().map(AppProfile::name).collect()
 }
 
 /// Looks an application up by name.
@@ -270,14 +270,17 @@ pub fn lookup(name: &str) -> Option<AppProfile> {
     lookup_shared(name).cloned()
 }
 
-/// Looks an application up in one catalog built once and shared by every
-/// plant, so plants hold no copy of their phase list.
+/// Looks an application up in the shared catalog, so plants hold no copy
+/// of their phase list.
 pub(crate) fn lookup_shared(name: &str) -> Option<&'static AppProfile> {
+    shared_catalog().iter().find(|a| a.name() == name)
+}
+
+/// The catalog, built once per process and shared by every plant and
+/// name query.
+fn shared_catalog() -> &'static [AppProfile] {
     static CATALOG: std::sync::OnceLock<Vec<AppProfile>> = std::sync::OnceLock::new();
-    CATALOG
-        .get_or_init(catalog)
-        .iter()
-        .find(|a| a.name() == name)
+    CATALOG.get_or_init(catalog)
 }
 
 #[cfg(test)]
