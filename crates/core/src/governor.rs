@@ -205,10 +205,6 @@ pub enum FastController {
     FreqCache(LqgController<StaticStore<2, 2, 4, 8>>),
     /// 3-in/2-out, 5 states: the three-input architecture (§VI-C).
     ThreeKnob(LqgController<StaticStore<3, 2, 5, 10>>),
-    /// 1-in/1-out, 2 states: decoupled SISO loops.
-    Siso(LqgController<StaticStore<1, 1, 2, 4>>),
-    /// 2-in/2-out, 2 states: the unit-test plant used across the suite.
-    Test2(LqgController<StaticStore<2, 2, 2, 6>>),
     /// Any other shape, on the dynamic heap-backed storage.
     Dynamic(LqgController),
 }
@@ -228,8 +224,6 @@ impl FastController {
         match shape {
             (2, 2, 4) => Self::FreqCache(ctrl.with_storage().expect(shaped)),
             (3, 2, 5) => Self::ThreeKnob(ctrl.with_storage().expect(shaped)),
-            (1, 1, 2) => Self::Siso(ctrl.with_storage().expect(shaped)),
-            (2, 2, 2) => Self::Test2(ctrl.with_storage().expect(shaped)),
             _ => Self::Dynamic(ctrl.clone()),
         }
     }
@@ -241,8 +235,6 @@ impl FastController {
         match self {
             Self::FreqCache(c) => Box::new(MimoGovernor::new(c.clone())),
             Self::ThreeKnob(c) => Box::new(MimoGovernor::new(c.clone())),
-            Self::Siso(c) => Box::new(MimoGovernor::new(c.clone())),
-            Self::Test2(c) => Box::new(MimoGovernor::new(c.clone())),
             Self::Dynamic(c) => Box::new(MimoGovernor::new(c.clone())),
         }
     }

@@ -1346,7 +1346,7 @@ mod tests {
 
         // `FastController` converts once and every governor it hands out
         // steps bit for bit like its own `fast_governor` conversion, for
-        // every static shape and for the dynamic fallback (3 states).
+        // both static shapes and for shapes that stay dynamic.
         for (i, o, n) in [(2, 2, 4), (3, 2, 5), (1, 1, 2), (2, 2, 2), (2, 2, 3)] {
             let mut ctrl = test_design(shaped_plant(i, o, n), &vec![10.0; o], &vec![0.05; i])
                 .build()
@@ -1388,9 +1388,11 @@ mod tests {
         };
         assert!(matches!(fast(shaped_plant(2, 2, 4)), Fast::FreqCache(_)));
         assert!(matches!(fast(shaped_plant(3, 2, 5)), Fast::ThreeKnob(_)));
-        assert!(matches!(fast(shaped_plant(1, 1, 2)), Fast::Siso(_)));
-        assert!(matches!(fast(test_plant()), Fast::Test2(_)));
-        // Six states is no deployed architecture: it stays dynamic.
+        // No other shape is a deployed MIMO architecture: a SISO loop (the
+        // Decoupled pair converts itself), the 2-state unit-test plant and
+        // six states all stay dynamic.
+        assert!(matches!(fast(shaped_plant(1, 1, 2)), Fast::Dynamic(_)));
+        assert!(matches!(fast(test_plant()), Fast::Dynamic(_)));
         assert!(matches!(fast(shaped_plant(2, 2, 6)), Fast::Dynamic(_)));
     }
 

@@ -113,6 +113,23 @@ fn design() -> LqgDesign {
     }
 }
 
+/// [`design`]'s knobs on a 4-state model: the two-input architecture's
+/// shape (2-in/2-out/4-state), which `FastController` puts on static
+/// storage.
+fn freq_cache_design() -> LqgDesign {
+    LqgDesign {
+        model: StateSpace::new(
+            Matrix::diag(&[0.7, 0.6, 0.5, 0.4]),
+            Matrix::from_rows(&[&[0.5, 0.2], &[0.1, 0.6], &[0.2, 0.0], &[0.0, 0.2]]),
+            Matrix::from_rows(&[&[1.0, 0.0, 0.5, 0.0], &[0.0, 1.0, 0.0, 0.5]]),
+            Matrix::zeros(2, 2),
+        )
+        .unwrap(),
+        process_noise: Matrix::identity(4).scale(1e-4),
+        ..design()
+    }
+}
+
 /// A 1-input / 1-output / 2-state loop of a `DecoupledGovernor`, its
 /// output normalized over `[0, out_hi]`.
 fn siso_design(out_hi: f64) -> LqgDesign {
@@ -272,15 +289,16 @@ fn steady_state_epoch_allocates_nothing() {
     });
 
     // Sanity: the boxed-governor form the fleet uses is equally clean.
-    // `fast_governor` picks the static storage here (2-in/2-out/2-state),
-    // so this window covers the exact monomorphized path the fleet steps.
+    // `fast_governor` picks the static storage here (2-in/2-out/4-state,
+    // the two-input architecture), so this window covers the exact
+    // monomorphized path the fleet steps.
     let plant = ProcessorBuilder::new()
         .app("astar")
         .seed(9)
         .input_set(InputSet::FreqCache)
         .build()
         .unwrap();
-    let gov: Box<dyn Governor + Send> = fast_governor(design().build().unwrap());
+    let gov: Box<dyn Governor + Send> = fast_governor(freq_cache_design().build().unwrap());
     let mut lp = EpochLoop::new(gov, plant);
     lp.set_targets(&targets);
     for _ in 0..300 {
@@ -367,7 +385,8 @@ fn steady_state_epoch_allocates_nothing() {
     assert_allocations("StaticStore controller clone", 0, || {
         std::hint::black_box(ctrl.clone());
     });
-    let fast = FastController::new(&design().build().unwrap());
+    let fast = FastController::new(&freq_cache_design().build().unwrap());
+    assert!(matches!(fast, FastController::FreqCache(_)), "{fast:?}");
     assert_allocations("governor from FastController::governor", 1, || {
         std::hint::black_box(fast.governor());
     });

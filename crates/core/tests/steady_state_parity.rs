@@ -5,10 +5,11 @@
 //! a literal copy of the allocating chain it replaced: a `Matrix` product
 //! for `Gᵀ Q y`, `LuDecomposition::solve`, the clamp, a `Matrix` product for
 //! `B u_ss`, and `solve` again. Every output must match it bit for bit —
-//! over random designs of every `fast_governor` shape plus a 6-state
-//! dynamic shape, over random and special references (signed zeros,
-//! subnormals, clamp-saturating values, ±1e300, infinities, NaN), and
-//! through designs whose factorizations pivot or fail.
+//! over random designs of both static `fast_governor` shapes, the
+//! Decoupled SISO loop, the unit-test plant and a 6-state shape, over
+//! random and special references (signed zeros, subnormals,
+//! clamp-saturating values, ±1e300, infinities, NaN), and through designs
+//! whose factorizations pivot or fail.
 
 use mimo_core::lqg::{LqgDesign, SteadyStateSolver};
 use mimo_core::StateSpace;
@@ -38,8 +39,9 @@ const SPECIAL: [f64; 14] = [
     -0.3,
 ];
 
-/// `(inputs, outputs, states)`: the four `fast_governor` shapes, then a
-/// 6-state shape that stays on dynamic storage.
+/// `(inputs, outputs, states)`: the two shapes `fast_governor` puts on
+/// static storage, the Decoupled pair's SISO loop, the 2-state unit-test
+/// plant, then a 6-state shape.
 const SHAPES: [(usize, usize, usize); 5] = [(2, 2, 4), (3, 2, 5), (1, 1, 2), (2, 2, 2), (2, 2, 6)];
 
 /// The allocating resolve chain, copied verbatim as the parity oracle.

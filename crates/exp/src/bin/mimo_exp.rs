@@ -62,8 +62,8 @@ FLAGS:
     --epochs N    epochs per tracking run (default: each spec's own count;
                   paper-scale 4000 for the figure aliases)
     --jobs N      worker threads for experiment grid cells (default: the
-                  host's available parallelism, or the MIMO_JOBS env var;
-                  N >= 1 — results are bit-identical at any job count)
+                  host's available parallelism; N >= 1 — results are
+                  bit-identical at any job count)
     --out DIR     directory CSVs land in (default: nearest results/)
     --timing      record per-subcommand and per-cell wall-clock into
                   BENCH_harness.json in the results directory (for

@@ -35,11 +35,11 @@
 //! non-zero naming the offending file, line, and key.
 //!
 //! Shared flags: `--epochs N` resizes tracking runs, `--out DIR` redirects
-//! the CSVs, `--jobs N` (or `MIMO_JOBS`) sets the grid worker count —
-//! results are bit-identical at any value — `--timing` writes
-//! `BENCH_harness.json`, `--shards N` pins a cluster spec's shard count,
-//! and `--trace PATH` (fault-sweep only) writes a JSONL epoch trace
-//! drained from per-core telemetry sinks.
+//! the CSVs, `--jobs N` sets the grid worker count (results are
+//! bit-identical at any value), `--timing` writes `BENCH_harness.json`,
+//! `--shards N` pins a cluster spec's shard count, and `--trace PATH`
+//! (fault-sweep only) writes a JSONL epoch trace drained from per-core
+//! telemetry sinks.
 //!
 //! The library half holds the pieces the CLI shares with integration
 //! tests: the scenario spec layer ([`spec`]), controller construction

@@ -14,41 +14,23 @@
 
 use std::sync::Mutex;
 
-/// Environment variable consulted when no `--jobs` flag is given.
-pub const JOBS_ENV: &str = "MIMO_JOBS";
-
 /// Default worker count: the host's available parallelism (1 if unknown).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// Resolves the worker count for a run: an explicit flag wins, then the
-/// `MIMO_JOBS` environment variable, then [`default_jobs`]. Zero is
-/// rejected from either source — a grid with no workers cannot run.
+/// Resolves the worker count for a run: the `--jobs` flag if given,
+/// else [`default_jobs`]. Zero is rejected — a grid with no workers
+/// cannot run.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for `0` or a non-integer `MIMO_JOBS`.
+/// Returns a human-readable message for `--jobs 0`.
 pub fn resolve_jobs(flag: Option<usize>) -> Result<usize, String> {
-    if let Some(n) = flag {
-        if n == 0 {
-            return Err(
-                "--jobs must be at least 1 (0 would leave the grid with no workers)".into(),
-            );
-        }
-        return Ok(n);
-    }
-    match std::env::var(JOBS_ENV) {
-        Ok(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("{JOBS_ENV} must be a positive integer, got {v:?}"))?;
-            if n == 0 {
-                return Err(format!("{JOBS_ENV} must be at least 1, got 0"));
-            }
-            Ok(n)
-        }
-        Err(_) => Ok(default_jobs()),
+    match flag {
+        Some(0) => Err("--jobs must be at least 1 (0 would leave the grid with no workers)".into()),
+        Some(n) => Ok(n),
+        None => Ok(default_jobs()),
     }
 }
 
@@ -205,25 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_jobs_validates_flag_and_env() {
-        // Explicit flag wins and 0 is rejected.
+    fn resolve_jobs_validates_the_flag() {
+        // An explicit flag is taken as is and 0 is rejected.
         assert_eq!(resolve_jobs(Some(3)), Ok(3));
         assert!(resolve_jobs(Some(0)).is_err());
-        // Env fallback. Env mutation is process-global: this is the only
-        // test that touches MIMO_JOBS, and it restores the prior state.
-        let saved = std::env::var(JOBS_ENV).ok();
-        std::env::set_var(JOBS_ENV, "5");
-        assert_eq!(resolve_jobs(None), Ok(5));
-        assert_eq!(resolve_jobs(Some(2)), Ok(2), "flag still wins over env");
-        std::env::set_var(JOBS_ENV, "0");
-        assert!(resolve_jobs(None).is_err());
-        std::env::set_var(JOBS_ENV, "many");
-        assert!(resolve_jobs(None).is_err());
-        match saved {
-            Some(v) => std::env::set_var(JOBS_ENV, v),
-            None => std::env::remove_var(JOBS_ENV),
-        }
-        // With neither flag nor env, the host default applies.
-        assert!(resolve_jobs(None).unwrap() >= 1);
+        // With no flag, the host default applies.
+        assert_eq!(resolve_jobs(None), Ok(default_jobs()));
     }
 }

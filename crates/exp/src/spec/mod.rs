@@ -1,20 +1,20 @@
 //! `mimo-spec` — the declarative scenario layer.
 //!
-//! A scenario spec is a TOML file naming a topology (single loop, fleet,
-//! or cluster — or one of the paper's own experiments), the
-//! governor/arbiter selection, workload mix, phase schedule, fault plan,
-//! and expected-outcome assertions. `mimo-exp run <spec.toml>` executes
-//! it; `validate` checks it without running; `schema` prints the key
-//! reference. The figure subcommands are thin aliases over the
-//! [`embedded`] copies of `specs/*.toml`, so every experiment the harness
-//! can run is reproducible from a checked-in file.
+//! A scenario spec is a TOML file naming a topology (a single loop or a
+//! cluster of chips, a fleet being a one-chip cluster — or one of the
+//! paper's own experiments), the governor/arbiter selection, workload
+//! mix, phase schedule, fault plan, and expected-outcome assertions.
+//! `mimo-exp run <spec.toml>` executes it; `validate` checks it without
+//! running; `schema` prints the key reference. The figure subcommands are
+//! thin aliases over the [`embedded`] copies of `specs/*.toml`, so every
+//! experiment the harness can run is reproducible from a checked-in file.
 //!
 //! Pipeline: [`toml`] parses the text into a line-spanned [`value`] tree
 //! → [`RunSpec`] extracts itself via `FromValue` (every error carries key
-//! path + line), reading `[fleet]`/`[cluster]` straight onto the
-//! runtime's `FleetConfig`/`ClusterConfig` and validating them there →
-//! [`run_spec`] executes and checks assertions. Parsing is validation: a
-//! spec [`load`] accepts is one the runtime accepts.
+//! path + line), reading `[cluster]` straight onto the runtime's
+//! `ClusterConfig` and validating it there → [`run_spec`] executes and
+//! checks assertions. Parsing is validation: a spec [`load`] accepts is
+//! one the runtime accepts.
 
 pub mod embedded;
 mod model;

@@ -2,16 +2,16 @@
 //!
 //! A spec file extracts itself into this tree via [`FromValue`]; every
 //! extraction error carries the dotted key path and source line, which
-//! `mimo-exp run` prefixes with the file name. `[fleet]` and `[cluster]`
-//! read straight onto the runtime's own [`FleetConfig`] and
-//! [`ClusterConfig`], whose `validate` runs at parse time and reports at
-//! the section's line, and `[loop]` builds its plant to check the
-//! app name, so a spec that parses is a spec the runtime accepts. Semantic
-//! checks that need more than one key (phase ordering, assertion/kind
-//! compatibility, bounds) live in [`RunSpec::validate`] so parse errors
-//! and validation errors read the same way.
+//! `mimo-exp run` prefixes with the file name. `[cluster]` reads straight
+//! onto the runtime's own [`ClusterConfig`], whose `validate` runs at
+//! parse time and reports at the section's line (a fleet is a one-chip
+//! cluster), and `[loop]` builds its plant to check the app name, so a
+//! spec that parses is a spec the runtime accepts. Semantic checks that
+//! need more than one key (phase ordering, assertion/kind compatibility,
+//! bounds) live in [`RunSpec::validate`] so parse errors and validation
+//! errors read the same way.
 
-use mimo_fleet::{ArbitrationPolicy, ClusterConfig, FleetConfig};
+use mimo_fleet::{ArbitrationPolicy, ClusterConfig};
 use mimo_sim::fault::{FaultKind, FaultSpec};
 use mimo_sim::llc::LlcConfig;
 use mimo_sim::InputSet;
@@ -32,7 +32,7 @@ pub struct RunSpec {
     pub asserts: Asserts,
 }
 
-/// The four scenario kinds, keyed by the top-level `kind` string.
+/// The three scenario kinds, keyed by the top-level `kind` string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Scenario {
     /// `kind = "paper"`: one of the named paper experiments, byte-for-byte
@@ -41,9 +41,8 @@ pub enum Scenario {
     /// `kind = "loop"`: a single governed core driven through a
     /// piecewise-constant reference schedule.
     Loop(LoopSpec),
-    /// `kind = "fleet"`: one chip, N cores under a shared power arbiter.
-    Fleet(FleetConfig),
-    /// `kind = "cluster"`: chips × cores under a cluster-level arbiter.
+    /// `kind = "cluster"`: chips × cores under a cluster-level arbiter (a
+    /// one-chip cluster is a fleet).
     Cluster(ClusterConfig),
 }
 
@@ -53,7 +52,6 @@ impl Scenario {
         match self {
             Scenario::Paper(_) => "paper",
             Scenario::Loop(_) => "loop",
-            Scenario::Fleet(_) => "fleet",
             Scenario::Cluster(_) => "cluster",
         }
     }
@@ -190,7 +188,7 @@ pub struct Asserts {
     pub digest: Vec<DigestAssert>,
     /// Aggregate tracking-error ceilings.
     pub tracking_error: Vec<TrackingErrorAssert>,
-    /// Bounds on quarantined cores (fleet/cluster kinds).
+    /// Bounds on quarantined cores (cluster kind).
     pub quarantined: Option<QuarantinedAssert>,
     /// Byte-identity of CSV output across worker/shard counts.
     pub invariant: Option<InvariantAssert>,
@@ -252,7 +250,7 @@ pub struct QuarantinedAssert {
 /// produced CSV bytes to be identical.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct InvariantAssert {
-    /// Worker counts to compare (paper/loop/fleet kinds).
+    /// Worker counts to compare (paper/loop kinds).
     pub jobs: Vec<usize>,
     /// Shard counts to compare (cluster kind, and `cluster-scale`).
     pub shards: Vec<usize>,
@@ -360,10 +358,8 @@ fn llc(v: &Spanned, path: &str, cores: usize) -> DeResult<LlcConfig> {
     Ok(llc)
 }
 
-/// Parses one `[[…faults]]` entry into `(chip, core, window)`;
-/// `in_cluster` decides whether the `chip` key is required or forbidden
-/// (fleet faults read chip 0).
-fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<(usize, usize, FaultSpec)> {
+/// Parses one `[[cluster.faults]]` entry into `(chip, core, window)`.
+fn core_fault(v: &Spanned, path: &str) -> DeResult<(usize, usize, FaultSpec)> {
     let t = table(v, path)?;
     t.deny_unknown(
         &[
@@ -371,17 +367,7 @@ fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<(usize, usi
         ],
         path,
     )?;
-    let chip = if in_cluster {
-        t.field("chip", path, v.line)?
-    } else if let Some(node) = t.get("chip") {
-        return Err(DeError::at(
-            join(path, "chip"),
-            node.line,
-            "chip is a cluster-kind key; fleet faults name only a core",
-        ));
-    } else {
-        0
-    };
+    let chip = t.field("chip", path, v.line)?;
 
     // Per-kind payload keys; anything from another kind's vocabulary is
     // caught by `only`.
@@ -454,20 +440,14 @@ fn core_fault(v: &Spanned, path: &str, in_cluster: bool) -> DeResult<(usize, usi
     ))
 }
 
-fn core_faults(
-    t: &Table,
-    path: &str,
-    in_cluster: bool,
-) -> DeResult<Vec<(usize, usize, FaultSpec)>> {
+fn core_faults(t: &Table, path: &str) -> DeResult<Vec<(usize, usize, FaultSpec)>> {
     match t.get("faults") {
         None => Ok(Vec::new()),
         Some(v) => match &v.value {
             Value::Array(items) => items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| {
-                    core_fault(item, &format!("{}[{i}]", join(path, "faults")), in_cluster)
-                })
+                .map(|(i, item)| core_fault(item, &format!("{}[{i}]", join(path, "faults"))))
                 .collect(),
             _ => Err(DeError::mismatch(
                 &join(path, "faults"),
@@ -515,79 +495,30 @@ impl FromValue for LoopSpec {
     }
 }
 
-/// Reads the keys `[fleet]` and `[cluster]` share onto either runtime
-/// config (both builders name these knobs alike). `epochs` is required
-/// and `seed` defaults to 2016; any other absent key leaves the runtime
-/// default. `$cores` sizes the LLC model: the cores on
-/// one chip.
-macro_rules! shared_keys {
-    ($cfg:ident, $t:expr, $path:expr, $line:expr, $cores:expr) => {
-        $cfg = $cfg
-            .epochs($t.field("epochs", $path, $line)?)
-            .seed($t.field_or("seed", $path, 2016)?);
-        if let Some(watts) = $t.field_opt("power_cap", $path)? {
-            $cfg = $cfg.power_cap(watts);
-        }
-        if let Some(set) = input_set($t, $path)? {
-            $cfg = $cfg.input_set(set);
-        }
-        if let Some(apps) = $t.field_opt::<Vec<String>>("apps", $path)? {
-            $cfg = $cfg.apps(apps);
-        }
-        if let Some(pair) = targets($t, $path)? {
-            $cfg = $cfg.base_targets(pair);
-        }
-        if let Some(rate) = $t.field_opt("fault_rate", $path)? {
-            $cfg = $cfg.fault_rate(rate);
-        }
-        if let Some(node) = $t.get("llc") {
-            $cfg = $cfg.llc_contention(llc(node, &join($path, "llc"), $cores)?);
-        }
-    };
-}
-
-/// The keys `[fleet]` and `[cluster]` share, after their topology keys.
-const SHARED_KEYS: [&str; 10] = [
-    "epochs",
-    "seed",
-    "power_cap",
-    "policy",
-    "input_set",
-    "apps",
-    "targets",
-    "fault_rate",
-    "faults",
-    "llc",
-];
-
-/// Reads `[fleet]` onto [`FleetConfig::new`] and runs the config's own
-/// `validate`, reporting a rejection at the section's line.
-fn fleet(v: &Spanned) -> DeResult<FleetConfig> {
-    let path = "fleet";
-    let t = table(v, path)?;
-    t.deny_unknown(&[&["cores"][..], &SHARED_KEYS].concat(), path)?;
-    let cores = t.field("cores", path, v.line)?;
-    let mut cfg = FleetConfig::new(cores);
-    shared_keys!(cfg, t, path, v.line, cores);
-    if let Some(p) = policy(t, path)? {
-        cfg = cfg.policy(p);
-    }
-    for (_, core, window) in core_faults(t, path, false)? {
-        cfg = cfg.core_fault(core, window);
-    }
-    cfg.validate()
-        .map_err(|e| DeError::at(path, v.line, e.to_string()))?;
-    Ok(cfg)
-}
-
-/// Reads `[cluster]` onto [`ClusterConfig::new`]; `policy` sets each
-/// chip's arbiter and `shards` defaults to 1 (0, the runtime's "auto", is
-/// rejected). Validation as for [`fleet`].
+/// Reads `[cluster]` onto [`ClusterConfig::new`] and runs the config's
+/// own `validate`, reporting a rejection at the section's line. `epochs`
+/// is required, `seed` defaults to 2016 and `shards` to 1 (0, the
+/// runtime's "auto", is rejected); any other absent key leaves the
+/// runtime default. `policy` sets each chip's arbiter.
 fn cluster(v: &Spanned) -> DeResult<ClusterConfig> {
     let path = "cluster";
     let t = table(v, path)?;
     t.deny_unknown(
-        &[&["chips", "cores_per_chip", "shards"][..], &SHARED_KEYS].concat(),
+        &[
+            "chips",
+            "cores_per_chip",
+            "shards",
+            "epochs",
+            "seed",
+            "power_cap",
+            "policy",
+            "input_set",
+            "apps",
+            "targets",
+            "fault_rate",
+            "faults",
+            "llc",
+        ],
         path,
     )?;
     let chips = t.field("chips", path, v.line)?;
@@ -597,12 +528,32 @@ fn cluster(v: &Spanned) -> DeResult<ClusterConfig> {
         let line = t.get("shards").map_or(v.line, |node| node.line);
         return Err(DeError::at("cluster.shards", line, "must be at least 1"));
     }
-    let mut cfg = ClusterConfig::new(chips, cores_per_chip).shards(shards);
-    shared_keys!(cfg, t, path, v.line, cores_per_chip);
+    let mut cfg = ClusterConfig::new(chips, cores_per_chip)
+        .shards(shards)
+        .epochs(t.field("epochs", path, v.line)?)
+        .seed(t.field_or("seed", path, 2016)?);
+    if let Some(watts) = t.field_opt("power_cap", path)? {
+        cfg = cfg.power_cap(watts);
+    }
+    if let Some(set) = input_set(t, path)? {
+        cfg = cfg.input_set(set);
+    }
+    if let Some(apps) = t.field_opt::<Vec<String>>("apps", path)? {
+        cfg = cfg.apps(apps);
+    }
+    if let Some(pair) = targets(t, path)? {
+        cfg = cfg.base_targets(pair);
+    }
+    if let Some(rate) = t.field_opt("fault_rate", path)? {
+        cfg = cfg.fault_rate(rate);
+    }
+    if let Some(node) = t.get("llc") {
+        cfg = cfg.llc_contention(llc(node, &join(path, "llc"), cores_per_chip)?);
+    }
     if let Some(p) = policy(t, path)? {
         cfg = cfg.chip_policy(p);
     }
-    for (chip, core, window) in core_faults(t, path, true)? {
+    for (chip, core, window) in core_faults(t, path)? {
         cfg = cfg.core_fault(chip, core, window);
     }
     cfg.validate()
@@ -704,12 +655,6 @@ impl RunSpec {
     ///
     /// [`DeError`] naming the offending key and line.
     pub fn from_table(root: &Table) -> DeResult<Self> {
-        root.deny_unknown(
-            &[
-                "schema", "name", "kind", "paper", "loop", "fleet", "cluster", "asserts",
-            ],
-            "",
-        )?;
         let schema: i64 = root.field("schema", "", 1)?;
         if schema != SCHEMA_VERSION {
             let node = root.get("schema").expect("just read it");
@@ -744,20 +689,25 @@ impl RunSpec {
                 Scenario::Paper(PaperExperiment::parse(exp, "paper.experiment")?)
             }
             "loop" => Scenario::Loop(LoopSpec::from_value(section("loop")?, "loop")?),
-            "fleet" => Scenario::Fleet(fleet(section("fleet")?)?),
             "cluster" => Scenario::Cluster(cluster(section("cluster")?)?),
             other => {
                 return Err(DeError::at(
                     "kind",
                     kind_node.line,
-                    format!(
-                        "unknown kind {other:?} (expected one of: paper, loop, fleet, cluster)"
-                    ),
+                    format!("unknown kind {other:?} (expected one of: paper, loop, cluster)"),
                 ))
             }
         };
+        // Unknown keys are checked once the kind is known, so a spec of a
+        // kind this build does not have fails at its `kind` line.
+        root.deny_unknown(
+            &[
+                "schema", "name", "kind", "paper", "loop", "cluster", "asserts",
+            ],
+            "",
+        )?;
         // A spec may only carry the section its kind names.
-        for key in ["paper", "loop", "fleet", "cluster"] {
+        for key in ["paper", "loop", "cluster"] {
             if key != scenario.kind() {
                 if let Some(node) = root.get(key) {
                     return Err(DeError::at(
@@ -841,17 +791,17 @@ impl RunSpec {
             }
         }
         let kind = self.scenario.kind();
-        let summary_kinds = matches!(self.scenario, Scenario::Fleet(_) | Scenario::Cluster(_));
-        if !self.asserts.digest.is_empty() && !summary_kinds {
+        let cluster = matches!(self.scenario, Scenario::Cluster(_));
+        if !self.asserts.digest.is_empty() && !cluster {
             return bad(
                 "asserts.digest",
-                format!("digest assertions need kind fleet or cluster, not {kind}"),
+                format!("digest assertions need kind cluster, not {kind}"),
             );
         }
-        if self.asserts.quarantined.is_some() && !summary_kinds {
+        if self.asserts.quarantined.is_some() && !cluster {
             return bad(
                 "asserts.quarantined",
-                format!("quarantined assertions need kind fleet or cluster, not {kind}"),
+                format!("quarantined assertions need kind cluster, not {kind}"),
             );
         }
         if let Some(q) = &self.asserts.quarantined {
@@ -865,7 +815,7 @@ impl RunSpec {
         if !self.asserts.tracking_error.is_empty() && matches!(self.scenario, Scenario::Paper(_)) {
             return bad(
                 "asserts.tracking_error",
-                "tracking_error assertions need kind loop, fleet, or cluster".into(),
+                "tracking_error assertions need kind loop or cluster".into(),
             );
         }
         if let Some(inv) = &self.asserts.invariant {
@@ -878,7 +828,7 @@ impl RunSpec {
             if inv.jobs.contains(&0) || inv.shards.contains(&0) {
                 return bad("asserts.invariant", "counts must be at least 1".into());
             }
-            let shards_ok = matches!(self.scenario, Scenario::Cluster(_))
+            let shards_ok = cluster
                 || matches!(
                     self.scenario,
                     Scenario::Paper(PaperExperiment::ClusterScale)
@@ -889,7 +839,7 @@ impl RunSpec {
                     format!("shards invariance needs kind cluster (or cluster-scale), not {kind}"),
                 );
             }
-            if !inv.jobs.is_empty() && matches!(self.scenario, Scenario::Cluster(_)) {
+            if !inv.jobs.is_empty() && cluster {
                 return bad(
                     "asserts.invariant.jobs",
                     "a cluster parallelizes over shards, not jobs — use shards = [...]".into(),
@@ -912,6 +862,7 @@ impl RunSpec {
 mod tests {
     use super::*;
     use crate::spec::toml;
+    use mimo_fleet::FleetConfig;
 
     fn parse(src: &str) -> DeResult<RunSpec> {
         RunSpec::from_table(&toml::parse(src)?)
@@ -978,15 +929,6 @@ mod tests {
         );
     }
 
-    /// A `kind = "fleet"` spec whose `[fleet]` header sits on line 4.
-    fn fleet_spec(body: &str) -> DeResult<FleetConfig> {
-        let src = format!("schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\n{body}");
-        match parse(&src)?.scenario {
-            Scenario::Fleet(cfg) => Ok(cfg),
-            s => panic!("{s:?}"),
-        }
-    }
-
     /// A `kind = "cluster"` spec whose `[cluster]` header sits on line 4.
     fn cluster_spec(body: &str) -> DeResult<ClusterConfig> {
         let src = format!("schema = 1\nname = \"x\"\nkind = \"cluster\"\n[cluster]\n{body}");
@@ -997,45 +939,58 @@ mod tests {
     }
 
     #[test]
-    fn fleet_reads_onto_the_builder() {
-        let cfg = fleet_spec(
-            "cores = 4\nepochs = 100\nseed = 7\npower_cap = 4.0\npolicy = \"uniform\"\n\
-             apps = [\"astar\"]\ntargets = [2.5, 1.5]\n[fleet.llc]\ntotal_ways = 16\n",
+    fn cluster_reads_onto_the_builder() {
+        let cfg = cluster_spec(
+            "chips = 1\ncores_per_chip = 4\nepochs = 100\nseed = 7\npower_cap = 4.0\n\
+             policy = \"uniform\"\napps = [\"astar\"]\ntargets = [2.5, 1.5]\n\
+             [cluster.llc]\ntotal_ways = 16\n",
         )
         .unwrap();
-        assert_eq!(cfg.n_cores, 4);
+        assert_eq!((cfg.n_chips, cfg.cores_per_chip), (1, 4));
         assert_eq!((cfg.epochs, cfg.seed), (100, 7));
-        assert_eq!(cfg.chip_power_cap_w, 4.0);
-        assert_eq!(cfg.policy, ArbitrationPolicy::Uniform);
+        assert_eq!(cfg.cluster_power_cap_w, 4.0);
+        assert_eq!(cfg.chip_policy, ArbitrationPolicy::Uniform);
         assert_eq!(cfg.apps, vec!["astar"]);
         assert_eq!(cfg.base_targets, [2.5, 1.5]);
         assert_eq!(cfg.llc.unwrap().total_ways, 16);
+        // The keys a `[fleet]` section took read onto the fleet's lift.
+        let fleet = FleetConfig::new(4)
+            .epochs(100)
+            .seed(7)
+            .power_cap(4.0)
+            .policy(ArbitrationPolicy::Uniform)
+            .apps(vec!["astar"])
+            .base_targets([2.5, 1.5])
+            .llc_contention(LlcConfig::for_cores(4).total_ways(16));
+        assert_eq!(cfg, ClusterConfig::from(fleet));
     }
 
     #[test]
-    fn fleet_defaults_stay_the_runtime_defaults() {
-        let cfg = fleet_spec("cores = 4\nepochs = 100\n").unwrap();
+    fn cluster_defaults_stay_the_runtime_defaults() {
         // Only the spec's own default seed departs from the runtime's.
-        assert_eq!(cfg, FleetConfig::new(4).epochs(100).seed(2016));
+        let cfg = cluster_spec("chips = 1\ncores_per_chip = 4\nepochs = 100\n").unwrap();
+        assert_eq!(cfg, ClusterConfig::new(1, 4).epochs(100).seed(2016));
         let cfg = cluster_spec("chips = 2\ncores_per_chip = 3\nepochs = 100\n").unwrap();
         assert_eq!(cfg, ClusterConfig::new(2, 3).epochs(100).seed(2016));
     }
 
     #[test]
     fn unknown_app_fails_at_the_section_line() {
-        let err = fleet_spec("cores = 4\nepochs = 10\napps = [\"no-such-app\"]\n").unwrap_err();
-        assert_eq!((err.path.as_str(), err.line), ("fleet", 4));
+        let err =
+            cluster_spec("chips = 1\ncores_per_chip = 4\nepochs = 10\napps = [\"no-such-app\"]\n")
+                .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("cluster", 4));
         assert!(err.msg.contains("no-such-app"), "{err}");
     }
 
     #[test]
     fn llc_sensitivity_that_overflows_the_penalty_fails_at_the_section_line() {
-        let err = crate::spec::parse_str(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
-             [fleet.llc]\ntotal_ways = 4\nsensitivity = 1e308\n",
+        let err = cluster_spec(
+            "chips = 1\ncores_per_chip = 4\nepochs = 10\n\
+             [cluster.llc]\ntotal_ways = 4\nsensitivity = 1e308\n",
         )
         .unwrap_err();
-        assert_eq!((err.path.as_str(), err.line), ("fleet", 4));
+        assert_eq!((err.path.as_str(), err.line), ("cluster", 4));
         assert!(err.msg.contains("largest penalty inf"), "{err}");
     }
 
@@ -1085,9 +1040,10 @@ mod tests {
     fn wrong_kind_section_is_rejected() {
         let err = parse(
             "schema = 1\nname = \"x\"\nkind = \"paper\"\n[paper]\nexperiment = \"fig06\"\n\
-             [fleet]\ncores = 4\nepochs = 10\n",
+             [cluster]\nchips = 1\ncores_per_chip = 4\nepochs = 10\n",
         )
         .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("cluster", 6));
         assert!(err.msg.contains("conflicts with kind"), "{err}");
     }
 
@@ -1095,6 +1051,16 @@ mod tests {
     fn unknown_kind_and_experiment_are_rejected() {
         let err = parse("schema = 1\nname = \"x\"\nkind = \"magic\"\n").unwrap_err();
         assert!(err.msg.contains("unknown kind"), "{err}");
+        // A fleet is a one-chip `[cluster]`: `fleet` is no kind, and its
+        // section does not turn the error into an unknown-key one.
+        let err =
+            parse("schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n")
+                .unwrap_err();
+        assert_eq!((err.path.as_str(), err.line), ("kind", 3));
+        assert_eq!(
+            err.msg,
+            "unknown kind \"fleet\" (expected one of: paper, loop, cluster)"
+        );
         let err =
             parse("schema = 1\nname = \"x\"\nkind = \"paper\"\n[paper]\nexperiment = \"fig99\"\n")
                 .unwrap_err();
@@ -1119,31 +1085,33 @@ mod tests {
              [asserts.quarantined]\nmin = 1\n",
         )
         .unwrap_err();
-        assert!(err.msg.contains("fleet or cluster"), "{err}");
+        assert!(err.msg.contains("need kind cluster"), "{err}");
         let err = parse(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
-             [asserts.invariant]\nshards = [1, 2]\n",
+            "schema = 1\nname = \"x\"\nkind = \"cluster\"\n[cluster]\nchips = 1\n\
+             cores_per_chip = 4\nepochs = 10\n[asserts.invariant]\njobs = [1, 2]\n",
         )
         .unwrap_err();
-        assert!(err.path.contains("invariant"), "{err}");
+        assert_eq!(err.path, "asserts.invariant.jobs");
     }
 
     #[test]
     fn fault_kind_payload_keys_are_checked() {
         let err = parse(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
-             [[fleet.faults]]\ncore = 1\nkind = \"power_spike\"\nchannel = 0\nstart = 5\n",
+            "schema = 1\nname = \"x\"\nkind = \"cluster\"\n[cluster]\nchips = 1\n\
+             cores_per_chip = 4\nepochs = 10\n[[cluster.faults]]\nchip = 0\ncore = 1\n\
+             kind = \"power_spike\"\nchannel = 0\nstart = 5\n",
         )
         .unwrap_err();
-        assert_eq!(err.path, "fleet.faults[0].channel");
+        assert_eq!(err.path, "cluster.faults[0].channel");
         assert!(err.msg.contains("factor"), "{err}");
     }
 
     #[test]
     fn digest_value_is_hex() {
         let err = parse(
-            "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 4\nepochs = 10\n\
-             [[asserts.digest]]\nepochs = 10\nvalue = \"zznothex\"\n",
+            "schema = 1\nname = \"x\"\nkind = \"cluster\"\n[cluster]\nchips = 1\n\
+             cores_per_chip = 4\nepochs = 10\n[[asserts.digest]]\nepochs = 10\n\
+             value = \"zznothex\"\n",
         )
         .unwrap_err();
         assert_eq!(err.path, "asserts.digest[0].value");

@@ -4,9 +4,9 @@
 //! subcommands always ran — including each subcommand's post-run checks
 //! and paper-comparison summaries — so a spec-driven `fig06` and the
 //! `fig06` alias are the same run producing the same bytes. Loop scenarios
-//! drive the epoch-loop runner; fleet and cluster scenarios hand their
-//! parsed `FleetConfig`/`ClusterConfig`, with `--epochs`/`--shards`
-//! written on, to the fleet/cluster runtimes, which validate it again.
+//! drive the epoch-loop runner; cluster scenarios hand their parsed
+//! `ClusterConfig`, with `--epochs`/`--shards` written on, to the cluster
+//! runtime, which validates it again.
 //! Each writes a deterministic `<name>.csv` summary (no shard or
 //! wall-clock columns, so the file is byte-identical at any parallelism —
 //! that is what `asserts.invariant` diffs).
@@ -16,7 +16,7 @@ use mimo_core::engine::{rel_tracking_error, ReferenceStep};
 use mimo_core::governor::fast_governor;
 use mimo_core::optimizer::Metric;
 use mimo_core::telemetry::TelemetryConfig;
-use mimo_fleet::{ClusterConfig, FleetConfig};
+use mimo_fleet::ClusterConfig;
 use mimo_linalg::Vector;
 use mimo_sim::InputSet;
 
@@ -47,11 +47,11 @@ pub struct RunOverrides {
 struct Outcome {
     /// Effective epoch count (gates digest assertions).
     epochs: usize,
-    /// Deterministic stats digest (fleet/cluster kinds).
+    /// Deterministic stats digest (cluster kind).
     digest: Option<u64>,
     /// Mean `[ips, power]` tracking error, percent.
     err_pct: Option<[f64; 2]>,
-    /// Quarantined cores (fleet/cluster kinds).
+    /// Quarantined cores (cluster kind).
     quarantined: Option<usize>,
     /// CSVs this run wrote (relative names), for invariance diffing.
     csvs: Vec<String>,
@@ -80,7 +80,6 @@ fn execute(cfg: &ExpConfig, spec: &RunSpec, ov: &RunOverrides) -> Result<Outcome
             csvs: Vec::new(),
         }),
         Scenario::Loop(l) => run_loop(cfg, &spec.name, l, ov),
-        Scenario::Fleet(f) => run_fleet(cfg, &spec.name, f, ov),
         Scenario::Cluster(c) => run_cluster(cfg, &spec.name, c, ov),
     }
 }
@@ -310,76 +309,8 @@ fn run_loop(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet / cluster kinds
+// Cluster kind
 // ---------------------------------------------------------------------------
-
-fn run_fleet(
-    cfg: &ExpConfig,
-    name: &str,
-    fleet: &FleetConfig,
-    ov: &RunOverrides,
-) -> Result<Outcome, String> {
-    let mut fleet_cfg = fleet.clone();
-    if let Some(epochs) = ov.epochs {
-        fleet_cfg.epochs = epochs;
-    }
-    let design = cfg
-        .cache
-        .design_mimo(fleet_cfg.input_set, fleet_cfg.seed)
-        .map_err(|e| e.to_string())?;
-    let epochs = fleet_cfg.epochs;
-    let stats = mimo_fleet::FleetRunner::with_shared_controller(fleet_cfg, &design.controller)
-        .and_then(mimo_fleet::FleetRunner::run)
-        .map_err(|e| e.to_string())?;
-    let digest = stats.digest();
-
-    let csv = format!("{name}.csv");
-    if cfg.emit {
-        // No wall-clock columns: the file must be byte-identical across
-        // re-runs (asserts.invariant diffs it directly).
-        let row = vec![
-            stats.n_cores.to_string(),
-            stats.epochs.to_string(),
-            stats.policy.clone(),
-            report::fmt(stats.agg_ips_err_pct, 2),
-            report::fmt(stats.agg_power_err_pct, 2),
-            report::fmt(stats.avg_chip_power_w, 3),
-            report::fmt(stats.peak_chip_power_w, 3),
-            report::fmt(stats.cap_violation_pct, 2),
-            stats.quarantined_cores.to_string(),
-            stats.fault_epochs.to_string(),
-            format!("{digest:016x}"),
-        ];
-        let path = cfg
-            .results
-            .write_csv(
-                &csv,
-                &[
-                    "n_cores",
-                    "epochs",
-                    "policy",
-                    "ips_err_pct",
-                    "power_err_pct",
-                    "avg_chip_w",
-                    "peak_chip_w",
-                    "cap_violation_pct",
-                    "quarantined",
-                    "fault_epochs",
-                    "digest",
-                ],
-                &[row],
-            )
-            .map_err(|e| format!("write {csv}: {e}"))?;
-        println!("wrote {}", path.display());
-    }
-    Ok(Outcome {
-        epochs,
-        digest: Some(digest),
-        err_pct: Some([stats.agg_ips_err_pct, stats.agg_power_err_pct]),
-        quarantined: Some(stats.quarantined_cores),
-        csvs: vec![csv],
-    })
-}
 
 fn run_cluster(
     cfg: &ExpConfig,
@@ -406,7 +337,8 @@ fn run_cluster(
 
     let csv = format!("{name}.csv");
     if cfg.emit {
-        // No shards or wall-clock columns, for the same reason as fleet.
+        // No shards or wall-clock columns: the file must be
+        // byte-identical across re-runs (asserts.invariant diffs it).
         let row = vec![
             stats.n_chips.to_string(),
             (stats.total_cores / stats.n_chips.max(1)).to_string(),
@@ -604,9 +536,9 @@ fn check_invariance(
         match (&spec.scenario, param) {
             (Scenario::Paper(_), "jobs") => cfg2.jobs = n,
             (Scenario::Paper(_) | Scenario::Cluster(_), _) => ov2.shards = Some(n),
-            // One thread steps a loop or a fleet chip; the re-run checks
-            // run-to-run determinism.
-            (Scenario::Loop(_) | Scenario::Fleet(_), _) => {}
+            // One thread steps a loop; the re-run checks run-to-run
+            // determinism.
+            (Scenario::Loop(_), _) => {}
         }
         if let Err(e) = execute(&cfg2, spec, &ov2) {
             result = Err(format!(

@@ -18,7 +18,7 @@ Top level
 ---------
 schema      integer, required       must be 1
 name        string,  required       [A-Za-z0-9_-]+; non-paper kinds write <name>.csv
-kind        string,  required       paper | loop | fleet | cluster
+kind        string,  required       paper | loop | cluster
 
 [paper]                             (kind = \"paper\")
 ----------------------------------------------------
@@ -41,18 +41,24 @@ epochs      integer, required       --epochs overrides
   The runner drives one governed core through the piecewise-constant
   reference schedule and writes one summary row per phase.
 
-[fleet]                             (kind = \"fleet\")
+[cluster]                           (kind = \"cluster\")
 ----------------------------------------------------
-cores       integer, required
+chips           integer, required   chips = 1 is a fleet: one chip, one arbiter
+cores_per_chip  integer, required
+shards          integer, default 1  --shards overrides; results identical at any value
 epochs      integer, required       --epochs overrides
 seed        integer, default 2016
-power_cap   float,   default nominal (1.2 W/core)
+power_cap   float,   default nominal (1.2 W/core); caps the cluster. Each
+                                    chip is granted at most its nominal cap,
+                                    so above nominal a chip runs at nominal
 policy      string,  default runtime's     uniform | proportional | priority
+                                    (each chip's arbiter)
 input_set   string,  default freq_cache
 apps        array of strings, default built-in mix; assigned round-robin
 targets     array [ips, power], default runtime's
 fault_rate  float,   default 0      transient faults per core-epoch
-[[fleet.faults]]                    scheduled fault plan
+[[cluster.faults]]                  scheduled fault plan
+  chip      integer, required       which chip the fault lands on
   core      integer, required
   kind      string,  required       stuck_sensor | nan_measurement |
                                     actuator_stuck_at | power_spike
@@ -62,39 +68,28 @@ fault_rate  float,   default 0      transient faults per core-epoch
   factor    float                   power_spike only
   start     integer, required       first faulted epoch
   duration  integer, default permanent
-[fleet.llc]                         shared-LLC contention (default off)
+[cluster.llc]                       shared-LLC contention per chip (default off)
   total_ways   integer, required
   sensitivity  float, default model's
-
-[cluster]                           (kind = \"cluster\")
-----------------------------------------------------
-chips           integer, required
-cores_per_chip  integer, required
-shards          integer, default 1  --shards overrides; results identical at any value
-epochs / seed / power_cap / policy / input_set / apps / targets /
-fault_rate / llc                    as for [fleet] (power_cap caps the cluster;
-                                    policy sets each chip's arbiter)
-[[cluster.faults]]                  as for [fleet.faults] plus:
-  chip      integer, required       which chip the fault lands on
 
 [asserts]                           all optional
 ----------------------------------------------------
 csv = [\"a.csv\", ...]               files the run must produce
-[[asserts.digest]]                  fleet/cluster kinds only
+[[asserts.digest]]                  cluster kind only
   epochs    integer, required       checked only at exactly this epoch count
   value     string,  required       16 hex digits (the stats digest)
-[[asserts.tracking_error]]          loop/fleet/cluster kinds
+[[asserts.tracking_error]]          loop/cluster kinds
   output    string,  required       ips | power
   max_pct   float,   required       mean tracking error ceiling, percent
   epochs    integer, optional       epoch gate, as for digest
-[asserts.quarantined]               fleet/cluster kinds
+[asserts.quarantined]               cluster kind only
   min       integer, default 0
   max       integer, default unbounded
   epochs    integer, optional       epoch gate
 [asserts.invariant]                 re-run and byte-compare the CSVs
-  jobs      array of integers       paper: job counts to compare; loop/fleet:
+  jobs      array of integers       paper: job counts to compare; loop:
                                     plain determinism re-runs (one thread
-                                    steps a core or a chip)
+                                    steps a core)
   shards    array of integers       cluster (and cluster-scale): shard counts
 
 Epoch-gated assertions (digest, and any tracking_error/quarantined with

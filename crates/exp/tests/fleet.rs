@@ -117,3 +117,42 @@ fn tight_cap_throttles_power_below_generous_cap() {
         "tight {tight:?} vs generous {generous:?}"
     );
 }
+
+#[test]
+fn priority_policy_on_default_cores_is_the_uniform_split() {
+    // No spec key or flag sets a per-core priority, so every core weighs
+    // 1.0 and the priority share `cap * 1.0 / n` is the uniform `cap / n`
+    // bit for bit: `fault-sweep`'s `priority` rows repeat its `uniform`
+    // digests. A tight cap makes the split bind, and a quarantined core
+    // takes both policies through the healthy-core share.
+    let design = setup::design_mimo(InputSet::FreqCache, 2016).expect("design");
+    let run = |policy| {
+        let cfg = FleetConfig::new(8)
+            .epochs(300)
+            .policy(policy)
+            .power_cap(6.0)
+            .seed(2016)
+            .core_fault(
+                3,
+                FaultSpec {
+                    kind: FaultKind::NanMeasurement { channel: 0 },
+                    start_epoch: 40,
+                    duration: u64::MAX,
+                },
+            );
+        FleetRunner::with_shared_controller(cfg, &design.controller)
+            .expect("fleet")
+            .run()
+            .expect("validated fleet config")
+    };
+    let uniform = run(ArbitrationPolicy::Uniform);
+    let priority = run(ArbitrationPolicy::PriorityWeighted);
+    assert_eq!(uniform.quarantined_cores, 1, "{uniform:?}");
+    assert_eq!(priority.digest(), uniform.digest());
+    assert_eq!(priority.per_core, uniform.per_core);
+    // The split is not vacuous: another policy lands elsewhere.
+    assert_ne!(
+        run(ArbitrationPolicy::Proportional).digest(),
+        uniform.digest()
+    );
+}

@@ -70,9 +70,12 @@ fn unknown_key_is_named_with_its_line() {
     // `banked` selected a stepping path the runtime no longer has.
     let spec = temp_spec(
         "banked-key",
-        "schema = 1\nname = \"x\"\nkind = \"fleet\"\n[fleet]\ncores = 2\nepochs = 5\nbanked = true\n",
+        "schema = 1\nname = \"x\"\nkind = \"cluster\"\n[cluster]\nchips = 1\ncores_per_chip = 2\nepochs = 5\nbanked = true\n",
     );
-    assert_run_fails(&spec, &["banked-key.toml:7", "fleet.banked", "unknown key"]);
+    assert_run_fails(
+        &spec,
+        &["banked-key.toml:8", "cluster.banked", "unknown key"],
+    );
 }
 
 #[test]

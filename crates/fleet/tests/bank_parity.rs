@@ -1,11 +1,12 @@
 //! Property-based bit-parity of the `GovernorBank` shim `benchmark/`'s
 //! traced rebuild steps against per-cell governor stepping.
 //!
-//! For every controller shape the fleet deploys on the static fast path —
-//! SISO `(1,1,2)`, the 2-state test plant `(2,2,2)`, the two-input
-//! frequency/cache architecture `(2,2,4)`, and the three-knob
-//! architecture `(3,2,5)` — a [`GovernorBank`] stepping N enrolled slots
-//! must reproduce N standalone [`fast_governor`] instances **to the bit**
+//! For four controller shapes — the two-input frequency/cache
+//! architecture `(2,2,4)` and the three-knob architecture `(3,2,5)`,
+//! which [`fast_governor`] puts on static storage, and SISO `(1,1,2)` and
+//! the 2-state test plant `(2,2,2)`, which it leaves dynamic — a
+//! [`GovernorBank`] stepping N enrolled slots must reproduce N standalone
+//! [`fast_governor`] instances **to the bit**
 //! at every epoch, under randomized slot counts, measurement sequences,
 //! mid-run retargets, non-finite measurement failures, and bank
 //! evictions. The per-slot comparison includes the error path: a screened

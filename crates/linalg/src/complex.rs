@@ -12,7 +12,6 @@
 //! `H = QᵀAQ` per system, carrying `QᵀB` and `CQ`, then per frequency a
 //! complex solve of `(zI − H) X = QᵀB` with pivoting between adjacent rows
 //! only — O(n²) per frequency instead of a dense O(n³) factorization.
-//! [`frequency_response`] is the one-frequency call of it.
 
 use crate::eigen::reduce_to_hessenberg;
 use crate::lu::PIVOT_RTOL;
@@ -28,10 +27,7 @@ use crate::{LinalgError, Matrix, Result};
 /// // Entry (r, c) is re[(r, c)] + j·im[(r, c)]: here the row [3 + 4j, 1j].
 /// let g = CMatrix::new(Matrix::from_rows(&[&[3.0, 0.0]]), Matrix::from_rows(&[&[4.0, 1.0]]))
 ///     .unwrap();
-/// let m = g.modulus();
-/// for c in 0..2 {
-///     assert_eq!(m[(0, c)], g.re()[(0, c)].hypot(g.im()[(0, c)]));
-/// }
+/// assert_eq!((g.re()[(0, 0)], g.im()[(0, 0)]), (3.0, 4.0));
 /// // One row's largest singular value is its Euclidean length, √(25 + 1).
 /// assert!((g.max_singular_value().unwrap() - 26f64.sqrt()).abs() < 1e-12);
 /// ```
@@ -181,13 +177,6 @@ impl CMatrix {
             .unwrap_or(0.0))
     }
 
-    /// Entrywise modulus matrix `|self|`.
-    pub fn modulus(&self) -> Matrix {
-        Matrix::from_fn(self.re.rows(), self.re.cols(), |i, j| {
-            self.re[(i, j)].hypot(self.im[(i, j)])
-        })
-    }
-
     /// Whether every real and imaginary part is finite.
     pub fn all_finite(&self) -> bool {
         self.re.all_finite() && self.im.all_finite()
@@ -233,9 +222,10 @@ impl CMatrix {
 /// let a = Matrix::from_rows(&[&[0.5]]);
 /// let (b, c, d) = (Matrix::identity(1), Matrix::identity(1), Matrix::zeros(1, 1));
 /// let mut sweep = FrequencySweep::new(&a, &b, &c, &d).unwrap();
-/// assert!((sweep.response(0.0).unwrap().modulus()[(0, 0)] - 2.0).abs() < 1e-12);
+/// let g = sweep.response(0.0).unwrap();
+/// assert!((g.max_singular_value().unwrap() - 2.0).abs() < 1e-12);
 /// let g = sweep.response(std::f64::consts::PI).unwrap();
-/// assert!((g.modulus()[(0, 0)] - 1.0 / 1.5).abs() < 1e-12);
+/// assert!((g.max_singular_value().unwrap() - 1.0 / 1.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrequencySweep {
@@ -444,44 +434,14 @@ impl FrequencySweep {
     }
 }
 
-/// Evaluates the discrete-time transfer matrix
-/// `G(z) = C (zI − A)⁻¹ B + D` at `z = e^{jw}` — a one-frequency
-/// [`FrequencySweep`]. Sweeps over many frequencies should build the
-/// sweep once instead.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Singular`] when `e^{jw}` is an eigenvalue of `A`
-/// (a pole exactly on the unit circle), and shape errors if the state-space
-/// dimensions are inconsistent.
-///
-/// # Example
-///
-/// ```
-/// use mimo_linalg::{complex, Matrix};
-///
-/// // Scalar system y(t+1) = 0.5 y(t) + u(t): G(z) = 1/(z - 0.5).
-/// let a = Matrix::from_rows(&[&[0.5]]);
-/// let b = Matrix::from_rows(&[&[1.0]]);
-/// let c = Matrix::from_rows(&[&[1.0]]);
-/// let d = Matrix::zeros(1, 1);
-/// let g = complex::frequency_response(&a, &b, &c, &d, 0.0).unwrap();
-/// // At w=0, z=1: G = 1/(1-0.5) = 2.
-/// assert!((g.re()[(0, 0)] - 2.0).abs() < 1e-12);
-/// ```
-pub fn frequency_response(
-    a: &Matrix,
-    b: &Matrix,
-    c: &Matrix,
-    d: &Matrix,
-    omega: f64,
-) -> Result<CMatrix> {
-    FrequencySweep::new(a, b, c, d)?.response(omega).cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `G(e^{jw})` from a fresh one-frequency sweep.
+    fn response(a: &Matrix, b: &Matrix, c: &Matrix, d: &Matrix, w: f64) -> Result<CMatrix> {
+        FrequencySweep::new(a, b, c, d)?.response(w).cloned()
+    }
 
     #[test]
     fn sweep_reuse_is_bit_identical_to_a_fresh_sweep() {
@@ -493,7 +453,7 @@ mod tests {
         let mut sweep = FrequencySweep::new(&a, &b, &c, &d).unwrap();
         for &w in &[0.0, 1.3, 2.9, 0.4] {
             let g = sweep.response(w).unwrap().clone();
-            assert_eq!(g, frequency_response(&a, &b, &c, &d, w).unwrap());
+            assert_eq!(g, response(&a, &b, &c, &d, w).unwrap());
         }
     }
 
@@ -503,7 +463,7 @@ mod tests {
         // [0, 1/(z+.25)]]; with B = C = I, G is that inverse.
         let a = Matrix::from_rows(&[&[0.5, 1.0], &[0.0, -0.25]]);
         let i2 = Matrix::identity(2);
-        let g = frequency_response(&a, &i2, &i2, &Matrix::zeros(2, 2), 0.0).unwrap();
+        let g = response(&a, &i2, &i2, &Matrix::zeros(2, 2), 0.0).unwrap();
         let want = [[2.0, 2.0 / 1.25], [0.0, 1.0 / 1.25]];
         for (r, row) in want.iter().enumerate() {
             for (k, &v) in row.iter().enumerate() {
@@ -520,7 +480,7 @@ mod tests {
         // lose the 0.8 below it.
         let a = Matrix::from_rows(&[&[1.0 - 1e-10, 1.0, 0.5], &[1.0, 0.2, 0.3], &[0.0, 0.4, 0.1]]);
         let i3 = Matrix::identity(3);
-        let g = frequency_response(&a, &i3, &i3, &Matrix::zeros(3, 3), 0.0).unwrap();
+        let g = response(&a, &i3, &i3, &Matrix::zeros(3, 3), 0.0).unwrap();
         let want = (&i3 - &a).inverse().unwrap();
         assert!((g.re() - &want).max_abs() <= 1e-12 * want.max_abs());
         assert!(g.im().max_abs() <= 1e-12 * want.max_abs());
@@ -602,9 +562,9 @@ mod tests {
         let b = Matrix::from_rows(&[&[1.0]]);
         let c = Matrix::from_rows(&[&[1.0]]);
         let d = Matrix::zeros(1, 1);
-        let g = frequency_response(&a, &b, &c, &d, std::f64::consts::PI).unwrap();
-        let modulus = g.modulus()[(0, 0)];
-        assert!((modulus - 1.0 / 1.5).abs() < 1e-12);
+        let g = response(&a, &b, &c, &d, std::f64::consts::PI).unwrap();
+        let (re, im) = (g.re()[(0, 0)], g.im()[(0, 0)]);
+        assert!((re.hypot(im) - 1.0 / 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -614,7 +574,7 @@ mod tests {
         let b = Matrix::zeros(1, 2);
         let c = Matrix::zeros(2, 1);
         let d = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let g = frequency_response(&a, &b, &c, &d, 1.0).unwrap();
+        let g = response(&a, &b, &c, &d, 1.0).unwrap();
         assert!((g.re() - &d).max_abs() < 1e-15);
         assert_eq!(g.im().max_abs(), 0.0);
     }
@@ -637,7 +597,7 @@ mod tests {
         let c = Matrix::from_rows(&[&[1.0]]);
         let d = Matrix::zeros(1, 1);
         assert!(matches!(
-            frequency_response(&a, &b, &c, &d, 0.0),
+            response(&a, &b, &c, &d, 0.0),
             Err(LinalgError::Singular)
         ));
     }
@@ -648,7 +608,7 @@ mod tests {
         let b = Matrix::from_fn(3, 2, |i, j| (i + j) as f64 * 0.1 + 0.1);
         let c = Matrix::from_fn(2, 3, |i, j| if i == j { 1.0 } else { 0.0 });
         let d = Matrix::zeros(2, 2);
-        let g = frequency_response(&a, &b, &c, &d, 0.7).unwrap();
+        let g = response(&a, &b, &c, &d, 0.7).unwrap();
         assert_eq!(g.shape(), (2, 2));
         assert!(g.max_singular_value().unwrap() > 0.0);
     }

@@ -432,17 +432,6 @@ pub fn spectral_radius(a: &Matrix) -> Result<f64> {
     Ok(eigenvalues(a)?.iter().map(Complex::abs).fold(0.0, f64::max))
 }
 
-/// Returns `true` if the discrete-time system `x(t+1) = A x(t)` is
-/// asymptotically stable, i.e. the spectral radius of `A` is strictly below
-/// `1 - margin`.
-///
-/// # Errors
-///
-/// Propagates errors from [`eigenvalues`].
-pub fn is_schur_stable(a: &Matrix, margin: f64) -> Result<bool> {
-    Ok(spectral_radius(a)? < 1.0 - margin)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,8 +522,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.9, 0.1], &[0.0, 0.5]]);
         let r = spectral_radius(&a).unwrap();
         assert!((r - 0.9).abs() < 1e-12);
-        assert!(is_schur_stable(&a, 0.0).unwrap());
-        assert!(!is_schur_stable(&a, 0.2).unwrap());
     }
 
     #[test]

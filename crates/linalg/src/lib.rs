@@ -15,7 +15,8 @@
 //!   (so the bits match by construction), and the [`storage`] traits that
 //!   let runtime code be generic over both.
 //! * [`lu::LuDecomposition`] — partial-pivot LU: solve, inverse, determinant.
-//! * [`qr::QrDecomposition`] — Householder QR and least squares.
+//! * [`qr::ridge_least_squares`] — Householder QR least squares with an
+//!   optional ridge term, written column by column into the factor.
 //! * [`eigen`] — Hessenberg reduction + Francis double-shift QR giving the
 //!   real Schur form, complex eigenvalues, and spectral radius.
 //! * [`svd`] — one-sided Jacobi SVD: singular values, rank, condition number.

@@ -1,35 +1,16 @@
-//! Householder QR decomposition and least squares.
+//! Householder QR least squares.
 //!
 //! System identification (the paper's "least square solver for a dynamic
 //! environment") reduces to overdetermined least-squares problems
-//! `min ‖Φθ − Y‖`; we solve them with the numerically stable QR route
-//! rather than the normal equations.
+//! `min ‖Φθ − Y‖`; [`ridge_least_squares`] solves them with the
+//! numerically stable QR route rather than the normal equations.
 
 use crate::{LinalgError, Matrix, Result};
 
 /// A thin Householder QR factorization `A = Q * R` of an `m x n` matrix with
-/// `m >= n`.
-///
-/// `Q` is `m x n` with orthonormal columns and `R` is `n x n` upper
-/// triangular.
-///
-/// # Example
-///
-/// ```
-/// use mimo_linalg::{qr::QrDecomposition, Matrix};
-///
-/// # fn main() -> Result<(), mimo_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
-/// let b = Matrix::col(&[1.0, 2.0, 3.0]);
-/// let theta = QrDecomposition::new(&a)?.solve_least_squares(&b)?;
-/// // Fit of y = 1 + x is exact.
-/// assert!((theta[(0, 0)] - 1.0).abs() < 1e-12);
-/// assert!((theta[(1, 0)] - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct QrDecomposition {
+/// `m >= n`: `Q` is `m x n` with orthonormal columns and `R` is `n x n`
+/// upper triangular.
+struct QrDecomposition {
     /// The factored matrix in column-major order (entry `(i, j)` at
     /// `j·rows + i`): Householder vectors below the diagonal, R on and
     /// above it. Every reflector walks one contiguous column.
@@ -70,31 +51,7 @@ fn check_shape(m: usize, n: usize) -> Result<()> {
     Ok(())
 }
 
-/// Copies a row-major matrix into a column-major buffer of `ld` rows per
-/// column (rows past `m.rows()` are left zero).
-fn col_major(m: &Matrix, ld: usize) -> Vec<f64> {
-    let mut out = vec![0.0; ld * m.cols()];
-    for (j, col) in out.chunks_exact_mut(ld).enumerate() {
-        for (i, x) in col[..m.rows()].iter_mut().enumerate() {
-            *x = m[(i, j)];
-        }
-    }
-    out
-}
-
 impl QrDecomposition {
-    /// Factorizes a matrix with at least as many rows as columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `rows < cols` and
-    /// [`LinalgError::EmptyInput`] if the matrix is empty.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        let (m, n) = a.shape();
-        check_shape(m, n)?;
-        Ok(Self::factor(col_major(a, m), m, n))
-    }
-
     /// Factors the column-major `m x n` matrix `qr` in place.
     fn factor(mut qr: Vec<f64>, m: usize, n: usize) -> Self {
         let mut tau = vec![0.0; n];
@@ -145,41 +102,6 @@ impl QrDecomposition {
         &self.qr[k * self.rows + k..(k + 1) * self.rows]
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Extracts the `n x n` upper-triangular factor `R`.
-    pub fn r(&self) -> Matrix {
-        let n = self.cols;
-        Matrix::from_fn(n, n, |i, j| if j >= i { self.at(i, j) } else { 0.0 })
-    }
-
-    /// Reconstructs the thin orthonormal factor `Q` (`m x n`).
-    pub fn q(&self) -> Matrix {
-        let (m, n) = (self.rows, self.cols);
-        let mut q = vec![0.0; m * n];
-        for j in 0..n {
-            q[j * m + j] = 1.0;
-        }
-        // Accumulate reflectors in reverse order: Q = H_0 H_1 ... H_{n-1} I.
-        for k in (0..n).rev() {
-            if self.tau[k] == 0.0 {
-                continue;
-            }
-            for col in q.chunks_exact_mut(m) {
-                reflect(self.reflector(k), self.tau[k], &mut col[k..]);
-            }
-        }
-        Matrix::from_fn(m, n, |i, j| q[j * m + i])
-    }
-
     /// Applies `Qᵀ` in place to the column-major `rows x p` buffer `b`
     /// (used by the least-squares solve).
     fn apply_qt(&self, b: &mut [f64]) {
@@ -193,26 +115,10 @@ impl QrDecomposition {
         }
     }
 
-    /// Solves the least-squares problem `min_X ‖A X − B‖_F`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows()` differs from the
-    /// factored matrix, or [`LinalgError::Singular`] if `A` is rank deficient
-    /// to working precision.
-    pub fn solve_least_squares(&self, b: &Matrix) -> Result<Matrix> {
-        if b.rows() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "qr_solve",
-                lhs: (self.rows, self.cols),
-                rhs: b.shape(),
-            });
-        }
-        self.solve_col_major(col_major(b, self.rows), b.cols())
-    }
-
-    /// [`QrDecomposition::solve_least_squares`] for a column-major
-    /// right-hand side of `p` columns, which it overwrites with `Qᵀ B`.
+    /// Solves the least-squares problem `min_X ‖A X − B‖_F` for a
+    /// column-major right-hand side of `p` columns, which it overwrites
+    /// with `Qᵀ B`. [`LinalgError::Singular`] if `A` is rank deficient to
+    /// working precision.
     fn solve_col_major(&self, mut qtb: Vec<f64>, p: usize) -> Result<Matrix> {
         let (m, n) = (self.rows, self.cols);
         self.apply_qt(&mut qtb);
@@ -255,7 +161,36 @@ impl QrDecomposition {
 ///
 /// # Errors
 ///
-/// Propagates shape and rank errors from the underlying QR solve.
+/// [`LinalgError::EmptyInput`] for an empty shape,
+/// [`LinalgError::ShapeMismatch`] when the (augmented) `A` is wider than
+/// tall, and [`LinalgError::Singular`] when it is rank deficient to
+/// working precision.
+///
+/// # Example
+///
+/// ```
+/// use mimo_linalg::qr::ridge_least_squares;
+///
+/// # fn main() -> Result<(), mimo_linalg::LinalgError> {
+/// // Fit y = θ₀ + θ₁·x to three points on y = 1 + x: the fit is exact.
+/// let (x, y) = ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]);
+/// let theta = ridge_least_squares(
+///     3,
+///     2,
+///     1,
+///     0.0,
+///     |j, col| {
+///         for (c, xi) in col.iter_mut().zip(x) {
+///             *c = if j == 0 { 1.0 } else { xi };
+///         }
+///     },
+///     |_, col| col.copy_from_slice(&y),
+/// )?;
+/// assert!((theta[(0, 0)] - 1.0).abs() < 1e-12);
+/// assert!((theta[(1, 0)] - 1.0).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
 pub fn ridge_least_squares(
     rows: usize,
     cols: usize,
@@ -287,84 +222,6 @@ pub fn ridge_least_squares(
 mod tests {
     use super::*;
 
-    #[test]
-    fn qr_reconstructs_matrix() {
-        let a = Matrix::from_rows(&[
-            &[1.0, 2.0, 0.5],
-            &[3.0, -1.0, 2.0],
-            &[0.0, 4.0, 1.0],
-            &[2.0, 2.0, -3.0],
-        ]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        let recon = &qr.q() * &qr.r();
-        assert!((&recon - &a).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn q_has_orthonormal_columns() {
-        let a = Matrix::from_fn(6, 3, |i, j| ((i * 5 + j * 3 + 1) % 11) as f64 - 5.0);
-        let q = QrDecomposition::new(&a).unwrap().q();
-        let qtq = &q.transpose() * &q;
-        assert!((&qtq - &Matrix::identity(3)).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_is_upper_triangular() {
-        let a = Matrix::from_fn(5, 4, |i, j| (i as f64 - j as f64).sin() + 2.0);
-        let r = QrDecomposition::new(&a).unwrap().r();
-        for i in 1..4 {
-            for j in 0..i {
-                assert_eq!(r[(i, j)], 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn least_squares_matches_exact_solution_for_square_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let b = Matrix::col(&[5.0, 10.0]);
-        let x_qr = QrDecomposition::new(&a)
-            .unwrap()
-            .solve_least_squares(&b)
-            .unwrap();
-        let x_lu = a.solve(&b).unwrap();
-        assert!((&x_qr - &x_lu).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn least_squares_residual_is_orthogonal_to_range() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
-        let b = Matrix::col(&[0.0, 1.0, 1.5, 3.2]);
-        let x = QrDecomposition::new(&a)
-            .unwrap()
-            .solve_least_squares(&b)
-            .unwrap();
-        let r = &(&a * &x) - &b;
-        // Normal equations: Aᵀ r = 0.
-        let at_r = &a.transpose() * &r;
-        assert!(at_r.max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn rejects_wide_matrices() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(
-            QrDecomposition::new(&a),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn rank_deficient_reports_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
-        let b = Matrix::col(&[1.0, 2.0, 3.0]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        assert_eq!(
-            qr.solve_least_squares(&b).unwrap_err(),
-            LinalgError::Singular
-        );
-    }
-
     /// Writes column `j` of `m` into `col`.
     fn columns(m: &Matrix) -> impl FnMut(usize, &mut [f64]) + '_ {
         move |j, col| {
@@ -380,6 +237,42 @@ mod tests {
     }
 
     #[test]
+    fn least_squares_matches_exact_solution_for_square_system() {
+        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let b = Matrix::col(&[5.0, 10.0]);
+        let x_qr = ridge(&a, &b, 0.0).unwrap();
+        let x_lu = a.solve(&b).unwrap();
+        assert!((&x_qr - &x_lu).max_abs() < 1e-12);
+    }
+
+    #[test]
+    fn least_squares_residual_is_orthogonal_to_range() {
+        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
+        let b = Matrix::col(&[0.0, 1.0, 1.5, 3.2]);
+        let x = ridge(&a, &b, 0.0).unwrap();
+        let r = &(&a * &x) - &b;
+        // Normal equations: Aᵀ r = 0.
+        let at_r = &a.transpose() * &r;
+        assert!(at_r.max_abs() < 1e-12);
+    }
+
+    #[test]
+    fn rejects_wide_matrices() {
+        let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(2, 1));
+        assert!(matches!(
+            ridge(&a, &b, 0.0),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn rank_deficient_reports_singular() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
+        let b = Matrix::col(&[1.0, 2.0, 3.0]);
+        assert_eq!(ridge(&a, &b, 0.0).unwrap_err(), LinalgError::Singular);
+    }
+
+    #[test]
     fn ridge_handles_rank_deficiency() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
         let b = Matrix::col(&[1.0, 2.0, 3.0]);
@@ -388,28 +281,5 @@ mod tests {
         // The regularized solution should still nearly fit (system is consistent).
         let r = &(&a * &x) - &b;
         assert!(r.max_abs() < 1e-3);
-    }
-
-    #[test]
-    fn ridge_with_zero_lambda_is_plain_least_squares() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
-        let b = Matrix::col(&[1.0, 2.0, 3.0]);
-        let x0 = ridge(&a, &b, 0.0).unwrap();
-        let x1 = QrDecomposition::new(&a)
-            .unwrap()
-            .solve_least_squares(&b)
-            .unwrap();
-        assert!((&x0 - &x1).max_abs() < 1e-14);
-    }
-
-    #[test]
-    fn shape_mismatch_on_rhs() {
-        let a = Matrix::from_fn(4, 2, |i, j| (i + j) as f64 + 1.0);
-        let qr = QrDecomposition::new(&a).unwrap();
-        let b = Matrix::zeros(3, 1);
-        assert!(matches!(
-            qr.solve_least_squares(&b),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
     }
 }
