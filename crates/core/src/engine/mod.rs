@@ -51,12 +51,14 @@ pub const QUARANTINE_THRESHOLD: u32 = 4;
 /// Telemetry is an optional [`TelemetrySink`], absent by default: the
 /// loop then skips record capture entirely. Install one with
 /// [`EpochLoop::set_sink`]; it only reads the loop's buffers, so a traced
-/// run steps bit-identically to an untraced one.
+/// run steps bit-identically to an untraced one. The sink and the
+/// history are boxed, so an untraced loop that records nothing (every
+/// fleet core) carries one null pointer for each.
 #[derive(Debug)]
 pub struct EpochLoop<G: Governor, P: Plant> {
     gov: G,
     plant: P,
-    sink: Option<TelemetrySink>,
+    sink: Option<Box<TelemetrySink>>,
     /// Last measured outputs, fed to the governor next epoch.
     y: Vector,
     /// Actuation buffer, rewritten every epoch.
@@ -66,9 +68,9 @@ pub struct EpochLoop<G: Governor, P: Plant> {
     y_good: Vector,
     /// Last healthy actuation, restored into `u` on faulted epochs.
     u_good: Vector,
-    u_hist: Vec<Vector>,
-    y_hist: Vec<Vector>,
-    record: bool,
+    /// Per-epoch history, present once [`EpochLoop::record_history`]
+    /// enabled it.
+    hist: Option<Box<History>>,
     /// Epochs stepped (including faulted ones).
     epoch: u64,
     /// Fleet core id stamped into [`EpochError`]s, if any.
@@ -80,6 +82,20 @@ pub struct EpochLoop<G: Governor, P: Plant> {
     quarantined: bool,
     /// Epoch at which the loop first quarantined.
     quarantine_epoch: Option<u64>,
+}
+
+/// The inputs and outputs of every epoch stepped since recording began.
+#[derive(Debug, Default)]
+struct History {
+    u: Vec<Vector>,
+    y: Vec<Vector>,
+}
+
+impl History {
+    fn push(&mut self, u: &Vector, y: &Vector) {
+        self.u.push(u.clone());
+        self.y.push(y.clone());
+    }
 }
 
 impl<G: Governor, P: Plant> EpochLoop<G, P> {
@@ -107,9 +123,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
             sink: None,
             y,
             u,
-            u_hist: Vec::new(),
-            y_hist: Vec::new(),
-            record: false,
+            hist: None,
             epoch: 0,
             core: None,
             consecutive_faults: 0,
@@ -123,7 +137,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// from the next epoch on every record and the first quarantine latch
     /// land in it.
     pub fn set_sink(&mut self, sink: TelemetrySink) {
-        self.sink = Some(sink);
+        self.sink = Some(Box::new(sink));
     }
 
     /// Obtains the first measurement by running one epoch at the plant's
@@ -152,9 +166,9 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// Enables per-epoch input/output history recording (required by
     /// [`EpochLoop::summarize`]), reserving room for `epochs` entries.
     pub fn record_history(&mut self, epochs: usize) {
-        self.record = true;
-        self.u_hist.reserve(epochs);
-        self.y_hist.reserve(epochs);
+        let hist = self.hist.get_or_insert_with(Box::default);
+        hist.u.reserve(epochs);
+        hist.y.reserve(epochs);
     }
 
     /// Runs one epoch: the governor consumes the previous measurement and
@@ -221,9 +235,8 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
                 self.consecutive_faults = 0;
                 self.y_good.copy_from(&self.y);
                 self.u_good.copy_from(&self.u);
-                if self.record {
-                    self.u_hist.push(self.u.clone());
-                    self.y_hist.push(self.y.clone());
+                if let Some(hist) = &mut self.hist {
+                    hist.push(&self.u, &self.y);
                 }
                 if let Some(sink) = &mut self.sink {
                     let health = Health::Healthy;
@@ -238,9 +251,8 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
                 self.y.copy_from(&self.y_good);
                 self.fault_epochs += 1;
                 self.consecutive_faults = self.consecutive_faults.saturating_add(1);
-                if self.record {
-                    self.u_hist.push(self.u.clone());
-                    self.y_hist.push(self.y.clone());
+                if let Some(hist) = &mut self.hist {
+                    hist.push(&self.u, &self.y);
                 }
                 let error = EpochError {
                     epoch,
@@ -352,7 +364,7 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// Borrows the telemetry sink, if one is installed (e.g. to inspect
     /// its trace mid-run).
     pub fn sink(&self) -> Option<&TelemetrySink> {
-        self.sink.as_ref()
+        self.sink.as_deref()
     }
 
     /// The plant's actuator grids (e.g. for building a fallback governor
@@ -395,19 +407,22 @@ impl<G: Governor, P: Plant> EpochLoop<G, P> {
     /// `targets` (history recording must be enabled).
     pub fn summarize(&self, targets: &Vector, keep_trace: bool) -> TrackingStats {
         let grids = self.plant.input_grids();
-        summary::summarize(&self.u_hist, &self.y_hist, targets, &grids, keep_trace)
+        let empty = History::default();
+        let hist = self.hist.as_deref().unwrap_or(&empty);
+        summary::summarize(&hist.u, &hist.y, targets, &grids, keep_trace)
     }
 
     /// Consumes the loop, returning the recorded `(inputs, outputs)`
     /// histories.
     pub fn into_histories(self) -> (Vec<Vector>, Vec<Vector>) {
-        (self.u_hist, self.y_hist)
+        self.hist
+            .map_or_else(Default::default, |hist| (hist.u, hist.y))
     }
 
     /// Consumes the loop, returning the governor, plant, and telemetry
     /// sink.
     pub fn into_parts(self) -> (G, P, Option<TelemetrySink>) {
-        (self.gov, self.plant, self.sink)
+        (self.gov, self.plant, self.sink.map(|sink| *sink))
     }
 }
 
@@ -784,5 +799,31 @@ mod tests {
         let sink = lp.sink().expect("sink installed");
         assert_eq!(sink.trace.len(), 1);
         assert_eq!(sink.trace.iter().next().unwrap().epoch, 1);
+    }
+
+    #[test]
+    fn into_parts_returns_the_sink_with_every_record_of_a_faulted_run() {
+        use crate::telemetry::{TelemetryConfig, TelemetrySink};
+        use mimo_sim::fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
+        let plan = FaultPlan::none().with_fault(FaultSpec {
+            kind: FaultKind::NanMeasurement { channel: 0 },
+            start_epoch: 2,
+            duration: 3,
+        });
+        let gov = FixedGovernor::new(Vector::from_slice(&[1.0, 4.0]));
+        let mut lp = EpochLoop::new(gov, FaultInjector::new(Echo { epochs: 0 }, plan));
+        lp.set_sink(TelemetrySink::new(&TelemetryConfig::trace(64)));
+        for _ in 0..12 {
+            lp.step();
+        }
+        let (_gov, plant, sink) = lp.into_parts();
+        let sink = sink.expect("sink installed");
+        let trace = sink.trace.to_vec();
+        assert_eq!(trace.len(), 12);
+        assert!(trace.iter().enumerate().all(|(t, r)| r.epoch == t as u64));
+        let degraded = trace.iter().filter(|r| r.health != Health::Healthy).count();
+        assert_eq!(degraded, 3);
+        assert_eq!(plant.faulted_epochs(), 3);
+        assert_eq!(plant.injected_by_kind()[1], 3);
     }
 }

@@ -160,6 +160,16 @@ impl TrackingErrorAccumulator {
     ///
     /// Panics if `y` or `target` has fewer channels than the accumulator.
     pub fn record(&mut self, y: &Vector, target: &Vector) {
+        self.record_slices(y.as_slice(), target.as_slice());
+    }
+
+    /// [`TrackingErrorAccumulator::record`] over plain slices, for
+    /// callers that keep the reference in a flat table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` or `target` has fewer channels than the accumulator.
+    pub fn record_slices(&mut self, y: &[f64], target: &[f64]) {
         if self.epoch >= self.warmup {
             for c in 0..self.sums.len() {
                 self.sums[c] += rel_tracking_error(y[c], target[c]);

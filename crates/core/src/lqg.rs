@@ -794,6 +794,7 @@ fn retarget_reference(
 
 /// Leaky error integration with the anti-windup clamp:
 /// `q ← clamp(q·leak + (y − y_ref), ±Q_CLAMP)` per channel.
+#[inline]
 fn integrate_tracking_error(q_int: &mut [f64], y_norm: &[f64], y_ref_norm: &[f64]) {
     for c in 0..q_int.len() {
         let err = y_norm[c] - y_ref_norm[c];
@@ -802,6 +803,7 @@ fn integrate_tracking_error(q_int: &mut [f64], y_norm: &[f64], y_ref_norm: &[f64
 }
 
 /// Assembles the augmented state `z = [x̂ − x_ss; u₋₁ − u_ss; q]`.
+#[inline]
 fn assemble_augmented_state(
     z: &mut [f64],
     xhat: &[f64],
@@ -832,6 +834,7 @@ fn negate(values: &mut [f64]) {
 
 /// Candidate input, in place of `du`: `clamp(u_prev + Δu, ±U_CLAMP)` per
 /// channel.
+#[inline]
 fn apply_du_clamped(du: &mut [f64], u_prev: &[f64]) {
     for k in 0..du.len() {
         du[k] = (u_prev[k] + du[k]).clamp(-U_CLAMP, U_CLAMP);
@@ -848,6 +851,7 @@ fn apply_du_clamped(du: &mut [f64], u_prev: &[f64]) {
 /// input scaler's round trip maps every grid point back to its own index
 /// ([`LqgDesign::build`] checks it). A controller derives the index by
 /// that scan wherever its previous input is set another way.
+#[inline]
 pub fn slew_step(grids: &[Vec<f64>], u_phys_raw: &[f64], held: &mut [usize], out: &mut [f64]) {
     for ch in 0..out.len() {
         let grid = &grids[ch];

@@ -181,27 +181,42 @@ impl BudgetArbiter {
         observed: &[CoreObs],
         quarantined: &[bool],
     ) -> Vec<Vector> {
-        let mut targets = vec![Vector::zeros(2); self.n_cores()];
-        self.arbitrate_into(observed, quarantined, &mut targets);
+        let mut targets = Vec::with_capacity(self.n_cores());
+        self.grant_each(observed, quarantined, |_, grant| {
+            targets.push(Vector::from_slice(&grant))
+        });
         targets
     }
 
     /// [`BudgetArbiter::arbitrate_with_quarantine`] writing each core's
-    /// `[IPS, power]` targets into `out` instead of allocating them — the
-    /// chip beat's path, allocation-free.
+    /// `[IPS, power]` grant into the flat table `out` instead of
+    /// allocating them — the chip beat's path, allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `observed` or `out` (or a non-empty `quarantined`) does
-    /// not have one entry per core, or if an `out` entry does not have two.
+    /// not have one entry per core.
     pub fn arbitrate_into(
         &mut self,
         observed: &[CoreObs],
         quarantined: &[bool],
-        out: &mut [Vector],
+        out: &mut [[f64; 2]],
+    ) {
+        assert_eq!(out.len(), self.n_cores(), "target count");
+        self.grant_each(observed, quarantined, |i, grant| out[i] = grant);
+    }
+
+    /// The arbitration both entry points share: books this epoch's chip
+    /// power and hands `grant` each core's `[IPS, power]` grant, in core
+    /// order. The allocating wrapper builds its `Vector`s straight from
+    /// the grants, with no intermediate table.
+    fn grant_each(
+        &mut self,
+        observed: &[CoreObs],
+        quarantined: &[bool],
+        mut grant: impl FnMut(usize, [f64; 2]),
     ) {
         assert_eq!(observed.len(), self.n_cores(), "observation count");
-        assert_eq!(out.len(), self.n_cores(), "target count");
         assert!(
             quarantined.is_empty() || quarantined.len() == self.n_cores(),
             "quarantine mask length"
@@ -252,7 +267,7 @@ impl BudgetArbiter {
             .map(|(_, &w)| w)
             .sum();
         let mut throttled = 0u64;
-        for (i, (obs, target)) in observed.iter().zip(out.iter_mut()).enumerate() {
+        for (i, obs) in observed.iter().enumerate() {
             let p_target = if is_q(i) || healthy_n == 0 {
                 floor
             } else {
@@ -279,9 +294,7 @@ impl BudgetArbiter {
             // Performance references scale with the granted power share so
             // the local loop chases a consistent (IPS, P) pair.
             let ips_target = base_ips * (p_target / base_power);
-            target
-                .as_mut_slice()
-                .copy_from_slice(&[ips_target, p_target]);
+            grant(i, [ips_target, p_target]);
         }
         self.throttle_events += throttled;
     }
@@ -631,7 +644,7 @@ mod tests {
                 let pri = vec![2.0, 1.0, 1.0, 0.5];
                 let mut a = BudgetArbiter::new(3.3, policy, [3.0, 1.9], pri.clone());
                 let mut b = BudgetArbiter::new(3.3, policy, [3.0, 1.9], pri);
-                let mut out = vec![Vector::filled(2, f64::NAN); 4];
+                let mut out = vec![[f64::NAN; 2]; 4];
                 for _ in 0..2 {
                     let fresh = a.arbitrate_with_quarantine(&obs(&powers), mask);
                     b.arbitrate_into(&obs(&powers), mask, &mut out);

@@ -31,16 +31,13 @@ use crate::telemetry::{CoreTelemetry, FleetTelemetry};
 pub(crate) const TRANSIENT_FAULT_EPOCHS: u64 = 3;
 
 /// One core: a shared epoch engine around the plant/governor pair, plus
-/// accumulated error statistics.
+/// accumulated error statistics. The cell's index is its position in the
+/// chip's cell vector; its app and seed are read back from its plant, and
+/// its grant lives in the chip's flat table.
 struct CoreCell {
-    idx: usize,
-    spec: CoreSpec,
     /// Untraced fleets install no telemetry sink, so the hot loop skips
     /// record capture entirely.
     lp: EpochLoop<Box<dyn Governor + Send>, FaultInjector<Processor>>,
-    /// Reference active during the current epoch (set by arbitration at
-    /// the end of the previous one).
-    target: Vector,
     errs: TrackingErrorAccumulator,
     /// Whether the heuristic fallback governor has replaced the original
     /// (done once, on the first quarantine).
@@ -48,9 +45,10 @@ struct CoreCell {
 }
 
 impl CoreCell {
-    /// Runs one epoch and returns the measurement for the arbiter plus
-    /// whether this epoch crossed into quarantine.
-    fn step(&mut self) -> (CoreObs, bool) {
+    /// Runs one epoch under `target`, the reference the arbiter granted at
+    /// the end of the previous one, and returns the measurement for the
+    /// arbiter plus whether this epoch crossed into quarantine.
+    fn step(&mut self, target: &[f64; 2]) -> (CoreObs, bool) {
         let outcome = self.lp.step();
         // On faulted epochs the engine substitutes the last healthy
         // measurement, so the observation table stays finite.
@@ -59,33 +57,28 @@ impl CoreCell {
             ips: y[0],
             power: y[1],
         };
-        self.errs.record(y, &self.target);
+        self.errs.record_slices(y.as_slice(), target);
         (obs, matches!(outcome, StepOutcome::Quarantined(_)))
     }
 
     /// Reacts to a quarantine verdict: the first time around, swap the
     /// failing governor for the rule-based heuristic fallback (which
-    /// carries no internal model state to corrupt) and clear the engine's
-    /// failure latch so the fallback gets a chance. If the fallback itself
-    /// quarantines — a plant fault no governor can mask — the core simply
-    /// stays latched and the arbiter keeps it pinned at the floor budget.
-    fn handle_quarantine(&mut self) {
+    /// carries no internal model state to corrupt), tracking `target`, and
+    /// clear the engine's failure latch so the fallback gets a chance. If
+    /// the fallback itself quarantines — a plant fault no governor can
+    /// mask — the core simply stays latched and the arbiter keeps it
+    /// pinned at the floor budget.
+    fn handle_quarantine(&mut self, target: &Vector) {
         if self.fallback_installed {
             return;
         }
         let grids = self.lp.input_grids();
         let ranking = SensitivityRanking::frequency_first(grids.len());
-        let fallback = HeuristicTracker::new(grids, ranking, self.target.clone());
+        let fallback = HeuristicTracker::new(grids, ranking, target.clone());
         *self.lp.governor_mut() = Box::new(fallback);
-        self.lp.set_targets(&self.target);
+        self.lp.set_targets(target);
         self.lp.reset_health();
         self.fallback_installed = true;
-    }
-
-    /// Installs the arbiter's new reference for the next epoch.
-    fn retarget(&mut self, target: &Vector) {
-        self.target.copy_from(target);
-        self.lp.set_targets(target);
     }
 
     /// The L2 way allocation physically in effect this epoch
@@ -100,25 +93,26 @@ impl CoreCell {
         self.lp.plant_mut().inner_mut().set_llc_penalty(penalty);
     }
 
-    /// Drains the core after the run: statistics always, telemetry when a
-    /// sink was attached.
-    fn into_results(self) -> (CoreStats, Option<CoreTelemetry>) {
+    /// Drains core `idx` after the run: statistics always, telemetry when
+    /// a sink was attached.
+    fn into_results(self, idx: usize) -> (CoreStats, Option<CoreTelemetry>) {
         let avg_ips_err_pct = self.errs.avg_pct(0);
         let avg_power_err_pct = self.errs.avg_pct(1);
         let summary = self.lp.summary();
         let (_, plant, sink) = self.lp.into_parts();
         let telemetry = sink.map(|sink| CoreTelemetry {
-            core: self.idx,
+            core: idx,
             trace: sink.trace.to_vec(),
             quarantine: sink.quarantine,
             summary,
             injected_faults: *plant.injected_by_kind(),
         });
-        let totals = plant.inner().totals();
+        let processor = plant.inner();
+        let totals = processor.totals();
         let stats = CoreStats {
-            core: self.idx,
-            app: self.spec.app,
-            seed: self.spec.seed,
+            core: idx,
+            app: processor.app().to_owned(),
+            seed: processor.seed(),
             avg_ips_err_pct,
             avg_power_err_pct,
             avg_power_w: totals.avg_power(),
@@ -132,22 +126,21 @@ impl CoreCell {
     }
 }
 
-/// Builds every core cell of one chip configuration.
-fn build_cells<F>(cfg: &FleetConfig, factory: &mut F) -> Result<Vec<CoreCell>>
+/// Builds the core cells of one chip configuration, one per spec.
+fn build_cells<F>(cfg: &FleetConfig, specs: &[CoreSpec], factory: &mut F) -> Result<Vec<CoreCell>>
 where
     F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
 {
-    cfg.validate()?;
     let warmup = fleet_warmup(cfg.epochs);
     let base = Vector::from_slice(&cfg.base_targets);
-    let mut cells = Vec::with_capacity(cfg.n_cores);
-    for (idx, spec) in cfg.core_specs().into_iter().enumerate() {
+    let mut cells = Vec::with_capacity(specs.len());
+    for (idx, spec) in specs.iter().enumerate() {
         let plant = ProcessorBuilder::new()
             .app(&spec.app)
             .seed(spec.seed)
             .input_set(cfg.input_set)
             .build()?;
-        let gov = factory(idx, &spec);
+        let gov = factory(idx, spec);
         if gov.num_inputs() != plant.num_inputs() {
             return Err(FleetError::InvalidConfig {
                 what: format!(
@@ -186,10 +179,7 @@ where
         lp.set_core(idx);
         lp.set_targets(&base);
         cells.push(CoreCell {
-            idx,
-            spec,
             lp,
-            target: base.clone(),
             errs: TrackingErrorAccumulator::new(2, warmup),
             fallback_installed: false,
         });
@@ -207,8 +197,12 @@ pub struct Chip {
     llc: Option<SharedLlc>,
     obs: Vec<CoreObs>,
     quarantined: Vec<bool>,
-    /// The arbiter's `[IPS, power]` grants, rewritten in place each epoch.
-    targets: Vec<Vector>,
+    /// Each core's `[IPS, power]` grant: the base targets until the first
+    /// arbitration, then rewritten in place each epoch. This table is the
+    /// only copy of a core's reference outside its governor.
+    targets: Vec<[f64; 2]>,
+    /// Scratch through which a grant is handed to a governor.
+    grant: Vector,
     ways: Vec<f64>,
     epochs_run: usize,
     /// Cluster-window accumulators, drained by [`Chip::publish`]. These
@@ -237,9 +231,12 @@ impl Chip {
     where
         F: FnMut(usize, &CoreSpec) -> Box<dyn Governor + Send>,
     {
-        let cells = build_cells(&cfg, factory)?;
+        cfg.validate()?;
+        let specs = cfg.core_specs();
+        let cells = build_cells(&cfg, &specs, factory)?;
         let n = cells.len();
-        let priorities: Vec<f64> = cells.iter().map(|c| c.spec.priority).collect();
+        // Priorities are read only here: the cells keep no spec.
+        let priorities: Vec<f64> = specs.iter().map(|s| s.priority).collect();
         let arbiter = BudgetArbiter::new(
             cfg.chip_power_cap_w,
             cfg.policy,
@@ -263,7 +260,8 @@ impl Chip {
                 n
             ],
             quarantined: vec![false; n],
-            targets: vec![Vector::zeros(2); n],
+            targets: vec![cfg.base_targets; n],
+            grant: Vector::zeros(2),
             ways: vec![0.0; n],
             epochs_run: 0,
             win_power_sum: 0.0,
@@ -295,17 +293,20 @@ impl Chip {
     /// beat, so a one-chip cluster is bit-identical to a
     /// [`FleetRunner`](crate::FleetRunner) run.
     pub fn step_epoch(&mut self) {
-        for cell in &mut self.cells {
-            let (obs, quarantined_now) = cell.step();
+        for (idx, cell) in self.cells.iter_mut().enumerate() {
+            let (obs, quarantined_now) = cell.step(&self.targets[idx]);
             if quarantined_now {
-                cell.handle_quarantine();
+                self.grant
+                    .as_mut_slice()
+                    .copy_from_slice(&self.targets[idx]);
+                cell.handle_quarantine(&self.grant);
             }
             // Report the live latch: a core the fallback rescues regains
             // budget; a permanently faulted one stays pinned at the floor.
-            self.obs[cell.idx] = obs;
-            self.quarantined[cell.idx] = cell.lp.is_quarantined();
+            self.obs[idx] = obs;
+            self.quarantined[idx] = cell.lp.is_quarantined();
             if self.llc.is_some() {
-                self.ways[cell.idx] = cell.applied_l2_ways();
+                self.ways[idx] = cell.applied_l2_ways();
             }
         }
         self.arbiter
@@ -318,11 +319,12 @@ impl Chip {
         self.win_ips_sum += self.obs.iter().map(|o| o.ips).sum::<f64>();
         self.win_epochs += 1;
         for (cell, target) in self.cells.iter_mut().zip(&self.targets) {
-            cell.retarget(target);
+            self.grant.as_mut_slice().copy_from_slice(target);
+            cell.lp.set_targets(&self.grant);
         }
         if let Some(llc) = &self.llc {
-            for cell in &mut self.cells {
-                cell.set_llc_penalty(llc.penalty(cell.idx));
+            for (idx, cell) in self.cells.iter_mut().enumerate() {
+                cell.set_llc_penalty(llc.penalty(idx));
             }
         }
         self.epochs_run += 1;
@@ -375,8 +377,8 @@ impl Chip {
     pub fn into_results(self) -> (FleetStats, FleetTelemetry) {
         let mut per_core: Vec<CoreStats> = Vec::with_capacity(self.cells.len());
         let mut telemetry = FleetTelemetry::default();
-        for cell in self.cells {
-            let (stats, tele) = cell.into_results();
+        for (idx, cell) in self.cells.into_iter().enumerate() {
+            let (stats, tele) = cell.into_results(idx);
             per_core.push(stats);
             telemetry.per_core.extend(tele);
         }

@@ -173,6 +173,7 @@ pub(crate) fn mul_rows_into<'a>(rows: impl Iterator<Item = &'a [f64]>, v: &[f64]
 ///
 /// Lengths must match (enforced by construction in generic callers;
 /// checked in debug builds).
+#[inline]
 pub fn add_assign_slices(a: &mut [f64], b: &[f64]) {
     debug_assert_eq!(a.len(), b.len(), "add_assign_slices: length mismatch");
     for (x, y) in a.iter_mut().zip(b) {
@@ -182,6 +183,7 @@ pub fn add_assign_slices(a: &mut [f64], b: &[f64]) {
 
 /// Elementwise `out = a - b` over slices, in the same order as
 /// `&a - &b` on [`Vector`].
+#[inline]
 pub fn sub_into_slices(a: &[f64], b: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), b.len(), "sub_into_slices: length mismatch");
     debug_assert_eq!(

@@ -27,9 +27,10 @@
 //! transient rate is a transparent wrapper — it performs no RNG draws and
 //! forwards `apply_into` untouched, so fault-free runs reproduce the exact
 //! digests of the unwrapped plant. Such an injector also allocates nothing
-//! of its own: the transient list and the two per-channel buffers exist
-//! only for plans that can fire. The steady-state epoch path performs no
-//! heap allocations, faulting or not.
+//! of its own: the plan, its RNG, the transient list, the two per-channel
+//! buffers and the counters live in one box that exists only for plans
+//! that can fire. The steady-state epoch path performs no heap
+//! allocations, faulting or not.
 
 use mimo_linalg::Vector;
 use rand::rngs::StdRng;
@@ -173,20 +174,30 @@ const MAX_ACTIVE_TRANSIENTS: usize = 8;
 /// Wraps any [`Plant`], corrupting actuations and measurements according
 /// to a deterministic [`FaultPlan`]. See the module docs for the fault
 /// model and the bit-exactness contract.
+///
+/// Inline, the wrapper is its plant, an epoch counter and one pointer:
+/// everything a plan that can fire needs lives in one boxed
+/// `FaultState`, absent for a plan that cannot.
 #[derive(Debug, Clone)]
 pub struct FaultInjector<P: Plant> {
     inner: P,
+    epoch: u64,
+    /// `None` exactly when the plan [`FaultPlan::is_empty`].
+    state: Option<Box<FaultState>>,
+}
+
+/// The fault machinery of an injector whose plan can fire.
+#[derive(Debug, Clone)]
+struct FaultState {
     plan: FaultPlan,
     rng: StdRng,
-    epoch: u64,
     /// Active transient faults as `(kind, end_epoch)`; reserved only when
     /// the plan has a transient process.
     active: Vec<(FaultKind, u64)>,
     /// Last healthy (pre-fault) reading per output channel, for
-    /// [`FaultKind::StuckSensor`]; empty for a plan that cannot fire.
+    /// [`FaultKind::StuckSensor`].
     last_good: Vector,
-    /// Scratch actuation buffer for actuator faults; empty for a plan
-    /// that cannot fire.
+    /// Scratch actuation buffer for actuator faults.
     u_scratch: Vector,
     /// Epochs in which at least one fault corrupted the interface.
     faulted_epochs: u64,
@@ -199,29 +210,26 @@ impl<P: Plant> FaultInjector<P> {
     /// Wraps `inner` with `plan`. A plan that cannot fire
     /// ([`FaultPlan::is_empty`]) allocates nothing here.
     pub fn new(inner: P, plan: FaultPlan) -> Self {
-        let (outputs, inputs) = if plan.is_empty() {
-            (0, 0)
-        } else {
-            (inner.num_outputs(), inner.num_inputs())
-        };
-        let active = if plan.rate > 0.0 {
-            Vec::with_capacity(MAX_ACTIVE_TRANSIENTS)
-        } else {
-            Vec::new()
-        };
-        let last_good = Vector::zeros(outputs);
-        let u_scratch = Vector::zeros(inputs);
-        let rng = StdRng::seed_from_u64(plan.seed);
+        let state = (!plan.is_empty()).then(|| {
+            let active = if plan.rate > 0.0 {
+                Vec::with_capacity(MAX_ACTIVE_TRANSIENTS)
+            } else {
+                Vec::new()
+            };
+            Box::new(FaultState {
+                rng: StdRng::seed_from_u64(plan.seed),
+                active,
+                last_good: Vector::zeros(inner.num_outputs()),
+                u_scratch: Vector::zeros(inner.num_inputs()),
+                faulted_epochs: 0,
+                injected_by_kind: [0; FAULT_KIND_COUNT],
+                plan,
+            })
+        });
         FaultInjector {
             inner,
-            plan,
-            rng,
             epoch: 0,
-            active,
-            last_good,
-            u_scratch,
-            faulted_epochs: 0,
-            injected_by_kind: [0; FAULT_KIND_COUNT],
+            state,
         }
     }
 
@@ -242,24 +250,28 @@ impl<P: Plant> FaultInjector<P> {
 
     /// Epochs in which at least one fault corrupted the interface.
     pub fn faulted_epochs(&self) -> u64 {
-        self.faulted_epochs
+        self.state.as_ref().map_or(0, |s| s.faulted_epochs)
     }
 
     /// Corruptions applied so far, bucketed by [`FaultKind::index`]. A
     /// fault active for N epochs counts N times, so the totals measure
     /// exposure, not distinct fault instances.
     pub fn injected_by_kind(&self) -> &[u64; FAULT_KIND_COUNT] {
-        &self.injected_by_kind
+        match &self.state {
+            Some(s) => &s.injected_by_kind,
+            None => &[0; FAULT_KIND_COUNT],
+        }
     }
+}
 
-    /// Draws this epoch's transient process and expires finished
+impl FaultState {
+    /// Draws epoch `epoch`'s transient process and expires finished
     /// transients. Zero-rate plans perform no RNG draws at all, keeping
     /// the wrapper bit-exact.
-    fn advance_transients(&mut self) {
+    fn advance_transients(&mut self, epoch: u64) {
         if self.plan.rate <= 0.0 {
             return;
         }
-        let epoch = self.epoch;
         self.active.retain(|&(_, end)| epoch < end);
         if self.rng.gen::<f64>() < self.plan.rate && self.active.len() < MAX_ACTIVE_TRANSIENTS {
             let kind = match self.rng.gen::<u64>() % 4 {
@@ -288,11 +300,10 @@ impl<P: Plant> FaultInjector<P> {
         }
     }
 
-    /// Applies active actuator faults to `u`, writing the substituted
-    /// actuation into the scratch buffer. Returns `true` (scratch filled)
-    /// if at least one actuator fault fired.
-    fn faulted_input(&mut self, u: &Vector) -> bool {
-        let epoch = self.epoch;
+    /// Applies the actuator faults active at `epoch` to `u`, writing the
+    /// substituted actuation into the scratch buffer. Returns `true`
+    /// (scratch filled) if at least one actuator fault fired.
+    fn faulted_input(&mut self, epoch: u64, u: &Vector) -> bool {
         let mut any = false;
         for spec in &self.plan.scheduled {
             if let FaultKind::ActuatorStuckAt { input, value } = spec.kind {
@@ -333,10 +344,9 @@ impl<P: Plant> FaultInjector<P> {
         any
     }
 
-    /// Applies active sensor faults to the fresh measurement in `out`.
-    /// Returns whether anything was corrupted.
-    fn corrupt_output(&mut self, out: &mut Vector) -> bool {
-        let epoch = self.epoch;
+    /// Applies the sensor faults active at `epoch` to the fresh
+    /// measurement in `out`. Returns whether anything was corrupted.
+    fn corrupt_output(&mut self, epoch: u64, out: &mut Vector) -> bool {
         let mut any = false;
         // Record the healthy reading before corruption so StuckSensor has
         // a latch value even when it activates this very epoch.
@@ -375,6 +385,17 @@ impl<P: Plant> FaultInjector<P> {
         }
         any
     }
+
+    /// Returns the fault process to its state at construction.
+    fn reset(&mut self) {
+        self.rng = StdRng::seed_from_u64(self.plan.seed);
+        self.active.clear();
+        for i in 0..self.last_good.len() {
+            self.last_good[i] = 0.0;
+        }
+        self.faulted_epochs = 0;
+        self.injected_by_kind = [0; FAULT_KIND_COUNT];
+    }
 }
 
 impl<P: Plant> Plant for FaultInjector<P> {
@@ -397,37 +418,27 @@ impl<P: Plant> Plant for FaultInjector<P> {
     }
 
     fn apply_into(&mut self, u: &Vector, out: &mut Vector) -> Result<()> {
-        if self.plan.is_empty() {
+        let Some(state) = self.state.as_deref_mut() else {
             // Transparent mode: identical call sequence to the bare plant.
             let r = self.inner.apply_into(u, out);
             if r.is_ok() {
                 self.epoch += 1;
             }
             return r;
-        }
-        self.advance_transients();
-        let in_faulted = self.faulted_input(u);
-        let r = if in_faulted {
-            // Move the scratch buffer out so `inner` can be borrowed
-            // mutably alongside it; no allocation (the placeholder is
-            // zero-length) and the buffer is put straight back.
-            let scratch = std::mem::replace(&mut self.u_scratch, Vector::zeros(0));
-            let r = self.inner.apply_into(&scratch, out);
-            self.u_scratch = scratch;
-            r
-        } else {
-            self.inner.apply_into(u, out)
         };
-        if r.is_err() {
-            self.faulted_epochs += 1;
-            self.epoch += 1;
-            return r;
-        }
-        let out_faulted = self.corrupt_output(out);
-        if in_faulted || out_faulted {
-            self.faulted_epochs += 1;
-        }
+        let epoch = self.epoch;
         self.epoch += 1;
+        state.advance_transients(epoch);
+        let in_faulted = state.faulted_input(epoch, u);
+        let applied = if in_faulted { &state.u_scratch } else { u };
+        if let Err(e) = self.inner.apply_into(applied, out) {
+            state.faulted_epochs += 1;
+            return Err(e);
+        }
+        let out_faulted = state.corrupt_output(epoch, out);
+        if in_faulted || out_faulted {
+            state.faulted_epochs += 1;
+        }
         Ok(())
     }
 
@@ -437,14 +448,10 @@ impl<P: Plant> Plant for FaultInjector<P> {
 
     fn reset(&mut self) {
         self.inner.reset();
-        self.rng = StdRng::seed_from_u64(self.plan.seed);
         self.epoch = 0;
-        self.active.clear();
-        for i in 0..self.last_good.len() {
-            self.last_good[i] = 0.0;
+        if let Some(state) = &mut self.state {
+            state.reset();
         }
-        self.faulted_epochs = 0;
-        self.injected_by_kind = [0; FAULT_KIND_COUNT];
     }
 }
 
@@ -561,7 +568,7 @@ mod tests {
         // the cap, so the list would grow without the cap.
         let plan = FaultPlan::transient(0.99, 1_000, 42);
         let mut inj = FaultInjector::new(Echo, plan);
-        let reserved = inj.active.capacity();
+        let reserved = inj.state.as_ref().unwrap().active.capacity();
         let u = Vector::from_slice(&[1.0, 1.0]);
         let mut y = Vector::zeros(2);
         let mut peak = 0;
@@ -569,12 +576,13 @@ mod tests {
             // Echo never rejects an actuation; NaN outputs are the
             // injector's own corruption.
             inj.apply_into(&u, &mut y).unwrap();
-            assert!(inj.active.len() <= MAX_ACTIVE_TRANSIENTS);
-            peak = peak.max(inj.active.len());
+            let active = inj.state.as_ref().unwrap().active.len();
+            assert!(active <= MAX_ACTIVE_TRANSIENTS);
+            peak = peak.max(active);
         }
         assert_eq!(peak, MAX_ACTIVE_TRANSIENTS, "the cap was never reached");
         // The list a transient plan reserves up front never grows.
-        assert_eq!(inj.active.capacity(), reserved);
+        assert_eq!(inj.state.as_ref().unwrap().active.capacity(), reserved);
     }
 
     #[test]
@@ -583,8 +591,7 @@ mod tests {
         let plant = || ProcessorBuilder::new().app("mcf").seed(7).build().unwrap();
         let mut bare = plant();
         let mut inj = FaultInjector::new(plant(), FaultPlan::transient(0.0, 3, 9));
-        assert!(inj.last_good.is_empty() && inj.u_scratch.is_empty());
-        assert_eq!(inj.active.capacity(), 0);
+        assert!(inj.state.is_none());
         let mut y_bare = Vector::zeros(2);
         let mut y_inj = Vector::zeros(2);
         for t in 0..2_000 {
@@ -601,5 +608,53 @@ mod tests {
         assert_eq!(bare.totals(), inj.inner().totals());
         assert_eq!(inj.faulted_epochs(), 0);
         assert_eq!(inj.epoch(), 2_000);
+    }
+
+    #[test]
+    fn a_cloned_live_injector_owns_its_fault_state() {
+        let plan = FaultPlan::transient(0.5, 3, 42).with_fault(FaultSpec {
+            kind: FaultKind::NanMeasurement { channel: 0 },
+            start_epoch: 4,
+            duration: 2,
+        });
+        let mut inj = FaultInjector::new(Echo, plan);
+        let u = Vector::from_slice(&[1.0, 1.0]);
+        let mut y = Vector::zeros(2);
+        for _ in 0..10 {
+            inj.apply_into(&u, &mut y).unwrap();
+        }
+        let (counts, faulted) = (*inj.injected_by_kind(), inj.faulted_epochs());
+        let mut copy = inj.clone();
+        let mut copy_outputs = Vec::new();
+        for _ in 0..50 {
+            copy.apply_into(&u, &mut y).unwrap();
+            copy_outputs.push(y.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+        assert_ne!(*copy.injected_by_kind(), counts, "the clone never faulted");
+        // Stepping the clone moved none of the original's counters ...
+        assert_eq!(*inj.injected_by_kind(), counts);
+        assert_eq!(inj.faulted_epochs(), faulted);
+        assert_eq!(inj.epoch(), 10);
+        // ... nor its RNG: the original now draws the clone's sequence.
+        for (t, expected) in copy_outputs.iter().enumerate() {
+            inj.apply_into(&u, &mut y).unwrap();
+            let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(&got, expected, "epoch {}", 10 + t);
+        }
+        assert_eq!(*inj.injected_by_kind(), *copy.injected_by_kind());
+        assert_eq!(inj.faulted_epochs(), copy.faulted_epochs());
+    }
+
+    #[test]
+    fn an_empty_plan_reports_no_faults() {
+        let mut inj = FaultInjector::new(Echo, FaultPlan::transient(0.0, 3, 9));
+        let u = Vector::from_slice(&[1.0, 0.0]);
+        let mut y = Vector::zeros(2);
+        for _ in 0..100 {
+            inj.apply_into(&u, &mut y).unwrap();
+        }
+        assert_eq!(inj.epoch(), 100);
+        assert_eq!(*inj.injected_by_kind(), [0; FAULT_KIND_COUNT]);
+        assert_eq!(inj.faulted_epochs(), 0);
     }
 }

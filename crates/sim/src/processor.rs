@@ -351,6 +351,16 @@ impl Processor {
         }
     }
 
+    /// The application the plant runs, as named in the shared catalog.
+    pub fn app(&self) -> &'static str {
+        self.program.profile.name()
+    }
+
+    /// The seed the plant was built with.
+    pub fn seed(&self) -> u64 {
+        self.settings.seed
+    }
+
     /// The currently applied configuration.
     pub fn config(&self) -> PlantConfig {
         self.core.config

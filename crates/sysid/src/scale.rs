@@ -178,6 +178,7 @@ impl ChannelScaler {
     /// # Panics
     ///
     /// Panics if `raw.len()` or `out.len()` differs from the channel count.
+    #[inline]
     pub fn normalize_slices(&self, raw: &[f64], out: &mut [f64]) {
         assert_eq!(raw.len(), self.channels(), "channel count mismatch");
         assert_eq!(out.len(), self.channels(), "channel count mismatch");
@@ -203,6 +204,7 @@ impl ChannelScaler {
     /// # Panics
     ///
     /// Panics if `norm.len()` or `out.len()` differs from the channel count.
+    #[inline]
     pub fn denormalize_slices(&self, norm: &[f64], out: &mut [f64]) {
         assert_eq!(norm.len(), self.channels(), "channel count mismatch");
         assert_eq!(out.len(), self.channels(), "channel count mismatch");
