@@ -64,16 +64,36 @@ fn bench_dare(c: &mut Criterion) {
 }
 
 /// Robust Stability Analysis of the deployed designs at the design flow's
-/// grid: the check `DesignFlow::rsa_redesign` runs once per redesign.
+/// grid (`rsa_analyze_*`: one full sweep, what the accepted probe of
+/// `DesignFlow::rsa_redesign` costs), and the whole redesign ladder from
+/// the identified design and its guardbands (`rsa_redesign_*`: three
+/// redesigns on either input set at seed 2016).
 fn bench_rsa(c: &mut Criterion) {
-    let grid = DesignFlow::two_input().rsa_grid;
     for (name, set) in [
         ("2in", InputSet::FreqCache),
         ("3in", InputSet::FreqCacheRob),
     ] {
+        let flow = setup::mimo_flow(set, 2016);
         let d = setup::design_mimo(set, 2016).expect("design");
         c.bench_function(&format!("control/rsa_analyze_{name}"), |b| {
-            b.iter(|| analyze(black_box(&d.model), &d.controller, &d.guardbands, grid).unwrap())
+            b.iter(|| {
+                analyze(
+                    black_box(&d.model),
+                    &d.controller,
+                    &d.guardbands,
+                    flow.rsa_grid,
+                )
+                .unwrap()
+            })
+        });
+        let result = flow
+            .run_multi(setup::training_plants(set, 2016).iter_mut())
+            .expect("identification");
+        c.bench_function(&format!("control/rsa_redesign_{name}"), |b| {
+            b.iter(|| {
+                flow.rsa_redesign(black_box(&result), &d.guardbands)
+                    .unwrap()
+            })
         });
     }
 }

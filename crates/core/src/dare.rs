@@ -12,6 +12,7 @@
 //! quadratically, falling back to the plain fixed-point iteration when
 //! doubling hits a singular intermediate.
 
+use mimo_linalg::lu::LuDecomposition;
 use mimo_linalg::Matrix;
 
 use crate::{ControlError, Result};
@@ -102,14 +103,14 @@ fn solve_doubling(a: &Matrix, b: &Matrix, q: &Matrix, r: &Matrix) -> Result<Matr
 
     for it in 0..MAX_DOUBLING {
         let w = &eye + &(&gk * &hk);
-        let w_inv_ak = w.solve(&ak).map_err(|_| ControlError::RiccatiDiverged {
+        let diverged = |_| ControlError::RiccatiDiverged {
             iterations: it,
             residual: f64::NAN,
-        })?;
-        let w_inv_g = w.solve(&gk).map_err(|_| ControlError::RiccatiDiverged {
-            iterations: it,
-            residual: f64::NAN,
-        })?;
+        };
+        // One factorization of W serves both solves.
+        let w_lu = LuDecomposition::new(&w).map_err(diverged)?;
+        let w_inv_ak = w_lu.solve(&ak).map_err(diverged)?;
+        let w_inv_g = w_lu.solve(&gk).map_err(diverged)?;
         let a_next = &ak * &w_inv_ak;
         let g_next = (&gk + &(&(&ak * &w_inv_g) * &ak.transpose())).symmetrize();
         let h_next = (&hk + &(&(&ak.transpose() * &hk) * &w_inv_ak)).symmetrize();

@@ -25,7 +25,7 @@ use mimo_sysid::validate::compare;
 use mimo_sysid::Samples;
 
 use crate::lqg::{LqgController, LqgDesign};
-use crate::robust::{analyze, RobustReport};
+use crate::robust::{analyze_within, RobustReport, Sweep};
 use crate::ss::StateSpace;
 use crate::weights::WeightSet;
 use crate::{ControlError, Result};
@@ -394,6 +394,14 @@ impl DesignFlow {
     /// the stability bound of 1. Larger guardbands therefore yield more
     /// cautious (slower-converging) controllers — the Figure 8 tradeoff.
     ///
+    /// A redesign rebuilds only the LQR gain: the Kalman filter and the
+    /// steady-state solver do not depend on the integral weight. A probe
+    /// that the budget still allows to be redesigned is swept only up to
+    /// its first weighted gain above the target, which rejects it; so a
+    /// non-finite response at a later frequency of a rejected probe is
+    /// never computed and raises no error. The accepted probe, and the
+    /// last one the budget allows, are swept in full.
+    ///
     /// # Errors
     ///
     /// Returns [`ControlError::ValidationFailed`] if the budget of
@@ -417,30 +425,40 @@ impl DesignFlow {
         // structural floor set by T(1) = I).
         let target_peak = (1.0 - 0.5 * floor).max(floor + 0.05);
         let mut controller = result.controller.clone();
-        let mut report: RobustReport;
         let mut redesigns = 0;
-        loop {
-            report = analyze(&result.model, &controller, guardbands, self.rsa_grid)?;
-            if report.robust && report.peak_weighted_gain <= target_peak {
-                break;
-            }
-            if redesigns >= self.max_redesigns {
-                if report.robust {
-                    // Robust but without the slack margin: accept.
-                    break;
+        let report = loop {
+            // A probe that may still be redesigned is dropped at its first
+            // weighted gain above the target; the last one the budget
+            // allows is swept in full, so the report accepted or quoted in
+            // the error is always a complete one.
+            let bound = if redesigns < self.max_redesigns {
+                target_peak
+            } else {
+                f64::INFINITY
+            };
+            let sweep =
+                analyze_within(&result.model, &controller, guardbands, self.rsa_grid, bound)?;
+            if let Sweep::Complete(report) = sweep {
+                if report.robust && report.peak_weighted_gain <= target_peak {
+                    break report;
                 }
-                return Err(ControlError::ValidationFailed {
-                    what: format!(
-                        "not robust after {redesigns} redesigns (peak weighted gain {:.3})",
-                        report.peak_weighted_gain
-                    ),
-                });
+                if redesigns >= self.max_redesigns {
+                    if report.robust {
+                        // Robust but without the slack margin: accept.
+                        break report;
+                    }
+                    return Err(ControlError::ValidationFailed {
+                        what: format!(
+                            "not robust after {redesigns} redesigns (peak weighted gain {:.3})",
+                            report.peak_weighted_gain
+                        ),
+                    });
+                }
             }
-            let mut d = controller.design().clone();
-            d.integral_weight *= 0.4;
-            controller = d.build()?;
+            controller =
+                controller.with_integral_weight(controller.design().integral_weight * 0.4)?;
             redesigns += 1;
-        }
+        };
         Ok(ValidatedDesign {
             controller,
             model: result.model.clone(),

@@ -97,7 +97,6 @@ impl LqgDesign {
     /// * [`ControlError::BadActuatorGrid`] — a grid cannot carry the held
     ///   slew index (see [`slew_step`]).
     pub fn build(self) -> Result<LqgController> {
-        let n = self.model.state_dim();
         let i = self.model.num_inputs();
         let o = self.model.num_outputs();
         if o > i {
@@ -122,12 +121,22 @@ impl LqgDesign {
                 what: "scaler or grid channel counts disagree with the model".into(),
             });
         }
-        if self.integral_weight <= 0.0 {
-            return Err(ControlError::BadWeights {
-                what: format!("integral weight {} must be positive", self.integral_weight),
-            });
-        }
+        check_integral_weight(self.integral_weight)?;
         check_actuator_grids(&self.input_grids, &self.input_scaler)?;
+        let lqr = self.lqr_gain()?;
+        let kalman =
+            KalmanFilter::design(&self.model, &self.process_noise, &self.measurement_noise)?;
+        let ss_solver = SteadyStateSolver::new(&self);
+        LqgController::synthesized(self, lqr, kalman, ss_solver)
+    }
+
+    /// The LQR half of [`LqgDesign::build`]: the gain over the augmented
+    /// state for this design's weights. Of the design, only this depends on
+    /// the integral weight.
+    fn lqr_gain(&self) -> Result<LqrGain> {
+        let n = self.model.state_dim();
+        let i = self.model.num_inputs();
+        let o = self.model.num_outputs();
         // --- Augmented system -------------------------------------------
         let a = self.model.a();
         let b = self.model.b();
@@ -171,11 +180,36 @@ impl LqgDesign {
             q_aug[(n + k, n + k)] += UPREV_EPS;
         }
         let r_mat = Matrix::diag(&self.input_weights);
+        design_lqr(&a_aug, &b_aug, &q_aug, &r_mat)
+    }
+}
 
-        let lqr: LqrGain = design_lqr(&a_aug, &b_aug, &q_aug, &r_mat)?;
-        let kalman =
-            KalmanFilter::design(&self.model, &self.process_noise, &self.measurement_noise)?;
+/// Rejects a non-positive integral weight.
+fn check_integral_weight(weight: f64) -> Result<()> {
+    if weight <= 0.0 {
+        return Err(ControlError::BadWeights {
+            what: format!("integral weight {weight} must be positive"),
+        });
+    }
+    Ok(())
+}
 
+impl LqgController {
+    /// Assembles a freshly synthesized controller from its design and the
+    /// synthesis artifacts, at rest on the neutral reference.
+    fn synthesized(
+        design: LqgDesign,
+        lqr: LqrGain,
+        kalman: KalmanFilter,
+        ss_solver: SteadyStateSolver,
+    ) -> Result<Self> {
+        let (a, b, c, d) = (
+            design.model.a(),
+            design.model.b(),
+            design.model.c(),
+            design.model.d(),
+        );
+        let (n, i, o) = (a.rows(), b.cols(), c.rows());
         let compiled = CompiledLqg {
             f: lqr.k,
             l: kalman.gain().clone(),
@@ -183,10 +217,10 @@ impl LqgDesign {
             b: b.clone(),
             c: c.clone(),
             d: d.clone(),
-            ss_solver: SteadyStateSolver::new(&self),
+            ss_solver,
             closed_loop_radius: lqr.closed_loop_radius,
             kalman,
-            design: self,
+            design,
         };
         let mut state = CoreState::<DynStore>::zeroed(n, i, o)?;
         state.hold_input_indices(&compiled.design);
@@ -211,6 +245,25 @@ impl LqgDesign {
             state,
             scratch: LqgScratch::on_heap(n, i, o),
         })
+    }
+
+    /// The controller [`LqgDesign::build`] synthesizes from this one's
+    /// design with `integral_weight` instead, bit for bit, rebuilding only
+    /// the LQR gain: the Kalman filter and the steady-state solver do not
+    /// depend on the integral weight, so they are this controller's. The
+    /// result starts at rest, as a built controller does.
+    pub(crate) fn with_integral_weight(&self, integral_weight: f64) -> Result<Self> {
+        check_integral_weight(integral_weight)?;
+        let mut design = self.design().clone();
+        design.integral_weight = integral_weight;
+        let lqr = design.lqr_gain()?;
+        let compiled = &self.compiled;
+        Self::synthesized(
+            design,
+            lqr,
+            compiled.kalman.clone(),
+            compiled.ss_solver.clone(),
+        )
     }
 }
 

@@ -74,6 +74,7 @@ pub(crate) fn validate_weight(w: &Matrix, name: &str, strict: bool) -> Result<()
         });
     }
     let n = w.rows();
+    let tol = 1e-9 * w.max_abs().max(1.0);
     for i in 0..n {
         let d = w[(i, i)];
         if d < 0.0 || (strict && d <= 0.0) || !d.is_finite() {
@@ -85,7 +86,7 @@ pub(crate) fn validate_weight(w: &Matrix, name: &str, strict: bool) -> Result<()
             });
         }
         for j in 0..n {
-            if (w[(i, j)] - w[(j, i)]).abs() > 1e-9 * w.max_abs().max(1.0) {
+            if (w[(i, j)] - w[(j, i)]).abs() > tol {
                 return Err(ControlError::BadWeights {
                     what: format!("{name} must be symmetric"),
                 });

@@ -20,6 +20,10 @@
 //! `T` with its rows scaled by the guardbands rather than a second solve. A
 //! NaN or infinite response fails the analysis
 //! ([`ControlError::NonFiniteResponse`]) rather than passing it.
+//!
+//! The design flow's redesign ladder only needs to know whether a probe
+//! clears its target peak, so it runs `analyze_within`: the same sweep,
+//! stopped at the first frequency whose weighted gain exceeds the bound.
 
 use mimo_linalg::complex::FrequencySweep;
 use mimo_linalg::{eigen, CMatrix, Matrix};
@@ -144,6 +148,39 @@ pub fn analyze(
     guardbands: &[f64],
     n_grid: usize,
 ) -> Result<RobustReport> {
+    match analyze_within(plant, ctrl, guardbands, n_grid, f64::INFINITY)? {
+        Sweep::Complete(report) => Ok(report),
+        Sweep::Exceeded { .. } => unreachable!("a finite gain never exceeds an infinite bound"),
+    }
+}
+
+/// How far [`analyze_within`] swept.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Sweep {
+    /// Every frequency was evaluated: the report [`analyze`] returns.
+    Complete(RobustReport),
+    /// The weighted gain at frequency number `swept` (counting from 1)
+    /// exceeded the bound; the frequencies after it were not evaluated.
+    Exceeded { swept: usize, gain: f64 },
+}
+
+/// [`analyze`] with an early exit: the sweep stops at the first frequency
+/// whose weighted gain `‖W T‖₂` exceeds `bound`, because the peak can then
+/// only end above it. Up to that frequency every operation is the one
+/// [`analyze`] runs, in the same order, so an infinite bound returns its
+/// report bit for bit. A NaN or infinite response at or before the
+/// stopping frequency fails the same way; one after it is never computed.
+///
+/// # Errors
+///
+/// As [`analyze`].
+pub(crate) fn analyze_within(
+    plant: &StateSpace,
+    ctrl: &LqgController,
+    guardbands: &[f64],
+    n_grid: usize,
+    bound: f64,
+) -> Result<Sweep> {
     let o = plant.num_outputs();
     if guardbands.len() != o {
         return Err(ControlError::DimensionMismatch {
@@ -153,12 +190,12 @@ pub fn analyze(
     let cl = assemble_closed_loop(plant, ctrl)?;
     let nominal_radius = eigen::spectral_radius(cl.a()).map_err(ControlError::Linalg)?;
     if nominal_radius >= 1.0 {
-        return Ok(RobustReport {
+        return Ok(Sweep::Complete(RobustReport {
             nominal_radius,
             peak_weighted_gain: f64::INFINITY,
             uniform_margin: 0.0,
             robust: false,
-        });
+        }));
     }
     // Unweighted T for the uniform margin, weighted W·T for the test.
     let mut sweep = FrequencySweep::new(cl.a(), cl.b(), cl.c(), cl.d())?;
@@ -171,9 +208,13 @@ pub fn analyze(
         let g = sweep.response(omega)?;
         g.scale_rows_into(guardbands, &mut weighted);
         peak_t = peak_t.max(finite_norm(g, omega)?);
-        peak_wt = peak_wt.max(finite_norm(&weighted, omega)?);
+        let gain = finite_norm(&weighted, omega)?;
+        if gain > bound {
+            return Ok(Sweep::Exceeded { swept: k + 1, gain });
+        }
+        peak_wt = peak_wt.max(gain);
     }
-    Ok(RobustReport {
+    Ok(Sweep::Complete(RobustReport {
         nominal_radius,
         peak_weighted_gain: peak_wt,
         uniform_margin: if peak_t > 0.0 {
@@ -182,7 +223,7 @@ pub fn analyze(
             f64::INFINITY
         },
         robust: peak_wt < 1.0,
-    })
+    }))
 }
 
 /// `σ_max(g)`, or [`ControlError::NonFiniteResponse`] if `g` or its norm
@@ -296,6 +337,60 @@ mod tests {
             finite_norm(&g, 0.5),
             Err(ControlError::NonFiniteResponse { omega }) if omega == 0.5
         ));
+    }
+
+    #[test]
+    fn an_unreached_bound_sweeps_the_whole_grid() {
+        let ctrl = build_ctrl(&[0.1, 0.1]);
+        let full = analyze(&plant_2x2(), &ctrl, &[0.3, 0.3], 64).unwrap();
+        // No weighted gain exceeds its own peak, nor an infinite bound.
+        for bound in [f64::INFINITY, full.peak_weighted_gain] {
+            match analyze_within(&plant_2x2(), &ctrl, &[0.3, 0.3], 64, bound).unwrap() {
+                Sweep::Complete(report) => {
+                    assert_eq!(
+                        report.peak_weighted_gain.to_bits(),
+                        full.peak_weighted_gain.to_bits()
+                    );
+                    assert_eq!(
+                        report.uniform_margin.to_bits(),
+                        full.uniform_margin.to_bits()
+                    );
+                    assert_eq!(
+                        report.nominal_radius.to_bits(),
+                        full.nominal_radius.to_bits()
+                    );
+                    assert_eq!(report.robust, full.robust);
+                }
+                exceeded => panic!("bound {bound}: {exceeded:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_bound_below_the_dc_gain_rejects_after_one_frequency() {
+        let ctrl = build_ctrl(&[0.1, 0.1]);
+        // T(1) = I under integral action, so the ω = 0 weighted gain is
+        // the largest guardband, 0.3.
+        let sweep = analyze_within(&plant_2x2(), &ctrl, &[0.3, 0.3], 64, 0.1).unwrap();
+        match sweep {
+            Sweep::Exceeded { swept, gain } => {
+                assert_eq!(swept, 1);
+                assert!(gain > 0.1, "{gain}");
+            }
+            complete => panic!("{complete:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bounded_sweep_still_fails_closed_at_the_first_frequency() {
+        let ctrl = build_ctrl(&[0.1, 0.1]);
+        for bound in [0.0, 0.5, f64::INFINITY] {
+            let err = analyze_within(&plant_2x2(), &ctrl, &[f64::NAN, 0.3], 32, bound).unwrap_err();
+            assert!(
+                matches!(err, ControlError::NonFiniteResponse { omega } if omega == 0.0),
+                "bound {bound}: {err:?}"
+            );
+        }
     }
 
     #[test]

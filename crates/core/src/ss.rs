@@ -5,6 +5,7 @@
 //! y(t)   = C x(t) + D u(t)
 //! ```
 
+use mimo_linalg::storage::{dot_slices as dot, Dim, Fixed};
 use mimo_linalg::{Matrix, Vector};
 use mimo_sysid::realize::Realization;
 use mimo_sysid::{SampleView, Samples};
@@ -120,66 +121,105 @@ impl StateSpace {
     pub fn step(&self, x: &Vector, u: &Vector) -> (Vector, Vector) {
         let (n, o) = (self.state_dim(), self.num_outputs());
         let (mut x_next, mut y) = (Vector::zeros(n), Vector::zeros(o));
-        let (mut bu, mut du) = (vec![0.0; n], vec![0.0; o]);
         self.step_into(
             x.as_slice(),
             u.as_slice(),
             x_next.as_mut_slice(),
             y.as_mut_slice(),
-            &mut bu,
-            &mut du,
         );
         (x_next, y)
     }
 
     /// Advances one step in place: `x_next = A x + B u` and
-    /// `y = C x + D u`, each product accumulated row by row and the two
-    /// then added elementwise. `bu` (state-sized) and `du` (output-sized)
-    /// are scratch for `B u` and `D u`.
+    /// `y = C x + D u`.
     ///
     /// # Panics
     ///
     /// Panics if any slice has the wrong length.
-    pub fn step_into(
+    pub fn step_into(&self, x: &[f64], u: &[f64], x_next: &mut [f64], y: &mut [f64]) {
+        self.check_step_shapes(x.len(), u.len(), x_next.len(), y.len());
+        self.advance(x.len(), u.len(), x, u, x_next, y);
+    }
+
+    /// Panics unless the step's slice lengths fit the system.
+    fn check_step_shapes(&self, x: usize, u: usize, x_next: usize, y: usize) {
+        let (n, i, o) = (self.state_dim(), self.num_inputs(), self.num_outputs());
+        assert!(
+            x == n && x_next == n,
+            "x dim: {x} and {x_next} for {n} states"
+        );
+        assert_eq!(u, i, "u dim");
+        assert_eq!(y, o, "y dim");
+    }
+
+    /// The step kernel for `n` states and `m` inputs, on slices whose
+    /// lengths the caller checked. Each entry is a row product of `A` (or
+    /// `C`) accumulated from `0.0` in column order, plus the same row
+    /// product of `B` (or `D`): the sums of the matrix-vector products
+    /// added elementwise. [`StateSpace::simulate`] instantiates it with
+    /// [`Fixed`] lengths for the design flow's models, so its row products
+    /// unroll.
+    #[inline(always)]
+    fn advance<N: Dim, M: Dim>(
         &self,
+        n: N,
+        m: M,
         x: &[f64],
         u: &[f64],
         x_next: &mut [f64],
         y: &mut [f64],
-        bu: &mut [f64],
-        du: &mut [f64],
     ) {
-        self.a.mul_slice_into(x, x_next).expect("x dim");
-        self.b.mul_slice_into(u, bu).expect("u dim");
-        for (xi, bi) in x_next.iter_mut().zip(bu.iter()) {
-            *xi += bi;
+        let (n, m) = (n.get(), m.get());
+        let (x, u) = (&x[..n], &u[..m]);
+        let (a, b) = (self.a.as_slice(), self.b.as_slice());
+        let (c, d) = (self.c.as_slice(), self.d.as_slice());
+        for (r, xr) in x_next[..n].iter_mut().enumerate() {
+            *xr = dot(&a[r * n..][..n], x) + dot(&b[r * m..][..m], u);
         }
-        self.c.mul_slice_into(x, y).expect("x dim");
-        self.d.mul_slice_into(u, du).expect("u dim");
-        for (yi, di) in y.iter_mut().zip(du.iter()) {
-            *yi += di;
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = dot(&c[r * n..][..n], x) + dot(&d[r * m..][..m], u);
         }
     }
 
     /// Simulates the output sequence from `x0` under `inputs`, one output
-    /// sample per input sample, through [`StateSpace::step_into`] with the
-    /// state in two reused buffers.
+    /// sample per input sample, with the shapes checked once and the state
+    /// in two reused buffers.
     ///
     /// # Panics
     ///
     /// Panics if `x0` or the input samples have wrong dimensions.
     pub fn simulate(&self, x0: &Vector, inputs: SampleView<'_>) -> Samples {
         let (n, o) = (self.state_dim(), self.num_outputs());
-        let mut x = x0.as_slice().to_vec();
-        let mut x_next = vec![0.0; n];
-        let mut bu = vec![0.0; n];
-        let mut du = vec![0.0; o];
         let mut out = Samples::zeros(inputs.len(), o);
-        for (u, y) in inputs.iter().zip(out.iter_mut()) {
-            self.step_into(&x, u, &mut x_next, y, &mut bu, &mut du);
-            std::mem::swap(&mut x, &mut x_next);
+        if inputs.is_empty() {
+            return out;
+        }
+        self.check_step_shapes(x0.len(), inputs.channels(), n, o);
+        let x0 = x0.as_slice();
+        match (n, inputs.channels()) {
+            (4, 2) => self.free_run(Fixed::<4>, Fixed::<2>, x0, inputs, &mut out),
+            (5, 3) => self.free_run(Fixed::<5>, Fixed::<3>, x0, inputs, &mut out),
+            (n, m) => self.free_run(n, m, x0, inputs, &mut out),
         }
         out
+    }
+
+    /// The loop of [`StateSpace::simulate`] for `n` states and `m`
+    /// inputs, whose shapes it checked.
+    fn free_run<N: Dim, M: Dim>(
+        &self,
+        n: N,
+        m: M,
+        x0: &[f64],
+        inputs: SampleView<'_>,
+        out: &mut Samples,
+    ) {
+        let mut x = x0.to_vec();
+        let mut x_next = vec![0.0; n.get()];
+        for (u, y) in inputs.iter().zip(out.iter_mut()) {
+            self.advance(n, m, &x, u, &mut x_next, y);
+            std::mem::swap(&mut x, &mut x_next);
+        }
     }
 
     /// Steady-state (DC) gain `C (I − A)⁻¹ B + D`.

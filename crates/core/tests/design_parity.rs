@@ -13,61 +13,23 @@
 //! covariances, the output scaler, the gains F and L, the measured model
 //! errors and the guardbands, at seeds 2016, 7 and 11.
 
+mod common;
 #[path = "../../sysid/tests/reference/mod.rs"]
 mod reference;
 
+use common::{mimo_flow, training, validation};
 use mimo_core::decoupled::{design_decoupled, SisoView};
 use mimo_core::design::{DesignFlow, DesignResult, ValidatedDesign};
 use mimo_core::lqg::{LqgController, LqgDesign};
 use mimo_core::ss::StateSpace;
 use mimo_core::weights::WeightSet;
 use mimo_linalg::{Matrix, Vector};
-use mimo_sim::workload::{TRAINING_SET, VALIDATION_SET};
-use mimo_sim::{InputSet, Plant, Processor, ProcessorBuilder};
+use mimo_sim::{InputSet, Plant, Processor};
 use mimo_sysid::arx::ArxOrders;
 use mimo_sysid::scale::ChannelScaler;
 use reference::{bits, Scaler};
 
 const DETREND_WINDOW: usize = 201;
-
-fn plant(app: &str, input_set: InputSet, seed: u64) -> Processor {
-    ProcessorBuilder::new()
-        .app(app)
-        .seed(seed)
-        .input_set(input_set)
-        .build()
-        .unwrap()
-}
-
-/// `setup::design_mimo`'s training set.
-fn training(input_set: InputSet, seed: u64) -> Vec<Processor> {
-    TRAINING_SET
-        .iter()
-        .enumerate()
-        .map(|(k, app)| plant(app, input_set, seed + k as u64))
-        .collect()
-}
-
-/// `setup::design_mimo`'s validation set.
-fn validation(input_set: InputSet, seed: u64) -> Vec<Processor> {
-    VALIDATION_SET
-        .iter()
-        .enumerate()
-        .map(|(k, app)| plant(app, input_set, seed + 100 + k as u64))
-        .collect()
-}
-
-/// `setup::design_mimo`'s flow.
-fn mimo_flow(input_set: InputSet, seed: u64) -> DesignFlow {
-    let mut flow = match input_set {
-        InputSet::FreqCache => DesignFlow::two_input(),
-        InputSet::FreqCacheRob => DesignFlow::three_input(),
-    };
-    flow.seed = seed
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(flow.seed);
-    flow
-}
 
 /// The old `DesignFlow::excitation_for` + `record_excitation`: one
 /// allocating `apply` per epoch.

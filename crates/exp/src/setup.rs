@@ -65,6 +65,19 @@ pub fn design_mimo(input_set: InputSet, seed: u64) -> Result<ValidatedDesign> {
     design_mimo_with(input_set, seed, None)
 }
 
+/// The design flow [`design_mimo`] runs: Table III's two- or three-input
+/// flow with its excitation seed derived from `seed`.
+pub fn mimo_flow(input_set: InputSet, seed: u64) -> DesignFlow {
+    let mut flow = match input_set {
+        InputSet::FreqCache => DesignFlow::two_input(),
+        InputSet::FreqCacheRob => DesignFlow::three_input(),
+    };
+    flow.seed = seed
+        .wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add(flow.seed);
+    flow
+}
+
 /// Like [`design_mimo`] with an explicit weight set (Table V studies).
 ///
 /// # Errors
@@ -75,16 +88,10 @@ pub fn design_mimo_with(
     seed: u64,
     weights: Option<WeightSet>,
 ) -> Result<ValidatedDesign> {
-    let mut flow = match input_set {
-        InputSet::FreqCache => DesignFlow::two_input(),
-        InputSet::FreqCacheRob => DesignFlow::three_input(),
-    };
+    let mut flow = mimo_flow(input_set, seed);
     if let Some(w) = weights {
         flow = flow.with_weights(w);
     }
-    flow.seed = seed
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(flow.seed);
     let mut training = training_plants(input_set, seed);
     let result = flow.run_multi(training.iter_mut())?;
     let mut validation = validation_plants(input_set, seed);

@@ -10,8 +10,14 @@ use mimo_sim::InputSet;
 #[test]
 fn redesign_counts_and_verdicts_are_pinned() {
     let pins = [
-        (InputSet::FreqCache, [(1, 3), (7, 3), (11, 0), (2016, 3)]),
-        (InputSet::FreqCacheRob, [(1, 4), (7, 3), (11, 3), (2016, 3)]),
+        (
+            InputSet::FreqCache,
+            [(1, 3), (7, 3), (11, 0), (17, 4), (19, 4), (2016, 3)],
+        ),
+        (
+            InputSet::FreqCacheRob,
+            [(1, 4), (7, 3), (11, 3), (17, 4), (19, 4), (2016, 3)],
+        ),
     ];
     for (set, seeds) in pins {
         for (seed, redesigns) in seeds {

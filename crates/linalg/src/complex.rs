@@ -17,6 +17,11 @@ use crate::eigen::reduce_to_hessenberg;
 use crate::lu::PIVOT_RTOL;
 use crate::{LinalgError, Matrix, Result};
 
+/// Entries up to which [`CMatrix::max_singular_value`] keeps its column
+/// workspace on the stack: every transfer matrix up to 4 × 4, which covers
+/// the 2 × 2 and 3 × 3 loops the design flow analyzes.
+const STACK_ENTRIES: usize = 16;
+
 /// A dense complex matrix stored as separate real and imaginary parts.
 ///
 /// # Example
@@ -92,11 +97,27 @@ impl CMatrix {
     /// Returns [`LinalgError::EmptyInput`] for an empty matrix and
     /// [`LinalgError::NoConvergence`] if the sweeps do not converge.
     pub fn max_singular_value(&self) -> Result<f64> {
-        const MAX_SWEEPS: usize = 60;
         let (rows, cols) = self.shape();
         if rows == 0 || cols == 0 {
             return Err(LinalgError::EmptyInput);
         }
+        // The columns (m ≥ n rows each) live on the stack for the small
+        // transfer matrices of a frequency sweep, on the heap otherwise.
+        let len = rows * cols;
+        if len <= STACK_ENTRIES {
+            let (mut xr, mut xi) = ([0.0; STACK_ENTRIES], [0.0; STACK_ENTRIES]);
+            self.max_singular_value_in(&mut xr[..len], &mut xi[..len])
+        } else {
+            self.max_singular_value_in(&mut vec![0.0; len], &mut vec![0.0; len])
+        }
+    }
+
+    /// The body of [`CMatrix::max_singular_value`] for a non-empty matrix,
+    /// with `xr` and `xi` (one entry each per matrix entry) as its column
+    /// workspace.
+    fn max_singular_value_in(&self, xr: &mut [f64], xi: &mut [f64]) -> Result<f64> {
+        const MAX_SWEEPS: usize = 60;
+        let (rows, cols) = self.shape();
         // Column-major copies with at least as many rows (m) as columns (n).
         let (m, n) = (rows.max(cols), rows.min(cols));
         let at = |part: &Matrix, i: usize, j: usize| {
@@ -106,8 +127,10 @@ impl CMatrix {
                 part[(j, i)]
             }
         };
-        let mut xr: Vec<f64> = (0..n * m).map(|k| at(&self.re, k % m, k / m)).collect();
-        let mut xi: Vec<f64> = (0..n * m).map(|k| at(&self.im, k % m, k / m)).collect();
+        for (k, (r, i)) in xr.iter_mut().zip(xi.iter_mut()).enumerate() {
+            *r = at(&self.re, k % m, k / m);
+            *i = at(&self.im, k % m, k / m);
+        }
         let tol = 10.0 * m as f64 * f64::EPSILON;
         let mut off = f64::INFINITY;
         for _sweep in 0..MAX_SWEEPS {
@@ -519,7 +542,17 @@ mod tests {
 
     #[test]
     fn max_singular_value_matches_the_real_embedding() {
-        for (rows, cols) in [(1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (1, 3)] {
+        // Up to 16 entries the workspace is on the stack, above on the heap.
+        for (rows, cols) in [
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (2, 3),
+            (4, 4),
+            (1, 3),
+            (5, 4),
+            (3, 6),
+        ] {
             let m = CMatrix::new(
                 Matrix::from_fn(rows, cols, |i, j| ((3 * i + 7 * j + 1) % 5) as f64 - 2.2),
                 Matrix::from_fn(rows, cols, |i, j| {

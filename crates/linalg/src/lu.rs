@@ -54,16 +54,17 @@ impl LuDecomposition {
             return Err(LinalgError::EmptyInput);
         }
         let scale = a.max_abs().max(f64::MIN_POSITIVE);
-        let mut lu = a.clone();
+        // Row-major `n x n`, entry `(i, j)` at `i·n + j`.
+        let mut lu = a.as_slice().to_vec();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Find pivot.
             let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
+            let mut pmax = lu[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
+                let v = lu[i * n + k].abs();
                 if v > pmax {
                     pmax = v;
                     p = i;
@@ -72,31 +73,29 @@ impl LuDecomposition {
             if pmax <= PIVOT_RTOL * scale {
                 return Err(LinalgError::Singular);
             }
+            // Rows `k` and below, each `n` long: the pivot row, then the
+            // rows it eliminates.
+            let (pivot_row, below) = lu[k * n..].split_at_mut(n);
             if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
+                pivot_row.swap_with_slice(&mut below[(p - k - 1) * n..][..n]);
                 perm.swap(k, p);
                 perm_sign = -perm_sign;
             }
             // Eliminate below the pivot.
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
+            let pivot = pivot_row[k];
+            for row in below.chunks_exact_mut(n) {
+                let m = row[k] / pivot;
+                row[k] = m;
                 if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let v = lu[(k, j)];
-                        lu[(i, j)] -= m * v;
+                    for (x, &v) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                        *x -= m * v;
                     }
                 }
             }
         }
 
         Ok(LuDecomposition {
-            lu,
+            lu: Matrix::from_vec(n, n, lu),
             perm,
             perm_sign,
             scale,
@@ -132,21 +131,22 @@ impl LuDecomposition {
             });
         }
         let m = b.cols();
-        let mut x = Matrix::zeros(n, m);
+        // Row-major `n x m`, each row of `x` updated from one whole row of
+        // the pivot, entry by entry in the order of the loops over `k`.
+        let mut x = vec![0.0; n * m];
         // Apply permutation to b.
-        for i in 0..n {
-            for j in 0..m {
-                x[(i, j)] = b[(self.perm[i], j)];
-            }
+        for (row, &p) in x.chunks_exact_mut(m).zip(&self.perm) {
+            row.copy_from_slice(&b.as_slice()[p * m..][..m]);
         }
         // Forward substitution (L has implicit unit diagonal).
         for k in 0..n {
-            for i in (k + 1)..n {
+            let (done, rest) = x.split_at_mut((k + 1) * m);
+            let xk = &done[k * m..];
+            for (i, row) in (k + 1..n).zip(rest.chunks_exact_mut(m)) {
                 let l = self.lu[(i, k)];
                 if l != 0.0 {
-                    for j in 0..m {
-                        let v = x[(k, j)];
-                        x[(i, j)] -= l * v;
+                    for (x, &v) in row.iter_mut().zip(xk) {
+                        *x -= l * v;
                     }
                 }
             }
@@ -154,20 +154,21 @@ impl LuDecomposition {
         // Backward substitution.
         for k in (0..n).rev() {
             let pivot = self.lu[(k, k)];
-            for j in 0..m {
-                x[(k, j)] /= pivot;
+            let (above, rest) = x.split_at_mut(k * m);
+            let xk = &mut rest[..m];
+            for v in xk.iter_mut() {
+                *v /= pivot;
             }
-            for i in 0..k {
+            for (i, row) in above.chunks_exact_mut(m).enumerate() {
                 let u = self.lu[(i, k)];
                 if u != 0.0 {
-                    for j in 0..m {
-                        let v = x[(k, j)];
-                        x[(i, j)] -= u * v;
+                    for (x, &v) in row.iter_mut().zip(&*xk) {
+                        *x -= u * v;
                     }
                 }
             }
         }
-        Ok(x)
+        Ok(Matrix::from_vec(n, m, x))
     }
 
     /// Row permutation of the factorization: `perm()[i]` is the row of the

@@ -160,12 +160,80 @@ impl<const R: usize, const C: usize> MatVecKernel<SVector<C>, SVector<R>> for SM
 #[inline(always)]
 pub(crate) fn mul_rows_into<'a>(rows: impl Iterator<Item = &'a [f64]>, v: &[f64], out: &mut [f64]) {
     for (o, row) in out.iter_mut().zip(rows) {
-        let mut acc = 0.0;
-        for (a, b) in row.iter().zip(v) {
-            acc += a * b;
-        }
-        *o = acc;
+        *o = dot_slices(row, v);
     }
+}
+
+/// One row of `mul_rows_into`: `row · v`, the products accumulated left
+/// to right from `0.0` (over the shorter of the two slices). Kernels that
+/// walk a matrix's rows on slices use this to keep a matrix-vector
+/// product's bits.
+#[inline(always)]
+pub fn dot_slices(row: &[f64], v: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (a, b) in row.iter().zip(v) {
+        acc += a * b;
+    }
+    acc
+}
+
+/// A length a slice kernel is instantiated for: fixed at compile time
+/// ([`Fixed`]) or known only at run time (`usize`). A kernel generic over
+/// it slices with [`Dim::get`]; with [`Fixed`] the length is a constant
+/// after inlining, so the short per-sample loops of a record pass unroll,
+/// and with `usize` the same source runs on any length, doing the same
+/// operations in the same order.
+pub trait Dim: Copy {
+    /// The length.
+    fn get(self) -> usize;
+}
+
+impl Dim for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// The compile-time length `N`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed<const N: usize>;
+
+impl<const N: usize> Dim for Fixed<N> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        N
+    }
+}
+
+/// Evaluates `$body` with `$d` bound to a [`Dim`] for the length `$n`:
+/// [`Fixed`]`::<k>` when `$n` is one of the listed `k`, the run-time
+/// `usize` otherwise. The body is compiled once per listed length and once
+/// for the run-time case, so a record pass written over `$d` unrolls for
+/// the common widths and still runs on any other.
+///
+/// ```
+/// use mimo_linalg::storage::Dim;
+/// use mimo_linalg::with_dim;
+///
+/// fn total<D: Dim>(d: D, xs: &[f64]) -> f64 {
+///     xs[..d.get()].iter().sum()
+/// }
+/// let xs = [1.0, 2.0, 3.0, 4.0];
+/// assert_eq!(with_dim!(3, [2, 3], |d| total(d, &xs)), 6.0);
+/// assert_eq!(with_dim!(4, [2, 3], |d| total(d, &xs)), 10.0);
+/// ```
+#[macro_export]
+macro_rules! with_dim {
+    ($n:expr, [$($k:literal),+], |$d:ident| $body:expr) => {
+        match $n {
+            $($k => {
+                let $d = $crate::storage::Fixed::<$k>;
+                $body
+            })+
+            $d => $body,
+        }
+    };
 }
 
 /// Elementwise `a += b` over slices, in the same order as

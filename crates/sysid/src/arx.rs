@@ -18,6 +18,7 @@
 //! factor's column-major storage ([`ridge_least_squares`]), and
 //! the one-step residuals go into one [`Samples`] buffer.
 
+use mimo_linalg::storage::{dot_slices as dot, Dim, Fixed};
 use mimo_linalg::{qr::ridge_least_squares, Matrix, Vector};
 
 use crate::{Result, SampleView, Samples, SysidError};
@@ -174,8 +175,7 @@ impl ArxModel {
         }
 
         // One-step-ahead residuals `y(t) − ŷ(t)`.
-        let mut residuals = Samples::zeros(n_rows, n_outputs);
-        let model = ArxModel {
+        let mut model = ArxModel {
             orders,
             a_coeffs,
             b_coeffs,
@@ -183,14 +183,35 @@ impl ArxModel {
             n_inputs,
             residuals: Samples::new(n_outputs),
         };
-        let (mut pred, mut term) = (Vector::zeros(n_outputs), Vector::zeros(n_outputs));
-        for (t, r) in (p..t_total).zip(residuals.iter_mut()) {
-            model.predict_into(u, y, t, &mut pred, &mut term)?;
-            for ((r, yt), pt) in r.iter_mut().zip(y.sample(t)).zip(pred.iter()) {
-                *r = yt - pt;
+        let mut residuals = Samples::zeros(n_rows, n_outputs);
+        let (u, y, r) = (u.as_flat(), y.as_flat(), residuals.as_flat_mut());
+        match (n_outputs, n_inputs) {
+            (2, 2) => model.residuals_into(Fixed::<2>, Fixed::<2>, u, y, r),
+            (2, 3) => model.residuals_into(Fixed::<2>, Fixed::<3>, u, y, r),
+            (o, i) => model.residuals_into(o, i, u, y, r),
+        }
+        model.residuals = residuals;
+        Ok(model)
+    }
+
+    /// Writes the one-step residual `y(t) − ŷ(t)` of every sample after
+    /// the history window into `residuals`, for `o`-wide outputs and
+    /// `i`-wide inputs.
+    fn residuals_into<O: Dim, I: Dim>(
+        &self,
+        o: O,
+        i: I,
+        u: &[f64],
+        y: &[f64],
+        residuals: &mut [f64],
+    ) {
+        let p = self.orders.history();
+        for (t, r) in (p..).zip(residuals.chunks_exact_mut(o.get())) {
+            self.predict_at(o, i, u, y, t, r);
+            for (r, yt) in r.iter_mut().zip(&y[t * o.get()..][..o.get()]) {
+                *r = yt - *r;
             }
         }
-        Ok(ArxModel { residuals, ..model })
     }
 
     /// The model orders.
@@ -230,44 +251,73 @@ impl ArxModel {
     /// # Errors
     ///
     /// Returns [`SysidError::NotEnoughData`] if `t` precedes the required
-    /// history window.
+    /// history window or is not a sample of `u`, and
+    /// [`SysidError::InconsistentData`] if `u` or `y` is not as wide as the
+    /// model's inputs or outputs.
     pub fn predict_one_step(
         &self,
         u: SampleView<'_>,
         y: SampleView<'_>,
         t: usize,
     ) -> Result<Vector> {
-        let mut pred = Vector::zeros(self.n_outputs);
-        let mut term = Vector::zeros(self.n_outputs);
-        self.predict_into(u, y, t, &mut pred, &mut term)?;
-        Ok(pred)
-    }
-
-    /// [`ArxModel::predict_one_step`] into `pred`, with `term` as scratch
-    /// (both of length `O`): the same products, summed in the same order.
-    fn predict_into(
-        &self,
-        u: SampleView<'_>,
-        y: SampleView<'_>,
-        t: usize,
-        pred: &mut Vector,
-        term: &mut Vector,
-    ) -> Result<()> {
         let p = self.orders.history();
         if t < p || t >= u.len() {
             return Err(SysidError::NotEnoughData { have: t, need: p });
         }
-        pred.fill(0.0);
-        for (i, a) in self.a_coeffs.iter().enumerate() {
-            a.mul_slice_into(y.sample(t - 1 - i), term.as_mut_slice())?;
-            *pred += &*term;
-        }
-        let j0 = self.orders.first_input_lag();
-        for (j, b) in self.b_coeffs.iter().enumerate() {
-            b.mul_slice_into(u.sample(t - j0 - j), term.as_mut_slice())?;
-            *pred += &*term;
+        self.check_widths(u, y.channels())?;
+        let mut pred = Vector::zeros(self.n_outputs);
+        let (o, i) = (self.n_outputs, self.n_inputs);
+        self.predict_at(o, i, u.as_flat(), y.as_flat(), t, pred.as_mut_slice());
+        Ok(pred)
+    }
+
+    /// Rejects records whose widths are not the model's.
+    fn check_widths(&self, u: SampleView<'_>, y_channels: usize) -> Result<()> {
+        if u.channels() != self.n_inputs || y_channels != self.n_outputs {
+            return Err(SysidError::InconsistentData {
+                what: format!(
+                    "{}-wide inputs and {y_channels}-wide outputs for a {}-input {}-output model",
+                    u.channels(),
+                    self.n_inputs,
+                    self.n_outputs
+                ),
+            });
         }
         Ok(())
+    }
+
+    /// The one predictor kernel: writes `ŷ(t)` into `pred` from the
+    /// sample-major inputs `u` and outputs `y`, `o` and `i` wide (the
+    /// model's widths, checked by the callers). Per output, each lag's row
+    /// product accumulates from `0.0` in column order and the lags are
+    /// added in order (outputs `A₁ … A_na`, then inputs): the sums of one
+    /// matrix-vector product per lag followed by a vector add, without the
+    /// temporaries. The record passes instantiate it with [`Fixed`] widths
+    /// for the design flow's models, so its short loops unroll.
+    #[inline(always)]
+    fn predict_at<O: Dim, I: Dim>(
+        &self,
+        o: O,
+        i: I,
+        u: &[f64],
+        y: &[f64],
+        t: usize,
+        pred: &mut [f64],
+    ) {
+        let (o, i) = (o.get(), i.get());
+        let j0 = self.orders.first_input_lag();
+        for (r, out) in pred[..o].iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (lag, a) in self.a_coeffs.iter().enumerate() {
+                let s = t - 1 - lag;
+                acc += dot(&a.as_slice()[r * o..][..o], &y[s * o..][..o]);
+            }
+            for (lag, b) in self.b_coeffs.iter().enumerate() {
+                let s = t - j0 - lag;
+                acc += dot(&b.as_slice()[r * i..][..i], &u[s * i..][..i]);
+            }
+            *out = acc;
+        }
     }
 
     /// Free-run simulation: predicts the whole output sequence from the
@@ -292,14 +342,29 @@ impl ArxModel {
                 what: "y_init dimension mismatch".into(),
             });
         }
-        let mut y_sim = Samples::with_capacity(u.len().max(p), self.n_outputs);
-        y_sim.extend_from(y_init.range(0..p));
-        let (mut pred, mut term) = (Vector::zeros(self.n_outputs), Vector::zeros(self.n_outputs));
-        for t in p..u.len() {
-            self.predict_into(u, y_sim.view(), t, &mut pred, &mut term)?;
-            y_sim.push(pred.as_slice());
+        let o = self.n_outputs;
+        if u.len() > p {
+            self.check_widths(u, o)?;
+        }
+        let mut y_sim = Samples::zeros(u.len().max(p), o);
+        let flat = y_sim.as_flat_mut();
+        flat[..p * o].copy_from_slice(y_init.range(0..p).as_flat());
+        match (o, self.n_inputs) {
+            (2, 2) => self.free_run(Fixed::<2>, Fixed::<2>, u.as_flat(), flat),
+            (2, 3) => self.free_run(Fixed::<2>, Fixed::<3>, u.as_flat(), flat),
+            (o, i) => self.free_run(o, i, u.as_flat(), flat),
         }
         Ok(y_sim)
+    }
+
+    /// Predicts every output of `y` after the history window from the
+    /// inputs `u` and the outputs before it, for `o`-wide outputs and
+    /// `i`-wide inputs.
+    fn free_run<O: Dim, I: Dim>(&self, o: O, i: I, u: &[f64], y: &mut [f64]) {
+        for t in self.orders.history()..y.len() / o.get() {
+            let (history, next) = y.split_at_mut(t * o.get());
+            self.predict_at(o, i, u, history, t, next);
+        }
     }
 }
 

@@ -14,7 +14,8 @@
 //! * the measurement part is `V = (1−α) Σe` plus a small floor that keeps
 //!   the Kalman filter well posed.
 
-use mimo_linalg::Matrix;
+use mimo_linalg::storage::Dim;
+use mimo_linalg::{with_dim, Matrix};
 
 use crate::{Result, SampleView, SysidError};
 
@@ -33,10 +34,18 @@ pub fn covariance(samples: SampleView<'_>) -> Result<Matrix> {
         });
     }
     let dim = samples.channels();
-    let n = samples.len() as f64;
+    let cov = with_dim!(dim, [2, 3], |d| covariance_sums(d, samples.as_flat()));
+    Ok(Matrix::from_vec(dim, dim, cov))
+}
+
+/// [`covariance`]'s row-major `dim × dim` entries for the sample-major
+/// record `samples` of `dim`-wide samples.
+fn covariance_sums<D: Dim>(dim: D, samples: &[f64]) -> Vec<f64> {
+    let dim = dim.get();
+    let n = (samples.len() / dim) as f64;
     let mut mean = vec![0.0; dim];
-    for s in samples.iter() {
-        for (m, x) in mean.iter_mut().zip(s) {
+    for s in samples.chunks_exact(dim) {
+        for (m, x) in mean[..dim].iter_mut().zip(s) {
             *m += x;
         }
     }
@@ -44,19 +53,24 @@ pub fn covariance(samples: SampleView<'_>) -> Result<Matrix> {
     for m in &mut mean {
         *m *= inv_n;
     }
-    let mut cov = Matrix::zeros(dim, dim);
+    // One row of sums per deviation entry.
+    let mut cov = vec![0.0; dim * dim];
     let mut d = vec![0.0; dim];
-    for s in samples.iter() {
-        for ((d, x), m) in d.iter_mut().zip(s).zip(&mean) {
+    for s in samples.chunks_exact(dim) {
+        for ((d, x), m) in d[..dim].iter_mut().zip(s).zip(&mean[..dim]) {
             *d = x - m;
         }
-        for i in 0..dim {
-            for j in 0..dim {
-                cov[(i, j)] += d[i] * d[j];
+        for (row, &di) in cov[..dim * dim].chunks_exact_mut(dim).zip(&d[..dim]) {
+            for (c, &dj) in row.iter_mut().zip(&d[..dim]) {
+                *c += di * dj;
             }
         }
     }
-    Ok(cov.scale(1.0 / (n - 1.0)))
+    let inv = 1.0 / (n - 1.0);
+    for c in &mut cov {
+        *c *= inv;
+    }
+    cov
 }
 
 /// The two unpredictability matrices of the paper, plus the raw innovation

@@ -173,6 +173,11 @@ impl<D: AsRef<[f64]> + AsMut<[f64]>> Samples<D> {
         self.data.as_mut().chunks_exact_mut(c)
     }
 
+    /// The whole sample-major buffer, writable.
+    pub fn as_flat_mut(&mut self) -> &mut [f64] {
+        self.data.as_mut()
+    }
+
     /// Borrows every sample, writable.
     pub fn view_mut(&mut self) -> SampleViewMut<'_> {
         Samples {

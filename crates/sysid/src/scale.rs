@@ -8,7 +8,8 @@
 //! each channel is mapped affinely so that its operating range becomes
 //! roughly `[-1, 1]` around the operating point.
 
-use mimo_linalg::Vector;
+use mimo_linalg::storage::Dim;
+use mimo_linalg::{with_dim, Vector};
 
 use crate::{SampleView, SampleViewMut};
 
@@ -31,24 +32,36 @@ pub fn remove_moving_mean(mut seq: SampleViewMut<'_>, window: usize) {
     if seq.is_empty() {
         return;
     }
+    let half = (window.max(1) | 1) / 2; // odd window
     let dim = seq.channels();
-    let w = window.max(1) | 1; // odd
-    let half = w / 2;
-    let n = seq.len();
+    with_dim!(dim, [2, 3], |d| subtract_moving_mean(
+        d,
+        seq.as_flat_mut(),
+        half
+    ));
+}
+
+/// [`remove_moving_mean`] on the sample-major record `seq` of `dim`-wide
+/// samples, for a window of `2·half + 1` samples.
+fn subtract_moving_mean<D: Dim>(dim: D, seq: &mut [f64], half: usize) {
+    let dim = dim.get();
+    let n = seq.len() / dim;
     // Prefix sums for O(n) moving means: entry `t·dim + c` is the sum of
     // channel `c` over samples `0..t`.
     let mut prefix = vec![0.0_f64; (n + 1) * dim];
-    for (t, v) in seq.iter().enumerate() {
-        for c in 0..dim {
-            prefix[(t + 1) * dim + c] = prefix[t * dim + c] + v[c];
+    for (t, v) in seq.chunks_exact(dim).enumerate() {
+        let (done, next) = prefix.split_at_mut((t + 1) * dim);
+        for ((p, &q), &x) in next[..dim].iter_mut().zip(&done[t * dim..]).zip(v) {
+            *p = q + x;
         }
     }
-    for (t, v) in seq.iter_mut().enumerate() {
+    for (t, v) in seq.chunks_exact_mut(dim).enumerate() {
         let lo = t.saturating_sub(half);
         let hi = (t + half + 1).min(n);
-        for c in 0..dim {
-            let mean = (prefix[hi * dim + c] - prefix[lo * dim + c]) / (hi - lo) as f64;
-            v[c] -= mean;
+        let count = (hi - lo) as f64;
+        let (below, upto) = (&prefix[lo * dim..][..dim], &prefix[hi * dim..][..dim]);
+        for ((x, &h), &l) in v.iter_mut().zip(upto).zip(below) {
+            *x -= (h - l) / count;
         }
     }
 }
@@ -118,20 +131,27 @@ impl ChannelScaler {
     pub fn from_data(data: SampleView<'_>) -> Self {
         assert!(!data.is_empty(), "cannot infer scales from empty data");
         let channels = data.channels();
-        let n = data.len() as f64;
-        let mut offset = vec![0.0; channels];
-        for v in data.iter() {
-            for c in 0..channels {
-                offset[c] += v[c];
+        with_dim!(channels, [2, 3], |d| Self::fit_record(d, data.as_flat()))
+    }
+
+    /// [`ChannelScaler::from_data`] on the sample-major record `data` of
+    /// `dim`-wide samples.
+    fn fit_record<D: Dim>(dim: D, data: &[f64]) -> Self {
+        let dim = dim.get();
+        let n = (data.len() / dim) as f64;
+        let mut offset = vec![0.0; dim];
+        for v in data.chunks_exact(dim) {
+            for (o, x) in offset[..dim].iter_mut().zip(v) {
+                *o += x;
             }
         }
         for o in &mut offset {
             *o /= n;
         }
-        let mut span = vec![0.0_f64; channels];
-        for v in data.iter() {
-            for c in 0..channels {
-                span[c] = span[c].max((v[c] - offset[c]).abs());
+        let mut span = vec![0.0_f64; dim];
+        for v in data.chunks_exact(dim) {
+            for ((s, x), o) in span[..dim].iter_mut().zip(v).zip(&offset[..dim]) {
+                *s = s.max((x - o).abs());
             }
         }
         for s in &mut span {
@@ -170,10 +190,9 @@ impl ChannelScaler {
     }
 
     /// Maps raw values into normalized coordinates, writing into `out`
-    /// without allocating. Every normalizing method goes through
-    /// [`ChannelScaler::normalize_channel`], so all of them agree bit for
-    /// bit; callers whose buffers are fixed-size stack vectors use this one
-    /// directly.
+    /// without allocating. Every normalizing method goes through one copy
+    /// of the formula, so all of them agree bit for bit; callers whose
+    /// buffers are fixed-size stack vectors use this one directly.
     ///
     /// # Panics
     ///
@@ -187,15 +206,14 @@ impl ChannelScaler {
         }
     }
 
-    /// Maps one raw value of channel `c` into normalized coordinates; the
-    /// one copy of the forward formula.
+    /// Maps one raw value of channel `c` into normalized coordinates.
     ///
     /// # Panics
     ///
     /// Panics if `c` is not a channel.
     #[inline]
     pub fn normalize_channel(&self, c: usize, raw: f64) -> f64 {
-        (raw - self.offset[c]) / self.span[c]
+        normalize_value(raw, self.offset[c], self.span[c])
     }
 
     /// Maps normalized values back to raw units, writing into `out`
@@ -213,15 +231,14 @@ impl ChannelScaler {
         }
     }
 
-    /// Maps one normalized value of channel `c` back to raw units; the one
-    /// copy of the inverse formula.
+    /// Maps one normalized value of channel `c` back to raw units.
     ///
     /// # Panics
     ///
     /// Panics if `c` is not a channel.
     #[inline]
     pub fn denormalize_channel(&self, c: usize, norm: f64) -> f64 {
-        norm * self.span[c] + self.offset[c]
+        denormalize_value(norm, self.offset[c], self.span[c])
     }
 
     /// Normalizes a whole record in place, bit-identical to
@@ -230,16 +247,8 @@ impl ChannelScaler {
     /// # Panics
     ///
     /// Panics if the record's width differs from the channel count.
-    pub fn normalize_all(&self, mut seq: SampleViewMut<'_>) {
-        assert!(
-            seq.is_empty() || seq.channels() == self.channels(),
-            "channel count mismatch"
-        );
-        for v in seq.iter_mut() {
-            for (c, x) in v.iter_mut().enumerate() {
-                *x = self.normalize_channel(c, *x);
-            }
-        }
+    pub fn normalize_all(&self, seq: SampleViewMut<'_>) {
+        self.map_record(seq, normalize_value);
     }
 
     /// Denormalizes a whole record in place, bit-identical to
@@ -248,17 +257,39 @@ impl ChannelScaler {
     /// # Panics
     ///
     /// Panics if the record's width differs from the channel count.
-    pub fn denormalize_all(&self, mut seq: SampleViewMut<'_>) {
+    pub fn denormalize_all(&self, seq: SampleViewMut<'_>) {
+        self.map_record(seq, denormalize_value);
+    }
+
+    /// Applies `f(value, offset, span)` to every value of `seq`, in place.
+    #[inline(always)]
+    fn map_record(&self, mut seq: SampleViewMut<'_>, f: impl Fn(f64, f64, f64) -> f64) {
         assert!(
             seq.is_empty() || seq.channels() == self.channels(),
             "channel count mismatch"
         );
-        for v in seq.iter_mut() {
-            for (c, x) in v.iter_mut().enumerate() {
-                *x = self.denormalize_channel(c, *x);
+        let flat = seq.as_flat_mut();
+        with_dim!(self.channels(), [2, 3], |d| {
+            let (offset, span) = (&self.offset[..d.get()], &self.span[..d.get()]);
+            for v in flat.chunks_exact_mut(d.get()) {
+                for ((x, &o), &s) in v.iter_mut().zip(offset).zip(span) {
+                    *x = f(*x, o, s);
+                }
             }
-        }
+        });
     }
+}
+
+/// The one copy of the forward formula, `(raw − offset) / span`.
+#[inline]
+fn normalize_value(raw: f64, offset: f64, span: f64) -> f64 {
+    (raw - offset) / span
+}
+
+/// The one copy of the inverse formula, `norm · span + offset`.
+#[inline]
+fn denormalize_value(norm: f64, offset: f64, span: f64) -> f64 {
+    norm * span + offset
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::Samples;
+use crate::{SampleViewMut, Samples};
 
 /// A generated excitation: one value per time step per input channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +117,13 @@ impl Excitation {
 /// Panics if `lo.len() != hi.len()`, if there are no channels, or if
 /// `hold == 0`.
 pub fn prbs(steps: usize, lo: &[f64], hi: &[f64], hold: usize, seed: u64) -> Excitation {
+    let mut samples = Samples::zeros(steps, lo.len());
+    prbs_into(samples.view_mut(), lo, hi, hold, seed);
+    Excitation::new(samples)
+}
+
+/// [`prbs`] written into `samples`, one step per sample.
+fn prbs_into(samples: SampleViewMut<'_>, lo: &[f64], hi: &[f64], hold: usize, seed: u64) {
     assert_eq!(lo.len(), hi.len(), "lo/hi must list every channel");
     assert!(!lo.is_empty(), "need at least one channel");
     assert!(hold > 0, "hold must be positive");
@@ -133,25 +140,52 @@ pub fn prbs(steps: usize, lo: &[f64], hi: &[f64], hold: usize, seed: u64) -> Exc
         })
         .collect();
     let mut bits: Vec<bool> = lfsr.iter().map(|&s| s & 1 == 1).collect();
-    let mut samples = Samples::zeros(steps, channels);
-    for (t, sample) in samples.iter_mut().enumerate() {
-        if t % hold == 0 && t > 0 {
-            for c in 0..channels {
+    fill_held(samples, hold, |k, current| {
+        if k > 0 {
+            for (l, bit) in lfsr.iter_mut().zip(&mut bits) {
                 // Galois LFSR with taps 16,15,13,4 (maximal length).
-                let l = &mut lfsr[c];
                 let lsb = *l & 1 == 1;
                 *l >>= 1;
                 if lsb {
                     *l ^= 0xB400;
                 }
-                bits[c] = lsb;
+                *bit = lsb;
             }
         }
-        for (c, x) in sample.iter_mut().enumerate() {
+        for (c, x) in current.iter_mut().enumerate() {
             *x = if bits[c] { hi[c] } else { lo[c] };
         }
+    });
+}
+
+/// Writes `samples` in blocks of `hold` samples (the last may be
+/// shorter), every sample of block `k` a copy of the values
+/// `next(k, values)` leaves, one per channel, before the block is written.
+fn fill_held(mut samples: SampleViewMut<'_>, hold: usize, mut next: impl FnMut(usize, &mut [f64])) {
+    let channels = samples.channels();
+    let mut current = vec![0.0; channels];
+    let blocks = samples.as_flat_mut().chunks_mut(hold * channels.max(1));
+    for (k, block) in blocks.enumerate() {
+        next(k, &mut current);
+        for (c, &v) in current.iter().enumerate() {
+            for x in block[c..].iter_mut().step_by(channels) {
+                *x = v;
+            }
+        }
     }
-    Excitation::new(samples)
+}
+
+/// Panics unless `lo`, `hi` and `levels` list the same channels, each
+/// with at least 2 levels.
+fn check_levels(lo: &[f64], hi: &[f64], levels: &[usize]) {
+    assert!(
+        lo.len() == hi.len() && lo.len() == levels.len(),
+        "channel count mismatch"
+    );
+    assert!(
+        levels.iter().all(|&l| l >= 2),
+        "each channel needs >= 2 levels"
+    );
 }
 
 /// Generates a staircase sweep: each channel steps through `levels[ch]`
@@ -170,23 +204,43 @@ pub fn staircase(
     levels: &[usize],
     dwell: usize,
 ) -> Excitation {
-    assert!(
-        lo.len() == hi.len() && lo.len() == levels.len(),
-        "channel count mismatch"
-    );
-    assert!(
-        levels.iter().all(|&l| l >= 2),
-        "each channel needs >= 2 levels"
-    );
+    let mut samples = Samples::zeros(steps, lo.len());
+    staircase_into(samples.view_mut(), lo, hi, levels, dwell);
+    Excitation::new(samples)
+}
+
+/// [`staircase`] written into `samples`, one step per sample.
+fn staircase_into(
+    mut samples: SampleViewMut<'_>,
+    lo: &[f64],
+    hi: &[f64],
+    levels: &[usize],
+    dwell: usize,
+) {
+    check_levels(lo, hi, levels);
     assert!(dwell > 0, "dwell must be positive");
-    Excitation::new(Samples::from_fn(steps, lo.len(), |t, c| {
+    let channels = lo.len();
+    let flat = samples.as_flat_mut();
+    for c in 0..channels {
         let n = levels[c];
-        let period = 2 * (n - 1); // up then down
-        let phase_offset = c * (dwell + 1); // desynchronize channels
-        let k = ((t + phase_offset) / dwell) % period;
-        let idx = if k < n { k } else { period - k };
-        lo[c] + (hi[c] - lo[c]) * idx as f64 / (n - 1) as f64
-    }))
+        let level: Vec<f64> = (0..n)
+            .map(|idx| lo[c] + (hi[c] - lo[c]) * idx as f64 / (n - 1) as f64)
+            .collect();
+        // Up then down, with channels desynchronized by `phase_offset`.
+        // Step `k = ((t + phase_offset) / dwell) % period` and the sample
+        // within its dwell are advanced one sample at a time.
+        let period = 2 * (n - 1);
+        let phase_offset = c * (dwell + 1);
+        let (mut k, mut within) = ((phase_offset / dwell) % period, phase_offset % dwell);
+        for x in flat[c..].iter_mut().step_by(channels) {
+            *x = level[if k < n { k } else { period - k }];
+            within += 1;
+            if within == dwell {
+                within = 0;
+                k = (k + 1) % period;
+            }
+        }
+    }
 }
 
 /// Generates a pseudo-random multilevel excitation: each channel holds a
@@ -203,34 +257,39 @@ pub fn multilevel(
     hold: usize,
     seed: u64,
 ) -> Excitation {
-    assert!(
-        lo.len() == hi.len() && lo.len() == levels.len(),
-        "channel count mismatch"
-    );
-    assert!(
-        levels.iter().all(|&l| l >= 2),
-        "each channel needs >= 2 levels"
-    );
-    assert!(hold > 0, "hold must be positive");
-    let channels = lo.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut current = lo.to_vec();
-    let mut samples = Samples::zeros(steps, channels);
-    for (t, sample) in samples.iter_mut().enumerate() {
-        if t % hold == 0 {
-            for c in 0..channels {
-                let idx = rng.gen_range(0..levels[c]);
-                current[c] = lo[c] + (hi[c] - lo[c]) * idx as f64 / (levels[c] - 1) as f64;
-            }
-        }
-        sample.copy_from_slice(&current);
-    }
+    let mut samples = Samples::zeros(steps, lo.len());
+    multilevel_into(samples.view_mut(), lo, hi, levels, hold, seed);
     Excitation::new(samples)
+}
+
+/// [`multilevel`] written into `samples`, one step per sample.
+fn multilevel_into(
+    samples: SampleViewMut<'_>,
+    lo: &[f64],
+    hi: &[f64],
+    levels: &[usize],
+    hold: usize,
+    seed: u64,
+) {
+    check_levels(lo, hi, levels);
+    assert!(hold > 0, "hold must be positive");
+    let mut rng = StdRng::seed_from_u64(seed);
+    fill_held(samples, hold, |_, current| {
+        for (c, x) in current.iter_mut().enumerate() {
+            let idx = rng.gen_range(0..levels[c]);
+            *x = lo[c] + (hi[c] - lo[c]) * idx as f64 / (levels[c] - 1) as f64;
+        }
+    });
 }
 
 /// The composite identification waveform used by the design flow: a PRBS
 /// segment (fast dynamics), a staircase segment (DC gains across the range),
-/// and a multilevel segment (intermediate settings), concatenated.
+/// and a multilevel segment (intermediate settings), one after the other
+/// in one buffer.
+///
+/// # Panics
+///
+/// Panics under the conditions of [`prbs`] and [`staircase`].
 pub fn identification_waveform(
     steps_per_segment: usize,
     lo: &[f64],
@@ -243,10 +302,19 @@ pub fn identification_waveform(
     // steady-state response dominates the record; identification on
     // faster waveforms sees mostly transition stalls and produces
     // wrong-signed gains.
-    let fast = prbs(steps_per_segment, lo, hi, 12, seed);
-    let sweep = staircase(steps_per_segment, lo, hi, levels, 30);
-    let multi = multilevel(steps_per_segment, lo, hi, levels, 20, seed ^ 0xC0FFEE);
-    fast.then(sweep).then(multi)
+    let n = steps_per_segment;
+    let mut samples = Samples::zeros(3 * n, lo.len());
+    prbs_into(samples.range_mut(0..n), lo, hi, 12, seed);
+    staircase_into(samples.range_mut(n..2 * n), lo, hi, levels, 30);
+    multilevel_into(
+        samples.range_mut(2 * n..3 * n),
+        lo,
+        hi,
+        levels,
+        20,
+        seed ^ 0xC0FFEE,
+    );
+    Excitation::new(samples)
 }
 
 #[cfg(test)]
@@ -329,6 +397,85 @@ mod tests {
         assert_eq!(e.channels(), 2);
         // The staircase + multilevel segments must visit interior levels.
         assert!(e.distinct_levels(1) > 2);
+    }
+
+    /// The generators as they were written per sample: the staircase index
+    /// divided out of `t` and each level's formula evaluated per value,
+    /// every PRBS and multilevel value chosen per sample.
+    fn per_sample(kind: &str, steps: usize, lo: &[f64], hi: &[f64], levels: &[usize]) -> Samples {
+        let (hold, seed) = (7, 21);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lfsr: Vec<u16> = (0..lo.len())
+            .map(|c| match (seed ^ (0x9E37 + 0x1DB3 * c as u64)) as u16 {
+                0 => 0xACE1,
+                s => s,
+            })
+            .collect();
+        let mut bits: Vec<bool> = lfsr.iter().map(|&s| s & 1 == 1).collect();
+        let mut current = lo.to_vec();
+        Samples::from_fn(steps, lo.len(), |t, c| {
+            let level = |idx: usize| lo[c] + (hi[c] - lo[c]) * idx as f64 / (levels[c] - 1) as f64;
+            match kind {
+                "staircase" => {
+                    let (n, dwell) = (levels[c], hold);
+                    let period = 2 * (n - 1);
+                    let k = ((t + c * (dwell + 1)) / dwell) % period;
+                    level(if k < n { k } else { period - k })
+                }
+                "prbs" => {
+                    if t % hold == 0 && t > 0 && c == 0 {
+                        for (l, bit) in lfsr.iter_mut().zip(&mut bits) {
+                            let lsb = *l & 1 == 1;
+                            *l >>= 1;
+                            if lsb {
+                                *l ^= 0xB400;
+                            }
+                            *bit = lsb;
+                        }
+                    }
+                    if bits[c] {
+                        hi[c]
+                    } else {
+                        lo[c]
+                    }
+                }
+                _ => {
+                    if t % hold == 0 && c == 0 {
+                        for (k, x) in current.iter_mut().enumerate() {
+                            let idx = rng.gen_range(0..levels[k]);
+                            *x = lo[k] + (hi[k] - lo[k]) * idx as f64 / (levels[k] - 1) as f64;
+                        }
+                    }
+                    current[c]
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn generators_match_their_per_sample_form() {
+        let (lo, hi) = ([0.8, 0.0, -1.0], [3.7, 1.0, 2.5]);
+        let levels = [16, 2, 5];
+        // A partial last hold block, one full block, and under one block.
+        for steps in [100, 7, 3] {
+            for channels in 1..=3 {
+                let (lo, hi, levels) = (&lo[..channels], &hi[..channels], &levels[..channels]);
+                let got = [
+                    staircase(steps, lo, hi, levels, 7),
+                    prbs(steps, lo, hi, 7, 21),
+                    multilevel(steps, lo, hi, levels, 7, 21),
+                ];
+                for (kind, got) in ["staircase", "prbs", "multilevel"].iter().zip(got) {
+                    let want = per_sample(kind, steps, lo, hi, levels);
+                    let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got.samples().as_flat()),
+                        bits(want.as_flat()),
+                        "{kind}, {steps} steps, {channels} channels"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
